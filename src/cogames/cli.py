@@ -188,6 +188,13 @@ def _cmd_demo(args) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+def natural(text: str) -> int:
+    """argparse type of ``--depth``: a nonnegative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogames",
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bisim", help="bisimilarity of two systems")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=natural, default=None,
                    help=f"bounded comparison depth (default: exact check; parametric inputs "
                         f"fall back to depth {DEFAULT_BISIM_DEPTH})")
     p.set_defaults(run=_cmd_bisim)
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truncate", help="unroll to a finite tree; optionally solve it")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=natural, required=True)
     p.add_argument("--solve", action="store_true",
                    help="run backward induction and the exhaustive Nash check on the result")
     p.add_argument("--tiebreak", choices=(oracle.PREFER_LEFT, oracle.PREFER_RIGHT),

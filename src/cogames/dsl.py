@@ -8,14 +8,15 @@ Grammar (``.cog`` files)::
     leaf    := "leaf" "[" ident ":" affine ("," ident ":" affine)* "]"
     node    := "<" ident ("," choice)? "," ref "," ref ">"
     ref     := ident "(" "n" ("+" nat)? ")" | term
-    affine  := int | int "*n" tail? | "n" tail? | "-" affine
+    affine  := "-"? (int | int "*n" tail? | "n" tail?)
     tail    := "+" int | "-" int
     choice  := "l" | "r"
 
 A ``-`` glued to digits is part of the integer literal, so the canonical
-spelling ``-2*n-1`` denotes slope -2, intercept -1.  Inline terms in ref
-position desugar to fresh classes, numbered after the named equations in
-order of appearance.  The printer emits one equation per class, named
+spelling ``-2*n-1`` denotes slope -2, intercept -1; a leading ``-``
+negates the leading term only, so ``-n+2`` denotes slope -1, intercept 2.
+Inline terms in ref position desugar to fresh classes, numbered after
+the named equations in order of appearance.  The printer emits one equation per class, named
 ``c0``, ``c1``, ..., with sorted rosters and payoff keys and normalized
 ``a*n+b`` affine spelling; parse/print round-trips are exact.
 """
@@ -298,13 +299,13 @@ class _Parser:
 
     def _parse_affine(self) -> Affine:
         tok = self.peek()
+        sign = 1
         if tok.kind == "punct" and tok.text == "-":
             self.advance()
-            inner = self._parse_affine()
-            return Affine(-inner.slope, -inner.intercept)
+            tok, sign = self.peek(), -1
         if tok.kind == "ident" and tok.text == "n":
             self.advance()
-            return Affine(1, self._parse_tail())
+            return Affine(sign, self._parse_tail())
         if tok.kind == "int":
             self.advance()
             if self.peek().kind == "punct" and self.peek().text == "*":
@@ -312,8 +313,8 @@ class _Parser:
                 n_tok = self.expect_ident("'n'")
                 if n_tok.text != "n":
                     raise ParseError(f"found {n_tok.text!r}", n_tok.line, n_tok.col, ("n",))
-                return Affine(tok.value, self._parse_tail())
-            return Affine(0, tok.value)
+                return Affine(sign * tok.value, self._parse_tail())
+            return Affine(0, sign * tok.value)
         raise self.fail(f"found {tok.text or 'end of input'!r}", ("an integer", "n", "'-'"))
 
     def _parse_tail(self) -> int:

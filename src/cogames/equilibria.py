@@ -16,8 +16,10 @@ Subgame perfection is checked per reachable node class.  A class stands
 for one subtree per reachable instantiation index, so the chosen branch
 must dominate at every index at which the class occurs.  Index sets are
 exact when finite; when a positive-offset cycle makes them infinite they
-are over-approximated by ``n >= n_min``, which can only turn a holding
-verdict into a failing one, never the reverse.
+are over-approximated by ``n >= n_min``.  The verdict stays exact, since
+an affine margin is negative somewhere on an infinite set containing
+``n_min`` iff it is negative at ``n_min`` or has negative slope; only the
+index a failing certificate reports may lie outside the set.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any
 
-from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u, utility_from
+from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table
 from .system import (
     Affine,
     Choice,
@@ -40,6 +42,7 @@ from .system import (
     RosterMismatchError,
     STRATEGY,
     reachable,
+    sccs,
 )
 from .verdict import Verdict
 
@@ -95,65 +98,19 @@ def _adjacency(s: CoSystem, mode: str, agent: str | None = None) -> Adjacency:
     return adj
 
 
-def _tarjan(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]) -> list[list[Hashable]]:
-    """Strongly connected components, in reverse topological order."""
-    index: dict[Hashable, int] = {}
-    low: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    sccs: list[list[Hashable]] = []
-    counter = 0
-
-    def visit(v: Hashable) -> None:
-        nonlocal counter
-        index[v] = low[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in succ(v):
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            sccs.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            visit(v)
-    return sccs
-
-
 @dataclass
 class _ReachInfo:
     sets: dict[int, ReachSet]
-    dist: dict[int, int]
     positive_members: set[int]  # classes inside a positive-weight SCC
-    nodes: list[int]
+    scc_of: dict[int, list[int]]
+    # BFS tree over the bounded (class, index) states: the step into each
+    parent: dict[tuple[int, int], tuple[int, int, Choice] | None]
 
 
 def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
     root = s.root
-    # reachable classes under this projection
-    nodes = [root.cls]
-    seen = {root.cls}
-    queue = deque(nodes)
-    while queue:
-        for _, ref in adj[queue.popleft()]:
-            if ref.cls not in seen:
-                seen.add(ref.cls)
-                nodes.append(ref.cls)
-                queue.append(ref.cls)
-
-    # exact minima (Dijkstra; all offsets are >= 0)
+    # exact minima (Dijkstra; all offsets are >= 0), keyed by the classes
+    # reachable under this projection
     dist = {root.cls: root.shift}
     heap = [(root.shift, root.cls)]
     while heap:
@@ -169,49 +126,47 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
     # an SCC has a positive-weight cycle iff one of its internal edges has
     # positive weight (offsets are nonnegative, so the closing path adds
     # nothing negative)
-    sccs = _tarjan(nodes, lambda c: (r.cls for _, r in adj[c] if r.cls in seen))
-    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    scc_of = {v: comp for comp in sccs([root.cls], lambda c: (r.cls for _, r in adj[c])) for v in comp}
     positive: set[int] = set()
-    for c in nodes:
+    for c in dist:
         for _, ref in adj[c]:
-            if ref.cls in seen and comp_of[c] == comp_of[ref.cls] and ref.shift > 0:
-                positive.update(sccs[comp_of[c]])
+            if scc_of[c] is scc_of[ref.cls] and ref.shift > 0:
+                positive.update(scc_of[c])
 
     # unbounded = reachable from a positive cycle
     unbounded = set(positive)
     queue = deque(positive)
     while queue:
         for _, ref in adj[queue.popleft()]:
-            if ref.cls in seen and ref.cls not in unbounded:
+            if ref.cls not in unbounded:
                 unbounded.add(ref.cls)
                 queue.append(ref.cls)
 
     # exact value sets for bounded classes: every path to a bounded class
     # stays in bounded classes, where all cycles have weight zero, so the
     # (class, weight) state space is finite
-    values: dict[int, set[int]] = {c: set() for c in nodes if c not in unbounded}
+    values: dict[int, set[int]] = {c: set() for c in dist if c not in unbounded}
+    parent: dict[tuple[int, int], tuple[int, int, Choice] | None] = {}
     if root.cls not in unbounded:
-        state_seen = {(root.cls, root.shift)}
-        values[root.cls].add(root.shift)
-        queue2 = deque(state_seen)
+        parent[(root.cls, root.shift)] = None
+        queue2 = deque(parent)
         while queue2:
-            c, w = queue2.popleft()
-            for _, ref in adj[c]:
-                if ref.cls in unbounded or ref.cls not in seen:
-                    continue
-                nxt = (ref.cls, w + ref.shift)
-                if nxt not in state_seen:
-                    state_seen.add(nxt)
-                    values[ref.cls].add(nxt[1])
+            state = queue2.popleft()
+            for label, ref in adj[state[0]]:
+                nxt = (ref.cls, state[1] + ref.shift)
+                if ref.cls not in unbounded and nxt not in parent:
+                    parent[nxt] = (*state, label)
                     queue2.append(nxt)
+    for c, w in parent:
+        values[c].add(w)
 
     sets = {}
-    for c in nodes:
+    for c in dist:
         if c in unbounded:
             sets[c] = ReachSet(dist[c], True, None)
         else:
             sets[c] = ReachSet(dist[c], False, frozenset(values[c]))
-    return _ReachInfo(sets, dist, positive, nodes)
+    return _ReachInfo(sets, positive, scc_of, parent)
 
 
 def reach_index_sets(s: CoSystem, mode: str = "tree", agent: str | None = None) -> dict[int, ReachSet]:
@@ -285,39 +240,6 @@ def _cycle_steps(s: CoSystem, adj: Adjacency, members: set[int], at: int) -> tup
     raise AssertionError("no positive edge inside a positive SCC")
 
 
-def _bounded_best_path(s: CoSystem, adj: Adjacency, info: _ReachInfo, target: int,
-                       target_index: int) -> list[tuple[int, int, Choice]]:
-    """Path from the root reaching ``target`` at exactly ``target_index``,
-    found by searching the finite (class, index) space of bounded classes."""
-    root = s.root
-    start = (root.cls, root.shift)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], Choice]] = {}
-    seen = {start}
-    queue = deque([start])
-    goal = (target, target_index)
-    while queue:
-        state = queue.popleft()
-        if state == goal:
-            break
-        c, w = state
-        for label, ref in adj[c]:
-            if info.sets.get(ref.cls) is None or info.sets[ref.cls].unbounded:
-                continue
-            nxt = (ref.cls, w + ref.shift)
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (state, label)
-                queue.append(nxt)
-    steps: list[tuple[int, int, Choice]] = []
-    state = goal
-    while state != start:
-        prev, label = parent[state]
-        steps.append((prev[0], prev[1], label))
-        state = prev
-    steps.reverse()
-    return steps
-
-
 def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[tuple[int, int, Choice]],
                        leaf_cls: int, leaf_index: int, value: int) -> Verdict:
     path = [_step(s, c, w, label, agent) for c, w, label in steps]
@@ -356,11 +278,10 @@ def nash_eq(s: CoSystem) -> Verdict:
         return Verdict(True, {"leads_to_leaf": walk.certificate},
                        "vacuous: strategy does not lead to a leaf")
 
+    last = walk.certificate["path"][-1]
     agents_report = []
     for agent in s.roster:
-        base_fun = s2u(s, agent)
-        assert base_fun is not None
-        base = base_fun.at(0)
+        base = s.classes[last["class"]].payoffs[agent].at(last["shift"])
         adj = _adjacency(s, "deviate", agent)
         info = _analyze(s, adj)
         best: tuple[int, int, int] | None = None  # value, leaf class, index
@@ -375,7 +296,7 @@ def nash_eq(s: CoSystem) -> Verdict:
                 if payoff.slope > 0:
                     # payoff grows without bound along a positive cycle:
                     # pump the cycle just past the on-path value
-                    entry = _pump_entry(s, adj, info, cls_id)
+                    entry = _pump_entry(adj, info, cls_id)
                     steps, leaf_index = _pumped_steps(s, adj, info, entry, cls_id, payoff, base)
                     return _deviation_verdict(s, agent, base, steps, cls_id, leaf_index,
                                               payoff.at(leaf_index))
@@ -389,8 +310,16 @@ def nash_eq(s: CoSystem) -> Verdict:
             if best is None or value > best[0]:
                 best = (value, cls_id, at_index)
         if best is not None and best[0] > base:
-            steps = _bounded_best_path(s, adj, info, best[1], best[2])
-            return _deviation_verdict(s, agent, base, steps, best[1], best[2], best[0])
+            value, leaf, index = best
+            if info.sets[leaf].unbounded:  # valued at its minimum index
+                steps, _ = _shortest_steps(s, adj, s.root, leaf)
+            else:
+                steps, step = [], info.parent[(leaf, index)]
+                while step is not None:
+                    steps.append(step)
+                    step = info.parent[step[:2]]
+                steps.reverse()
+            return _deviation_verdict(s, agent, base, steps, leaf, index, value)
         agents_report.append({
             "agent": agent,
             "on_path_value": base,
@@ -401,39 +330,27 @@ def nash_eq(s: CoSystem) -> Verdict:
                    "no agent has a profitable leaf-terminating deviation")
 
 
-def _pump_entry(s: CoSystem, adj: Adjacency, info: _ReachInfo, target: int) -> int:
+def _pump_entry(adj: Adjacency, info: _ReachInfo, target: int) -> int:
     """A positive-SCC member from which ``target`` is reachable, preferring
     the one closest to the root."""
-    candidates = []
-    for member in info.positive_members:
-        seen = {member}
-        queue = deque([member])
-        found = member == target
-        while queue and not found:
-            for _, ref in adj[queue.popleft()]:
-                if ref.cls == target:
-                    found = True
-                    break
-                if ref.cls in info.sets and ref.cls not in seen:
-                    seen.add(ref.cls)
-                    queue.append(ref.cls)
-        if found:
-            candidates.append((info.dist[member], member))
-    assert candidates, "unbounded class without a feeding positive cycle"
-    return min(candidates)[1]
+    preds: dict[int, list[int]] = {}
+    for c in info.sets:
+        for _, ref in adj[c]:
+            preds.setdefault(ref.cls, []).append(c)
+    feeding = {target}
+    queue = deque(feeding)
+    while queue:
+        for c in preds.get(queue.popleft(), ()):
+            if c not in feeding:
+                feeding.add(c)
+                queue.append(c)
+    return min((info.sets[m].minimum, m) for m in info.positive_members & feeding)[1]
 
 
 def _pumped_steps(s: CoSystem, adj: Adjacency, info: _ReachInfo, entry: int, target: int,
                   payoff: Affine, base: int) -> tuple[list[tuple[int, int, Choice]], int]:
-    comp = {c for c in info.positive_members}  # SCC members containing entry
-    # restrict to entry's own SCC
-    sccs = _tarjan(info.nodes, lambda c: (r.cls for _, r in adj[c] if r.cls in info.sets))
-    for scc in sccs:
-        if entry in scc:
-            comp = set(scc)
-            break
     head, w1 = _shortest_steps(s, adj, s.root, entry)
-    loop_rel, loop_weight = _cycle_steps(s, adj, comp, entry)
+    loop_rel, loop_weight = _cycle_steps(s, adj, set(info.scc_of[entry]), entry)
     tail_rel, w2_rel = _shortest_steps(s, adj, Ref(entry, 0), target)
     # smallest k >= 0 with payoff.at(w1 + k*loop + w2) > base
     flat = w1 + w2_rel
@@ -460,7 +377,10 @@ def sgpe(s: CoSystem) -> Verdict:
     reachable node class, that the owner's chosen branch weakly dominates
     the other at every index the class is reachable at.  Dominance is
     weak (ties are subgame perfect).  The certificate tabulates both
-    branch utilities and the margin per class.
+    branch utilities, read from the play table, and the margin per class.
+    The verdict is exact; on an infinite index set the failing index
+    reported is the first ``n >= n_min`` with a negative margin, which
+    need not be one the class occurs at.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("sgpe expects a strategy")
@@ -470,14 +390,18 @@ def sgpe(s: CoSystem) -> Verdict:
                        "not always leading to a leaf: " + altl.note)
 
     info = _analyze(s, _adjacency(s, "tree"))
+    plays = play_table(s)  # no None entries, by alw_leads_to_leaf
+
+    def utility(ref: Ref, agent: str) -> Affine:
+        leaf, shift, _ = plays[ref.cls]
+        return s.classes[leaf].payoffs[agent].shifted(ref.shift + shift)
+
     table = []
     for cls_id in sorted(info.sets):
         cls = s.classes[cls_id]
         if isinstance(cls, Leaf):
             continue
-        left_u = utility_from(s, cls.left, cls.owner)
-        right_u = utility_from(s, cls.right, cls.owner)
-        assert left_u is not None and right_u is not None  # by alw_leads_to_leaf
+        left_u, right_u = utility(cls.left, cls.owner), utility(cls.right, cls.owner)
         chosen, other = (left_u, right_u) if cls.choice is Choice.L else (right_u, left_u)
         margin = chosen - other
         rs = info.sets[cls_id]
@@ -639,10 +563,10 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
 
     # a difference is realized infinitely often iff it sits on or after a
     # product cycle
-    sccs = _tarjan(out_edges.keys(), lambda v: out_edges[v])
-    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    comps = sccs(out_edges.keys(), lambda v: out_edges[v])
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     cyclic = set()
-    for comp in sccs:
+    for comp in comps:
         members = set(comp)
         if len(comp) > 1 or any(v in out_edges[comp[0]] for v in comp):
             cyclic.update(members)
@@ -671,7 +595,7 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     while v in origin:
         hop_path.append(_state_json(v))
         v = origin[v]
-    cycle_comp = [x for x in sccs[comp_of[v]]]
+    cycle_comp = [x for x in comps[comp_of[v]]]
     witness = {
         "difference": _state_json(target),
         "cycle": [_state_json(x) for x in sorted(cycle_comp)],

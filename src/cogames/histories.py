@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .system import Choice, CoSystem, Leaf, Node, Ref, STRATEGY, KindMismatchError, is_parametric, reachable
+from .semantics import leads_to_leaf
+from .system import Choice, CoSystem, Leaf, Node, STRATEGY, KindMismatchError, is_parametric, sccs
 
 
 @dataclass(frozen=True)
@@ -121,19 +122,10 @@ def strategy_history(s: CoSystem) -> LassoHistory:
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("strategy_history expects a strategy")
-    cur = s.root.cls
-    first_visit: dict[int, int] = {}
-    taken: list[Choice] = []
-    while cur not in first_visit:
-        cls = s.classes[cur]
-        if isinstance(cls, Leaf):
-            return LassoHistory(tuple(taken), ())
-        first_visit[cur] = len(taken)
-        assert cls.choice is not None
-        taken.append(cls.choice)
-        cur = cls.child(cls.choice).cls
-    split = first_visit[cur]
-    return canonicalize(LassoHistory(tuple(taken[:split]), tuple(taken[split:])))
+    walk = leads_to_leaf(s).certificate
+    taken = tuple(Choice(c) for c in walk["choices"])
+    split = walk.get("entered_after", len(taken))
+    return canonicalize(LassoHistory(taken[:split], taken[split:]))
 
 
 def is_finite(sys: CoSystem) -> bool:
@@ -141,21 +133,13 @@ def is_finite(sys: CoSystem) -> bool:
     i.e. the system denotes a finite tree with index-independent payoffs."""
     if is_parametric(sys):
         return False
-    state = dict.fromkeys(reachable(sys), 0)  # 0 unvisited, 1 on stack, 2 done
 
-    def cyclic(c: int) -> bool:
-        state[c] = 1
+    def children(c: int) -> tuple[int, ...]:
         cls = sys.classes[c]
-        if isinstance(cls, Node):
-            for ref in (cls.left, cls.right):
-                if state[ref.cls] == 1:
-                    return True
-                if state[ref.cls] == 0 and cyclic(ref.cls):
-                    return True
-        state[c] = 2
-        return False
+        return (cls.left.cls, cls.right.cls) if isinstance(cls, Node) else ()
 
-    return not cyclic(sys.root.cls)
+    return all(len(comp) == 1 and comp[0] not in children(comp[0])
+               for comp in sccs([sys.root.cls], children))
 
 
 _LASSO_RE = re.compile(r"^(?P<prefix>[lr]*)(?:\((?P<cycle>[lr]+)\)\^w)?$")

@@ -12,9 +12,16 @@ index grows along the walk but never alters which child is taken.  A
 repeated class therefore proves the walk runs forever, and conversely a
 terminating walk visits each class at most once.  This is the argument
 that makes the finite representation decide the infinite-tree predicates.
+
+The committed children form a functional graph on classes, so one pass
+(``play_table``) labels every class with the end of its chosen walk -
+leaf class, accumulated shift and step count - or with None when the
+walk cycles.  ``alw_leads_to_leaf`` and ``sgpe`` read that table.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .system import Affine, CoSystem, Leaf, Node, Ref, STRATEGY, KindMismatchError, reachable, with_root
 from .verdict import Verdict
@@ -29,8 +36,8 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     """Follow the chosen child from ``at`` (default root).
 
     Holds with the finite path (visited references and choices taken) if
-    a leaf is reached; fails with the repeating class cycle otherwise.
-    Terminates within |classes| + 1 steps.
+    a leaf is reached; fails with the repeating class cycle and the
+    choices taken otherwise.  Terminates within |classes| + 1 steps.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("leads_to_leaf expects a strategy")
@@ -58,6 +65,7 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
                     "cycle": cycle,
                     "owners": [_owner_of(s, c) for c in cycle],
                     "entered_after": first_visit[cur.cls],
+                    "choices": choices,
                 },
                 "chosen path revisits a class and can never terminate",
             )
@@ -69,26 +77,60 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
         choices.append(cls.choice.value)
 
 
+PlayEnd = NamedTuple("PlayEnd", [("leaf", int), ("shift", int), ("steps", int)])
+
+
+def play_table(s: CoSystem) -> list[PlayEnd | None]:
+    """The end of the chosen walk from every class at local index 0, or
+    None where it cycles.  Each class is walked once: a walk stops at a
+    leaf, at a class already labelled, or at a class on the walk itself
+    (a cycle), and the classes it passed are labelled on the way back.
+    """
+    if s.kind != STRATEGY:
+        raise KindMismatchError("play_table expects a strategy")
+    table = [PlayEnd(i, 0, 0) if isinstance(c, Leaf) else None for i, c in enumerate(s.classes)]
+    seen = [end is not None for end in table]
+    for start in range(len(s.classes)):
+        walk: list[int] = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            walk.append(cur)
+            cls = s.classes[cur]
+            cur = cls.child(cls.choice).cls
+        end = table[cur]  # None also while ``cur`` is on this walk: a cycle
+        for cls_id in reversed(walk):
+            if end is not None:
+                cls = s.classes[cls_id]
+                end = PlayEnd(end.leaf, end.shift + cls.child(cls.choice).shift, end.steps + 1)
+            table[cls_id] = end
+    return table
+
+
 def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     """``leads_to_leaf`` from every class reachable through both children.
 
-    The certificate lists, per reachable class, the choice path to its
-    leaf; a failure reports the first reachable class (BFS order) whose
-    chosen walk cycles, together with that cycle.
+    The certificate lists, per reachable class, the leaf its chosen walk
+    ends at and the walk's length; the rows replay locally, since a
+    node's row is its chosen child's with one more step.  A failure
+    reports the first reachable class (BFS order) whose chosen walk
+    cycles, together with that cycle.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("alw_leads_to_leaf expects a strategy")
-    table = []
+    table = play_table(s)
+    rows = []
     for cls_id in reachable(s):
-        sub = leads_to_leaf(s, Ref(cls_id, 0))
-        if not sub.holds:
+        end = table[cls_id]
+        if end is None:
             return Verdict(
                 False,
-                {"class": cls_id, "owner": _owner_of(s, cls_id), "cycle": sub.certificate},
+                {"class": cls_id, "owner": _owner_of(s, cls_id),
+                 "cycle": leads_to_leaf(s, Ref(cls_id, 0)).certificate},
                 f"class {cls_id} does not lead to a leaf",
             )
-        table.append({"class": cls_id, "choices": sub.certificate["choices"]})
-    return Verdict(True, {"classes": table}, "every reachable class leads to a leaf")
+        rows.append({"class": cls_id, "leaf": end.leaf, "steps": end.steps})
+    return Verdict(True, {"classes": rows}, "every reachable class leads to a leaf")
 
 
 def s2u(s: CoSystem, agent: str) -> Affine | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .verdict import Verdict
 
@@ -208,6 +208,48 @@ def reachable(sys: CoSystem, start: int | None = None) -> list[int]:
                     order.append(ref.cls)
                     queue.append(ref.cls)
     return order
+
+
+def sccs(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]) -> list[list[Hashable]]:
+    """Strongly connected components reachable from ``nodes``, in reverse
+    topological order.  Iterative Tarjan: an explicit stack of successor
+    iterators replaces recursion, so graph depth is unbounded."""
+    index: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    stack: list[Hashable] = []
+    on_stack: set[Hashable] = set()
+    out: list[list[Hashable]] = []
+    work: list[tuple[Hashable, Iterator[Hashable]]] = []
+
+    def push(v: Hashable) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(succ(v))))
+
+    for root in nodes:
+        if root not in index:
+            push(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    push(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
 
 
 def is_parametric(sys: CoSystem) -> bool:

@@ -97,6 +97,12 @@ class TestBisim:
         assert code == 1
 
 
+    def test_negative_depth_is_a_usage_error(self, capsys):
+        assert main(["bisim", str(GAMES / "dollar_auction.cog"), str(GAMES / "dollar_auction.cog"),
+                     "--depth", "-1"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestConvert:
     def test_reflexive_inductive(self, capsys):
         code, report = run_json(capsys, "convert", str(GAMES / "dollar_auction_agu.cog"),
@@ -147,6 +153,53 @@ class TestTruncate:
         assert by_name["backward_induction"]["value"]["root_choice"] == "r"
         assert by_name["backward_induction"]["value"]["utilities"] == {"Alice": -1, "Bob": 0}
         assert by_name["exhaustive_nash"]["outcome"] == "holds"
+
+
+    def test_negative_depth_is_a_usage_error(self, capsys):
+        assert main(["truncate", str(GAMES / "dollar_auction.cog"), "--depth", "-1"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def chain_source(length: int, flip: int | None = None) -> str:
+    """One agent walks a chain of ``length`` nodes: continuing pays n+1 at
+    the end, stopping at node i pays n.  Every node continues, except
+    ``flip``, which stops."""
+    lines = ["strategy agents A"]
+    for i in range(length):
+        nxt = f"c{i + 1}(n+1)" if i + 1 < length else "end(n+1)"
+        lines.append(f"c{i}(n) = <A, {'r' if i == flip else 'l'}, {nxt}, stop{i}(n)>")
+        lines.append(f"stop{i}(n) = leaf[A: n]")
+    lines += ["end(n) = leaf[A: n+1]", "root c0"]
+    return "\n".join(lines) + "\n"
+
+
+def dollar_unrolling_source(periods: int, choice: str) -> str:
+    """The dollar auction unrolled into a ring of ``periods`` Alice/Bob
+    periods, each entering the next at n+1; every node plays ``choice``."""
+    lines = ["strategy agents Alice Bob"]
+    for k in range(periods):
+        lines.append(f"a{k}(n) = <Alice, {choice}, b{k}(n), alice_quits(n)>")
+        lines.append(f"b{k}(n) = <Bob, {choice}, a{(k + 1) % periods}(n+1), bob_quits(n)>")
+    lines += ["alice_quits(n) = leaf[Alice: -2*n-1, Bob: -2*n]",
+              "bob_quits(n) = leaf[Alice: -2*n-1, Bob: -2*n-2]", "root a0"]
+    return "\n".join(lines) + "\n"
+
+
+class TestLargeInputs:
+    @pytest.mark.parametrize("source, verdicts, history", [
+        (chain_source(5000), ["holds"] * 4, "l" * 5000),
+        (chain_source(5000, flip=4000), ["holds", "holds", "fails", "fails"], "l" * 4000 + "r"),
+        (dollar_unrolling_source(1500, "r"), ["holds"] * 4, "r"),
+        (dollar_unrolling_source(1500, "l"), ["fails", "fails", "holds", "fails"], "(l)^w"),
+    ], ids=["chain", "chain-flipped", "dollar-agu", "dollar-ngu"])
+    def test_deep_systems_run_without_recursion(self, capsys, tmp_path, source, verdicts, history):
+        path = tmp_path / "big.cog"
+        path.write_text(source)
+        code, report = run_json(capsys, "check", str(path), "--ltl", "--altl", "--nash", "--sgpe")
+        assert [c["outcome"] for c in report["checks"]] == verdicts
+        assert code == (0 if verdicts == ["holds"] * 4 else 1)
+        code, report = run_json(capsys, "history", str(path))
+        assert code == 0 and report["checks"][0]["value"] == history
 
 
 class TestErrorsAndStability:

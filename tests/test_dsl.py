@@ -56,10 +56,17 @@ class TestParse:
             "-2*n": Affine(-2, 0),
             "2*n + 1": Affine(2, 1),
             "2*n - 1": Affine(2, -1),
+            # a leading minus negates the leading term only
+            "-n+2": Affine(-1, 2),
+            "-n-2": Affine(-1, -2),
+            "- 2*n+1": Affine(-2, 1),
+            "- n + 2": Affine(-1, 2),
+            "- 7": Affine(0, -7),
         }
         for text, expected in cases.items():
             sys_ = parse(f"game agents A g(n) = leaf[A: {text}] root g")
             assert sys_.classes[0].payoffs["A"] == expected, text
+            assert parse(render(sys_)) == sys_, text
 
 
 class TestParseErrors:
@@ -158,6 +165,7 @@ class TestShippedFiles:
             assert (GAMES_DIR / name).read_text() == render(build()), name
 
     def test_files_parse_to_the_constructors_systems(self):
+        assert sorted(p.name for p in GAMES_DIR.glob("*.cog")) == sorted(self.CONSTRUCTORS)
         for name, build in self.CONSTRUCTORS.items():
             sys_ = parse((GAMES_DIR / name).read_text())
             assert sys_ == build(), name

@@ -18,6 +18,7 @@ from cogames import (
     reach_index_sets,
     sgpe,
     strategy_to_game,
+    unfold,
 )
 from cogames.equilibria import Convertibility, NotApplicableError
 from cogames import oracle
@@ -28,6 +29,32 @@ import helpers
 IND = Convertibility.INDUCTIVE
 COIND = Convertibility.COINDUCTIVE_ONLY
 NOT = Convertibility.NOT_CONVERTIBLE
+
+
+def replay_deviation(s: CoSystem, cert: dict) -> None:
+    """Check a Nash failure witness against the system with ``unfold``
+    only: the on-path value, then the deviation path, which may override
+    choices at the deviating agent's nodes only."""
+    agent = cert["agent"]
+    at = s.root
+    for _ in range(len(s.classes) + 1):
+        head = unfold(s, at)
+        if isinstance(head, Leaf):
+            break
+        at = head.child(head.choice)
+    assert head.payoffs[agent].at(0) == cert["on_path_value"]
+    at = s.root
+    for step in cert["path"]:
+        head = unfold(s, at)
+        assert isinstance(head, Node)
+        assert (step["class"], step["index"]) == (at.cls, at.shift)
+        choice = Choice(step["choice"])
+        assert choice is head.choice or head.owner == agent
+        at = head.child(choice)
+    head = unfold(s, at)
+    assert isinstance(head, Leaf)
+    assert (cert["leaf_class"], cert["leaf_index"]) == (at.cls, at.shift)
+    assert head.payoffs[agent].at(0) == cert["deviation_value"] > cert["on_path_value"]
 
 
 def flip_class_choice(s: CoSystem, cls_id: int) -> CoSystem:
@@ -198,6 +225,30 @@ class TestNashEq:
         assert not v.holds
         assert v.certificate["deviation_value"] > 0
         assert any(p["overridden"] for p in v.certificate["path"])
+
+    def test_unbounded_leaf_past_a_cycle_is_reached_at_its_minimum(self):
+        # the better leaf lies past a positive-offset cycle and its payoff
+        # does not grow, so the witness is the min-weight path to it
+        s = CoSystem(STRATEGY, ("A",), (
+            Node("A", Choice.R, Ref(1, 1), Ref(2, 0)),
+            Node("A", Choice.R, Ref(0, 0), Ref(3, 0)),
+            Leaf({"A": Affine(0, 0)}),
+            Leaf({"A": Affine(0, 5)}),
+        ))
+        v = nash_eq(s)
+        assert not v.holds
+        assert (v.certificate["leaf_class"], v.certificate["leaf_index"]) == (3, 1)
+        replay_deviation(s, v.certificate)
+
+    def test_failure_witnesses_replay_on_random_strategies(self):
+        failures = 0
+        for seed in range(5000):
+            s = helpers.random_system(seed, kind=STRATEGY, max_classes=8)
+            v = nash_eq(s)
+            if not v.holds:
+                failures += 1
+                replay_deviation(s, v.certificate)
+        assert failures > 400
 
     def test_vacuity_property(self):
         for seed in range(80):

@@ -17,6 +17,7 @@ from cogames import (
     reachable,
 )
 from cogames import oracle
+from cogames.semantics import play_table
 from cogames.families import (
     dollar_auction_game,
     dollar_auction_strategy,
@@ -92,6 +93,41 @@ class TestAlwLeadsToLeaf:
             assert leads_to_leaf(s).holds
             for cls_id in reachable(s):
                 assert alw_leads_to_leaf(with_root(s, Ref(cls_id, 0))).holds
+
+
+    def test_holding_rows_replay_by_the_local_rule(self):
+        pool = [dollar_auction_strategy("agu")]
+        pool += [helpers.random_terminating_strategy(seed) for seed in range(60)]
+        for s in pool:
+            v = alw_leads_to_leaf(s)
+            rows = {row["class"]: row for row in v.certificate["classes"]}
+            assert set(rows) == set(reachable(s))
+            for cls_id, row in rows.items():
+                cls = s.classes[cls_id]
+                if isinstance(cls, Leaf):
+                    assert (row["leaf"], row["steps"]) == (cls_id, 0)
+                else:
+                    nxt = rows[cls.child(cls.choice).cls]
+                    assert (row["leaf"], row["steps"]) == (nxt["leaf"], nxt["steps"] + 1)
+
+
+class TestPlayTable:
+    def test_agrees_with_the_walk_from_every_class(self):
+        pool = [helpers.random_system(seed, kind=STRATEGY, max_classes=8) for seed in range(300)]
+        pool += [helpers.random_terminating_strategy(seed) for seed in range(100)]
+        for s in pool:
+            table = play_table(s)
+            for cls_id in range(len(s.classes)):
+                walk = leads_to_leaf(s, Ref(cls_id, 0))
+                if not walk.holds:
+                    assert table[cls_id] is None
+                    continue
+                last = walk.certificate["path"][-1]
+                assert table[cls_id] == (last["class"], last["shift"], len(walk.certificate["choices"]))
+
+    def test_rejects_games(self):
+        with pytest.raises(KindMismatchError):
+            play_table(dollar_auction_game())
 
 
 class TestS2u:

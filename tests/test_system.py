@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cogames import (
@@ -20,6 +22,7 @@ from cogames import (
     validate,
     with_root,
 )
+from cogames.system import sccs
 from cogames.families import (
     dollar_auction_game,
     dollar_auction_strategy,
@@ -261,3 +264,39 @@ class TestErasure:
         game = strategy_to_game(agu)
         choices = {i: cls.choice for i, cls in enumerate(agu.classes) if isinstance(cls, Node)}
         assert annotate(game, choices) == agu
+
+
+def closure(edges: dict[int, list[int]], start: int) -> set[int]:
+    seen, todo = {start}, [start]
+    while todo:
+        for w in edges[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+class TestSccs:
+    def test_matches_mutual_reachability_in_reverse_topological_order(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            edges = {v: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for v in range(n)}
+            for v in rng.sample(range(n), rng.randint(0, n)):
+                edges[v].append(v)  # self-loops
+            reach = {v: closure(edges, v) for v in range(n)}
+            comps = sccs(range(n), lambda v: edges[v])
+            expected = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+            assert sorted(map(sorted, comps)) == sorted(map(sorted, expected))
+            position = {v: i for i, comp in enumerate(comps) for v in comp}
+            for v in range(n):
+                assert all(position[w] <= position[v] for w in edges[v])
+
+    def test_covers_only_what_the_start_nodes_reach(self):
+        edges = {0: [1], 1: [0], 2: [0], 3: [3]}
+        assert sorted(map(sorted, sccs([0], lambda v: edges[v]))) == [[0, 1]]
+
+    def test_long_path_needs_no_recursion(self):
+        n = 20000
+        comps = sccs([0], lambda v: [v + 1] if v + 1 < n else [0])
+        assert len(comps) == 1 and len(comps[0]) == n
