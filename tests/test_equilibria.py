@@ -21,7 +21,7 @@ from cogames import (
     unfold,
 )
 from cogames.equilibria import Convertibility, NotApplicableError
-from cogames import oracle
+from cogames import dsl, oracle
 from cogames.families import centipede_strategy, dollar_auction_strategy
 
 import helpers
@@ -155,6 +155,77 @@ class TestConvertible:
 
         # same denoted tree (payoffs do not depend on the index)
         assert convertible(comb(1), comb(2), "A").value is IND
+
+
+_RING = ("strategy agents A B\np(n) = <{p_owner}, {p_choice}, r0(n), e(n)>\n"
+         "r0(n) = <A, l, r1(n), e(n)>\nr1(n) = <B, {r1_choice}, r0(n), d(n)>\n"
+         "d(n) = <A, {d_choice}, e(n), f(n)>\ne(n) = leaf[A: 0, B: 0]\nf(n) = leaf[A: 1, B: {f_b}]\n"
+         "root p\n")
+
+
+def _ring(p_owner="B", p_choice="l", r1_choice="l", d_choice="l", f_b=1) -> str:
+    """A prefix ``p`` into the cycle ``r0 r1``, which leaves through ``d``."""
+    return _RING.format(p_owner=p_owner, p_choice=p_choice, r1_choice=r1_choice,
+                        d_choice=d_choice, f_b=f_b)
+
+
+def _state(left: int, right: int, delta: int = 0) -> dict:
+    return {"left_class": left, "right_class": right, "delta": delta}
+
+
+_DRIFT = ("strategy agents A\nx(n) = <A, l, y(n), z(n)>\ny(n) = <A, l, y(n+{}), w(n)>\n"
+          "w(n) = leaf[A: 7]\nz(n) = leaf[A: n]\nroot x\n")
+_SLOPED = "strategy agents A\nx(n) = <A, l, y(n+{}), y(n+{})>\ny(n) = leaf[A: n+{}]\nroot x\n"
+_CYCLE = ("strategy agents A B\np(n) = <B, l, r0(n), e(n)>\nr0(n) = <A, {}, r1(n), e(n)>\n"
+          "r1(n) = <B, l, r0(n), e(n)>\ne(n) = leaf[A: 0, B: 0]\nroot p\n")
+
+# one row per outcome: the two strategies, the deviator, then the class,
+# the witness and the note
+CONVERT_TABLE = {
+    "foreign-owner-choice": (
+        _ring(), _ring(r1_choice="r"), "A", NOT,
+        {"path": ["l", "l"], "state": _state(2, 2),
+         "reason": "choice differs at a node owned by B, not the deviator"},
+        "choice differs at a node owned by B, not the deviator"),
+    "leaf-payoffs": (
+        _ring(), _ring(f_b=2), "A", NOT,
+        {"path": ["l", "l", "r", "r"], "state": _state(5, 5), "reason": "leaf payoffs differ for B"},
+        "leaf payoffs differ for B"),
+    "sloped-leaf-under-drift": (
+        _SLOPED.format(1, 0, 0), _SLOPED.format(0, 0, 0), "A", NOT,
+        {"path": ["l"], "state": _state(1, 1, -1), "reason": "leaf payoffs differ for A"},
+        "leaf payoffs differ for A"),
+    "drift-past-the-bound": (
+        _DRIFT.format(1), _DRIFT.format(2), "A", NOT,
+        {"path": ["l"] * 10, "state": _state(1, 1, 9),
+         "reason": "parametrization drift exceeds the alignment bound"},
+        "parametrization drift exceeds the alignment bound"),
+    "coinductive-after-the-cycle": (
+        _ring(), _ring(d_choice="r"), "A", COIND,
+        {"difference": _state(3, 3), "cycle": [_state(1, 1), _state(2, 2)],
+         "path_from_cycle": [_state(3, 3)], "path_from_root": ["l", "l"]},
+        "a choice difference recurs along an unrolled cycle"),
+    "coinductive-on-the-cycle": (
+        _CYCLE.format("l"), _CYCLE.format("r"), "A", COIND,
+        {"difference": _state(1, 1), "cycle": [_state(1, 1), _state(2, 2)],
+         "path_from_cycle": [], "path_from_root": ["l"]},
+        "a choice difference recurs along an unrolled cycle"),
+    "inductive-with-differences": (
+        _ring(p_owner="A"), _ring(p_owner="A", p_choice="r"), "A", IND,
+        {"differences": [_state(0, 0)]},
+        "1 differing node class pair(s), none recurring"),
+    "inductive-realigned-drift": (
+        _SLOPED.format(1, 1, 0), _SLOPED.format(0, 0, 1), "A", IND,
+        {"differences": []},
+        "strategies denote the same tree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERT_TABLE))
+def test_convertible_certificate_table(case):
+    s, t, agent, value, witness, note = CONVERT_TABLE[case]
+    r = convertible(dsl.parse(s), dsl.parse(t), agent)
+    assert (r.value, r.witness, r.note) == (value, witness, note)
 
 
 class TestPreservation:

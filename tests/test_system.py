@@ -22,6 +22,7 @@ from cogames import (
     validate,
     with_root,
 )
+from cogames import dsl
 from cogames.system import sccs
 from cogames.families import (
     dollar_auction_game,
@@ -220,6 +221,96 @@ class TestBisimilar:
             assert bisimilar(s, t).holds
             for depth in (0, 1, 5, 30):
                 assert bisimilar_bounded(s, t, depth).holds
+
+
+_RING2 = ("game agents A\nx0(n) = <A, x1(n), e(n)>\nx1(n) = <A, x0(n), e(n)>\n"
+          "e(n) = leaf[A: {}]\nroot x0\n")
+_RING3 = ("game agents A\nx0(n) = <A, x1(n), e(n)>\nx1(n) = <A, x2(n), e(n)>\n"
+          "x2(n) = <A, x0(n), f(n)>\ne(n) = leaf[A: 3]\nf(n) = leaf[A: {}]\nroot x0\n")
+
+# one row per outcome: sources of the two systems, then the verdict as JSON
+BISIM_TABLE = {
+    "head-kind": (
+        "game agents A\nx(n) = <A, y(n), z(n)>\ny(n) = leaf[A: 0]\nz(n) = leaf[A: 1]\nroot x\n",
+        "game agents A\nx(n) = <A, y(n), w(n)>\ny(n) = leaf[A: 0]\nw(n) = <A, y(n), y(n)>\nroot x\n",
+        {"outcome": "fails", "certificate": {"path": ["r"], "reason": "head kind differs"},
+         "note": "distinguished: head kind differs"}),
+    "leaf-payoffs": (
+        _RING2.format(3), _RING3.format(5),
+        {"outcome": "fails", "certificate": {"path": ["l", "l", "r"], "reason": "leaf payoffs differ"},
+         "note": "distinguished: leaf payoffs differ"}),
+    "owner": (
+        "game agents A B\nx(n) = <A, x(n), y(n)>\ny(n) = leaf[A: 0, B: 1]\nroot x\n",
+        "game agents A B\nx(n) = <A, z(n), y(n)>\nz(n) = <B, x(n), y(n)>\ny(n) = leaf[A: 0, B: 1]\nroot x\n",
+        {"outcome": "fails", "certificate": {"path": ["l"], "reason": "owner differs"},
+         "note": "distinguished: owner differs"}),
+    "choice": (
+        "strategy agents A\nx(n) = <A, l, x(n), y(n)>\ny(n) = leaf[A: 0]\nroot x\n",
+        "strategy agents A\nx(n) = <A, l, z(n), y(n)>\nz(n) = <A, r, x(n), y(n)>\ny(n) = leaf[A: 0]\nroot x\n",
+        {"outcome": "fails", "certificate": {"path": ["l"], "reason": "choice differs"},
+         "note": "distinguished: choice differs"}),
+    "holds": (
+        _RING2.format(3), _RING3.format(3),
+        {"outcome": "holds",
+         "certificate": {"relation": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 3], [2, 4]]},
+         "note": "bisimulation relation closed"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BISIM_TABLE))
+def test_bisimilar_certificate_table(case):
+    a, b, expected = BISIM_TABLE[case]
+    assert bisimilar(dsl.parse(a), dsl.parse(b)).to_json() == expected
+
+
+def _observation(sys: CoSystem, ref: Ref) -> tuple:
+    """The one-step observation at ``ref``: leaf payoffs, or owner and choice."""
+    head = unfold(sys, ref)
+    return (head.payoffs,) if isinstance(head, Leaf) else (head.owner, head.choice)
+
+
+def _replay_heads_differ(a: CoSystem, b: CoSystem, path: list[str]) -> bool:
+    """Follow ``path`` from both roots with ``unfold`` alone; True iff the
+    observations agree along the way and differ where it ends."""
+    ra, rb = a.root, b.root
+    for step in path:
+        assert _observation(a, ra) == _observation(b, rb)
+        ra, rb = unfold(a, ra).child(Choice(step)), unfold(b, rb).child(Choice(step))
+    return _observation(a, ra) != _observation(b, rb)
+
+
+def _relation_is_a_bisimulation(a: CoSystem, b: CoSystem, relation: list[list[int]]) -> bool:
+    """The root pair is related, related pairs have equal observations,
+    and the child pairs of related nodes are related."""
+    pairs = {tuple(p) for p in relation}
+    if (a.root.cls, b.root.cls) not in pairs:
+        return False
+    for i, j in pairs:
+        if _observation(a, Ref(i)) != _observation(b, Ref(j)):
+            return False
+        ha, hb = unfold(a, Ref(i)), unfold(b, Ref(j))
+        if isinstance(ha, Node) and not {(ha.left.cls, hb.left.cls),
+                                         (ha.right.cls, hb.right.cls)} <= pairs:
+            return False
+    return True
+
+
+def test_bisimilar_certificates_replay_on_random_pairs():
+    for seed in range(200):
+        s = helpers.random_system(seed, parametric=False)
+        others = [helpers.unrolled_variant(s, seed + 1)]
+        leaf_id = helpers.first_reachable_leaf(s)
+        if leaf_id is not None:
+            others.append(helpers.payoff_mutant(s, leaf_id))
+        for t in others:
+            for a, b in ((s, t), (t, s)):
+                v = bisimilar(a, b)
+                if v.holds:
+                    assert _relation_is_a_bisimulation(a, b, v.certificate["relation"])
+                else:
+                    assert _replay_heads_differ(a, b, v.certificate["path"])
+                bound = len(a.classes) * len(b.classes)
+                assert v.holds == bisimilar_bounded(a, b, bound).holds
 
 
 class TestBisimilarBounded:
