@@ -2,10 +2,12 @@
 
 Subcommands parse ``.cog`` files, run the requested checks, and emit a
 human summary or (with ``--json``) a stable machine report validating
-against ``schemas/report-v1.json``.  Exit code 0 means every requested
-check holds, 1 that some check fails, 2 a usage, parse, or validation
-error.  Reports are deterministic for identical inputs apart from the
-``timing_ms`` field.
+against ``schemas/report-v1.json``, printed as one line of compact JSON
+(pipe it through ``python -m json.tool`` for indented output).  Exit code
+0 means every requested check holds, 1 that some check fails, 2 a usage,
+parse, or validation error.  Reports are deterministic for identical
+inputs apart from the ``timing_ms`` field.  A reader that closes the
+pipe early gets no traceback; the exit code is still the checks'.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -296,19 +299,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     exit_code = 1 if any(c["outcome"] == "fails" for c in checks) else 0
-    if args.json:
-        report = {
-            "report_version": 1,
-            "tool": {"name": "cogames", "version": __version__},
-            "command": args.command,
-            "inputs": inputs,
-            "checks": checks,
-            "exit_code": exit_code,
-            "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        _print_human(args.command, checks)
+    try:
+        if args.json:
+            report = {
+                "report_version": 1,
+                "tool": {"name": "cogames", "version": __version__},
+                "command": args.command,
+                "inputs": inputs,
+                "checks": checks,
+                "exit_code": exit_code,
+                "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            }
+            print(json.dumps(report))
+        else:
+            _print_human(args.command, checks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: drop the rest of the output, here and at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return exit_code
 
 

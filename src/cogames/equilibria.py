@@ -38,6 +38,7 @@ from .system import (
     KindMismatchError,
     Leaf,
     Node,
+    ProductWalk,
     Ref,
     RosterMismatchError,
     STRATEGY,
@@ -478,13 +479,17 @@ def _state_json(state: tuple[int, int, int]) -> dict[str, int]:
 def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     """Classify the relation between two strategies for a deviating agent.
 
-    Explores the product of the class graphs tracking the offset
-    difference between the two sides.  Leaves must carry equal payoff
-    functions under that alignment; nodes must agree on owner, and on
-    choice except where the agent owns the node.  The drift between the
-    parametrizations is capped at |classes(s)| + |classes(t)|: past that
-    the leaves cannot realign unless no reachable leaf depends on the
-    index at all, which is detected up front and tracked as zero drift.
+    Runs the product walk of ``system.ProductWalk`` (the one behind
+    ``bisimilar``), tracking the offset drift ``delta`` between the two
+    sides in the int state ``(i*|T| + j)*(2*cap + 1) + delta + cap``.
+    Leaves must carry equal payoff functions under that alignment; nodes
+    must agree on owner, and on choice except where the agent owns the
+    node, where the walk records the difference and steps on.  The drift
+    is capped at ``cap = |classes(s)| + |classes(t)|``: past that the
+    leaves cannot realign unless no reachable leaf depends on the index
+    at all, which is detected up front and tracked as zero drift
+    (``cap = 0``).  Successor lists for the cycle analysis are built only
+    when some difference was recorded.
     """
     if s.kind != STRATEGY or t.kind != STRATEGY:
         raise KindMismatchError("convertible expects two strategies")
@@ -501,65 +506,20 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
         )
 
     track = has_slopes(s) or has_slopes(t)
-    cap = len(s.classes) + len(t.classes)
-
-    start = (s.root.cls, t.root.cls, t.root.shift - s.root.shift if track else 0)
-    parent: dict[tuple[int, int, int], tuple[tuple[int, int, int], str]] = {}
-    seen = {start}
-    queue = deque([start])
-    out_edges: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    diffs: set[tuple[int, int, int]] = set()
-
-    def path_to(state: tuple[int, int, int]) -> list[str]:
-        labels: list[str] = []
-        while state in parent:
-            state, label = parent[state]
-            labels.append(label)
-        return labels[::-1]
-
-    def blocked(state: tuple[int, int, int], reason: str) -> ConvClass:
-        witness = {"path": path_to(state), "state": _state_json(state), "reason": reason}
+    walk = ProductWalk(s, t, agent, cap=len(s.classes) + len(t.classes) if track else 0,
+                       delta=t.root.shift - s.root.shift if track else 0)
+    if walk.failure is not None:
+        path, state, reason = walk.failure
+        witness = {"path": path, "state": _state_json(state), "reason": reason}
         return ConvClass(Convertibility.NOT_CONVERTIBLE, witness, reason)
-
-    while queue:
-        state = queue.popleft()
-        cs, ct, delta = state
-        ks, kt = s.classes[cs], t.classes[ct]
-        if isinstance(ks, Leaf) != isinstance(kt, Leaf):
-            return blocked(state, "head kind differs")
-        if isinstance(ks, Leaf):
-            assert isinstance(kt, Leaf)
-            for ag in s.roster:
-                fs, ft = ks.payoffs[ag], kt.payoffs[ag]
-                if fs.slope != ft.slope or fs.intercept != ft.intercept + fs.slope * delta:
-                    return blocked(state, f"leaf payoffs differ for {ag}")
-            out_edges[state] = []
-            continue
-        assert isinstance(kt, Node)
-        if ks.owner != kt.owner:
-            return blocked(state, "owner differs")
-        if ks.choice is not kt.choice:
-            if ks.owner != agent:
-                return blocked(state, f"choice differs at a node owned by {ks.owner}, not the deviator")
-            diffs.add(state)
-        succs = []
-        for label, rs_, rt_ in (("l", ks.left, kt.left), ("r", ks.right, kt.right)):
-            nd = delta + (rt_.shift - rs_.shift) if track else 0
-            if abs(nd) > cap:
-                drift = (rs_.cls, rt_.cls, nd)
-                parent[drift] = (state, label)
-                return blocked(drift, "parametrization drift exceeds the alignment bound")
-            nxt = (rs_.cls, rt_.cls, nd)
-            succs.append(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (state, label)
-                queue.append(nxt)
-        out_edges[state] = succs
-
-    if not diffs:
+    if not walk.diffs:
         return ConvClass(Convertibility.INDUCTIVE, {"differences": []},
                          "strategies denote the same tree")
+
+    # the cycle analysis below reads states as (i, j, delta) tuples
+    decode = walk.decode
+    out_edges = {decode(v): [decode(w) for w in walk.successors(v)] for v in walk.order}
+    diffs = {decode(v) for v in walk.diffs}
 
     # a difference is realized infinitely often iff it sits on or after a
     # product cycle
@@ -600,7 +560,7 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
         "difference": _state_json(target),
         "cycle": [_state_json(x) for x in sorted(cycle_comp)],
         "path_from_cycle": hop_path[::-1],
-        "path_from_root": path_to(v),
+        "path_from_root": walk.path_to(walk.encode(*v)),
     }
     return ConvClass(Convertibility.COINDUCTIVE_ONLY, witness,
                      "a choice difference recurs along an unrolled cycle")

@@ -281,56 +281,183 @@ def _check_comparable(a: CoSystem, b: CoSystem) -> None:
         raise RosterMismatchError(f"rosters differ: {a.roster} vs {b.roster}")
 
 
+class ProductWalk:
+    """Greatest-fixpoint walk over the product of two class graphs, the
+    one engine behind :func:`bisimilar` and ``equilibria.convertible``.
+
+    Each system is compiled once into flat per-class lists: a head id (an
+    int interned across both systems from the one-step observation:
+    negative for leaf payoffs, nonnegative for owner and choice) and the
+    left and right child, each as its class scaled into the state coding
+    plus its shift.  A product state is one int, ``(i*|T| + j)*W + delta
+    + off`` for class ``i`` of ``a``, class ``j`` of ``b`` and the offset
+    drift ``delta = shift_b - shift_a``, where ``W = 2*off + 1`` and
+    ``off`` is ``cap`` (or the root's drift, if that is larger).  With
+    ``cap = 0`` shifts are ignored and a state is ``i*|T| + j``.
+    ``parent`` maps each state seen to ``2*parent + label_bit`` (``-1`` at
+    the root), so it is both the seen set and the path witness; ``order``
+    is the breadth-first queue, a list iterated as it grows.
+
+    Equal head ids step straight on to the child pairs.  Different ones,
+    and a leaf with a nonzero slope under nonzero drift, take the slow
+    path: it names the mismatch, or, where only the choice differs at a
+    node ``agent`` owns, records the state in ``diffs`` and steps on
+    (with ``agent=None`` any choice difference is a mismatch).  A child
+    drift beyond ``cap`` is a mismatch too.  ``failure`` is ``(path, (i,
+    j, delta), reason)`` for the first mismatch in breadth-first order
+    (left before right), else None.
+    """
+
+    def __init__(self, a: CoSystem, b: CoSystem, agent: str | None = None,
+                 cap: int = 0, delta: int = 0) -> None:
+        self.a, self.b, self.agent = a, b, agent
+        self.width = len(b.classes)
+        self.off = max(cap, abs(delta))
+        self.span = 2 * self.off + 1
+        heads: dict[Hashable, int] = {}
+        self.sloped: set[int] = set()
+        self.flat_a = self._flatten(a, heads, self.width * self.span, -1 if cap else 0)
+        self.flat_b = self._flatten(b, heads, self.span, 1 if cap else 0)
+        self.diffs: list[int] = []
+        self.failure: tuple[list[str], tuple[int, int, int], str] | None = None
+        start = self.encode(a.root.cls, b.root.cls, delta)
+        self.parent = {start: -1}
+        self.order = [start]
+        self._walk(cap)
+
+    def _flatten(self, sys: CoSystem, heads: dict[Hashable, int], scale: int,
+                 sign: int) -> tuple[list[int], ...]:
+        """Per-class lists: head id, then the left and the right child as
+        ``class*scale + sign*shift``, then the left and the right shift
+        (``sign`` is 0 when shifts are ignored)."""
+        rows = []
+        for cls in sys.classes:
+            if isinstance(cls, Leaf):
+                h = heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads))
+                if any(f.slope for f in cls.payoffs.values()):
+                    self.sloped.add(h)
+                rows.append((h, 0, 0, 0, 0))
+            else:
+                ls, rs = sign * cls.left.shift, sign * cls.right.shift
+                rows.append((heads.setdefault((cls.owner, cls.choice), len(heads)),
+                             cls.left.cls * scale + ls, cls.right.cls * scale + rs, ls, rs))
+        return tuple(map(list, zip(*rows)))
+
+    def encode(self, i: int, j: int, delta: int) -> int:
+        return (i * self.width + j) * self.span + delta + self.off
+
+    def decode(self, state: int) -> tuple[int, int, int]:
+        pair, d = divmod(state, self.span)
+        return (*divmod(pair, self.width), d - self.off)
+
+    def path_to(self, state: int) -> list[str]:
+        labels: list[str] = []
+        link = self.parent[state]
+        while link >= 0:
+            labels.append("r" if link & 1 else "l")
+            link = self.parent[link >> 1]
+        return labels[::-1]
+
+    def successors(self, state: int) -> list[int]:
+        """Child states of a state the walk has stepped past."""
+        pair, d = divmod(state, self.span)
+        i, j = divmod(pair, self.width)
+        head, la, ra = self.flat_a[:3]
+        _, lb, rb = self.flat_b[:3]
+        return [] if head[i] < 0 else [la[i] + lb[j] + d, ra[i] + rb[j] + d]
+
+    def _walk(self, cap: int) -> None:
+        head_a, la, ra, lsa, rsa = self.flat_a
+        head_b, lb, rb, lsb, rsb = self.flat_b
+        width, span, off, sloped = self.width, self.span, self.off, self.sloped
+        lo, hi = off - cap, off + cap
+        parent, order = self.parent, self.order
+        for state in order:
+            if span == 1:
+                i, j = divmod(state, width)
+                d = 0
+            else:
+                pair, d = divmod(state, span)
+                i, j = divmod(pair, width)
+            h = head_a[i]
+            if h != head_b[j] or (h < 0 and d != off and h in sloped):
+                reason = self._differ(state, i, j, d - off)
+                if reason is not None:
+                    self.failure = (self.path_to(state), (i, j, d - off), reason)
+                    return
+            if h < 0:
+                continue
+            if cap and not (lo <= d + lsb[j] + lsa[i] <= hi and lo <= d + rsb[j] + rsa[i] <= hi):
+                return self._drift(state, i, j, d - off, cap)
+            nxt = la[i] + lb[j] + d
+            if nxt not in parent:
+                parent[nxt] = 2 * state
+                order.append(nxt)
+            nxt = ra[i] + rb[j] + d
+            if nxt not in parent:
+                parent[nxt] = 2 * state + 1
+                order.append(nxt)
+
+    def _drift(self, state: int, i: int, j: int, delta: int, cap: int) -> None:
+        """Record the failure of the first step from ``state`` whose drift
+        leaves the bound."""
+        ka, kb = self.a.classes[i], self.b.classes[j]
+        assert isinstance(ka, Node) and isinstance(kb, Node)
+        for label, ra, rb in (("l", ka.left, kb.left), ("r", ka.right, kb.right)):
+            nd = delta + rb.shift - ra.shift
+            if abs(nd) > cap:
+                self.failure = (self.path_to(state) + [label], (ra.cls, rb.cls, nd),
+                                "parametrization drift exceeds the alignment bound")
+                return
+
+    def _differ(self, state: int, i: int, j: int, delta: int) -> str | None:
+        """The slow path: why classes ``i`` and ``j`` differ under
+        ``delta``, or None if they agree (recording an agent-owned choice
+        difference in ``diffs``)."""
+        ka, kb = self.a.classes[i], self.b.classes[j]
+        if isinstance(ka, Leaf) != isinstance(kb, Leaf):
+            return "head kind differs"
+        if isinstance(ka, Leaf):
+            assert isinstance(kb, Leaf)
+            if self.agent is None:
+                return "leaf payoffs differ"
+            for ag in self.a.roster:
+                fa, fb = ka.payoffs[ag], kb.payoffs[ag]
+                if fa.slope != fb.slope or fa.intercept != fb.intercept + fa.slope * delta:
+                    return f"leaf payoffs differ for {ag}"
+            return None
+        assert isinstance(kb, Node)
+        if ka.owner != kb.owner:
+            return "owner differs"
+        if self.agent is None:
+            return "choice differs"
+        if ka.owner != self.agent:
+            return f"choice differs at a node owned by {ka.owner}, not the deviator"
+        self.diffs.append(state)
+        return None
+
+
 def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     """Decide bisimilarity of two non-parametric systems.
 
     Runs the greatest-fixpoint computation on the product of the class
-    graphs: explore head observations pairwise; if no pair ever
-    disagrees, the visited pair set is itself a bisimulation and is
-    returned as the certificate.  On disagreement the witness is the
-    finite path of choices leading to the first mismatching observation.
+    graphs with :class:`ProductWalk`, whose states are here the ints
+    ``i*|T| + j`` (no drift, no choice difference permitted).  If no pair
+    ever disagrees, the visited pair set is itself a bisimulation and is
+    returned, sorted, as the certificate.  On disagreement the witness is
+    the shortest path of choices (breadth-first, left before right) to
+    the first mismatching observation.
     """
     _check_comparable(a, b)
     if is_parametric(a) or is_parametric(b):
         raise ParametricUnsupportedError("use bisimilar_bounded for parametric systems")
-
-    start = (a.root.cls, b.root.cls)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    seen = {start}
-    queue = deque([start])
-
-    def path_to(pair: tuple[int, int]) -> list[str]:
-        steps: list[str] = []
-        while pair in parent:
-            pair, label = parent[pair]
-            steps.append(label)
-        return steps[::-1]
-
-    def mismatch(pair: tuple[int, int], reason: str) -> Verdict:
-        return Verdict(False, {"path": path_to(pair), "reason": reason}, f"distinguished: {reason}")
-
-    while queue:
-        pair = queue.popleft()
-        ca, cb = a.classes[pair[0]], b.classes[pair[1]]
-        if isinstance(ca, Leaf) != isinstance(cb, Leaf):
-            return mismatch(pair, "head kind differs")
-        if isinstance(ca, Leaf):
-            if ca.payoffs != cb.payoffs:
-                return mismatch(pair, "leaf payoffs differ")
-            continue
-        assert isinstance(cb, Node)
-        if ca.owner != cb.owner:
-            return mismatch(pair, "owner differs")
-        if ca.choice is not cb.choice:
-            return mismatch(pair, "choice differs")
-        for label, ra, rb in (("l", ca.left, cb.left), ("r", ca.right, cb.right)):
-            nxt = (ra.cls, rb.cls)
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (pair, label)
-                queue.append(nxt)
-    relation = sorted(seen)
-    return Verdict(True, {"relation": [list(p) for p in relation]}, "bisimulation relation closed")
+    walk = ProductWalk(a, b)
+    if walk.failure is not None:
+        path, _, reason = walk.failure
+        return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
+    width = walk.width
+    relation = [[state // width, state % width] for state in sorted(walk.parent)]
+    return Verdict(True, {"relation": relation}, "bisimulation relation closed")
 
 
 def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
@@ -339,47 +466,65 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
     Works for parametric systems: leaf payoffs are compared as evaluated
     integers at the accumulated index (root instantiated at n = 0).
     Sound approximation of bisimilarity: exact bisimilarity implies this
-    at every depth.
+    at every depth.  The search is depth-first with an explicit stack,
+    left before right, so the reported path is the first failing one in
+    that order, and any depth runs without recursion.
     """
     _check_comparable(a, b)
-    # memo value: None when the subcomparison agrees, else the failing
-    # suffix (choices, reason)
-    memo: dict[tuple[int, int, int, int, int], tuple[list[str], str] | None] = {}
+    Key = tuple[int, int, int, int, int]  # class and shift on each side, remaining depth
+    # memo value: None when the subcomparison agrees, else the reason at a
+    # differing head, or the (label, key) of the failing child comparison
+    memo: dict[Key, str | tuple[str, Key] | None] = {}
+    work: list[tuple[Key, list[tuple[str, Key]]]] = []  # key, child comparisons left (last first)
 
-    def walk(ra: Ref, rb: Ref, d: int) -> tuple[list[str], str] | None:
-        key = (ra.cls, ra.shift, rb.cls, rb.shift, d)
-        if key in memo:
-            return memo[key]
-        ha, hb = unfold(a, ra), unfold(b, rb)
-        result: tuple[list[str], str] | None = None
+    def enter(key: Key) -> None:
+        ca, sa, cb, sb, d = key
+        ha, hb = unfold(a, Ref(ca, sa)), unfold(b, Ref(cb, sb))
         if isinstance(ha, Leaf) != isinstance(hb, Leaf):
-            result = ([], "head kind differs")
+            memo[key] = "head kind differs"
         elif isinstance(ha, Leaf):
             assert isinstance(hb, Leaf)
             va = {ag: f.at(0) for ag, f in ha.payoffs.items()}
             vb = {ag: f.at(0) for ag, f in hb.payoffs.items()}
-            if va != vb:
-                result = ([], "leaf payoffs differ")
+            memo[key] = None if va == vb else "leaf payoffs differ"
         else:
             assert isinstance(hb, Node)
             if ha.owner != hb.owner:
-                result = ([], "owner differs")
+                memo[key] = "owner differs"
             elif ha.choice is not hb.choice:
-                result = ([], "choice differs")
-            elif d > 0:
-                for label, na, nb in (("l", ha.left, hb.left), ("r", ha.right, hb.right)):
-                    sub = walk(na, nb, d - 1)
-                    if sub is not None:
-                        result = ([label] + sub[0], sub[1])
-                        break
-        memo[key] = result
-        return result
+                memo[key] = "choice differs"
+            elif d == 0:
+                memo[key] = None
+            else:
+                work.append((key, [(label, (na.cls, na.shift, nb.cls, nb.shift, d - 1))
+                                   for label, na, nb in (("r", ha.right, hb.right),
+                                                         ("l", ha.left, hb.left))]))
 
-    failure = walk(a.root, b.root, depth)
+    root = (a.root.cls, a.root.shift, b.root.cls, b.root.shift, depth)
+    enter(root)
+    while work:
+        key, todo = work[-1]
+        if not todo:
+            memo[key] = None
+            work.pop()
+            continue
+        label, child = todo[-1]
+        if child not in memo:
+            enter(child)
+        elif memo[child] is None:
+            todo.pop()
+        else:
+            memo[key] = (label, child)
+            work.pop()
+
+    path: list[str] = []
+    failure = memo[root]
+    while isinstance(failure, tuple):
+        path.append(failure[0])
+        failure = memo[failure[1]]
     if failure is None:
         return Verdict(True, {"depth": depth}, f"observations agree to depth {depth}")
-    path, reason = failure
-    return Verdict(False, {"path": path, "reason": reason, "depth": depth}, f"distinguished: {reason}")
+    return Verdict(False, {"path": path, "reason": failure, "depth": depth}, f"distinguished: {failure}")
 
 
 def strategy_to_game(s: CoSystem) -> CoSystem:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -201,6 +204,31 @@ class TestLargeInputs:
         code, report = run_json(capsys, "history", str(path))
         assert code == 0 and report["checks"][0]["value"] == history
 
+    def test_bounded_bisim_runs_without_recursion(self, capsys, tmp_path):
+        path = tmp_path / "chain.cog"
+        path.write_text(chain_source(3000))
+        assert main(["bisim", str(path), str(path), "--depth", "3000"]) == 0
+        assert capsys.readouterr().out.startswith("bisimilar_bounded[3000]: holds")
+
+    def test_reader_closing_the_pipe_early_gets_no_traceback(self, tmp_path):
+        path = tmp_path / "chain.cog"
+        path.write_text(chain_source(5000))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen([sys.executable, "-m", "cogames", "--json", "check", str(path),
+                                 "--ltl", "--altl"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert len(proc.stdout.read(20)) == 20  # the report is far longer than a pipe holds
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0
+        assert b"Traceback" not in err
+
 
 class TestErrorsAndStability:
     def test_missing_file(self, capsys):
@@ -221,6 +249,12 @@ class TestErrorsAndStability:
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_report_is_one_line_of_compact_json(self, capsys):
+        code, out = run(capsys, "--json", "bisim", str(GAMES / "paper_s0.cog"),
+                        str(GAMES / "paper_s0.cog"))
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
 
     def test_reports_identical_modulo_timing(self, capsys):
         def snap():

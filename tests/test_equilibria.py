@@ -173,7 +173,7 @@ def _state(left: int, right: int, delta: int = 0) -> dict:
     return {"left_class": left, "right_class": right, "delta": delta}
 
 
-_DRIFT = ("strategy agents A\nx(n) = <A, l, y(n), z(n)>\ny(n) = <A, l, y(n+{}), w(n)>\n"
+_DRIFT = ("strategy agents A\nx(n) = <A, l, y(n), z(n)>\ny(n) = <A, l, {}, {}>\n"
           "w(n) = leaf[A: 7]\nz(n) = leaf[A: n]\nroot x\n")
 _SLOPED = "strategy agents A\nx(n) = <A, l, y(n+{}), y(n+{})>\ny(n) = leaf[A: n+{}]\nroot x\n"
 _CYCLE = ("strategy agents A B\np(n) = <B, l, r0(n), e(n)>\nr0(n) = <A, {}, r1(n), e(n)>\n"
@@ -196,8 +196,13 @@ CONVERT_TABLE = {
         {"path": ["l"], "state": _state(1, 1, -1), "reason": "leaf payoffs differ for A"},
         "leaf payoffs differ for A"),
     "drift-past-the-bound": (
-        _DRIFT.format(1), _DRIFT.format(2), "A", NOT,
+        _DRIFT.format("y(n+1)", "w(n)"), _DRIFT.format("y(n+2)", "w(n)"), "A", NOT,
         {"path": ["l"] * 10, "state": _state(1, 1, 9),
+         "reason": "parametrization drift exceeds the alignment bound"},
+        "parametrization drift exceeds the alignment bound"),
+    "drift-past-the-bound-on-the-right": (
+        _DRIFT.format("w(n)", "y(n+1)"), _DRIFT.format("w(n)", "y(n+2)"), "A", NOT,
+        {"path": ["l"] + ["r"] * 9, "state": _state(1, 1, 9),
          "reason": "parametrization drift exceeds the alignment bound"},
         "parametrization drift exceeds the alignment bound"),
     "coinductive-after-the-cycle": (
