@@ -26,7 +26,8 @@ from . import dsl, families, oracle
 from .equilibria import Convertibility, convertible, nash_eq, sgpe
 from .histories import format_lasso, is_history_of, parse_lasso, strategy_history
 from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
-from .system import CoSystem, GAME, STRATEGY, is_parametric, strategy_to_game, validate
+from .system import CoSystem, STRATEGY, KindMismatchError, RosterMismatchError
+from .system import is_parametric, strategy_to_game, validate
 from .system import bisimilar, bisimilar_bounded
 from .verdict import Verdict
 
@@ -100,24 +101,32 @@ def _cmd_eval(args) -> tuple[list[dict], list[dict]]:
 def _cmd_bisim(args) -> tuple[list[dict], list[dict]]:
     sys_a, meta_a = _load(args.a)
     sys_b, meta_b = _load(args.b)
-    if args.depth is not None:
-        verdict = bisimilar_bounded(sys_a, sys_b, args.depth)
-        name = f"bisimilar_bounded[{args.depth}]"
-    elif is_parametric(sys_a) or is_parametric(sys_b):
-        verdict = bisimilar_bounded(sys_a, sys_b, DEFAULT_BISIM_DEPTH)
-        verdict = Verdict(verdict.holds, verdict.certificate,
-                          f"parametric inputs, bounded to depth {DEFAULT_BISIM_DEPTH}: " + verdict.note)
-        name = f"bisimilar_bounded[{DEFAULT_BISIM_DEPTH}]"
-    else:
-        verdict = bisimilar(sys_a, sys_b)
-        name = "bisimilar"
+    try:
+        if args.depth is not None:
+            verdict = bisimilar_bounded(sys_a, sys_b, args.depth)
+            name = f"bisimilar_bounded[{args.depth}]"
+        elif is_parametric(sys_a) or is_parametric(sys_b):
+            verdict = bisimilar_bounded(sys_a, sys_b, DEFAULT_BISIM_DEPTH)
+            verdict = Verdict(verdict.holds, verdict.certificate,
+                              f"parametric inputs, bounded to depth {DEFAULT_BISIM_DEPTH}: " + verdict.note)
+            name = f"bisimilar_bounded[{DEFAULT_BISIM_DEPTH}]"
+        else:
+            verdict = bisimilar(sys_a, sys_b)
+            name = "bisimilar"
+    except (KindMismatchError, RosterMismatchError) as exc:
+        raise InputError(f"{args.a} and {args.b}: {exc}") from exc
     return [_check(name, verdict)], [meta_a, meta_b]
 
 
 def _cmd_convert(args) -> tuple[list[dict], list[dict]]:
     sys_a, meta_a = _load(args.a)
     sys_b, meta_b = _load(args.b)
-    result = convertible(sys_a, sys_b, args.agent)
+    if args.agent not in sys_a.roster:
+        raise InputError(f"agent {args.agent!r} not in roster {list(sys_a.roster)}")
+    try:
+        result = convertible(sys_a, sys_b, args.agent)
+    except (KindMismatchError, RosterMismatchError) as exc:
+        raise InputError(f"{args.a} and {args.b}: {exc}") from exc
     verdict = Verdict(result.value is not Convertibility.NOT_CONVERTIBLE,
                       {"class": result.value.value, "witness": result.witness},
                       result.note or result.value.value)
@@ -149,8 +158,9 @@ def _cmd_truncate(args) -> tuple[list[dict], list[dict]]:
         tree = families.truncate(system, args.depth)
     except families.NoLeafAtHorizonError as exc:
         raise InputError(str(exc)) from exc
-    checks = [_info("truncate", f"depth {args.depth}, {oracle.size(tree)} tree nodes",
-                    dsl.render(oracle.embed(tree)))]
+    embedded = oracle.embed(tree)
+    checks = [_info("truncate", f"depth {args.depth}, {len(embedded.classes)} tree nodes",
+                    dsl.render(embedded))]
     if args.solve:
         game = oracle.erase_choices(tree) if system.kind == STRATEGY else tree
         solved = oracle.backward_induction(game, args.tiebreak)

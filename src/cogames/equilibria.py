@@ -20,6 +20,14 @@ are over-approximated by ``n >= n_min``.  The verdict stays exact, since
 an affine margin is negative somewhere on an infinite set containing
 ``n_min`` iff it is negative at ``n_min`` or has negative slope; only the
 index a failing certificate reports may lie outside the set.
+
+Convertibility, the relation the Nash quantifier ranges over, is decided
+exactly, with no bound on the offset drift between the two strategies.
+The product walk tracks the drift only in pairs from which a leaf with a
+nonzero slope is reachable.  If such a pair is reached with two drifts,
+the path to that leaf ends in a differing observation below one of the
+two arrivals, so the walk either finds a replayable mismatch or visits
+each class pair with one drift, at most ``|S|*|T|`` states.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .system import (
     Ref,
     RosterMismatchError,
     STRATEGY,
-    reachable,
     sccs,
 )
 from .verdict import Verdict
@@ -480,16 +487,17 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     """Classify the relation between two strategies for a deviating agent.
 
     Runs the product walk of ``system.ProductWalk`` (the one behind
-    ``bisimilar``), tracking the offset drift ``delta`` between the two
-    sides in the int state ``(i*|T| + j)*(2*cap + 1) + delta + cap``.
-    Leaves must carry equal payoff functions under that alignment; nodes
-    must agree on owner, and on choice except where the agent owns the
-    node, where the walk records the difference and steps on.  The drift
-    is capped at ``cap = |classes(s)| + |classes(t)|``: past that the
-    leaves cannot realign unless no reachable leaf depends on the index
-    at all, which is detected up front and tracked as zero drift
-    (``cap = 0``).  Successor lists for the cycle analysis are built only
-    when some difference was recorded.
+    ``bisimilar``), which tracks the offset drift ``delta`` between the
+    two sides wherever a leaf with a nonzero slope is reachable.  Leaves
+    must carry equal payoff functions under that alignment; nodes must
+    agree on owner, and on choice except where the agent owns the node,
+    where the walk records the difference and steps on.  The walk is
+    exact and terminates (its docstring has the argument), so a
+    ``NOT_CONVERTIBLE`` witness is a path from the roots to an
+    observation that differs, and any other verdict means the two
+    strategies denote the same tree up to the agent's own choices.
+    Successor lists for the cycle analysis are built only when some
+    difference was recorded.
     """
     if s.kind != STRATEGY or t.kind != STRATEGY:
         raise KindMismatchError("convertible expects two strategies")
@@ -498,16 +506,7 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     if agent not in s.roster:
         raise ValueError(f"agent {agent!r} not in roster {s.roster}")
 
-    def has_slopes(sys: CoSystem) -> bool:
-        return any(
-            isinstance(sys.classes[c], Leaf)
-            and any(f.slope != 0 for f in sys.classes[c].payoffs.values())
-            for c in reachable(sys)
-        )
-
-    track = has_slopes(s) or has_slopes(t)
-    walk = ProductWalk(s, t, agent, cap=len(s.classes) + len(t.classes) if track else 0,
-                       delta=t.root.shift - s.root.shift if track else 0)
+    walk = ProductWalk(s, t, agent)
     if walk.failure is not None:
         path, state, reason = walk.failure
         witness = {"path": path, "state": _state_json(state), "reason": reason}

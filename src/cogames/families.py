@@ -135,23 +135,33 @@ def truncate(sys: CoSystem, depth: int, closure: str = CLOSURE_LEAF_PAYOFFS) -> 
             return FinLeaf({a: f.at(0) for a, f in head.payoffs.items()})
         return None
 
-    def build(ref: Ref, level: int) -> FiniteGame | FiniteStrategy:
-        head = unfold(sys, ref)
-        if isinstance(head, Leaf):
-            return FinLeaf({a: f.at(0) for a, f in head.payoffs.items()})
-        if level == depth:
-            own_leaf = as_leaf(head.left) or as_leaf(head.right)
-            if own_leaf is None:
-                raise NoLeafAtHorizonError(
-                    f"class {ref.cls} at the horizon has no leaf child to close with")
-            left = as_leaf(head.left) or own_leaf
-            right = as_leaf(head.right) or own_leaf
-        else:
-            left = build(head.left, level + 1)
-            right = build(head.right, level + 1)
+    def node(head: Node, left, right) -> FiniteGame | FiniteStrategy:
         if sys.kind == STRATEGY:
             assert head.choice is not None
             return StrategyNode(head.owner, head.choice, left, right)
         return GameNode(head.owner, left, right)
 
-    return build(sys.root, 0)
+    # an explicit stack, left subtree first: a (ref, level) to unroll, or
+    # a node whose two subtrees lie on top of ``built``, right above left
+    todo: list[tuple[Ref, int] | Node] = [(sys.root, 0)]
+    built: list[FiniteGame | FiniteStrategy] = []
+    while todo:
+        task = todo.pop()
+        if isinstance(task, Node):
+            right = built.pop()
+            built.append(node(task, built.pop(), right))
+            continue
+        ref, level = task
+        head = unfold(sys, ref)
+        if isinstance(head, Leaf):
+            built.append(FinLeaf({a: f.at(0) for a, f in head.payoffs.items()}))
+        elif level == depth:
+            own_leaf = as_leaf(head.left) or as_leaf(head.right)
+            if own_leaf is None:
+                raise NoLeafAtHorizonError(
+                    f"class {ref.cls} at the horizon has no leaf child to close with")
+            built.append(node(head, as_leaf(head.left) or own_leaf,
+                              as_leaf(head.right) or own_leaf))
+        else:
+            todo += [head, (head.right, level + 1), (head.left, level + 1)]
+    return built[0]

@@ -169,37 +169,33 @@ def finite_sgpe(s: FiniteStrategy) -> bool:
 
 def embed(t: FiniteGame | FiniteStrategy, kind: str | None = None) -> CoSystem:
     """Embed a finite tree as an acyclic, non-parametric equation system,
-    one class per node.  The kind is inferred from the node types unless
-    the tree is a single leaf, in which case it defaults to strategy."""
+    one class per node in preorder.  The kind is inferred from the node
+    types unless the tree is a single leaf, in which case it defaults to
+    strategy.  An explicit stack keeps deep trees off the call stack."""
+    nodes: list[FiniteGame | FiniteStrategy] = []  # preorder
+    kids: list[list[int]] = []  # preorder slots of each node's two children
+    todo: list[tuple[FiniteGame | FiniteStrategy, int, int]] = [(t, -1, 0)]
+    while todo:
+        node, up, side = todo.pop()
+        if up >= 0:
+            kids[up][side] = len(nodes)
+        nodes.append(node)
+        kids.append([0, 0])
+        if not isinstance(node, Leaf):
+            todo += [(node.right, len(nodes) - 1, 1), (node.left, len(nodes) - 1, 0)]
     if kind is None:
-        kind = GAME if _has_game_nodes(t) else STRATEGY
+        kind = GAME if any(isinstance(node, GameNode) for node in nodes) else STRATEGY
     roster: set[str] = set()
     classes: list[SysLeaf | SysNode] = []
-
-    def walk(node: FiniteGame | FiniteStrategy) -> int:
-        idx = len(classes)
-        classes.append(None)  # type: ignore[arg-type]  # reserve preorder slot
+    for node, (left, right) in zip(nodes, kids):
         if isinstance(node, Leaf):
             roster.update(node.payoffs)
-            classes[idx] = SysLeaf({a: Affine.const(v) for a, v in node.payoffs.items()})
+            classes.append(SysLeaf({a: Affine.const(v) for a, v in node.payoffs.items()}))
         else:
             roster.add(node.owner)
             choice = node.choice if isinstance(node, StrategyNode) else None
-            left = walk(node.left)
-            right = walk(node.right)
-            classes[idx] = SysNode(node.owner, choice, Ref(left), Ref(right))
-        return idx
-
-    walk(t)
+            classes.append(SysNode(node.owner, choice, Ref(left), Ref(right)))
     return CoSystem(kind, tuple(sorted(roster)), tuple(classes), Ref(0))
-
-
-def _has_game_nodes(t: FiniteGame | FiniteStrategy) -> bool:
-    if isinstance(t, Leaf):
-        return False
-    if isinstance(t, GameNode):
-        return True
-    return _has_game_nodes(t.left) or _has_game_nodes(t.right)
 
 
 def random_game(seed: int, max_depth: int = 3, payoff_range: tuple[int, int] = (-9, 9),

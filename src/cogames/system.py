@@ -287,128 +287,151 @@ class ProductWalk:
 
     Each system is compiled once into flat per-class lists: a head id (an
     int interned across both systems from the one-step observation:
-    negative for leaf payoffs, nonnegative for owner and choice) and the
-    left and right child, each as its class scaled into the state coding
-    plus its shift.  A product state is one int, ``(i*|T| + j)*W + delta
-    + off`` for class ``i`` of ``a``, class ``j`` of ``b`` and the offset
-    drift ``delta = shift_b - shift_a``, where ``W = 2*off + 1`` and
-    ``off`` is ``cap`` (or the root's drift, if that is larger).  With
-    ``cap = 0`` shifts are ignored and a state is ``i*|T| + j``.
-    ``parent`` maps each state seen to ``2*parent + label_bit`` (``-1`` at
-    the root), so it is both the seen set and the path witness; ``order``
-    is the breadth-first queue, a list iterated as it grows.
+    negative for leaf payoffs, nonnegative for owner and choice), the left
+    and the right child as one int each (its class and shift, scaled into
+    the state coding), and a mask of the children that are *sensitive*: a
+    leaf with a nonzero slope is reachable from them.  A product state is
+    one int, ``delta*P + i*|T| + j`` for class ``i`` of ``a``, class ``j``
+    of ``b`` and the offset drift ``delta = shift_b - shift_a``, where ``P
+    = |S|*|T|`` (Python's floor ``%`` and ``divmod`` decode a negative
+    drift).  The drift is kept while ``i`` or ``j`` is sensitive and is 0
+    elsewhere: below an insensitive pair every leaf is constant, so the
+    drift cannot change an observation there, and the children of an
+    insensitive pair are insensitive too.  ``parent`` maps each state seen
+    to ``2*parent + label_bit`` (None at the root), so it is both the seen
+    set and the path witness; ``order`` is the breadth-first queue, a list
+    iterated as it grows.
 
     Equal head ids step straight on to the child pairs.  Different ones,
-    and a leaf with a nonzero slope under nonzero drift, take the slow
-    path: it names the mismatch, or, where only the choice differs at a
-    node ``agent`` owns, records the state in ``diffs`` and steps on
-    (with ``agent=None`` any choice difference is a mismatch).  A child
-    drift beyond ``cap`` is a mismatch too.  ``failure`` is ``(path, (i,
-    j, delta), reason)`` for the first mismatch in breadth-first order
-    (left before right), else None.
+    and a sloped leaf under nonzero drift, take the slow path: it names
+    the mismatch, or, where only the choice differs at a node ``agent``
+    owns, records the state in ``diffs`` and steps on (with
+    ``agent=None`` any choice difference is a mismatch).  ``failure`` is
+    ``(path, (i, j, delta), reason)`` for the first mismatch in
+    breadth-first order (left before right), else None.
+
+    The walk is exact and terminates.  Say a sensitive pair, with ``i``
+    sensitive (or ``j``, symmetrically), is reached with two drifts.
+    Follow, from both arrivals, the path of labels from ``i`` to a sloped
+    leaf: the classes met on it do not depend on the drift, and neither
+    does the sum of the shift differences along it.  So both arrivals
+    meet the same mismatch before the end, or the path ends at the same
+    pair of leaves under two different drifts, and a payoff with a
+    nonzero slope agrees with the other side's under at most one of
+    them.  Either way a mismatching
+    observation lies a bounded number of steps below one of the two
+    arrivals, and the breadth-first walk, which has finitely many states
+    at each depth, reaches it.  Without such a conflict every pair
+    carries one drift, so there are at most ``|S|*|T|`` states.
     """
 
-    def __init__(self, a: CoSystem, b: CoSystem, agent: str | None = None,
-                 cap: int = 0, delta: int = 0) -> None:
+    def __init__(self, a: CoSystem, b: CoSystem, agent: str | None = None) -> None:
         self.a, self.b, self.agent = a, b, agent
         self.width = len(b.classes)
-        self.off = max(cap, abs(delta))
-        self.span = 2 * self.off + 1
+        self.size = len(a.classes) * self.width
         heads: dict[Hashable, int] = {}
         self.sloped: set[int] = set()
-        self.flat_a = self._flatten(a, heads, self.width * self.span, -1 if cap else 0)
-        self.flat_b = self._flatten(b, heads, self.span, 1 if cap else 0)
+        self.flat_a = self._flatten(a, heads, self.width, -self.size)
+        self.flat_b = self._flatten(b, heads, 1, self.size)
         self.diffs: list[int] = []
         self.failure: tuple[list[str], tuple[int, int, int], str] | None = None
-        start = self.encode(a.root.cls, b.root.cls, delta)
-        self.parent = {start: -1}
+        i, j = a.root.cls, b.root.cls
+        sensitive = self.flat_a[4][i] or self.flat_b[4][j]
+        start = self.encode(i, j, b.root.shift - a.root.shift if sensitive else 0)
+        self.parent: dict[int, int | None] = {start: None}
         self.order = [start]
-        self._walk(cap)
+        self._walk()
 
     def _flatten(self, sys: CoSystem, heads: dict[Hashable, int], scale: int,
-                 sign: int) -> tuple[list[int], ...]:
-        """Per-class lists: head id, then the left and the right child as
-        ``class*scale + sign*shift``, then the left and the right shift
-        (``sign`` is 0 when shifts are ignored)."""
+                 unit: int) -> tuple[list, ...]:
+        """Per-class lists: head id, the left and the right child as
+        ``class*scale + shift*unit``, a mask of the sensitive children (1
+        left, 2 right), and whether the class itself is sensitive (one
+        reverse pass from the sloped leaves)."""
+        n = len(sys.classes)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sensitive = [False] * n
         rows = []
-        for cls in sys.classes:
+        for c, cls in enumerate(sys.classes):
             if isinstance(cls, Leaf):
                 h = heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads))
                 if any(f.slope for f in cls.payoffs.values()):
                     self.sloped.add(h)
-                rows.append((h, 0, 0, 0, 0))
+                    sensitive[c] = True
+                rows.append((h, 0, 0))
             else:
-                ls, rs = sign * cls.left.shift, sign * cls.right.shift
+                preds[cls.left.cls].append(c)
+                preds[cls.right.cls].append(c)
                 rows.append((heads.setdefault((cls.owner, cls.choice), len(heads)),
-                             cls.left.cls * scale + ls, cls.right.cls * scale + rs, ls, rs))
-        return tuple(map(list, zip(*rows)))
+                             cls.left.cls * scale + cls.left.shift * unit,
+                             cls.right.cls * scale + cls.right.shift * unit))
+        queue = [c for c in range(n) if sensitive[c]]
+        for c in queue:
+            for p in preds[c]:
+                if not sensitive[p]:
+                    sensitive[p] = True
+                    queue.append(p)
+        mask = [0 if isinstance(cls, Leaf) else
+                sensitive[cls.left.cls] | sensitive[cls.right.cls] << 1 for cls in sys.classes]
+        return (*map(list, zip(*rows)), mask, sensitive)
 
     def encode(self, i: int, j: int, delta: int) -> int:
-        return (i * self.width + j) * self.span + delta + self.off
+        return delta * self.size + i * self.width + j
 
     def decode(self, state: int) -> tuple[int, int, int]:
-        pair, d = divmod(state, self.span)
-        return (*divmod(pair, self.width), d - self.off)
+        delta, pair = divmod(state, self.size)
+        return (*divmod(pair, self.width), delta)
 
     def path_to(self, state: int) -> list[str]:
         labels: list[str] = []
         link = self.parent[state]
-        while link >= 0:
+        while link is not None:
             labels.append("r" if link & 1 else "l")
             link = self.parent[link >> 1]
         return labels[::-1]
 
     def successors(self, state: int) -> list[int]:
-        """Child states of a state the walk has stepped past."""
-        pair, d = divmod(state, self.span)
+        """Child states of a state the walk has stepped past: the drift
+        ``state - pair`` carries on into a sensitive child pair, and
+        ``% size`` drops it, with the shifts, from an insensitive one."""
+        head_a, la, ra, ma, _ = self.flat_a
+        _, lb, rb, mb, _ = self.flat_b
+        pair = state % self.size
         i, j = divmod(pair, self.width)
-        head, la, ra = self.flat_a[:3]
-        _, lb, rb = self.flat_b[:3]
-        return [] if head[i] < 0 else [la[i] + lb[j] + d, ra[i] + rb[j] + d]
+        if head_a[i] < 0:
+            return []
+        m, drift, size = ma[i] | mb[j], state - pair, self.size
+        return [la[i] + lb[j] + drift if m & 1 else (la[i] + lb[j]) % size,
+                ra[i] + rb[j] + drift if m & 2 else (ra[i] + rb[j]) % size]
 
-    def _walk(self, cap: int) -> None:
-        head_a, la, ra, lsa, rsa = self.flat_a
-        head_b, lb, rb, lsb, rsb = self.flat_b
-        width, span, off, sloped = self.width, self.span, self.off, self.sloped
-        lo, hi = off - cap, off + cap
+    def _walk(self) -> None:
+        head_a, la, ra, ma, _ = self.flat_a
+        head_b, lb, rb, mb, _ = self.flat_b
+        width, size, sloped = self.width, self.size, self.sloped
         parent, order = self.parent, self.order
         for state in order:
-            if span == 1:
-                i, j = divmod(state, width)
-                d = 0
-            else:
-                pair, d = divmod(state, span)
-                i, j = divmod(pair, width)
+            pair = state % size
+            i, j = divmod(pair, width)
             h = head_a[i]
-            if h != head_b[j] or (h < 0 and d != off and h in sloped):
-                reason = self._differ(state, i, j, d - off)
+            if h != head_b[j] or (state != pair and h in sloped):
+                delta = (state - pair) // size
+                reason = self._differ(state, i, j, delta)
                 if reason is not None:
-                    self.failure = (self.path_to(state), (i, j, d - off), reason)
+                    self.failure = (self.path_to(state), (i, j, delta), reason)
                     return
             if h < 0:
                 continue
-            if cap and not (lo <= d + lsb[j] + lsa[i] <= hi and lo <= d + rsb[j] + rsa[i] <= hi):
-                return self._drift(state, i, j, d - off, cap)
-            nxt = la[i] + lb[j] + d
-            if nxt not in parent:
-                parent[nxt] = 2 * state
-                order.append(nxt)
-            nxt = ra[i] + rb[j] + d
-            if nxt not in parent:
-                parent[nxt] = 2 * state + 1
-                order.append(nxt)
-
-    def _drift(self, state: int, i: int, j: int, delta: int, cap: int) -> None:
-        """Record the failure of the first step from ``state`` whose drift
-        leaves the bound."""
-        ka, kb = self.a.classes[i], self.b.classes[j]
-        assert isinstance(ka, Node) and isinstance(kb, Node)
-        for label, ra, rb in (("l", ka.left, kb.left), ("r", ka.right, kb.right)):
-            nd = delta + rb.shift - ra.shift
-            if abs(nd) > cap:
-                self.failure = (self.path_to(state) + [label], (ra.cls, rb.cls, nd),
-                                "parametrization drift exceeds the alignment bound")
-                return
+            m = ma[i] | mb[j]
+            left = la[i] + lb[j]
+            left = left + state - pair if m & 1 else left % size
+            right = ra[i] + rb[j]
+            right = right + state - pair if m & 2 else right % size
+            if left not in parent:
+                parent[left] = 2 * state
+                order.append(left)
+            if right not in parent:
+                parent[right] = 2 * state + 1
+                order.append(right)
 
     def _differ(self, state: int, i: int, j: int, delta: int) -> str | None:
         """The slow path: why classes ``i`` and ``j`` differ under
@@ -419,12 +442,10 @@ class ProductWalk:
             return "head kind differs"
         if isinstance(ka, Leaf):
             assert isinstance(kb, Leaf)
-            if self.agent is None:
-                return "leaf payoffs differ"
             for ag in self.a.roster:
                 fa, fb = ka.payoffs[ag], kb.payoffs[ag]
                 if fa.slope != fb.slope or fa.intercept != fb.intercept + fa.slope * delta:
-                    return f"leaf payoffs differ for {ag}"
+                    return "leaf payoffs differ" if self.agent is None else f"leaf payoffs differ for {ag}"
             return None
         assert isinstance(kb, Node)
         if ka.owner != kb.owner:
@@ -442,7 +463,8 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
 
     Runs the greatest-fixpoint computation on the product of the class
     graphs with :class:`ProductWalk`, whose states are here the ints
-    ``i*|T| + j`` (no drift, no choice difference permitted).  If no pair
+    ``i*|T| + j`` (no reachable leaf is sloped, so the drift stays 0, and
+    no choice difference is permitted).  If no pair
     ever disagrees, the visited pair set is itself a bisimulation and is
     returned, sorted, as the certificate.  On disagreement the witness is
     the shortest path of choices (breadth-first, left before right) to

@@ -147,6 +147,34 @@ def prefix_perturbation(sys: CoSystem, agent: str, seed: int, depth: int = 2) ->
     return CoSystem(sys.kind, sys.roster, tuple(classes), root), flips
 
 
+def offset_moved(sys: CoSystem, victim: int, k: int) -> tuple[CoSystem, CoSystem]:
+    """Two presentations of one tree that differ by a shift ``k`` on the
+    edges around class ``victim``: in the first, every reference to the
+    class (the root's too) carries ``k`` more; in the second, its own
+    children do, and, if it is a leaf, its payoffs are read ``k`` levels
+    deeper.  So the victim of the second stands at ``n`` for the victim
+    of the first at ``n + k``, and a walk in step reaches the victim
+    with drift ``-k``."""
+
+    def into(ref: Ref) -> Ref:
+        return Ref(ref.cls, ref.shift + k) if ref.cls == victim else ref
+
+    inflow, outflow = [], list(sys.classes)
+    for cls in sys.classes:
+        if isinstance(cls, Node):
+            inflow.append(Node(cls.owner, cls.choice, into(cls.left), into(cls.right)))
+        else:
+            inflow.append(cls)
+    cls = sys.classes[victim]
+    if isinstance(cls, Node):
+        outflow[victim] = Node(cls.owner, cls.choice, Ref(cls.left.cls, cls.left.shift + k),
+                               Ref(cls.right.cls, cls.right.shift + k))
+    else:
+        outflow[victim] = Leaf({a: f.shifted(k) for a, f in cls.payoffs.items()})
+    return (CoSystem(sys.kind, sys.roster, tuple(inflow), into(sys.root)),
+            CoSystem(sys.kind, sys.roster, tuple(outflow), sys.root))
+
+
 def random_lasso(rng: random.Random, max_prefix: int = 4, max_cycle: int = 3) -> LassoHistory:
     prefix = tuple(rng.choice(CHOICES) for _ in range(rng.randint(0, max_prefix)))
     cycle = tuple(rng.choice(CHOICES) for _ in range(rng.randint(0, max_cycle)))

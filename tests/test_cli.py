@@ -162,6 +162,12 @@ class TestTruncate:
         assert main(["truncate", str(GAMES / "dollar_auction.cog"), "--depth", "-1"]) == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_deep_truncation_runs_without_recursion(self, capsys, tmp_path):
+        path = tmp_path / "chain.cog"
+        path.write_text(chain_source(3000))
+        assert main(["truncate", str(path), "--depth", "2500"]) == 0
+        assert capsys.readouterr().out.startswith("truncate: info - depth 2500, 5003 tree nodes")
+
 
 def chain_source(length: int, flip: int | None = None) -> str:
     """One agent walks a chain of ``length`` nodes: continuing pays n+1 at
@@ -249,6 +255,28 @@ class TestErrorsAndStability:
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convert", "dollar_auction.cog", "dollar_auction_agu.cog", "--agent", "Alice"],
+         "convertible expects two strategies"),
+        (["bisim", "dollar_auction.cog", "paper_s0.cog"], "cannot compare game with strategy"),
+        (["convert", "dollar_auction_agu.cog", "dollar_auction_ngu.cog", "--agent", "Zed"],
+         "agent 'Zed' not in roster"),
+    ], ids=["convert-kind", "bisim-kind", "convert-agent"])
+    def test_library_errors_are_input_errors(self, capsys, argv, message):
+        argv = [str(GAMES / a) if a.endswith(".cog") else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", [["bisim"], ["convert", "--agent", "A"]])
+    def test_roster_mismatch_is_an_input_error(self, capsys, tmp_path, command):
+        paths = []
+        for agent in ("A", "B"):
+            paths.append(tmp_path / f"{agent}.cog")
+            paths[-1].write_text(f"strategy agents {agent}\nx(n) = leaf[{agent}: 0]\nroot x\n")
+        assert main([command[0], *map(str, paths), *command[1:]]) == 2
+        assert "rosters differ" in capsys.readouterr().err
 
     def test_report_is_one_line_of_compact_json(self, capsys):
         code, out = run(capsys, "--json", "bisim", str(GAMES / "paper_s0.cog"),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cogames import (
@@ -130,10 +132,9 @@ class TestConvertible:
         with pytest.raises(RosterMismatchError):
             convertible(a, b, "A")
 
-    def test_parametrization_drift_is_blocked(self):
-        # the drifting backbone only reaches constant leaves, but a
-        # reachable indexed leaf elsewhere forces offset tracking, so the
-        # alignment bound kicks in (the documented conservative case)
+    def test_parametrization_drift_is_exact(self):
+        # the drifting backbone only reaches constant leaves, and a
+        # reachable indexed leaf elsewhere does not make its drift matter
         def comb(step: int) -> CoSystem:
             return CoSystem(STRATEGY, ("A",), (
                 Node("A", Choice.L, Ref(1, 0), Ref(3, 0)),
@@ -143,8 +144,15 @@ class TestConvertible:
             ), Ref(0, 0))
 
         r = convertible(comb(1), comb(2), "A")
-        assert r.value is NOT
-        assert "drift" in r.witness["reason"]
+        assert (r.value, r.note) == (IND, "strategies denote the same tree")
+        # one two-leaf tree, its large offset on the edges or in the leaf
+        s = dsl.parse("strategy agents A\nc0(n) = <A, l, c1(n+100), c1(n+100)>\n"
+                      "c1(n) = leaf[A: n]\nroot c0\n")
+        t = dsl.parse("strategy agents A\nc0(n) = <A, l, c1(n), c1(n)>\n"
+                      "c1(n) = leaf[A: n+100]\nroot c0\n")
+        for a, b in ((s, t), (t, s)):
+            r = convertible(a, b, "A")
+            assert (r.value, r.note) == (IND, "strategies denote the same tree")
 
     def test_zero_slope_drift_is_tolerated(self):
         def comb(step: int) -> CoSystem:
@@ -195,16 +203,18 @@ CONVERT_TABLE = {
         _SLOPED.format(1, 0, 0), _SLOPED.format(0, 0, 0), "A", NOT,
         {"path": ["l"], "state": _state(1, 1, -1), "reason": "leaf payoffs differ for A"},
         "leaf payoffs differ for A"),
-    "drift-past-the-bound": (
-        _DRIFT.format("y(n+1)", "w(n)"), _DRIFT.format("y(n+2)", "w(n)"), "A", NOT,
-        {"path": ["l"] * 10, "state": _state(1, 1, 9),
-         "reason": "parametrization drift exceeds the alignment bound"},
-        "parametrization drift exceeds the alignment bound"),
-    "drift-past-the-bound-on-the-right": (
-        _DRIFT.format("w(n)", "y(n+1)"), _DRIFT.format("w(n)", "y(n+2)"), "A", NOT,
-        {"path": ["l"] + ["r"] * 9, "state": _state(1, 1, 9),
-         "reason": "parametrization drift exceeds the alignment bound"},
-        "parametrization drift exceeds the alignment bound"),
+    "large-drift-realigns": (
+        _DRIFT.format("y(n+1)", "w(n)"), _DRIFT.format("y(n+2)", "w(n)"), "A", IND,
+        {"differences": []},
+        "strategies denote the same tree"),
+    "large-drift-realigns-on-the-right": (
+        _DRIFT.format("w(n)", "y(n+1)"), _DRIFT.format("w(n)", "y(n+2)"), "A", IND,
+        {"differences": []},
+        "strategies denote the same tree"),
+    "sensitive-pair-reached-with-two-drifts": (
+        _DRIFT.format("y(n+1)", "z(n)"), _DRIFT.format("y(n+2)", "z(n)"), "A", NOT,
+        {"path": ["l", "l", "r"], "state": _state(3, 3, 1), "reason": "leaf payoffs differ for A"},
+        "leaf payoffs differ for A"),
     "coinductive-after-the-cycle": (
         _ring(), _ring(d_choice="r"), "A", COIND,
         {"difference": _state(3, 3), "cycle": [_state(1, 1), _state(2, 2)],
@@ -231,6 +241,81 @@ def test_convertible_certificate_table(case):
     s, t, agent, value, witness, note = CONVERT_TABLE[case]
     r = convertible(dsl.parse(s), dsl.parse(t), agent)
     assert (r.value, r.witness, r.note) == (value, witness, note)
+
+
+def observations_differ(ha, hb, agent: str) -> bool:
+    """Whether two one-step observations (from ``unfold``) differ in a way
+    the agent's own choices cannot explain."""
+    if isinstance(ha, Leaf) or isinstance(hb, Leaf):
+        return not (isinstance(ha, Leaf) and isinstance(hb, Leaf)) or ha.payoffs != hb.payoffs
+    return ha.owner != hb.owner or (ha.choice is not hb.choice and ha.owner != agent)
+
+
+def replay_not_convertible(s: CoSystem, t: CoSystem, agent: str, witness: dict) -> None:
+    """Follow the witness path from both roots with ``unfold`` only: it
+    must end at the named classes, under their drift (or 0 where no
+    sloped leaf is reachable), in observations that differ."""
+    at_s, at_t = s.root, t.root
+    for label in witness["path"]:
+        hs, ht = unfold(s, at_s), unfold(t, at_t)
+        assert isinstance(hs, Node) and isinstance(ht, Node)
+        at_s, at_t = hs.child(Choice(label)), ht.child(Choice(label))
+    state = witness["state"]
+    assert (state["left_class"], state["right_class"]) == (at_s.cls, at_t.cls)
+    assert state["delta"] in (0, at_t.shift - at_s.shift)
+    assert observations_differ(unfold(s, at_s), unfold(t, at_t), agent), witness
+
+
+def agree_to_depth(s: CoSystem, t: CoSystem, agent: str, depth: int) -> bool:
+    """Depth-bounded unfolding: no observation on a path of at most
+    ``depth`` steps differs beyond the agent's own choices."""
+    level = {(s.root, t.root)}
+    for _ in range(depth + 1):
+        below = set()
+        for at_s, at_t in level:
+            hs, ht = unfold(s, at_s), unfold(t, at_t)
+            if observations_differ(hs, ht, agent):
+                return False
+            if isinstance(hs, Node):
+                below.update(((hs.left, ht.left), (hs.right, ht.right)))
+        level = below
+    return True
+
+
+def test_convertible_verdicts_replay_on_random_parametric_pairs():
+    """Presentations of one tree whose offsets sit on different edges
+    (shifts up to 150) are inductively convertible; every
+    ``NOT_CONVERTIBLE`` witness replays to a differing observation; and
+    every verdict that holds agrees with a depth-bounded unfolding."""
+    counts = {value: 0 for value in Convertibility}
+    for seed in range(300):
+        rng = random.Random(seed)
+        s = helpers.random_system(seed, kind=STRATEGY, max_classes=6)
+        agent = s.roster[seed % len(s.roster)]
+        k = rng.randint(1, 150)
+        moved_in, moved_out = helpers.offset_moved(s, rng.randrange(len(s.classes)), k)
+        for a, b in ((moved_in, moved_out), (moved_out, moved_in)):
+            r = convertible(a, b, agent)
+            assert (r.value, r.note) == (IND, "strategies denote the same tree"), (seed, r.witness)
+        perturbed, _ = helpers.prefix_perturbation(moved_out, agent, seed=seed)
+        other = helpers.random_system(seed + 1000, kind=STRATEGY, max_classes=6)
+        pairs = [(moved_in, helpers.unrolled_variant(moved_out, seed)), (moved_in, perturbed),
+                 (perturbed, moved_in), (s, moved_out), (moved_in, s)]
+        leaf = helpers.first_reachable_leaf(moved_out)
+        if leaf is not None:
+            pairs.append((moved_in, helpers.payoff_mutant(moved_out, leaf)))
+        if isinstance(moved_out.classes[0], Node):
+            pairs.append((moved_in, flip_class_choice(moved_out, 0)))
+        if other.roster == s.roster:
+            pairs.append((moved_in, other))
+        for a, b in pairs:
+            r = convertible(a, b, agent)
+            counts[r.value] += 1
+            if r.value is NOT:
+                replay_not_convertible(a, b, agent, r.witness)
+            else:
+                assert agree_to_depth(a, b, agent, 8), (seed, r.value, r.witness)
+    assert min(counts.values()) > 20, counts
 
 
 class TestPreservation:

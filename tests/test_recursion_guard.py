@@ -6,8 +6,7 @@ a call cycle (one that calls itself, or calls a function that calls back)
 would hit Python's recursion limit on large inputs.  Calls are resolved by
 name: ``f(...)`` and ``self.f(...)`` are edges to every function or method
 of the module named ``f``.  ``oracle`` recurses over explicit finite trees
-by design and is not checked.  ``families`` (``truncate``) still recurses
-and is not checked yet.
+by design and is not checked.
 """
 
 import ast
@@ -79,7 +78,8 @@ def test_detects_call_cycles(source, expected):
     assert recursive_functions(source) == expected
 
 
-@pytest.mark.parametrize("module", ["semantics", "equilibria", "histories", "dsl", "system"])
+@pytest.mark.parametrize("module", ["semantics", "equilibria", "histories", "dsl", "system",
+                                    "families"])
 def test_no_function_calls_itself(module):
     """Neither directly nor through other functions of the module."""
     assert recursive_functions((PACKAGE / f"{module}.py").read_text()) == []
