@@ -169,7 +169,10 @@ def _cmd_truncate(args) -> tuple[list[dict], list[dict]]:
         checks.append(_info("backward_induction",
                             f"root choice {root_choice}, outcome {utilities}",
                             {"root_choice": root_choice, "utilities": utilities}))
-        checks.append(_check("exhaustive_nash", oracle.exhaustive_nash(solved)))
+        try:
+            checks.append(_check("exhaustive_nash", oracle.exhaustive_nash(solved)))
+        except oracle.TooLargeError as exc:
+            checks.append(_info("exhaustive_nash", f"skipped: {exc}"))
     return checks, [meta]
 
 

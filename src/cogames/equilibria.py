@@ -14,12 +14,12 @@ executable form of this argument.
 
 Subgame perfection is checked per reachable node class.  A class stands
 for one subtree per reachable instantiation index, so the chosen branch
-must dominate at every index at which the class occurs.  Index sets are
-exact when finite; when a positive-offset cycle makes them infinite they
-are over-approximated by ``n >= n_min``.  The verdict stays exact, since
-an affine margin is negative somewhere on an infinite set containing
-``n_min`` iff it is negative at ``n_min`` or has negative slope; only the
-index a failing certificate reports may lie outside the set.
+must dominate at every index at which the class occurs.  Payoffs and
+margins are affine in the index, so both checks only need the least and
+the greatest index of each class (``ReachSet``), or, when a
+positive-offset cycle lies on a path to the class, a lasso through that
+cycle along which the index grows without bound.  Every index a
+certificate reports is one at which its class occurs.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies.
@@ -65,26 +65,22 @@ class NotApplicableError(ValueError):
 
 @dataclass(frozen=True)
 class ReachSet:
-    """Root-relative indices at which a class is reachable.
+    """Least and greatest root-relative index at which a class occurs.
 
-    ``minimum`` is always exact.  ``unbounded`` is set when a
-    positive-total-offset cycle lies on some path to the class (the set
-    is then infinite); otherwise ``values`` is the exact finite set.
+    ``maximum`` is None exactly when a positive-total-offset cycle lies
+    on some path to the class, which then occurs at unboundedly large
+    indices.  Both ends are indices the class occurs at.
     """
 
     minimum: int
-    unbounded: bool
-    values: frozenset[int] | None
+    maximum: int | None
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "minimum": self.minimum,
-            "unbounded": self.unbounded,
-            "values": sorted(self.values) if self.values is not None else None,
-        }
+        return {"minimum": self.minimum, "maximum": self.maximum}
 
 
 Adjacency = dict[int, list[tuple[Choice, Ref]]]
+Step = tuple[int, int, Choice]  # class left, its index there, choice taken
 
 
 def _adjacency(s: CoSystem, mode: str, agent: str | None = None) -> Adjacency:
@@ -111,24 +107,27 @@ class _ReachInfo:
     sets: dict[int, ReachSet]
     positive_members: set[int]  # classes inside a positive-weight SCC
     scc_of: dict[int, list[int]]
-    # BFS tree over the bounded (class, index) states: the step into each
-    parent: dict[tuple[int, int], tuple[int, int, Choice] | None]
+    # the step into each class on a path to its least / greatest index
+    min_parent: dict[int, Step | None]
+    max_parent: dict[int, Step | None]
 
 
 def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
     root = s.root
-    # exact minima (Dijkstra; all offsets are >= 0), keyed by the classes
+    # least indices (Dijkstra; all offsets are >= 0), keyed by the classes
     # reachable under this projection
     dist = {root.cls: root.shift}
+    min_parent: dict[int, Step | None] = {root.cls: None}
     heap = [(root.shift, root.cls)]
     while heap:
         d, c = heapq.heappop(heap)
-        if d > dist.get(c, d):
+        if d > dist[c]:
             continue
-        for _, ref in adj[c]:
+        for label, ref in adj[c]:
             nd = d + ref.shift
             if nd < dist.get(ref.cls, nd + 1):
                 dist[ref.cls] = nd
+                min_parent[ref.cls] = (c, d, label)
                 heapq.heappush(heap, (nd, ref.cls))
 
     # an SCC has a positive-weight cycle iff one of its internal edges has
@@ -150,35 +149,35 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
                 unbounded.add(ref.cls)
                 queue.append(ref.cls)
 
-    # exact value sets for bounded classes: every path to a bounded class
-    # stays in bounded classes, where all cycles have weight zero, so the
-    # (class, weight) state space is finite
-    values: dict[int, set[int]] = {c: set() for c in dist if c not in unbounded}
-    parent: dict[tuple[int, int], tuple[int, int, Choice] | None] = {}
+    # greatest indices of the bounded classes, by a label-correcting FIFO
+    # pass for longest paths (Bellman-Ford).  Every path to a bounded class
+    # stays among bounded classes, where every cycle weighs 0, so a class
+    # is raised only along a strictly longer path, the pass ends within
+    # |classes| rounds, and the parent steps form a tree.
+    most: dict[int, int] = {}
+    max_parent: dict[int, Step | None] = {}
     if root.cls not in unbounded:
-        parent[(root.cls, root.shift)] = None
-        queue2 = deque(parent)
-        while queue2:
-            state = queue2.popleft()
-            for label, ref in adj[state[0]]:
-                nxt = (ref.cls, state[1] + ref.shift)
-                if ref.cls not in unbounded and nxt not in parent:
-                    parent[nxt] = (*state, label)
-                    queue2.append(nxt)
-    for c, w in parent:
-        values[c].add(w)
+        most[root.cls], max_parent[root.cls] = root.shift, None
+        queue, waiting = deque([root.cls]), {root.cls}
+        while queue:
+            c = queue.popleft()
+            waiting.discard(c)
+            for label, ref in adj[c]:
+                w = most[c] + ref.shift
+                if ref.cls not in unbounded and w > most.get(ref.cls, w - 1):
+                    most[ref.cls] = w
+                    max_parent[ref.cls] = (c, most[c], label)
+                    if ref.cls not in waiting:
+                        waiting.add(ref.cls)
+                        queue.append(ref.cls)
 
-    sets = {}
-    for c in dist:
-        if c in unbounded:
-            sets[c] = ReachSet(dist[c], True, None)
-        else:
-            sets[c] = ReachSet(dist[c], False, frozenset(values[c]))
-    return _ReachInfo(sets, positive, scc_of, parent)
+    sets = {c: ReachSet(d, most.get(c)) for c, d in dist.items()}
+    return _ReachInfo(sets, positive, scc_of, min_parent, max_parent)
 
 
 def reach_index_sets(s: CoSystem, mode: str = "tree", agent: str | None = None) -> dict[int, ReachSet]:
-    """Per-class reachable index sets under the chosen edge projection."""
+    """Per-class least and greatest reachable index under the chosen edge
+    projection."""
     return _analyze(s, _adjacency(s, mode, agent)).sets
 
 
@@ -198,17 +197,27 @@ def _step(s: CoSystem, cls_id: int, index: int, choice: Choice, agent: str) -> d
     }
 
 
+def _steps_to(parent: dict[int, Step | None], target: int) -> list[Step]:
+    """The steps from the root to ``target`` along a parent table."""
+    steps, step = [], parent[target]
+    while step is not None:
+        steps.append(step)
+        step = parent[step[0]]
+    steps.reverse()
+    return steps
+
+
 def _shortest_steps(s: CoSystem, adj: Adjacency, source: Ref, target: int,
-                    within: set[int] | None = None) -> tuple[list[tuple[int, int, Choice]], int]:
-    """Min-weight path ``source -> target`` as (class, index, choice) steps
-    plus the target's arrival index.  ``within`` restricts intermediate
-    classes (used to stay inside an SCC)."""
+                    within: set[int] | None = None) -> tuple[list[Step], int]:
+    """Min-weight path ``source -> target`` as steps plus the target's
+    arrival index.  ``within`` restricts intermediate classes (used to
+    stay inside an SCC)."""
     dist = {source.cls: source.shift}
-    parent: dict[int, tuple[int, Choice]] = {}
+    parent: dict[int, Step | None] = {source.cls: None}
     heap = [(source.shift, source.cls)]
     while heap:
         d, c = heapq.heappop(heap)
-        if d > dist.get(c, d):
+        if d > dist[c]:
             continue
         if c == target:
             break
@@ -218,37 +227,60 @@ def _shortest_steps(s: CoSystem, adj: Adjacency, source: Ref, target: int,
             nd = d + ref.shift
             if nd < dist.get(ref.cls, nd + 1):
                 dist[ref.cls] = nd
-                parent[ref.cls] = (c, label)
+                parent[ref.cls] = (c, d, label)
                 heapq.heappush(heap, (nd, ref.cls))
-    chain: list[tuple[int, Choice]] = []
-    c = target
-    while c != source.cls:
-        prev, label = parent[c]
-        chain.append((prev, label))
-        c = prev
-    chain.reverse()
-    steps = []
-    w = source.shift
-    for cls_id, label in chain:
-        steps.append((cls_id, w, label))
-        ref = dict(adj[cls_id])[label]
-        w += ref.shift
-    return steps, w
+    return _steps_to(parent, target), dist[target]
 
 
-def _cycle_steps(s: CoSystem, adj: Adjacency, members: set[int], at: int) -> tuple[list[tuple[int, int, Choice]], int]:
-    """A positive-weight cycle through ``at`` inside one SCC, as relative
-    steps (indices start at 0) plus the cycle's total weight."""
+def _cycle_steps(s: CoSystem, adj: Adjacency, members: set[int], at: Ref) -> tuple[list[Step], int]:
+    """A positive-weight cycle from ``at`` back to its class inside one
+    SCC, as steps plus the cycle's total weight."""
     for c in sorted(members):
         for label, ref in adj[c]:
             if ref.cls in members and ref.shift > 0:
-                to_edge, w1 = _shortest_steps(s, adj, Ref(at, 0), c, within=members)
-                back, w2 = _shortest_steps(s, adj, Ref(ref.cls, w1 + ref.shift), at, within=members)
-                return to_edge + [(c, w1, label)] + back, w2
+                to_edge, w1 = _shortest_steps(s, adj, at, c, within=members)
+                back, w2 = _shortest_steps(s, adj, Ref(ref.cls, w1 + ref.shift), at.cls, within=members)
+                return to_edge + [(c, w1, label)] + back, w2 - at.shift
     raise AssertionError("no positive edge inside a positive SCC")
 
 
-def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[tuple[int, int, Choice]],
+def _pump_entry(adj: Adjacency, info: _ReachInfo, target: int) -> int:
+    """A positive-SCC member from which ``target`` is reachable, preferring
+    the one closest to the root."""
+    preds: dict[int, list[int]] = {}
+    for c in info.sets:
+        for _, ref in adj[c]:
+            preds.setdefault(ref.cls, []).append(c)
+    feeding = {target}
+    queue = deque(feeding)
+    while queue:
+        for c in preds.get(queue.popleft(), ()):
+            if c not in feeding:
+                feeding.add(c)
+                queue.append(c)
+    return min((info.sets[m].minimum, m) for m in info.positive_members & feeding)[1]
+
+
+def _lasso(s: CoSystem, adj: Adjacency, info: _ReachInfo,
+           target: int) -> tuple[list[Step], list[Step], int, list[Step], int]:
+    """A lasso along which ``target`` occurs at ``reach + k*loop`` for
+    every k >= 0: the least-index steps to a positive-SCC member that
+    feeds ``target``, a positive cycle there (weight ``loop``) and
+    min-weight steps on to ``target``, which arrive at index ``reach``."""
+    entry = _pump_entry(adj, info, target)
+    at = Ref(entry, info.sets[entry].minimum)
+    cycle, loop = _cycle_steps(s, adj, set(info.scc_of[entry]), at)
+    tail, reach = _shortest_steps(s, adj, at, target)
+    return _steps_to(info.min_parent, entry), cycle, loop, tail, reach
+
+
+def _pumps(f: Affine, reach: int, loop: int, above: int) -> int:
+    """The least k >= 0 with ``f.at(reach + k*loop) > above``, for a
+    positive slope and loop."""
+    return max(0, -((f.at(reach) - above - 1) // (f.slope * loop)))
+
+
+def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
                        leaf_cls: int, leaf_index: int, value: int) -> Verdict:
     path = [_step(s, c, w, label, agent) for c, w, label in steps]
     overrides = [p for p in path if p["overridden"]]
@@ -274,10 +306,12 @@ def nash_eq(s: CoSystem) -> Verdict:
 
     Vacuously holds when the strategy does not lead to a leaf (no actual
     utility to improve on).  Otherwise, per agent, the deviation graph is
-    optimized over every reachable leaf and every reachable index; a
-    strict improvement yields a concrete finite deviation path as the
-    counterexample, and the holds-certificate reports the per-agent
-    optima.
+    optimized over every reachable leaf and every index it occurs at: an
+    affine payoff peaks at the leaf's greatest index when its slope is
+    positive (without bound past a positive cycle) and at its least index
+    otherwise.  A strict improvement yields a concrete finite deviation
+    path as the counterexample, and the holds-certificate reports the
+    per-agent optima.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("nash_eq expects a strategy")
@@ -300,34 +334,25 @@ def nash_eq(s: CoSystem) -> Verdict:
                 continue
             payoff = cls.payoffs[agent]
             rs = info.sets[cls_id]
-            if rs.unbounded:
-                if payoff.slope > 0:
-                    # payoff grows without bound along a positive cycle:
-                    # pump the cycle just past the on-path value
-                    entry = _pump_entry(adj, info, cls_id)
-                    steps, leaf_index = _pumped_steps(s, adj, info, entry, cls_id, payoff, base)
-                    return _deviation_verdict(s, agent, base, steps, cls_id, leaf_index,
-                                              payoff.at(leaf_index))
-                value, at_index = payoff.at(rs.minimum), rs.minimum
-            else:
-                assert rs.values is not None
-                at_index = max(rs.values, key=lambda n: (payoff.at(n), -n))
-                value = payoff.at(at_index)
+            if payoff.slope > 0 and rs.maximum is None:
+                # payoff grows without bound along a positive cycle:
+                # pump the cycle just past the on-path value
+                head, cycle, loop, tail, reach = _lasso(s, adj, info, cls_id)
+                k = _pumps(payoff, reach, loop, base)
+                steps = (head + [(c, w + i * loop, label) for i in range(k) for c, w, label in cycle]
+                         + [(c, w + k * loop, label) for c, w, label in tail])
+                index = reach + k * loop
+                return _deviation_verdict(s, agent, base, steps, cls_id, index, payoff.at(index))
+            at_index = rs.maximum if payoff.slope > 0 else rs.minimum
+            value = payoff.at(at_index)
             leaves_report.append({"leaf_class": cls_id, "reach": rs.to_json(),
                                   "max_value": value, "at_index": at_index})
             if best is None or value > best[0]:
                 best = (value, cls_id, at_index)
         if best is not None and best[0] > base:
             value, leaf, index = best
-            if info.sets[leaf].unbounded:  # valued at its minimum index
-                steps, _ = _shortest_steps(s, adj, s.root, leaf)
-            else:
-                steps, step = [], info.parent[(leaf, index)]
-                while step is not None:
-                    steps.append(step)
-                    step = info.parent[step[:2]]
-                steps.reverse()
-            return _deviation_verdict(s, agent, base, steps, leaf, index, value)
+            parent = info.min_parent if index == info.sets[leaf].minimum else info.max_parent
+            return _deviation_verdict(s, agent, base, _steps_to(parent, leaf), leaf, index, value)
         agents_report.append({
             "agent": agent,
             "on_path_value": base,
@@ -336,42 +361,6 @@ def nash_eq(s: CoSystem) -> Verdict:
         })
     return Verdict(True, {"agents": agents_report},
                    "no agent has a profitable leaf-terminating deviation")
-
-
-def _pump_entry(adj: Adjacency, info: _ReachInfo, target: int) -> int:
-    """A positive-SCC member from which ``target`` is reachable, preferring
-    the one closest to the root."""
-    preds: dict[int, list[int]] = {}
-    for c in info.sets:
-        for _, ref in adj[c]:
-            preds.setdefault(ref.cls, []).append(c)
-    feeding = {target}
-    queue = deque(feeding)
-    while queue:
-        for c in preds.get(queue.popleft(), ()):
-            if c not in feeding:
-                feeding.add(c)
-                queue.append(c)
-    return min((info.sets[m].minimum, m) for m in info.positive_members & feeding)[1]
-
-
-def _pumped_steps(s: CoSystem, adj: Adjacency, info: _ReachInfo, entry: int, target: int,
-                  payoff: Affine, base: int) -> tuple[list[tuple[int, int, Choice]], int]:
-    head, w1 = _shortest_steps(s, adj, s.root, entry)
-    loop_rel, loop_weight = _cycle_steps(s, adj, set(info.scc_of[entry]), entry)
-    tail_rel, w2_rel = _shortest_steps(s, adj, Ref(entry, 0), target)
-    # smallest k >= 0 with payoff.at(w1 + k*loop + w2) > base
-    flat = w1 + w2_rel
-    num = base + 1 - payoff.intercept - payoff.slope * flat
-    den = payoff.slope * loop_weight
-    k = max(0, -(-num // den))
-    steps = list(head)
-    offset = w1
-    for _ in range(k):
-        steps.extend((c, offset + w, label) for c, w, label in loop_rel)
-        offset += loop_weight
-    steps.extend((c, offset + w, label) for c, w, label in tail_rel)
-    return steps, offset + w2_rel
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +375,11 @@ def sgpe(s: CoSystem) -> Verdict:
     the other at every index the class is reachable at.  Dominance is
     weak (ties are subgame perfect).  The certificate tabulates both
     branch utilities, read from the play table, and the margin per class.
-    The verdict is exact; on an infinite index set the failing index
-    reported is the first ``n >= n_min`` with a negative margin, which
-    need not be one the class occurs at.
+    The margin is affine in the index, so it is negative somewhere iff it
+    is negative at the least or the greatest index, or has a negative
+    slope past a positive cycle.  A failure names an index the class
+    occurs at: that end, or in the last case the first index on a lasso
+    through the cycle at which the margin is negative.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("sgpe expects a strategy")
@@ -397,7 +388,8 @@ def sgpe(s: CoSystem) -> Verdict:
         return Verdict(False, {"alw_leads_to_leaf": altl.certificate},
                        "not always leading to a leaf: " + altl.note)
 
-    info = _analyze(s, _adjacency(s, "tree"))
+    adj = _adjacency(s, "tree")
+    info = _analyze(s, adj)
     plays = play_table(s)  # no None entries, by alw_leads_to_leaf
 
     def utility(ref: Ref, agent: str) -> Affine:
@@ -409,24 +401,22 @@ def sgpe(s: CoSystem) -> Verdict:
         cls = s.classes[cls_id]
         if isinstance(cls, Leaf):
             continue
+        assert cls.choice is not None
         left_u, right_u = utility(cls.left, cls.owner), utility(cls.right, cls.owner)
         chosen, other = (left_u, right_u) if cls.choice is Choice.L else (right_u, left_u)
         margin = chosen - other
         rs = info.sets[cls_id]
 
         bad: int | None = None
-        if rs.values is not None:
-            for n in sorted(rs.values):
-                if margin.at(n) < 0:
-                    bad = n
-                    break
-        elif margin.at(rs.minimum) < 0:
+        if margin.at(rs.minimum) < 0:
             bad = rs.minimum
+        elif rs.maximum is not None:
+            bad = rs.maximum if margin.at(rs.maximum) < 0 else None
         elif margin.slope < 0:
-            bad = max(rs.minimum, margin.intercept // (-margin.slope) + 1)
+            _, _, loop, _, reach = _lasso(s, adj, info, cls_id)
+            bad = reach + loop * _pumps(Affine(0, 0) - margin, reach, loop, 0)
 
         if bad is not None:
-            assert cls.choice is not None
             return Verdict(False, {
                 "class": cls_id,
                 "owner": cls.owner,
@@ -434,10 +424,8 @@ def sgpe(s: CoSystem) -> Verdict:
                 "index": bad,
                 "chosen_value": chosen.at(bad),
                 "other_value": other.at(bad),
-                "reach": "exact" if rs.values is not None else "over-approximated: n >= n_min",
             }, f"{cls.owner} prefers the other branch of class {cls_id} at index {bad}")
 
-        assert cls.choice is not None
         table.append({
             "class": cls_id,
             "owner": cls.owner,

@@ -39,8 +39,6 @@ AGU = "agu"
 NGU = "ngu"
 _KINDS = (AGU, NGU)
 
-CLOSURE_LEAF_PAYOFFS = "use_leaf_payoffs_at_horizon"
-
 
 class NoLeafAtHorizonError(ValueError):
     """Truncation horizon hit a node with no leaf child to close with."""
@@ -115,7 +113,7 @@ def finite_example_strategy() -> CoSystem:
     return CoSystem(STRATEGY, g.roster, tuple(classes), g.root)
 
 
-def truncate(sys: CoSystem, depth: int, closure: str = CLOSURE_LEAF_PAYOFFS) -> FiniteGame | FiniteStrategy:
+def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
     """Unroll to an explicit finite tree with nodes on levels 0..depth.
 
     At the horizon level, each non-leaf child of a node is replaced by
@@ -124,8 +122,6 @@ def truncate(sys: CoSystem, depth: int, closure: str = CLOSURE_LEAF_PAYOFFS) -> 
     no leaf child cannot be closed this way.  Payoffs come out as fully
     evaluated integers; choices are preserved for strategy systems.
     """
-    if closure != CLOSURE_LEAF_PAYOFFS:
-        raise ValueError(f"unsupported closure {closure!r}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
 

@@ -1,11 +1,14 @@
 """Brute-force ground truth on explicit finite trees.
 
-Everything here is deliberately naive: recursive evaluation, literal
-enumeration of deviation profiles, bottom-up optimal choice.  The engine
-modules are validated against these independent computations on small
-instances, so nothing in this module may share code with them.  Payoffs
-are plain integers (finite trees need no index parameter); sizes are
-capped on purpose.
+Everything here is deliberately naive: literal enumeration of deviation
+profiles, one rebuilt tree per profile, bottom-up optimal choice.  The
+engine modules are validated against these independent computations on
+small instances, so nothing in this module may share code with them.
+Payoffs are plain integers (finite trees need no index parameter); the
+profile count is capped on purpose.  A truncation is as deep as its
+horizon, so what ``truncate --solve`` runs walks a tree's positions in
+preorder with an explicit stack; only the test helpers ``finite_sgpe``,
+``size`` and the random generators recurse.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .system import Affine, Choice, CoSystem, GAME, Ref, STRATEGY
 from .system import Leaf as SysLeaf
@@ -66,10 +69,42 @@ def finite_utility(s: FiniteStrategy, agent: str) -> int:
     return s.payoffs[agent]
 
 
+# a position of a tree in preorder: its subtree, the preorder slot of its
+# parent (-1 at the root) and the choice that leads there from the parent
+Position = tuple[Union[FiniteGame, FiniteStrategy], int, Union[Choice, None]]
+
+
+def _preorder(t: FiniteGame | FiniteStrategy) -> list[Position]:
+    """Every position of ``t`` in preorder (left before right).  An
+    explicit stack keeps deep trees off the call stack."""
+    order: list[Position] = []
+    todo: list[Position] = [(t, -1, None)]
+    while todo:
+        order.append(todo.pop())
+        node = order[-1][0]
+        if not isinstance(node, Leaf):
+            todo += [(node.right, len(order) - 1, Choice.R), (node.left, len(order) - 1, Choice.L)]
+    return order
+
+
+def _fold(order: list[Position], leaf: Callable[[Leaf], Any],
+          node: Callable[[int, Any, Any, Any], Any]) -> Any:
+    """Combine a tree bottom-up: ``leaf(t)`` at each leaf, and
+    ``node(slot, t, left, right)`` at the node in preorder ``slot`` from
+    its two subtrees' results."""
+    done = []
+    for slot in range(len(order) - 1, -1, -1):
+        t = order[slot][0]
+        if isinstance(t, Leaf):
+            done.append(leaf(t))
+        else:
+            left = done.pop()
+            done.append(node(slot, t, left, done.pop()))
+    return done[0]
+
+
 def erase_choices(s: FiniteStrategy) -> FiniteGame:
-    if isinstance(s, Leaf):
-        return s
-    return GameNode(s.owner, erase_choices(s.left), erase_choices(s.right))
+    return _fold(_preorder(s), lambda t: t, lambda _, t, left, right: GameNode(t.owner, left, right))
 
 
 def backward_induction(g: FiniteGame, tiebreak: str = PREFER_LEFT) -> FiniteStrategy:
@@ -82,11 +117,8 @@ def backward_induction(g: FiniteGame, tiebreak: str = PREFER_LEFT) -> FiniteStra
     if tiebreak not in (PREFER_LEFT, PREFER_RIGHT):
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
 
-    def solve(t: FiniteGame) -> tuple[FiniteStrategy, Mapping[str, int]]:
-        if isinstance(t, Leaf):
-            return t, t.payoffs
-        left, lu = solve(t.left)
-        right, ru = solve(t.right)
+    def solve(_, t: GameNode, solved_l, solved_r) -> tuple[FiniteStrategy, Mapping[str, int]]:
+        (left, lu), (right, ru) = solved_l, solved_r
         mine_l, mine_r = lu[t.owner], ru[t.owner]
         if mine_l > mine_r:
             choice = Choice.L
@@ -97,40 +129,40 @@ def backward_induction(g: FiniteGame, tiebreak: str = PREFER_LEFT) -> FiniteStra
         utility = lu if choice is Choice.L else ru
         return StrategyNode(t.owner, choice, left, right), utility
 
-    return solve(g)[0]
+    return _fold(_preorder(g), lambda t: (t, t.payoffs), solve)[0]
 
 
-def _agent_positions(s: FiniteStrategy, agent: str, path: tuple[Choice, ...] = ()) -> list[tuple[Choice, ...]]:
-    if isinstance(s, Leaf):
-        return []
-    here = [path] if s.owner == agent else []
-    return (here
-            + _agent_positions(s.left, agent, path + (Choice.L,))
-            + _agent_positions(s.right, agent, path + (Choice.R,)))
+def _agent_positions(order: list[Position], agent: str) -> list[int]:
+    """Preorder slots of the agent's nodes."""
+    return [slot for slot, (t, _, _) in enumerate(order) if not isinstance(t, Leaf) and t.owner == agent]
 
 
-def _rewrite(s: FiniteStrategy, assignment: dict[tuple[Choice, ...], Choice],
-             path: tuple[Choice, ...] = ()) -> FiniteStrategy:
-    if isinstance(s, Leaf):
-        return s
-    choice = assignment.get(path, s.choice)
-    return StrategyNode(s.owner, choice,
-                        _rewrite(s.left, assignment, path + (Choice.L,)),
-                        _rewrite(s.right, assignment, path + (Choice.R,)))
+def _path(order: list[Position], slot: int) -> list[str]:
+    """The choices from the root to the position in ``slot``."""
+    path = []
+    while order[slot][1] >= 0:
+        path.append(order[slot][2].value)
+        slot = order[slot][1]
+    return path[::-1]
+
+
+def _rewrite(order: list[Position], assignment: dict[int, Choice]) -> FiniteStrategy:
+    """The strategy with the choice at each assigned preorder slot replaced."""
+    return _fold(order, lambda t: t, lambda slot, t, left, right:
+                 StrategyNode(t.owner, assignment.get(slot, t.choice), left, right))
 
 
 def owners(t: FiniteGame | FiniteStrategy) -> set[str]:
-    if isinstance(t, Leaf):
-        return set()
-    return {t.owner} | owners(t.left) | owners(t.right)
+    return {node.owner for node, _, _ in _preorder(t) if not isinstance(node, Leaf)}
 
 
 def exhaustive_nash(s: FiniteStrategy, max_profiles: int = 1 << 14) -> Verdict:
     """Literal Nash check: per agent, enumerate every rewrite of that
     agent's choices, evaluate, and compare.  Finite strategies always
     lead to a leaf, so every profile has a utility."""
+    order = _preorder(s)
     for agent in sorted(owners(s)):
-        positions = _agent_positions(s, agent)
+        positions = _agent_positions(order, agent)
         if 2 ** len(positions) > max_profiles:
             raise TooLargeError(
                 f"{agent} owns {len(positions)} nodes: {2 ** len(positions)} profiles "
@@ -138,11 +170,11 @@ def exhaustive_nash(s: FiniteStrategy, max_profiles: int = 1 << 14) -> Verdict:
         base = finite_utility(s, agent)
         for choices in itertools.product((Choice.L, Choice.R), repeat=len(positions)):
             assignment = dict(zip(positions, choices))
-            value = finite_utility(_rewrite(s, assignment), agent)
+            value = finite_utility(_rewrite(order, assignment), agent)
             if value > base:
                 overrides = [
-                    {"position": [c.value for c in pos], "choice": ch.value}
-                    for pos, ch in assignment.items()
+                    {"position": _path(order, slot), "choice": ch.value}
+                    for slot, ch in assignment.items()
                 ]
                 return Verdict(False, {
                     "agent": agent,

@@ -59,6 +59,20 @@ class TestCheck:
         assert code == 0
         assert [c["outcome"] for c in report["checks"]] == ["holds"] * 4
 
+    def test_sgpe_failure_names_an_index_the_class_occurs_at(self, capsys, tmp_path):
+        # x occurs at even indices only; its margin 2 - n first turns
+        # negative at one of them at 4 (the odd index 3 is not one)
+        path = tmp_path / "even.cog"
+        path.write_text("strategy agents A B\n"
+                        "top(n) = <B, r, top(n+2), x(n)>\n"
+                        "x(n) = <A, l, leaf[A: 0, B: 0], leaf[A: n-2, B: 0]>\n"
+                        "root top\n")
+        code, report = run_json(capsys, "check", str(path), "--sgpe")
+        assert code == 1
+        assert report["checks"][0]["certificate"] == {
+            "class": 1, "owner": "A", "choice": "l", "index": 4,
+            "chosen_value": 0, "other_value": 2}
+
     def test_no_flags_is_a_usage_error(self, capsys):
         assert main(["check", str(GAMES / "dollar_auction_agu.cog")]) == 2
 
@@ -167,6 +181,28 @@ class TestTruncate:
         path.write_text(chain_source(3000))
         assert main(["truncate", str(path), "--depth", "2500"]) == 0
         assert capsys.readouterr().out.startswith("truncate: info - depth 2500, 5003 tree nodes")
+
+    def test_solve_skips_the_exhaustive_check_past_its_bound(self, capsys, tmp_path):
+        # A owns the 21 nodes above the horizon: 2^21 profiles
+        path = tmp_path / "chain.cog"
+        path.write_text(chain_source(30))
+        code, report = run_json(capsys, "truncate", str(path), "--depth", "20", "--solve")
+        assert code == 0
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["backward_induction"]["value"]["root_choice"] == "l"
+        skipped = by_name["exhaustive_nash"]
+        assert skipped["outcome"] == "info" and skipped["note"].startswith("skipped: ")
+        assert "2097152 profiles" in skipped["note"]
+
+    def test_deep_solve_runs_without_recursion(self, capsys, tmp_path):
+        path = tmp_path / "chain.cog"
+        path.write_text(chain_source(6000))
+        code, report = run_json(capsys, "truncate", str(path), "--depth", "1200", "--solve")
+        assert code == 0
+        by_name = {c["name"]: c for c in report["checks"]}
+        # node 1200 sits on the horizon and closes with its own stop leaf
+        assert by_name["backward_induction"]["value"] == {"root_choice": "l", "utilities": {"A": 1200}}
+        assert by_name["exhaustive_nash"]["outcome"] == "info"
 
 
 def chain_source(length: int, flip: int | None = None) -> str:

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -9,6 +10,7 @@ from cogames import (
     Leaf,
     Node,
     Ref,
+    ReachSet,
     RosterMismatchError,
     STRATEGY,
     alw_leads_to_leaf,
@@ -33,18 +35,52 @@ COIND = Convertibility.COINDUCTIVE_ONLY
 NOT = Convertibility.NOT_CONVERTIBLE
 
 
+def play_value(s: CoSystem, at: Ref, agent: str) -> int:
+    """The agent's payoff at the leaf the committed choices lead to from
+    ``at``, read with ``unfold`` only."""
+    for _ in range(len(s.classes) + 1):
+        head = unfold(s, at)
+        if isinstance(head, Leaf):
+            return head.payoffs[agent].at(0)
+        at = head.child(head.choice)
+    raise AssertionError(f"the play from {at} reaches no leaf")
+
+
+def replay_sgpe_failure(s: CoSystem, cert: dict) -> None:
+    """Check an SGPE failure against the system with ``unfold`` only: a
+    breadth-first search over (class, index) states, bounded by the
+    reported index, reaches the class at that index, and there the
+    owner's play through the other child pays more than the chosen one."""
+    target = Ref(cert["class"], cert["index"])
+    seen, queue = {s.root}, deque([s.root])
+    while queue and target not in seen:
+        head = unfold(s, queue.popleft())
+        if isinstance(head, Node):
+            for ref in (head.left, head.right):
+                if ref.shift <= target.shift and ref not in seen:
+                    seen.add(ref)
+                    queue.append(ref)
+    assert target in seen
+    head = unfold(s, target)
+    assert (head.owner, head.choice.value) == (cert["owner"], cert["choice"])
+    chosen, other = (play_value(s, head.child(c), head.owner) for c in (head.choice, head.choice.other))
+    assert (chosen, other) == (cert["chosen_value"], cert["other_value"])
+    assert chosen < other
+
+
+def doubling_chain(length: int, choice: Choice) -> CoSystem:
+    """Node i reaches node i+1 at shifts 0 and 2**i, so the end leaf (pays
+    n) occurs at every index 0 .. 2**length - 1; every node plays ``choice``."""
+    classes = [Node("A", choice, Ref(i + 1), Ref(i + 1, 2 ** i)) for i in range(length)]
+    return CoSystem(STRATEGY, ("A",), (*classes, Leaf({"A": Affine(1, 0)})), Ref(0))
+
+
 def replay_deviation(s: CoSystem, cert: dict) -> None:
     """Check a Nash failure witness against the system with ``unfold``
     only: the on-path value, then the deviation path, which may override
     choices at the deviating agent's nodes only."""
     agent = cert["agent"]
-    at = s.root
-    for _ in range(len(s.classes) + 1):
-        head = unfold(s, at)
-        if isinstance(head, Leaf):
-            break
-        at = head.child(head.choice)
-    assert head.payoffs[agent].at(0) == cert["on_path_value"]
+    assert play_value(s, s.root, agent) == cert["on_path_value"]
     at = s.root
     for step in cert["path"]:
         head = unfold(s, at)
@@ -469,6 +505,17 @@ class TestSgpe:
         assert v.certificate["class"] == 1
         assert v.certificate["index"] == 3  # first n with 5-2n < 0
 
+    def test_failing_indices_are_reachable_on_random_strategies(self):
+        failures = 0
+        for parametric in (True, False):
+            for seed in range(3000):
+                s = helpers.random_system(seed, kind=STRATEGY, max_classes=8, parametric=parametric)
+                v = sgpe(s)
+                if not v.holds and "index" in v.certificate:
+                    failures += 1
+                    replay_sgpe_failure(s, v.certificate)
+        assert failures > 300
+
     def test_sgpe_implies_nash_on_finite_corpus(self):
         trees = helpers.finite_corpus(200, oracle.random_strategy, max_size=12)
         for tree in trees:
@@ -481,17 +528,35 @@ class TestSgpe:
 class TestReachIndexSets:
     def test_backbone_indices_grow_without_bound(self):
         sets = reach_index_sets(dollar_auction_strategy("ngu"), mode="tree")
-        assert sets[0].minimum == 0 and sets[0].unbounded
-        assert sets[1].minimum == 0 and sets[1].unbounded
+        assert sets[0].minimum == 0 and sets[0].maximum is None
+        assert sets[1].minimum == 0 and sets[1].maximum is None
 
     def test_finite_tree_indices_are_exact_singletons(self):
         tree = oracle.random_strategy(1, max_depth=3)
         sets = reach_index_sets(oracle.embed(tree), mode="tree")
         for rs in sets.values():
-            assert not rs.unbounded and rs.values == frozenset({0})
-            assert rs.minimum == 0
+            assert rs.minimum == rs.maximum == 0
 
     def test_play_projection_follows_choices_only(self):
         agu = dollar_auction_strategy("agu")
         sets = reach_index_sets(agu, mode="play")
         assert set(sets) == {0, 3}  # root and Alice's give-up leaf
+
+    @pytest.mark.parametrize("choice", [Choice.L, Choice.R])
+    def test_doubling_shift_chain_is_summarized_by_its_extremes(self, choice):
+        # 2**40 (class, index) states: only the least and greatest index count
+        s = doubling_chain(40, choice)
+        top = 2 ** 40 - 1
+        assert reach_index_sets(s)[40] == ReachSet(0, top)
+        nash, perfect = nash_eq(s), sgpe(s)
+        if choice is Choice.R:  # every node takes the larger shift
+            assert nash.holds and perfect.holds
+            [row] = nash.certificate["agents"][0]["leaves"]
+            assert (row["max_value"], row["at_index"]) == (top, top)
+        else:
+            assert not nash.holds
+            assert (nash.certificate["leaf_index"], nash.certificate["deviation_value"]) == (top, top)
+            replay_deviation(s, nash.certificate)
+            assert not perfect.holds
+            assert (perfect.certificate["class"], perfect.certificate["index"]) == (0, 0)
+            replay_sgpe_failure(s, perfect.certificate)

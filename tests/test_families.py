@@ -144,7 +144,3 @@ class TestTruncate:
         ))
         with pytest.raises(NoLeafAtHorizonError):
             truncate(both_nodes, 0)
-
-    def test_unsupported_closure_rejected(self):
-        with pytest.raises(ValueError):
-            truncate(dollar_auction_game(), 2, closure="chop")

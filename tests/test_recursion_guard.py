@@ -5,8 +5,10 @@ the parser reads terms whose nesting grows with the input, so a function in
 a call cycle (one that calls itself, or calls a function that calls back)
 would hit Python's recursion limit on large inputs.  Calls are resolved by
 name: ``f(...)`` and ``self.f(...)`` are edges to every function or method
-of the module named ``f``.  ``oracle`` recurses over explicit finite trees
-by design and is not checked.
+of the module named ``f``.  In ``oracle`` only the helpers that tests use
+on small explicit trees (``finite_sgpe``, ``size`` and the random
+generators' ``gen``) may recurse: ``truncate --solve`` runs the rest on
+trees as deep as the truncation horizon.
 """
 
 import ast
@@ -83,3 +85,7 @@ def test_detects_call_cycles(source, expected):
 def test_no_function_calls_itself(module):
     """Neither directly nor through other functions of the module."""
     assert recursive_functions((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_oracle_recurses_only_in_test_helpers():
+    assert recursive_functions((PACKAGE / "oracle.py").read_text()) == ["finite_sgpe", "gen", "size"]
