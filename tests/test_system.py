@@ -22,8 +22,8 @@ from cogames import (
     validate,
     with_root,
 )
-from cogames import dsl
-from cogames.system import sccs
+from cogames import dsl, system
+from cogames.system import ProductWalk, sccs
 from cogames.families import (
     dollar_auction_game,
     dollar_auction_strategy,
@@ -311,6 +311,71 @@ def test_bisimilar_certificates_replay_on_random_pairs():
                     assert _replay_heads_differ(a, b, v.certificate["path"])
                 bound = len(a.classes) * len(b.classes)
                 assert v.holds == bisimilar_bounded(a, b, bound).holds
+
+
+def test_bisimilar_agrees_with_the_product_walk_on_random_pairs():
+    """Differential sweep: the verdict is the walk's, a failing
+    certificate is the walk's, and a holding relation replays and covers
+    every pair the walk visits."""
+    for seed in range(1000):
+        s = helpers.random_system(seed, parametric=False)
+        others = [s, helpers.unrolled_variant(s, seed + 1),
+                  helpers.unrolled_variant(helpers.unrolled_variant(s, seed + 2), seed + 3)]
+        leaf_id = helpers.first_reachable_leaf(s)
+        if leaf_id is not None:
+            others.append(helpers.payoff_mutant(s, leaf_id))
+        for t in others:
+            for a, b in ((s, t), (t, s)):
+                v = bisimilar(a, b)
+                walk = ProductWalk(a, b)
+                assert v.holds == (walk.failure is None)
+                if not v.holds:
+                    path, _, reason = walk.failure
+                    assert v.certificate == {"path": path, "reason": reason}
+                    continue
+                relation = v.certificate["relation"]
+                assert relation == sorted(relation)
+                assert _relation_is_a_bisimulation(a, b, relation)
+                assert {walk.decode(state)[:2] for state in walk.parent} <= set(map(tuple, relation))
+
+
+def test_bisimilar_relation_may_relate_pairs_the_walk_never_visits():
+    # the walk pairs leaf a0 with b0 and a1 with both b0 and b1, so a0
+    # and b1 share a block without the walk ever visiting them together
+    a = dsl.parse("game agents A\nt(n) = <A, p(n), q(n)>\np(n) = <A, a0(n), a1(n)>\n"
+                  "q(n) = <A, a1(n), a1(n)>\na0(n) = leaf[A: 0]\na1(n) = leaf[A: 0]\nroot t\n")
+    b = dsl.parse("game agents A\nt(n) = <A, p(n), q(n)>\np(n) = <A, b0(n), b1(n)>\n"
+                  "q(n) = <A, b0(n), b1(n)>\nb0(n) = leaf[A: 0]\nb1(n) = leaf[A: 0]\nroot t\n")
+    v = bisimilar(a, b)
+    assert v.holds
+    relation = v.certificate["relation"]
+    assert _relation_is_a_bisimulation(a, b, relation)
+    walk = ProductWalk(a, b)
+    assert {walk.decode(state)[:2] for state in walk.parent} <= set(map(tuple, relation))
+
+
+def identical_ring(length: int) -> CoSystem:
+    """``length`` Alice nodes in a ring, each with its own leaf on the
+    right: node ``i`` is class ``2*i`` and its leaf class ``2*i + 1``."""
+    classes = []
+    for i in range(length):
+        classes += [Node("Alice", None, Ref(2 * ((i + 1) % length)), Ref(2 * i + 1)),
+                    Leaf({"Alice": Affine.const(0)})]
+    return CoSystem(GAME, ("Alice",), tuple(classes))
+
+
+def test_bisimilar_coprime_rings_without_the_product_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a holding verdict must not walk the product")
+
+    monkeypatch.setattr(system, "ProductWalk", no_walk)
+    p, q = 353, 354
+    v = bisimilar(identical_ring(p), identical_ring(q))
+    assert v.holds
+    relation = v.certificate["relation"]
+    assert len(relation) == 2 * p * q
+    assert relation == sorted(relation)
+    assert relation[:2] == [[0, 0], [0, 2]] and relation[-1] == [2 * p - 1, 2 * q - 1]
 
 
 class TestBisimilarBounded:
