@@ -156,8 +156,8 @@ def _cmd_truncate(args) -> tuple[list[dict], list[dict]]:
     system, meta = _load(args.file)
     try:
         tree = families.truncate(system, args.depth)
-    except families.NoLeafAtHorizonError as exc:
-        raise InputError(str(exc)) from exc
+    except (families.NoLeafAtHorizonError, families.TreeTooLargeError) as exc:
+        raise InputError(f"{args.file}: {exc}") from exc
     embedded = oracle.embed(tree)
     checks = [_info("truncate", f"depth {args.depth}, {len(embedded.classes)} tree nodes",
                     dsl.render(embedded))]

@@ -474,15 +474,15 @@ def _state_json(state: tuple[int, int, int]) -> dict[str, int]:
 def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     """Classify the relation between two strategies for a deviating agent.
 
-    Runs the product walk of ``system.ProductWalk`` (the one behind
-    ``bisimilar``), which tracks the offset drift ``delta`` between the
-    two sides wherever a leaf with a nonzero slope is reachable.  Leaves
-    must carry equal payoff functions under that alignment; nodes must
-    agree on owner, and on choice except where the agent owns the node,
-    where the walk records the difference and steps on.  The walk is
-    exact and terminates (its docstring has the argument), so a
-    ``NOT_CONVERTIBLE`` witness is a path from the roots to an
-    observation that differs, and any other verdict means the two
+    Runs the product walk of ``system.ProductWalk`` (which also finds
+    ``bisimilar``'s witnesses).  It tracks the offset drift ``delta``
+    between the two sides wherever a leaf with a nonzero slope is
+    reachable.  Leaves must carry equal payoff functions under that
+    alignment; nodes must agree on owner, and on choice except where the
+    agent owns the node, where the walk records the difference and steps
+    on.  The walk is exact and terminates (its docstring has the
+    argument), so a ``NOT_CONVERTIBLE`` witness is a path from the roots
+    to an observation that differs, and any other verdict means the two
     strategies denote the same tree up to the agent's own choices.
     Successor lists for the cycle analysis are built only when some
     difference was recorded.

@@ -40,8 +40,17 @@ NGU = "ngu"
 _KINDS = (AGU, NGU)
 
 
+# explicit trees past this many nodes are refused: a truncation can
+# double its size every level or two
+MAX_TREE_NODES = 1 << 16
+
+
 class NoLeafAtHorizonError(ValueError):
     """Truncation horizon hit a node with no leaf child to close with."""
+
+
+class TreeTooLargeError(ValueError):
+    """Truncation would build more nodes than the configured bound."""
 
 
 def _backbone(kind: str | None, alice_leaf: Leaf, bob_leaf: Leaf, roster=("Alice", "Bob")) -> CoSystem:
@@ -113,14 +122,17 @@ def finite_example_strategy() -> CoSystem:
     return CoSystem(STRATEGY, g.roster, tuple(classes), g.root)
 
 
-def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
+def truncate(sys: CoSystem, depth: int,
+             max_nodes: int = MAX_TREE_NODES) -> FiniteGame | FiniteStrategy:
     """Unroll to an explicit finite tree with nodes on levels 0..depth.
 
     At the horizon level, each non-leaf child of a node is replaced by
     that node's own leaf child (same payoffs), which is the minimal
     closure keeping the family's own numbers.  Nodes at the horizon with
     no leaf child cannot be closed this way.  Payoffs come out as fully
-    evaluated integers; choices are preserved for strategy systems.
+    evaluated integers; choices are preserved for strategy systems.  A
+    tree of more than ``max_nodes`` nodes, leaves included, raises
+    :class:`TreeTooLargeError` as soon as the count passes the bound.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -141,6 +153,7 @@ def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
     # a node whose two subtrees lie on top of ``built``, right above left
     todo: list[tuple[Ref, int] | Node] = [(sys.root, 0)]
     built: list[FiniteGame | FiniteStrategy] = []
+    count = 0  # nodes built or on their way
     while todo:
         task = todo.pop()
         if isinstance(task, Node):
@@ -151,6 +164,7 @@ def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
         head = unfold(sys, ref)
         if isinstance(head, Leaf):
             built.append(FinLeaf({a: f.at(0) for a, f in head.payoffs.items()}))
+            count += 1
         elif level == depth:
             own_leaf = as_leaf(head.left) or as_leaf(head.right)
             if own_leaf is None:
@@ -158,6 +172,11 @@ def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
                     f"class {ref.cls} at the horizon has no leaf child to close with")
             built.append(node(head, as_leaf(head.left) or own_leaf,
                               as_leaf(head.right) or own_leaf))
+            count += 3
         else:
             todo += [head, (head.right, level + 1), (head.left, level + 1)]
+            count += 1
+        if count > max_nodes:
+            raise TreeTooLargeError(
+                f"the truncation to depth {depth} has more than {max_nodes} nodes")
     return built[0]

@@ -165,7 +165,7 @@ def exhaustive_nash(s: FiniteStrategy, max_profiles: int = 1 << 14) -> Verdict:
         positions = _agent_positions(order, agent)
         if 2 ** len(positions) > max_profiles:
             raise TooLargeError(
-                f"{agent} owns {len(positions)} nodes: {2 ** len(positions)} profiles "
+                f"{agent} owns {len(positions)} nodes: 2^{len(positions)} profiles "
                 f"exceed the bound of {max_profiles}")
         base = finite_utility(s, agent)
         for choices in itertools.product((Choice.L, Choice.R), repeat=len(positions)):

@@ -281,15 +281,56 @@ def _check_comparable(a: CoSystem, b: CoSystem) -> None:
         raise RosterMismatchError(f"rosters differ: {a.roster} vs {b.roster}")
 
 
-class ProductWalk:
-    """Greatest-fixpoint walk over the product of two class graphs, the
-    one engine behind :func:`bisimilar` and ``equilibria.convertible``.
+def _flatten(sys: CoSystem, heads: dict[Hashable, int], sloped: set[int], scale: int,
+             unit: int) -> tuple[list, ...]:
+    """Per-class lists: head id, the left and the right child as
+    ``class*scale + shift*unit``, a mask of the sensitive children (1
+    left, 2 right), and whether the class itself is sensitive (one
+    reverse pass from the sloped leaves).
 
-    Each system is compiled once into flat per-class lists: a head id (an
-    int interned across both systems from the one-step observation:
-    negative for leaf payoffs, nonnegative for owner and choice), the left
-    and the right child as one int each (its class and shift, scaled into
-    the state coding), and a mask of the children that are *sensitive*: a
+    A head id is an int interned in ``heads`` from the one-step
+    observation: negative for leaf payoffs (added to ``sloped`` if some
+    payoff has a nonzero slope), nonnegative for owner and choice.
+    Sharing ``heads`` between two systems makes equal ids mean equal
+    observations."""
+    n = len(sys.classes)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    sensitive = [False] * n
+    rows = []
+    for c, cls in enumerate(sys.classes):
+        if isinstance(cls, Leaf):
+            h = heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads))
+            if any(f.slope for f in cls.payoffs.values()):
+                sloped.add(h)
+                sensitive[c] = True
+            rows.append((h, 0, 0))
+        else:
+            preds[cls.left.cls].append(c)
+            preds[cls.right.cls].append(c)
+            rows.append((heads.setdefault((cls.owner, cls.choice), len(heads)),
+                         cls.left.cls * scale + cls.left.shift * unit,
+                         cls.right.cls * scale + cls.right.shift * unit))
+    queue = [c for c in range(n) if sensitive[c]]
+    for c in queue:
+        for p in preds[c]:
+            if not sensitive[p]:
+                sensitive[p] = True
+                queue.append(p)
+    mask = [0 if isinstance(cls, Leaf) else
+            sensitive[cls.left.cls] | sensitive[cls.right.cls] << 1 for cls in sys.classes]
+    return (*map(list, zip(*rows)), mask, sensitive)
+
+
+class ProductWalk:
+    """Greatest-fixpoint walk over the product of two class graphs: the
+    engine of ``equilibria.convertible``, and the witness finder of
+    :func:`bisimilar`, which decides by union-find and walks the product
+    only once it knows the systems differ.
+
+    Each system is compiled once by :func:`_flatten` into flat per-class
+    lists: a head id (interned across both systems), the left and the
+    right child as one int each (its class and shift, scaled into the
+    state coding), and a mask of the children that are *sensitive*: a
     leaf with a nonzero slope is reachable from them.  A product state is
     one int, ``delta*P + i*|T| + j`` for class ``i`` of ``a``, class ``j``
     of ``b`` and the offset drift ``delta = shift_b - shift_a``, where ``P
@@ -331,8 +372,8 @@ class ProductWalk:
         self.size = len(a.classes) * self.width
         heads: dict[Hashable, int] = {}
         self.sloped: set[int] = set()
-        self.flat_a = self._flatten(a, heads, self.width, -self.size)
-        self.flat_b = self._flatten(b, heads, 1, self.size)
+        self.flat_a = _flatten(a, heads, self.sloped, self.width, -self.size)
+        self.flat_b = _flatten(b, heads, self.sloped, 1, self.size)
         self.diffs: list[int] = []
         self.failure: tuple[list[str], tuple[int, int, int], str] | None = None
         i, j = a.root.cls, b.root.cls
@@ -341,39 +382,6 @@ class ProductWalk:
         self.parent: dict[int, int | None] = {start: None}
         self.order = [start]
         self._walk()
-
-    def _flatten(self, sys: CoSystem, heads: dict[Hashable, int], scale: int,
-                 unit: int) -> tuple[list, ...]:
-        """Per-class lists: head id, the left and the right child as
-        ``class*scale + shift*unit``, a mask of the sensitive children (1
-        left, 2 right), and whether the class itself is sensitive (one
-        reverse pass from the sloped leaves)."""
-        n = len(sys.classes)
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sensitive = [False] * n
-        rows = []
-        for c, cls in enumerate(sys.classes):
-            if isinstance(cls, Leaf):
-                h = heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads))
-                if any(f.slope for f in cls.payoffs.values()):
-                    self.sloped.add(h)
-                    sensitive[c] = True
-                rows.append((h, 0, 0))
-            else:
-                preds[cls.left.cls].append(c)
-                preds[cls.right.cls].append(c)
-                rows.append((heads.setdefault((cls.owner, cls.choice), len(heads)),
-                             cls.left.cls * scale + cls.left.shift * unit,
-                             cls.right.cls * scale + cls.right.shift * unit))
-        queue = [c for c in range(n) if sensitive[c]]
-        for c in queue:
-            for p in preds[c]:
-                if not sensitive[p]:
-                    sensitive[p] = True
-                    queue.append(p)
-        mask = [0 if isinstance(cls, Leaf) else
-                sensitive[cls.left.cls] | sensitive[cls.right.cls] << 1 for cls in sys.classes]
-        return (*map(list, zip(*rows)), mask, sensitive)
 
     def encode(self, i: int, j: int, delta: int) -> int:
         return delta * self.size + i * self.width + j
@@ -461,24 +469,71 @@ class ProductWalk:
 def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     """Decide bisimilarity of two non-parametric systems.
 
-    Runs the greatest-fixpoint computation on the product of the class
-    graphs with :class:`ProductWalk`, whose states are here the ints
-    ``i*|T| + j`` (no reachable leaf is sloped, so the drift stays 0, and
-    no choice difference is permitted).  If no pair
-    ever disagrees, the visited pair set is itself a bisimulation and is
-    returned, sorted, as the certificate.  On disagreement the witness is
-    the shortest path of choices (breadth-first, left before right) to
-    the first mismatching observation.
+    A Hopcroft-Karp union-find over the disjoint union of the two class
+    lists decides it in near-linear time (Hopcroft & Karp, "A linear
+    algorithm for testing equivalence of finite automata", 1971; Bonchi
+    & Pous, "Checking NFA equivalence with bisimulations up to
+    congruence", 2013).  Starting from the pair of roots, a pair whose
+    classes already share a block is skipped; otherwise their head ids,
+    interned as in :class:`ProductWalk`, must agree, the two blocks are
+    merged and the two child pairs are pushed.  Every pair pushed is
+    reached from both roots by one path, so a head mismatch
+    distinguishes the systems.  Without one, the merged pairs form a
+    bisimulation up to equivalence, so the blocks relate only bisimilar
+    classes.
+
+    If it holds, the certificate is the block relation: every pair ``[i,
+    j]`` of a class of ``a`` and a class of ``b`` in one block, sorted.
+    It is a bisimulation that relates the roots and contains every pair
+    the product walk visits, and may contain more: two classes of ``a``
+    that each meet one class of ``b`` put all their partners in one
+    block.  If it fails, :class:`ProductWalk` finds the witness: the
+    shortest path of choices (breadth-first, left before right) to the
+    first mismatching observation.
     """
     _check_comparable(a, b)
     if is_parametric(a) or is_parametric(b):
         raise ParametricUnsupportedError("use bisimilar_bounded for parametric systems")
-    walk = ProductWalk(a, b)
-    if walk.failure is not None:
-        path, _, reason = walk.failure
-        return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
-    width = walk.width
-    relation = [[state // width, state % width] for state in sorted(walk.parent)]
+    # reachable references carry no shift, so a child is just its class
+    heads: dict[Hashable, int] = {}
+    head, left, right, *_ = _flatten(a, heads, set(), 1, 0)
+    head_b, left_b, right_b, *_ = _flatten(b, heads, set(), 1, 0)
+    width = len(head)  # class j of b is element width + j
+    head += head_b
+    left += [c + width for c in left_b]
+    right += [c + width for c in right_b]
+    parent = list(range(len(head)))
+    size = [1] * len(head)
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    todo = [(a.root.cls, width + b.root.cls)]
+    while todo:
+        x, y = todo.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        if head[x] != head[y]:
+            failure = ProductWalk(a, b).failure
+            assert failure is not None
+            path, _, reason = failure
+            return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        size[rx] += size[ry]
+        if head[x] >= 0:
+            todo += [(left[x], left[y]), (right[x], right[y])]
+    partners: dict[int, list[int]] = {}
+    for j in range(width, len(head)):
+        partners.setdefault(find(j), []).append(j - width)
+    relation = [[i, j] for i in range(width) for j in partners.get(find(i), ())]
     return Verdict(True, {"relation": relation}, "bisimulation relation closed")
 
 

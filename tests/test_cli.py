@@ -192,7 +192,7 @@ class TestTruncate:
         assert by_name["backward_induction"]["value"]["root_choice"] == "l"
         skipped = by_name["exhaustive_nash"]
         assert skipped["outcome"] == "info" and skipped["note"].startswith("skipped: ")
-        assert "2097152 profiles" in skipped["note"]
+        assert skipped["note"] == "skipped: A owns 21 nodes: 2^21 profiles exceed the bound of 16384"
 
     def test_deep_solve_runs_without_recursion(self, capsys, tmp_path):
         path = tmp_path / "chain.cog"
@@ -202,7 +202,20 @@ class TestTruncate:
         by_name = {c["name"]: c for c in report["checks"]}
         # node 1200 sits on the horizon and closes with its own stop leaf
         assert by_name["backward_induction"]["value"] == {"root_choice": "l", "utilities": {"A": 1200}}
-        assert by_name["exhaustive_nash"]["outcome"] == "info"
+        assert by_name["exhaustive_nash"] == {
+            "name": "exhaustive_nash", "outcome": "info", "value": None,
+            "note": "skipped: A owns 1201 nodes: 2^1201 profiles exceed the bound of 16384"}
+
+    def test_tree_past_the_node_bound_is_an_input_error(self, capsys, tmp_path):
+        # the tree doubles every two levels: about 2^30 nodes at depth 61
+        path = tmp_path / "doubling.cog"
+        path.write_text("game agents A\nx(n) = <A, y(n), y(n)>\ny(n) = <A, x(n), e(n)>\n"
+                        "e(n) = leaf[A: 0]\nroot x\n")
+        assert main(["truncate", str(path), "--depth", "61"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: the truncation to depth 61 has more than "
+                                "65536 nodes\n")
 
 
 def chain_source(length: int, flip: int | None = None) -> str:

@@ -22,10 +22,12 @@ from cogames import (
 from cogames import families, oracle
 from cogames.families import (
     NoLeafAtHorizonError,
+    TreeTooLargeError,
     centipede_game,
     centipede_strategy,
     dollar_auction_game,
     dollar_auction_strategy,
+    finite_example_game,
     truncate,
 )
 
@@ -144,3 +146,21 @@ class TestTruncate:
         ))
         with pytest.raises(NoLeafAtHorizonError):
             truncate(both_nodes, 0)
+
+    def test_node_bound_counts_every_node(self):
+        for sys_ in (dollar_auction_game(), centipede_strategy("ngu"), finite_example_game()):
+            for d in (0, 1, 7):
+                nodes = oracle.size(truncate(sys_, d))
+                assert oracle.size(truncate(sys_, d, max_nodes=nodes)) == nodes
+                with pytest.raises(TreeTooLargeError):
+                    truncate(sys_, d, max_nodes=nodes - 1)
+
+    def test_doubling_tree_stops_at_the_default_bound(self):
+        # x -> y, y on both sides; y -> x and a leaf: twice the nodes every two levels
+        doubling = CoSystem(GAME, ("A",), (
+            Node("A", None, Ref(1), Ref(1)),
+            Node("A", None, Ref(0), Ref(2)),
+            Leaf({"A": Affine.const(0)}),
+        ))
+        with pytest.raises(TreeTooLargeError, match=f"more than {families.MAX_TREE_NODES} nodes"):
+            truncate(doubling, 61)

@@ -351,7 +351,8 @@ def test_bisimilar_relation_may_relate_pairs_the_walk_never_visits():
     relation = v.certificate["relation"]
     assert _relation_is_a_bisimulation(a, b, relation)
     walk = ProductWalk(a, b)
-    assert {walk.decode(state)[:2] for state in walk.parent} <= set(map(tuple, relation))
+    visited = {walk.decode(state)[:2] for state in walk.parent}
+    assert set(map(tuple, relation)) - visited == {(3, 4)}
 
 
 def identical_ring(length: int) -> CoSystem:
