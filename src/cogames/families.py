@@ -50,7 +50,7 @@ class NoLeafAtHorizonError(ValueError):
 
 
 class TreeTooLargeError(ValueError):
-    """Truncation would build more nodes than the configured bound."""
+    """Truncation would build more than ``MAX_TREE_NODES`` nodes."""
 
 
 def _backbone(kind: str | None, alice_leaf: Leaf, bob_leaf: Leaf, roster=("Alice", "Bob")) -> CoSystem:
@@ -122,8 +122,7 @@ def finite_example_strategy() -> CoSystem:
     return CoSystem(STRATEGY, g.roster, tuple(classes), g.root)
 
 
-def truncate(sys: CoSystem, depth: int,
-             max_nodes: int = MAX_TREE_NODES) -> FiniteGame | FiniteStrategy:
+def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
     """Unroll to an explicit finite tree with nodes on levels 0..depth.
 
     At the horizon level, each non-leaf child of a node is replaced by
@@ -131,7 +130,7 @@ def truncate(sys: CoSystem, depth: int,
     closure keeping the family's own numbers.  Nodes at the horizon with
     no leaf child cannot be closed this way.  Payoffs come out as fully
     evaluated integers; choices are preserved for strategy systems.  A
-    tree of more than ``max_nodes`` nodes, leaves included, raises
+    tree of more than ``MAX_TREE_NODES`` nodes, leaves included, raises
     :class:`TreeTooLargeError` as soon as the count passes the bound.
     """
     if depth < 0:
@@ -176,7 +175,7 @@ def truncate(sys: CoSystem, depth: int,
         else:
             todo += [head, (head.right, level + 1), (head.left, level + 1)]
             count += 1
-        if count > max_nodes:
+        if count > MAX_TREE_NODES:
             raise TreeTooLargeError(
-                f"the truncation to depth {depth} has more than {max_nodes} nodes")
+                f"the truncation to depth {depth} has more than {MAX_TREE_NODES} nodes")
     return built[0]

@@ -147,13 +147,16 @@ class TestTruncate:
         with pytest.raises(NoLeafAtHorizonError):
             truncate(both_nodes, 0)
 
-    def test_node_bound_counts_every_node(self):
+    def test_node_bound_counts_every_node(self, monkeypatch):
         for sys_ in (dollar_auction_game(), centipede_strategy("ngu"), finite_example_game()):
             for d in (0, 1, 7):
                 nodes = oracle.size(truncate(sys_, d))
-                assert oracle.size(truncate(sys_, d, max_nodes=nodes)) == nodes
-                with pytest.raises(TreeTooLargeError):
-                    truncate(sys_, d, max_nodes=nodes - 1)
+                monkeypatch.setattr(families, "MAX_TREE_NODES", nodes)
+                assert oracle.size(truncate(sys_, d)) == nodes
+                monkeypatch.setattr(families, "MAX_TREE_NODES", nodes - 1)
+                with pytest.raises(TreeTooLargeError, match=f"more than {nodes - 1} nodes"):
+                    truncate(sys_, d)
+                monkeypatch.undo()
 
     def test_doubling_tree_stops_at_the_default_bound(self):
         # x -> y, y on both sides; y -> x and a leaf: twice the nodes every two levels
