@@ -11,7 +11,7 @@ from cogames.dsl import (
     parse,
     render,
 )
-from cogames import families
+from cogames import dsl, families
 from cogames.cli import main
 
 import helpers
@@ -69,6 +69,24 @@ class TestParse:
             sys_ = parse(f"game agents A g(n) = leaf[A: {text}] root g")
             assert sys_.classes[0].payoffs["A"] == expected, text
             assert parse(render(sys_)) == sys_, text
+
+
+    def test_offset_spellings(self):
+        # an offset is any integer token that is not negative
+        sys_ = parse("game agents A g(n) = <A, g(n+-0), g(n+007)> root g")
+        assert sys_.classes[0] == Node("A", None, Ref(0, 0), Ref(0, 7))
+
+    def test_accepted_files_never_locate_a_token(self, monkeypatch):
+        # positions are worked out only for an error
+        def refuse(*args):
+            raise AssertionError("a token position was worked out")
+
+        monkeypatch.setattr(dsl, "_position", refuse)
+        sources = [p.read_text() for p in sorted(GAMES_DIR.glob("*.cog"))]
+        sources += [render(helpers.random_system(seed)) for seed in range(100)]
+        sources.append(DOLLAR_AGU_ONE_LINER)
+        for text in sources:
+            parse(text)
 
 
 class TestParseErrors:
@@ -187,6 +205,28 @@ ERROR_TABLE = [
     ("game agents A g(x) = leaf[A: 0] root g",
      ParseError, "1:15: at least one equation is required (expected equation)", 1, 15,
      ("equation",)),
+    # each row below leaves a fast path of the parser at a different token
+    ("game agents A\nc0(n) = <A, c0(n+x), c0(n)>\nroot c0",
+     ParseError, "2:18: found 'x' (expected a natural offset)", 2, 18, ("a natural offset",)),
+    ("game agents A\nc0(n) = <A, c0(n+), c0(n)>\nroot c0",
+     ParseError, "2:18: found ')' (expected a natural offset)", 2, 18, ("a natural offset",)),
+    ("game agents A\nc0(n) = <A, c0(n",
+     ParseError, "2:17: found 'end of input' (expected ')')", 2, 17, ("')'",)),
+    ("game agents A B\nc0(n) = leaf[A: 1 B: 2]\nroot c0",
+     ParseError, "2:19: found 'B' (expected ']')", 2, 19, ("']'",)),
+    ("strategy agents A\nc0(n) = <A, l, c0(n) c1(n)>\nc1(n) = leaf[A: 0]\nroot c0",
+     ParseError, "2:22: found 'c1' (expected ',')", 2, 22, ("','",)),
+    ("game agents A\ng(n) leaf[A: 0]\ng(n) = leaf[A: 1]\nroot g",
+     ParseError, "2:6: found 'leaf' (expected '=')", 2, 6, ("'='",)),
+    ("game agents A\ng(n) = leaf[A: 0]\ng(m) = leaf[A: 1]\nroot g",
+     ParseError, "3:3: found 'm' (expected n)", 3, 3, ("n",)),
+    ("game agents Åsa Þór\ng(n) = <Þór, g(n), leaf[Åsa: 0, Þór: x]>\nroot g",
+     ParseError, "2:38: found 'x' (expected an integer, n, '-')", 2, 38,
+     ("an integer", "n", "'-'")),
+    ("game agents Åsa Þór\ng(n) = <Þór, g(n), leaf[Åsa: 0, Þór: 1]>\nroot h",
+     UnknownEquationError, "3:6: unknown equation 'h'", 3, 6, ()),
+    ("game agents A g(n) = leaf[A: 0] root g )",
+     ParseError, "1:40: trailing input ')' (expected end of file)", 1, 40, ("end of file",)),
 ]
 
 
