@@ -27,7 +27,7 @@ from .equilibria import Convertibility, convertible, nash_eq, sgpe
 from .histories import format_lasso, is_history_of, parse_lasso, strategy_history
 from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
 from .system import CoSystem, STRATEGY, KindMismatchError, RosterMismatchError
-from .system import is_parametric, strategy_to_game, validate
+from .system import ParametricUnsupportedError, strategy_to_game, validate
 from .system import bisimilar, bisimilar_bounded
 from .verdict import Verdict
 
@@ -85,7 +85,7 @@ def _cmd_eval(args) -> tuple[list[dict], list[dict]]:
     if system.kind != STRATEGY:
         raise InputError(f"{args.file}: eval needs a strategy file")
     if args.agent not in system.roster:
-        raise InputError(f"agent {args.agent!r} not in roster {list(system.roster)}")
+        raise InputError(f"{args.file}: agent {args.agent!r} not in roster {list(system.roster)}")
     utility = s2u(system, args.agent)
     if utility is None:
         verdict = Verdict(False, leads_to_leaf(system).certificate,
@@ -105,14 +105,16 @@ def _cmd_bisim(args) -> tuple[list[dict], list[dict]]:
         if args.depth is not None:
             verdict = bisimilar_bounded(sys_a, sys_b, args.depth)
             name = f"bisimilar_bounded[{args.depth}]"
-        elif is_parametric(sys_a) or is_parametric(sys_b):
-            verdict = bisimilar_bounded(sys_a, sys_b, DEFAULT_BISIM_DEPTH)
-            verdict = Verdict(verdict.holds, verdict.certificate,
-                              f"parametric inputs, bounded to depth {DEFAULT_BISIM_DEPTH}: " + verdict.note)
-            name = f"bisimilar_bounded[{DEFAULT_BISIM_DEPTH}]"
         else:
-            verdict = bisimilar(sys_a, sys_b)
-            name = "bisimilar"
+            try:
+                verdict = bisimilar(sys_a, sys_b)
+                name = "bisimilar"
+            except ParametricUnsupportedError:
+                verdict = bisimilar_bounded(sys_a, sys_b, DEFAULT_BISIM_DEPTH)
+                verdict = Verdict(verdict.holds, verdict.certificate,
+                                  f"parametric inputs, bounded to depth {DEFAULT_BISIM_DEPTH}: "
+                                  + verdict.note)
+                name = f"bisimilar_bounded[{DEFAULT_BISIM_DEPTH}]"
     except (KindMismatchError, RosterMismatchError) as exc:
         raise InputError(f"{args.a} and {args.b}: {exc}") from exc
     return [_check(name, verdict)], [meta_a, meta_b]
@@ -122,7 +124,7 @@ def _cmd_convert(args) -> tuple[list[dict], list[dict]]:
     sys_a, meta_a = _load(args.a)
     sys_b, meta_b = _load(args.b)
     if args.agent not in sys_a.roster:
-        raise InputError(f"agent {args.agent!r} not in roster {list(sys_a.roster)}")
+        raise InputError(f"{args.a}: agent {args.agent!r} not in roster {list(sys_a.roster)}")
     try:
         result = convertible(sys_a, sys_b, args.agent)
     except (KindMismatchError, RosterMismatchError) as exc:
@@ -205,7 +207,7 @@ def _cmd_demo(args) -> tuple[list[dict], list[dict]]:
 
 
 def natural(text: str) -> int:
-    """argparse type of ``--depth``: a nonnegative integer."""
+    """argparse type of ``--depth`` and ``--n``: a nonnegative integer."""
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return int(text)
@@ -230,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="utility of an agent under a strategy")
     p.add_argument("file")
     p.add_argument("--agent", required=True)
-    p.add_argument("--n", type=int, default=0, help="instantiation index (default 0, the root baseline)")
+    p.add_argument("--n", type=natural, default=0,
+                   help="instantiation index (default 0, the root baseline)")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("bisim", help="bisimilarity of two systems")

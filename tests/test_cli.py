@@ -89,6 +89,11 @@ class TestEval:
         assert code == 0
         assert report["checks"][0]["value"] == -7  # -(2*3+1)
 
+    def test_negative_index_is_a_usage_error(self, capsys):
+        assert main(["eval", str(GAMES / "dollar_auction_agu.cog"), "--agent", "Alice",
+                     "--n", "-1"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_no_utility_exits_one(self, capsys):
         code, report = run_json(capsys, "eval", str(GAMES / "dollar_auction_ngu.cog"),
                                 "--agent", "Alice")
@@ -105,8 +110,23 @@ class TestBisim:
     def test_parametric_falls_back_to_bounded(self, capsys):
         code, report = run_json(capsys, "bisim", str(GAMES / "dollar_auction.cog"),
                                 str(GAMES / "centipede.cog"))
-        assert report["checks"][0]["name"].startswith("bisimilar_bounded")
+        check = report["checks"][0]
+        assert check["name"] == "bisimilar_bounded[24]"
+        assert check["note"] == ("parametric inputs, bounded to depth 24: "
+                                 "distinguished: leaf payoffs differ")
         assert code == 1  # payoffs differ
+
+    @pytest.mark.parametrize("a, b, passes", [("paper_s0", "paper_s0", 2),
+                                              ("dollar_auction", "centipede", 1)])
+    def test_each_input_is_checked_for_parameters_at_most_once(self, capsys, monkeypatch,
+                                                                a, b, passes):
+        from cogames import system
+
+        seen = []
+        original = system.is_parametric
+        monkeypatch.setattr(system, "is_parametric", lambda s: seen.append(s) or original(s))
+        run_json(capsys, "bisim", str(GAMES / f"{a}.cog"), str(GAMES / f"{b}.cog"))
+        assert len(seen) == passes
 
     def test_depth_flag(self, capsys):
         code, _ = run_json(capsys, "bisim", str(GAMES / "dollar_auction_agu.cog"),
