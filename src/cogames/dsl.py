@@ -16,9 +16,11 @@ Tokens are identifiers ``[^\\W\\d]\\w*`` that start with a letter or
 ``_``, integers ``-?\\d+`` of Unicode decimal digits, the punctuation
 ``()[]<>,:=+-*`` and whitespace between them.  Any other character is an
 error, and so is a digit that is not a decimal (such as ``²`` or ``½``)
-where a token starts.  Each token carries only its offset into the
-text, and an error's ``line:col`` is worked out from that offset when the
-error is raised.
+where a token starts.  A token is only its text, and its kind follows
+from its first character.  The parser keeps no positions: when it raises
+an error it knows the failing token's index, one more scan of the text
+finds that token's offset, and the error's ``line:col`` is worked out
+from the offset.
 
 A ``-`` glued to digits is part of the integer literal, so the canonical
 spelling ``-2*n-1`` denotes slope -2, intercept -1; a leading ``-``
@@ -39,17 +41,17 @@ from .system import Affine, Choice, CoSystem, GAME, Leaf, Node, NodeClass, Ref, 
 
 RESERVED = {"strategy", "game", "agents", "root", "leaf", "l", "r", "n"}
 
-# A punctuation token's text is never the text of an identifier or an
-# integer, and keywords are identifiers, so the parser tells most tokens
-# apart by their text alone.  ``finditer`` skips whitespace and the
-# characters ``_BAD`` finds, which no token can hold.
-_TOKEN = re.compile(r"([^\W\d]\w*)|(-?\d+)|([()\[\]<>,:=+*-])")
-_KINDS = (None, "ident", "int", "punct")
+# A token's first character gives its kind: a letter or ``_`` starts an
+# identifier, a decimal digit or a ``-`` followed by digits an integer, and
+# anything else is one punctuation character.  A punctuation token's text is
+# never the text of an identifier or an integer, and keywords are
+# identifiers, so the parser compares token texts.  ``findall`` skips
+# whitespace and the characters ``_BAD`` finds, which no token can hold.
+_TOKEN = re.compile(r"[^\W\d]\w*|-?\d+|[()\[\]<>,:=+*-]")
 _BAD = re.compile(r"[^\w\s()\[\]<>,:=+*-]")
 
 _CHOICES = {"l": Choice.L, "r": Choice.R}
 
-Token = tuple[str, str, int]  # kind ("ident", "int", "punct", "eof"), text, offset
 _OpenNode = tuple[int, str, Choice | None, list[Ref]]  # class id, owner, choice, refs so far
 
 
@@ -76,31 +78,55 @@ class ChoiceInGameKindError(ParseError):
     pass
 
 
+def _is_ident(token: str) -> bool:
+    return token[:1].isalpha() or token[:1] == "_"
+
+
+def _is_int(token: str) -> bool:
+    return token.lstrip("-").isdecimal()
+
+
+def _offset(text: str, index: int) -> int:
+    """Offset of token ``index`` of ``text``; the end of the text for an
+    end-of-input token."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return m.start()
+    return len(text)
+
+
 def _position(text: str, offset: int) -> tuple[int, int]:
     """1-based line and column of ``offset``; only ``\\n`` ends a line."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    """Tokens of ``text`` followed by two ``eof`` tokens, so that the
-    parser can look one token ahead anywhere without a bounds check."""
-    tokens = [(_KINDS[m.lastindex], m.group(), m.start()) for m in _TOKEN.finditer(text)]
+def _tokenize(text: str) -> list[str]:
+    """Token texts of ``text`` followed by two empty end-of-input tokens,
+    so that the parser can look one token past any real token without a
+    bounds check."""
+    tokens = _TOKEN.findall(text)
     end = len(text)
     bad = _BAD.search(text)
     first = bad.start() if bad else end
     if not text.isascii():
         # \w also holds digits that are not decimals, such as ² and ½, and
         # no token may start with one.
-        first = min(first, next((off for kind, word, off in tokens if kind == "ident"
-                                 and not (word[0].isalpha() or word[0] == "_")), end))
+        index = next((i for i, word in enumerate(tokens) if not (
+            word[0].isalpha() or word[0].isdecimal() or word[0] in "_()[]<>,:=+*-")), None)
+        if index is not None:
+            first = min(first, _offset(text, index))
     if first < end:
         raise ParseError(f"unexpected character {text[first]!r}", *_position(text, first))
-    eof = ("eof", "", end)
-    tokens += (eof, eof)
+    tokens += ("", "")
     return tokens
 
 
 class _Parser:
+    """Parser over token texts.  The common spellings (an equation
+    header, a named ref, a leaf's ``agent :``, a node head) are matched by
+    comparing texts and advancing ``pos`` once; on any mismatch the
+    ``expect_*`` calls take over and raise the error."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -111,56 +137,56 @@ class _Parser:
         self.classes: dict[int, NodeClass] = {}
         self.next_fresh = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
-    def error(self, tok: Token, message: str, expected: tuple[str, ...] = (),
+    def error(self, index: int, message: str, expected: tuple[str, ...] = (),
               cls: type[ParseError] = ParseError) -> ParseError:
-        return cls(message, *_position(self.text, tok[2]), expected)
+        """The error for token ``index``, positioned by one scan of the text."""
+        return cls(message, *_position(self.text, _offset(self.text, index)), expected)
 
     def fail(self, message: str, expected: tuple[str, ...] = (),
              cls: type[ParseError] = ParseError) -> ParseError:
-        return self.error(self.tokens[self.pos], message, expected, cls)
+        return self.error(self.pos, message, expected, cls)
 
     def expect_punct(self, ch: str) -> None:
         tok = self.tokens[self.pos]
-        if tok[1] != ch:
-            raise self.fail(f"found {tok[1] or 'end of input'!r}", (repr(ch),))
+        if tok != ch:
+            raise self.fail(f"found {tok or 'end of input'!r}", (repr(ch),))
         self.pos += 1
 
-    def expect_ident(self, what: str) -> Token:
+    def expect_ident(self, what: str) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] != "ident":
-            raise self.fail(f"found {tok[1] or 'end of input'!r}", (what,))
+        if not _is_ident(tok):
+            raise self.fail(f"found {tok or 'end of input'!r}", (what,))
         self.pos += 1
         return tok
 
-    def expect_name(self, what: str) -> Token:
+    def expect_name(self, what: str) -> str:
         tok = self.expect_ident(what)
-        if tok[1] in RESERVED:
-            raise self.error(tok, f"{tok[1]!r} is reserved and cannot name {what}")
+        if tok in RESERVED:
+            raise self.error(self.pos - 1, f"{tok!r} is reserved and cannot name {what}")
         return tok
 
     def expect_n(self) -> None:
         tok = self.expect_ident("'n'")
-        if tok[1] != "n":
-            raise self.error(tok, f"found {tok[1]!r}", ("n",))
+        if tok != "n":
+            raise self.error(self.pos - 1, f"found {tok!r}", ("n",))
 
     # ---- file structure
 
     def parse_file(self) -> CoSystem:
+        toks = self.tokens
         head = self.expect_ident("'strategy' or 'game'")
-        if head[1] not in (STRATEGY, GAME):
-            raise self.error(head, "file must start with 'strategy' or 'game'", ("strategy", "game"))
-        self.kind = head[1]
-        agents_kw = self.expect_ident("'agents'")
-        if agents_kw[1] != "agents":
-            raise self.error(agents_kw, f"found {agents_kw[1]!r}", ("agents",))
-        while self.peek()[0] == "ident" and self.peek()[1] != "root" and self.peek(1)[1] != "(":
-            tok = self.expect_name("an agent")
-            if tok[1] in self.roster:
-                raise self.error(tok, f"duplicate agent {tok[1]!r}")
-            self.roster.append(tok[1])
+        if head not in (STRATEGY, GAME):
+            raise self.error(self.pos - 1, "file must start with 'strategy' or 'game'",
+                             ("strategy", "game"))
+        self.kind = head
+        if self.expect_ident("'agents'") != "agents":
+            raise self.error(self.pos - 1, f"found {toks[self.pos - 1]!r}", ("agents",))
+        while (_is_ident(toks[self.pos]) and toks[self.pos] != "root"
+               and toks[self.pos + 1] != "("):
+            agent = self.expect_name("an agent")
+            if agent in self.roster:
+                raise self.error(self.pos - 1, f"duplicate agent {agent!r}")
+            self.roster.append(agent)
         if not self.roster:
             raise self.fail("at least one agent is required", ("agent name",))
 
@@ -169,42 +195,53 @@ class _Parser:
         if not self.eq_ids:
             raise self.fail("at least one equation is required", ("equation",))
 
-        while self.peek()[1] != "root":
+        while toks[self.pos] != "root":
             self._parse_equation()
         self.pos += 1  # root
         name = self.expect_ident("an equation name")
-        if name[1] not in self.eq_ids:
-            raise self.error(name, f"unknown equation {name[1]!r}", cls=UnknownEquationError)
-        tail = self.peek()
-        if tail[0] != "eof":
-            raise self.fail(f"trailing input {tail[1]!r}", ("end of file",))
+        if name not in self.eq_ids:
+            raise self.error(self.pos - 1, f"unknown equation {name!r}", cls=UnknownEquationError)
+        if toks[self.pos]:
+            raise self.fail(f"trailing input {toks[self.pos]!r}", ("end of file",))
 
         ordered = tuple(self.classes[i] for i in range(len(self.classes)))
-        return CoSystem(self.kind, tuple(self.roster), ordered, Ref(self.eq_ids[name[1]], 0))
+        return CoSystem(self.kind, tuple(self.roster), ordered, Ref(self.eq_ids[name], 0))
 
     def _prescan_equations(self) -> None:
         """Equation headers (ident "(n)" "=") are syntactically unambiguous,
         so names can be collected up front to allow forward references."""
         toks = self.tokens
-        for i in range(self.pos + 4, len(toks)):
-            if (toks[i][1] == "=" and toks[i - 1][1] == ")" and toks[i - 2][1] == "n"
-                    and toks[i - 3][1] == "(" and toks[i - 4][0] == "ident"):
+        i = self.pos + 3
+        while True:
+            try:
+                i = toks.index("=", i + 1)
+            except ValueError:
+                return
+            if (toks[i - 1] == ")" and toks[i - 2] == "n" and toks[i - 3] == "("
+                    and _is_ident(toks[i - 4])):
                 name = toks[i - 4]
-                if name[1] in RESERVED:
-                    raise self.error(name, f"{name[1]!r} is reserved and cannot name an equation")
-                if name[1] in self.eq_ids:
-                    raise self.error(name, f"duplicate equation {name[1]!r}")
-                self.eq_ids[name[1]] = len(self.eq_ids)
+                if name in RESERVED:
+                    raise self.error(i - 4, f"{name!r} is reserved and cannot name an equation")
+                if name in self.eq_ids:
+                    raise self.error(i - 4, f"duplicate equation {name!r}")
+                self.eq_ids[name] = len(self.eq_ids)
 
     def _parse_equation(self) -> None:
-        name = self.expect_ident("an equation header")
-        if name[1] not in self.eq_ids:
-            raise self.error(name, f"found {name[1]!r}", ("equation header", "root"))
-        self.expect_punct("(")
-        self.expect_n()
-        self.expect_punct(")")
-        self.expect_punct("=")
-        self._parse_term(self.eq_ids[name[1]])
+        toks, pos = self.tokens, self.pos
+        cid = self.eq_ids.get(toks[pos])
+        if (cid is not None and toks[pos + 1] == "(" and toks[pos + 2] == "n"
+                and toks[pos + 3] == ")" and toks[pos + 4] == "="):
+            self.pos = pos + 5
+        else:
+            name = self.expect_ident("an equation header")
+            if name not in self.eq_ids:
+                raise self.error(pos, f"found {name!r}", ("equation header", "root"))
+            self.expect_punct("(")
+            self.expect_n()
+            self.expect_punct(")")
+            self.expect_punct("=")
+            cid = self.eq_ids[name]
+        self._parse_term(cid)
 
     # ---- terms
 
@@ -215,12 +252,12 @@ class _Parser:
         open_nodes: list[_OpenNode] = []
         while True:
             tok = self.tokens[self.pos]
-            if tok[1] == "leaf":
+            if tok == "leaf":
                 self.classes[cid] = self._parse_leaf()
-            elif tok[1] == "<":
+            elif tok == "<":
                 open_nodes.append(self._parse_node_head(cid))
             else:
-                raise self.fail(f"found {tok[1] or 'end of input'!r}", ("leaf", "'<'"))
+                raise self.fail(f"found {tok or 'end of input'!r}", ("leaf", "'<'"))
             cid = self._close_nodes(open_nodes)
             if cid is None:
                 return
@@ -229,17 +266,22 @@ class _Parser:
         """Parse refs and close nodes from the top of ``open_nodes`` until
         a ref is an inline term.  Return the fresh class id allotted to
         that term, or None once every node is closed."""
+        toks = self.tokens
         while open_nodes:
             cid, owner, choice, refs = open_nodes[-1]
             if len(refs) == 2:
-                self.expect_punct(">")
+                if toks[self.pos] != ">":
+                    self.expect_punct(">")
+                self.pos += 1
                 open_nodes.pop()
                 self.classes[cid] = Node(owner, choice, refs[0], refs[1])
                 continue
             if refs:
-                self.expect_punct(",")
-            text = self.tokens[self.pos][1]
-            if text == "<" or text == "leaf":
+                if toks[self.pos] != ",":
+                    self.expect_punct(",")
+                self.pos += 1
+            tok = toks[self.pos]
+            if tok == "<" or tok == "leaf":
                 fresh = self.next_fresh
                 self.next_fresh += 1
                 refs.append(Ref(fresh, 0))
@@ -248,18 +290,26 @@ class _Parser:
         return None
 
     def _parse_leaf(self) -> Leaf:
+        toks = self.tokens
         self.pos += 1  # leaf
-        self.expect_punct("[")
+        if toks[self.pos] != "[":
+            self.expect_punct("[")
+        self.pos += 1
         payoffs: dict[str, Affine] = {}
         while True:
-            agent = self.expect_ident("an agent name")
-            if agent[1] not in self.roster:
-                raise self.error(agent, f"unknown agent {agent[1]!r}", cls=UnknownAgentError)
-            if agent[1] in payoffs:
-                raise self.error(agent, f"duplicate agent {agent[1]!r} in leaf")
-            self.expect_punct(":")
-            payoffs[agent[1]] = self._parse_affine()
-            if self.peek()[1] != ",":
+            pos = self.pos
+            agent = toks[pos]
+            if agent in self.roster and agent not in payoffs and toks[pos + 1] == ":":
+                self.pos = pos + 2
+            else:
+                self.expect_ident("an agent name")
+                if agent not in self.roster:
+                    raise self.error(pos, f"unknown agent {agent!r}", cls=UnknownAgentError)
+                if agent in payoffs:
+                    raise self.error(pos, f"duplicate agent {agent!r} in leaf")
+                self.expect_punct(":")
+            payoffs[agent] = self._parse_affine()
+            if toks[self.pos] != ",":
                 break
             self.pos += 1
         self.expect_punct("]")
@@ -267,38 +317,53 @@ class _Parser:
 
     def _parse_node_head(self, cid: int) -> _OpenNode:
         """``"<" owner ("," choice)? ","``: an open node for class ``cid``."""
-        self.pos += 1  # <
-        owner = self.expect_ident("an agent name")
-        if owner[1] not in self.roster:
-            raise self.error(owner, f"unknown agent {owner[1]!r}", cls=UnknownAgentError)
-        self.expect_punct(",")
-        tok = self.peek()
-        choice = _CHOICES.get(tok[1])
-        if choice is not None and self.peek(1)[1] == ",":
+        toks, pos = self.tokens, self.pos
+        owner = toks[pos + 1]
+        if owner in self.roster and toks[pos + 2] == ",":
+            pos += 3
+        else:
+            self.pos = pos + 1  # <
+            self.expect_ident("an agent name")
+            if owner not in self.roster:
+                raise self.error(pos + 1, f"unknown agent {owner!r}", cls=UnknownAgentError)
+            self.expect_punct(",")
+            pos = self.pos
+        tok = toks[pos]
+        choice = _CHOICES.get(tok)
+        if choice is not None and toks[pos + 1] == ",":
             if self.kind == GAME:
-                raise self.error(tok, "choice annotation in a game-kind file",
+                raise self.error(pos, "choice annotation in a game-kind file",
                                  cls=ChoiceInGameKindError)
-            self.pos += 2  # choice ,
+            pos += 2
         elif self.kind == STRATEGY:
-            raise self.fail(f"strategy node needs a choice, found {tok[1]!r}", ("l", "r"))
+            raise self.error(pos, f"strategy node needs a choice, found {tok!r}", ("l", "r"))
         else:
             choice = None
-        return cid, owner[1], choice, []
+        self.pos = pos
+        return cid, owner, choice, []
 
     def _parse_named_ref(self) -> Ref:
+        toks, pos = self.tokens, self.pos
+        cid = self.eq_ids.get(toks[pos])
+        if cid is not None and toks[pos + 1] == "(" and toks[pos + 2] == "n":
+            if toks[pos + 3] == ")":
+                self.pos = pos + 4
+                return Ref(cid, 0)
+            if toks[pos + 3] == "+" and toks[pos + 4].isdecimal() and toks[pos + 5] == ")":
+                self.pos = pos + 6
+                return Ref(cid, int(toks[pos + 4]))
         name = self.expect_ident("an equation name or inline term")
-        cid = self.eq_ids.get(name[1])
         if cid is None:
-            raise self.error(name, f"unknown equation {name[1]!r}", cls=UnknownEquationError)
+            raise self.error(pos, f"unknown equation {name!r}", cls=UnknownEquationError)
         self.expect_punct("(")
         self.expect_n()
         shift = 0
-        if self.peek()[1] == "+":
+        if toks[self.pos] == "+":
             self.pos += 1
-            k = self.peek()
-            shift = int(k[1]) if k[0] == "int" else -1
+            k = toks[self.pos]
+            shift = int(k) if _is_int(k) else -1
             if shift < 0:
-                raise self.fail(f"found {k[1]!r}", ("a natural offset",))
+                raise self.fail(f"found {k!r}", ("a natural offset",))
             self.pos += 1
         self.expect_punct(")")
         return Ref(cid, shift)
@@ -306,37 +371,41 @@ class _Parser:
     # ---- affine payoffs
 
     def _parse_affine(self) -> Affine:
-        tok = self.peek()
+        """``"-"? (int | int "*n" tail? | "n" tail?)``, where a tail is
+        ``"+" int``, ``"-" int`` or an integer glued to its minus sign."""
+        toks, pos = self.tokens, self.pos
+        tok = toks[pos]
         sign = 1
-        if tok[1] == "-":
-            self.pos += 1
-            tok, sign = self.peek(), -1
-        if tok[1] == "n":
-            self.pos += 1
-            return Affine(sign, self._parse_tail())
-        if tok[0] == "int":
-            self.pos += 1
-            value = sign * int(tok[1])
-            if self.peek()[1] == "*":
-                self.pos += 1
+        if tok == "-":
+            pos += 1
+            tok, sign = toks[pos], -1
+        if tok == "n":
+            slope = sign
+        elif _is_int(tok):
+            if toks[pos + 1] != "*":
+                self.pos = pos + 1
+                return Affine(0, sign * int(tok))
+            slope = sign * int(tok)
+            pos += 2
+            if toks[pos] != "n":
+                self.pos = pos
                 self.expect_n()
-                return Affine(value, self._parse_tail())
-            return Affine(0, value)
-        raise self.fail(f"found {tok[1] or 'end of input'!r}", ("an integer", "n", "'-'"))
-
-    def _parse_tail(self) -> int:
-        tok = self.peek()
-        if tok[1] == "+" or tok[1] == "-":
-            self.pos += 1
-            val = self.peek()
-            if val[0] != "int":
-                raise self.fail(f"found {val[1]!r}", ("an integer",))
-            self.pos += 1
-            return int(val[1]) if tok[1] == "+" else -int(val[1])
-        if tok[0] == "int" and int(tok[1]) < 0:  # a glued "-k"; "-0" is left unread
-            self.pos += 1
-            return int(tok[1])
-        return 0
+        else:
+            self.pos = pos
+            raise self.fail(f"found {tok or 'end of input'!r}", ("an integer", "n", "'-'"))
+        tail = toks[pos + 1]  # pos is at the "n"
+        if tail == "+" or tail == "-":
+            val = toks[pos + 2]
+            if not _is_int(val):
+                self.pos = pos + 2
+                raise self.fail(f"found {val!r}", ("an integer",))
+            self.pos = pos + 3
+            return Affine(slope, int(val) if tail == "+" else -int(val))
+        if tail[:1] == "-" and int(tail) < 0:  # a glued "-k"; "-0" is left unread
+            self.pos = pos + 2
+            return Affine(slope, int(tail))
+        self.pos = pos + 1
+        return Affine(slope, 0)
 
 
 def parse(text: str) -> CoSystem:
