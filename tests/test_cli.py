@@ -120,11 +120,18 @@ class TestBisim:
                                               ("dollar_auction", "centipede", 1)])
     def test_each_input_is_checked_for_parameters_at_most_once(self, capsys, monkeypatch,
                                                                 a, b, passes):
-        from cogames import system
+        from cogames import cli, system
 
         seen = []
         original = system.is_parametric
-        monkeypatch.setattr(system, "is_parametric", lambda s: seen.append(s) or original(s))
+
+        def counted(sys_):
+            seen.append(sys_)
+            return original(sys_)
+
+        # counted wherever it is called from, the command line included
+        monkeypatch.setattr(system, "is_parametric", counted)
+        monkeypatch.setattr(cli, "is_parametric", counted, raising=False)
         run_json(capsys, "bisim", str(GAMES / f"{a}.cog"), str(GAMES / f"{b}.cog"))
         assert len(seen) == passes
 
