@@ -8,11 +8,17 @@ against ``schemas/report-v1.json``, printed as one line of compact JSON
 parse, or validation error.  Reports are deterministic for identical
 inputs apart from the ``timing_ms`` field.  A reader that closes the
 pipe early gets no traceback; the exit code is still the checks'.
+
+``main`` may be called many times in one process (batch drivers, the
+benchmark's loop, the tests).  The argument parser is built on the first
+call and then shared by every later one, so callers must not mutate the
+parser that ``build_parser`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -86,11 +92,11 @@ def _cmd_eval(args) -> tuple[list[dict], list[dict]]:
         raise InputError(f"{args.file}: eval needs a strategy file")
     if args.agent not in system.roster:
         raise InputError(f"{args.file}: agent {args.agent!r} not in roster {list(system.roster)}")
-    utility = s2u(system, args.agent)
-    if utility is None:
-        verdict = Verdict(False, leads_to_leaf(system).certificate,
-                          f"no utility: strategy does not lead to a leaf")
+    walk = leads_to_leaf(system)
+    if not walk.holds:
+        verdict = Verdict(False, walk.certificate, "no utility: strategy does not lead to a leaf")
         return [_check("eval", verdict)], [meta]
+    utility = s2u(system, args.agent, walk)
     value = utility.at(args.n)
     verdict = Verdict(True, {"affine": utility.to_json(), "n": args.n}, f"utility {value}")
     item = _check("eval", verdict)
@@ -213,7 +219,15 @@ def natural(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cogames`` argument parser, built on first use and then shared.
+
+    ``main`` may run many times in one process, and every call parses
+    with this one parser: ``parse_args`` returns a fresh ``Namespace``
+    each time and no argument keeps state between calls.  Callers must
+    not mutate the returned parser (add arguments, change defaults).
+    """
     parser = argparse.ArgumentParser(
         prog="cogames",
         description="check equilibrium and history properties of finitely presented "

@@ -281,18 +281,36 @@ def _pumps(f: Affine, reach: int, loop: int, above: int) -> int:
 
 
 def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
-                       leaf_cls: int, leaf_index: int, value: int) -> Verdict:
-    path = [_step(s, c, w, label, agent) for c, w, label in steps]
-    overrides = [p for p in path if p["overridden"]]
-    cert = {
+                       leaf_cls: int, leaf_index: int, value: int,
+                       pumped: tuple[list[Step], int, list[Step]] | None = None) -> Verdict:
+    """A Nash failure.  The deviation walks ``steps`` from the root, then,
+    when ``pumped`` is ``(cycle, repeat, tail)``, ``repeat`` >= 1 rounds of
+    ``cycle`` (written with its first-round indices) and then ``tail``
+    (written with its indices after those rounds), so the witness stays
+    the size of the class graph however many rounds the gap needs."""
+    cert: dict[str, Any] = {
         "agent": agent,
         "on_path_value": base,
         "deviation_value": value,
         "leaf_class": leaf_cls,
         "leaf_index": leaf_index,
-        "path": path,
-        "overrides": overrides,
+        "path": [_step(s, c, w, label, agent) for c, w, label in steps],
     }
+    written = cert["path"]
+    if pumped is not None:
+        cycle, repeat, tail = pumped
+        cert["cycle"] = [_step(s, c, w, label, agent) for c, w, label in cycle]
+        cert["repeat"] = repeat
+        cert["tail"] = [_step(s, c, w, label, agent) for c, w, label in tail]
+        written = written + cert["cycle"] + cert["tail"]
+    # one step may be written in more than one part of a lasso
+    overrides, seen = [], set()
+    for p in written:
+        key = (p["class"], p["index"], p["choice"])
+        if p["overridden"] and key not in seen:
+            seen.add(key)
+            overrides.append(p)
+    cert["overrides"] = overrides
     return Verdict(False, cert, f"{agent} improves {base} -> {value} by overriding "
                                 f"{len(overrides)} choice(s)")
 
@@ -310,7 +328,8 @@ def nash_eq(s: CoSystem) -> Verdict:
     affine payoff peaks at the leaf's greatest index when its slope is
     positive (without bound past a positive cycle) and at its least index
     otherwise.  A strict improvement yields a concrete finite deviation
-    path as the counterexample, and the holds-certificate reports the
+    path as the counterexample (a lasso, when a positive cycle has to be
+    pumped past the on-path value), and the holds-certificate reports the
     per-agent optima.
     """
     if s.kind != STRATEGY:
@@ -339,10 +358,13 @@ def nash_eq(s: CoSystem) -> Verdict:
                 # pump the cycle just past the on-path value
                 head, cycle, loop, tail, reach = _lasso(s, adj, info, cls_id)
                 k = _pumps(payoff, reach, loop, base)
-                steps = (head + [(c, w + i * loop, label) for i in range(k) for c, w, label in cycle]
-                         + [(c, w + k * loop, label) for c, w, label in tail])
+                if k == 0:
+                    return _deviation_verdict(s, agent, base, head + tail, cls_id, reach,
+                                              payoff.at(reach))
+                tail = [(c, w + k * loop, label) for c, w, label in tail]
                 index = reach + k * loop
-                return _deviation_verdict(s, agent, base, steps, cls_id, index, payoff.at(index))
+                return _deviation_verdict(s, agent, base, head, cls_id, index, payoff.at(index),
+                                          (cycle, k, tail))
             at_index = rs.maximum if payoff.slope > 0 else rs.minimum
             value = payoff.at(at_index)
             leaves_report.append({"leaf_class": cls_id, "reach": rs.to_json(),

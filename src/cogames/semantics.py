@@ -133,18 +133,20 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     return Verdict(True, {"classes": rows}, "every reachable class leads to a leaf")
 
 
-def s2u(s: CoSystem, agent: str) -> Affine | None:
+def s2u(s: CoSystem, agent: str, walk: Verdict | None = None) -> Affine | None:
     """The agent's utility under the strategy, as an affine function of
     the root index, or None when the strategy does not lead to a leaf.
 
     The defining relation is functional exactly on the leads-to-leaf
     domain (the chosen path is unique), which is why this is a partial
     function rather than a relation.  The concrete on-path value is the
-    evaluation at n = 0, the root baseline.
+    evaluation at n = 0, the root baseline.  ``walk`` is
+    ``leads_to_leaf(s)`` when the caller already has it.
     """
     if agent not in s.roster:
         raise ValueError(f"agent {agent!r} not in roster {s.roster}")
-    walk = leads_to_leaf(s)
+    if walk is None:
+        walk = leads_to_leaf(s)
     if not walk.holds:
         return None
     last = walk.certificate["path"][-1]

@@ -78,21 +78,45 @@ def doubling_chain(length: int, choice: Choice) -> CoSystem:
 def replay_deviation(s: CoSystem, cert: dict) -> None:
     """Check a Nash failure witness against the system with ``unfold``
     only: the on-path value, then the deviation path, which may override
-    choices at the deviating agent's nodes only."""
+    choices at the deviating agent's nodes only.  A lasso witness is
+    expanded here: ``repeat`` rounds of ``cycle``, whose indices hold for
+    the first round and grow by the same amount each round, then
+    ``tail``.  Every listed override is a step the deviation takes."""
     agent = cert["agent"]
     assert play_value(s, s.root, agent) == cert["on_path_value"]
-    at = s.root
-    for step in cert["path"]:
+    at, taken = s.root, set()
+
+    def follow(step: dict, shift: int = 0) -> None:
+        nonlocal at
         head = unfold(s, at)
         assert isinstance(head, Node)
-        assert (step["class"], step["index"]) == (at.cls, at.shift)
+        assert (step["class"], step["index"] + shift) == (at.cls, at.shift)
         choice = Choice(step["choice"])
         assert choice is head.choice or head.owner == agent
+        if choice is not head.choice:
+            taken.add((at.cls, at.shift, choice.value))
         at = head.child(choice)
+
+    for step in cert["path"]:
+        follow(step)
+    if "cycle" in cert:
+        cycle = cert["cycle"]
+        loop = 0
+        for round_ in range(cert["repeat"]):
+            for step in cycle:
+                follow(step, round_ * loop)
+            if round_ == 0:
+                loop = at.shift - cycle[0]["index"]
+                assert at.cls == cycle[0]["class"] and loop > 0
+        for step in cert["tail"]:
+            follow(step)
     head = unfold(s, at)
     assert isinstance(head, Leaf)
     assert (cert["leaf_class"], cert["leaf_index"]) == (at.cls, at.shift)
     assert head.payoffs[agent].at(0) == cert["deviation_value"] > cert["on_path_value"]
+    overrides = [(o["class"], o["index"], o["choice"]) for o in cert["overrides"]]
+    assert all(o["overridden"] for o in cert["overrides"])
+    assert len(set(overrides)) == len(overrides) and set(overrides) <= taken
 
 
 def flip_class_choice(s: CoSystem, cls_id: int) -> CoSystem:
@@ -421,7 +445,9 @@ class TestNashEq:
         v = nash_eq(s)
         assert not v.holds
         assert v.certificate["deviation_value"] > 0
-        assert any(p["overridden"] for p in v.certificate["path"])
+        assert [p["class"] for p in v.certificate["cycle"]] == [0]
+        assert v.certificate["repeat"] == 1 and v.certificate["overrides"]
+        replay_deviation(s, v.certificate)
 
     def test_unbounded_leaf_past_a_cycle_is_reached_at_its_minimum(self):
         # the better leaf lies past a positive-offset cycle and its payoff
