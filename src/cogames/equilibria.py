@@ -306,9 +306,8 @@ def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
     # one step may be written in more than one part of a lasso
     overrides, seen = [], set()
     for p in written:
-        key = (p["class"], p["index"], p["choice"])
-        if p["overridden"] and key not in seen:
-            seen.add(key)
+        if p["overridden"] and (p["class"], p["index"]) not in seen:
+            seen.add((p["class"], p["index"]))
             overrides.append(p)
     cert["overrides"] = overrides
     return Verdict(False, cert, f"{agent} improves {base} -> {value} by overriding "

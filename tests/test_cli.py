@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cogames.cli import main
+from cogames.cli import build_parser, main
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SCHEMA = json.loads(
@@ -367,3 +370,69 @@ class TestErrorsAndStability:
             return report
 
         assert snap() == snap()
+
+
+# argv covering every subcommand: one valid line and one usage error each,
+# plus the top level's own errors and help
+PARSER_ARGVS = [
+    ["--json", "check", "f.cog", "--ltl", "--nash"], ["check", "--ltl"],
+    ["eval", "f.cog", "--agent", "A", "--n", "3"], ["eval", "f.cog"],
+    ["bisim", "a.cog", "b.cog", "--depth", "4"], ["bisim", "a.cog", "b.cog", "--depth", "-1"],
+    ["convert", "a.cog", "b.cog", "--agent", "A"], ["convert", "a.cog", "b.cog"],
+    ["history", "f.cog", "--check", "l(r)^w"], ["history", "f.cog", "g.cog"],
+    ["truncate", "f.cog", "--depth", "3", "--solve", "--tiebreak", "prefer_right"],
+    ["truncate", "f.cog", "--solve"],
+    ["demo", "centipede"], ["demo", "chess"],
+    [], ["--json"], ["frobnicate"], ["--help"], ["check", "--help"],
+]
+
+
+def parse_with(parser: argparse.ArgumentParser, argv: list[str]):
+    """The namespace, or the exit code with the text printed on each stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_answers_as_a_fresh_one(self):
+        for argv in PARSER_ARGVS * 2:  # the shared parser has parsed every line before
+            assert parse_with(build_parser(), argv) == parse_with(build_parser.__wrapped__(), argv)
+
+    def test_errors_and_help_leave_later_calls_unchanged(self, capsys):
+        argv = ["--json", "check", str(GAMES / "dollar_auction_ngu.cog"), "--ltl", "--nash"]
+        build_parser.cache_clear()
+        _, first = run_json(capsys, *argv)
+        assert main(["check", "--ltl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: cogames check")
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cogames")
+        _, again = run_json(capsys, *argv)
+        del first["timing_ms"], again["timing_ms"]
+        assert again == first
+
+    def test_many_calls_build_the_parser_once(self, capsys, monkeypatch):
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.__wrapped__()
+        one_build = len(builds)
+        builds.clear()
+        build_parser.cache_clear()
+        for i in range(20):
+            argv = ["eval", str(GAMES / "paper_s0.cog"), "--agent", "Alice"]
+            main(argv if i % 2 else argv[:-2])
+        capsys.readouterr()
+        assert builds.count("cogames") == 1 and len(builds) == one_build

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from collections import deque
 
 import pytest
@@ -26,6 +28,7 @@ from cogames import (
 )
 from cogames.equilibria import Convertibility, NotApplicableError
 from cogames import dsl, oracle
+from cogames.cli import main
 from cogames.families import centipede_strategy, dollar_auction_strategy
 
 import helpers
@@ -448,6 +451,29 @@ class TestNashEq:
         assert [p["class"] for p in v.certificate["cycle"]] == [0]
         assert v.certificate["repeat"] == 1 and v.certificate["overrides"]
         replay_deviation(s, v.certificate)
+
+    def test_pumped_witness_keeps_its_size_as_the_gap_grows(self, capsys, tmp_path):
+        # stopping at once pays the gap; the deviation must go round the
+        # cycle gap + 1 times before its leaf pays more
+        source = ("strategy agents A\n"
+                  "c0(n) = <A, r, c1(n), stop(n)>\n"
+                  "c1(n) = <A, r, c1(n+1), win(n)>\n"
+                  "stop(n) = leaf[A: {gap}]\n"
+                  "win(n) = leaf[A: n]\n"
+                  "root c0\n")
+        shapes = set()
+        for gap in (10 ** 3, 10 ** 5, 10 ** 6):
+            path = tmp_path / f"gap{gap}.cog"
+            path.write_text(source.format(gap=gap))
+            assert main(["--json", "check", str(path), "--nash"]) == 1
+            out = capsys.readouterr().out
+            assert len(out) < 4096
+            cert = json.loads(out)["checks"][0]["certificate"]
+            assert (cert["repeat"], cert["leaf_index"]) == (gap + 1, gap + 1)
+            if gap < 10 ** 6:  # unfolding a million rounds one by one takes seconds
+                replay_deviation(dsl.parse(source.format(gap=gap)), cert)
+            shapes.add(re.sub(r"\d+", "0", json.dumps(cert)))
+        assert len(shapes) == 1  # equal apart from the digits of the numbers
 
     def test_unbounded_leaf_past_a_cycle_is_reached_at_its_minimum(self):
         # the better leaf lies past a positive-offset cycle and its payoff
