@@ -39,6 +39,9 @@ from .verdict import Verdict
 
 DEFAULT_BISIM_DEPTH = 24
 
+# the strategy checks that `check` and `demo` run, by flag name
+CHECKS = {"ltl": leads_to_leaf, "altl": alw_leads_to_leaf, "nash": nash_eq, "sgpe": sgpe}
+
 
 class InputError(Exception):
     """Bad input file or arguments: reported on stderr, exit code 2."""
@@ -76,14 +79,12 @@ def _info(name: str, note: str, value: Any = None) -> dict[str, Any]:
 
 def _cmd_check(args) -> tuple[list[dict], list[dict]]:
     system, meta = _load(args.file)
-    wanted = [name for name, on in (("ltl", args.ltl), ("altl", args.altl),
-                                    ("nash", args.nash), ("sgpe", args.sgpe)) if on]
+    wanted = [name for name in CHECKS if getattr(args, name)]
     if not wanted:
         raise InputError("nothing to check: pass at least one of --ltl --altl --nash --sgpe")
     if system.kind != STRATEGY:
         raise InputError(f"{args.file}: these checks need a strategy file, got kind {system.kind!r}")
-    runner = {"ltl": leads_to_leaf, "altl": alw_leads_to_leaf, "nash": nash_eq, "sgpe": sgpe}
-    return [_check(name, runner[name](system)) for name in wanted], [meta]
+    return [_check(name, CHECKS[name](system)) for name in wanted], [meta]
 
 
 def _cmd_eval(args) -> tuple[list[dict], list[dict]]:
@@ -191,12 +192,11 @@ _DEMO_EXPECTED = {"agu": {"ltl": True, "altl": True, "nash": True, "sgpe": True}
 def _cmd_demo(args) -> tuple[list[dict], list[dict]]:
     build = {"dollar": families.dollar_auction_strategy,
              "centipede": families.centipede_strategy}[args.family]
-    runner = {"ltl": leads_to_leaf, "altl": alw_leads_to_leaf, "nash": nash_eq, "sgpe": sgpe}
     checks = []
     for kind in (families.AGU, families.NGU):
         strategy = build(kind)
-        for name in ("ltl", "altl", "nash", "sgpe"):
-            verdict = runner[name](strategy)
+        for name, run in CHECKS.items():
+            verdict = run(strategy)
             expected = _DEMO_EXPECTED[kind][name]
             agreed = verdict.holds is expected
             note = f"expected {'holds' if expected else 'fails'}, computed {verdict.outcome}"

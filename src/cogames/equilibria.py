@@ -83,18 +83,15 @@ Adjacency = dict[int, list[tuple[Choice, Ref]]]
 Step = tuple[int, int, Choice]  # class left, its index there, choice taken
 
 
-def _adjacency(s: CoSystem, mode: str, agent: str | None = None) -> Adjacency:
-    """Edge projection of the class graph.
-
-    ``tree``: both children everywhere; ``play``: the committed child
-    only; ``deviate``: both children at classes owned by ``agent``, the
-    committed child elsewhere.
-    """
+def _adjacency(s: CoSystem, agent: str | None = None) -> Adjacency:
+    """Edge projection of the class graph: both children at the classes
+    ``agent`` owns, the committed child elsewhere (``agent``'s deviation
+    graph); both children everywhere when ``agent`` is None (the tree)."""
     adj: Adjacency = {}
     for i, cls in enumerate(s.classes):
         if isinstance(cls, Leaf):
             adj[i] = []
-        elif mode == "tree" or (mode == "deviate" and cls.owner == agent):
+        elif agent is None or cls.owner == agent:
             adj[i] = [(Choice.L, cls.left), (Choice.R, cls.right)]
         else:
             assert cls.choice is not None
@@ -105,30 +102,45 @@ def _adjacency(s: CoSystem, mode: str, agent: str | None = None) -> Adjacency:
 @dataclass
 class _ReachInfo:
     sets: dict[int, ReachSet]
-    positive_members: set[int]  # classes inside a positive-weight SCC
+    # each unbounded class -> the positive-SCC member its lasso pumps
+    entry: dict[int, int]
     scc_of: dict[int, list[int]]
     # the step into each class on a path to its least / greatest index
     min_parent: dict[int, Step | None]
     max_parent: dict[int, Step | None]
 
 
-def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
-    root = s.root
-    # least indices (Dijkstra; all offsets are >= 0), keyed by the classes
-    # reachable under this projection
-    dist = {root.cls: root.shift}
-    min_parent: dict[int, Step | None] = {root.cls: None}
-    heap = [(root.shift, root.cls)]
+def _shortest(adj: Adjacency, source: Ref, target: int | None = None,
+              within: set[int] | None = None) -> tuple[dict[int, int], dict[int, Step | None]]:
+    """Least indices from ``source`` (Dijkstra; all offsets are >= 0) and
+    the step into each class on a path to its least index, keyed by the
+    classes reached.  The search stops once ``target`` is settled;
+    ``within`` restricts the classes it passes through on the way to
+    ``target`` (used to stay inside an SCC)."""
+    dist = {source.cls: source.shift}
+    parent: dict[int, Step | None] = {source.cls: None}
+    heap = [(source.shift, source.cls)]
     while heap:
         d, c = heapq.heappop(heap)
         if d > dist[c]:
             continue
+        if c == target:
+            break
         for label, ref in adj[c]:
+            if within is not None and ref.cls not in within and ref.cls != target:
+                continue
             nd = d + ref.shift
             if nd < dist.get(ref.cls, nd + 1):
                 dist[ref.cls] = nd
-                min_parent[ref.cls] = (c, d, label)
+                parent[ref.cls] = (c, d, label)
                 heapq.heappush(heap, (nd, ref.cls))
+    return dist, parent
+
+
+def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
+    root = s.root
+    # least indices, keyed by the classes reachable under this projection
+    dist, min_parent = _shortest(adj, root)
 
     # an SCC has a positive-weight cycle iff one of its internal edges has
     # positive weight (offsets are nonnegative, so the closing path adds
@@ -140,14 +152,22 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
             if scc_of[c] is scc_of[ref.cls] and ref.shift > 0:
                 positive.update(scc_of[c])
 
-    # unbounded = reachable from a positive cycle
-    unbounded = set(positive)
-    queue = deque(positive)
-    while queue:
-        for _, ref in adj[queue.popleft()]:
-            if ref.cls not in unbounded:
-                unbounded.add(ref.cls)
-                queue.append(ref.cls)
+    # unbounded = reachable from a positive cycle.  The search starts from
+    # each positive member in (least index, id) order, and each start
+    # claims the classes no earlier start reached.  A class is therefore
+    # claimed by the nearest-to-root positive member that feeds it: an
+    # earlier start that fed it would have claimed it, and a later one
+    # sorts after the claimant.  Its lasso pumps that member's cycle.
+    entry: dict[int, int] = {}
+    for m in sorted(positive, key=lambda m: (dist[m], m)):
+        if m not in entry:
+            entry[m] = m
+            queue = deque([m])
+            while queue:
+                for _, ref in adj[queue.popleft()]:
+                    if ref.cls not in entry:
+                        entry[ref.cls] = m
+                        queue.append(ref.cls)
 
     # greatest indices of the bounded classes, by a label-correcting FIFO
     # pass for longest paths (Bellman-Ford).  Every path to a bounded class
@@ -156,7 +176,7 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
     # |classes| rounds, and the parent steps form a tree.
     most: dict[int, int] = {}
     max_parent: dict[int, Step | None] = {}
-    if root.cls not in unbounded:
+    if root.cls not in entry:
         most[root.cls], max_parent[root.cls] = root.shift, None
         queue, waiting = deque([root.cls]), {root.cls}
         while queue:
@@ -164,7 +184,7 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
             waiting.discard(c)
             for label, ref in adj[c]:
                 w = most[c] + ref.shift
-                if ref.cls not in unbounded and w > most.get(ref.cls, w - 1):
+                if ref.cls not in entry and w > most.get(ref.cls, w - 1):
                     most[ref.cls] = w
                     max_parent[ref.cls] = (c, most[c], label)
                     if ref.cls not in waiting:
@@ -172,13 +192,13 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
                         queue.append(ref.cls)
 
     sets = {c: ReachSet(d, most.get(c)) for c, d in dist.items()}
-    return _ReachInfo(sets, positive, scc_of, min_parent, max_parent)
+    return _ReachInfo(sets, entry, scc_of, min_parent, max_parent)
 
 
-def reach_index_sets(s: CoSystem, mode: str = "tree", agent: str | None = None) -> dict[int, ReachSet]:
-    """Per-class least and greatest reachable index under the chosen edge
-    projection."""
-    return _analyze(s, _adjacency(s, mode, agent)).sets
+def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSet]:
+    """Per-class least and greatest reachable index over the whole tree,
+    or over ``agent``'s deviation graph when ``agent`` is given."""
+    return _analyze(s, _adjacency(s, agent)).sets
 
 
 # ---------------------------------------------------------------------------
@@ -207,71 +227,31 @@ def _steps_to(parent: dict[int, Step | None], target: int) -> list[Step]:
     return steps
 
 
-def _shortest_steps(s: CoSystem, adj: Adjacency, source: Ref, target: int,
-                    within: set[int] | None = None) -> tuple[list[Step], int]:
-    """Min-weight path ``source -> target`` as steps plus the target's
-    arrival index.  ``within`` restricts intermediate classes (used to
-    stay inside an SCC)."""
-    dist = {source.cls: source.shift}
-    parent: dict[int, Step | None] = {source.cls: None}
-    heap = [(source.shift, source.cls)]
-    while heap:
-        d, c = heapq.heappop(heap)
-        if d > dist[c]:
-            continue
-        if c == target:
-            break
-        for label, ref in adj[c]:
-            if within is not None and ref.cls not in within and ref.cls != target:
-                continue
-            nd = d + ref.shift
-            if nd < dist.get(ref.cls, nd + 1):
-                dist[ref.cls] = nd
-                parent[ref.cls] = (c, d, label)
-                heapq.heappush(heap, (nd, ref.cls))
-    return _steps_to(parent, target), dist[target]
-
-
-def _cycle_steps(s: CoSystem, adj: Adjacency, members: set[int], at: Ref) -> tuple[list[Step], int]:
+def _cycle_steps(adj: Adjacency, members: set[int], at: Ref) -> tuple[list[Step], int]:
     """A positive-weight cycle from ``at`` back to its class inside one
     SCC, as steps plus the cycle's total weight."""
     for c in sorted(members):
         for label, ref in adj[c]:
             if ref.cls in members and ref.shift > 0:
-                to_edge, w1 = _shortest_steps(s, adj, at, c, within=members)
-                back, w2 = _shortest_steps(s, adj, Ref(ref.cls, w1 + ref.shift), at.cls, within=members)
-                return to_edge + [(c, w1, label)] + back, w2 - at.shift
+                dist, parent = _shortest(adj, at, c, members)
+                back_dist, back = _shortest(adj, Ref(ref.cls, dist[c] + ref.shift), at.cls, members)
+                return (_steps_to(parent, c) + [(c, dist[c], label)] + _steps_to(back, at.cls),
+                        back_dist[at.cls] - at.shift)
     raise AssertionError("no positive edge inside a positive SCC")
 
 
-def _pump_entry(adj: Adjacency, info: _ReachInfo, target: int) -> int:
-    """A positive-SCC member from which ``target`` is reachable, preferring
-    the one closest to the root."""
-    preds: dict[int, list[int]] = {}
-    for c in info.sets:
-        for _, ref in adj[c]:
-            preds.setdefault(ref.cls, []).append(c)
-    feeding = {target}
-    queue = deque(feeding)
-    while queue:
-        for c in preds.get(queue.popleft(), ()):
-            if c not in feeding:
-                feeding.add(c)
-                queue.append(c)
-    return min((info.sets[m].minimum, m) for m in info.positive_members & feeding)[1]
-
-
-def _lasso(s: CoSystem, adj: Adjacency, info: _ReachInfo,
+def _lasso(adj: Adjacency, info: _ReachInfo,
            target: int) -> tuple[list[Step], list[Step], int, list[Step], int]:
     """A lasso along which ``target`` occurs at ``reach + k*loop`` for
-    every k >= 0: the least-index steps to a positive-SCC member that
-    feeds ``target``, a positive cycle there (weight ``loop``) and
-    min-weight steps on to ``target``, which arrive at index ``reach``."""
-    entry = _pump_entry(adj, info, target)
+    every k >= 0: the least-index steps to the positive-SCC member that
+    ``_analyze`` chose as ``target``'s entry, a positive cycle there
+    (weight ``loop``) and min-weight steps on to ``target``, which arrive
+    at index ``reach``."""
+    entry = info.entry[target]
     at = Ref(entry, info.sets[entry].minimum)
-    cycle, loop = _cycle_steps(s, adj, set(info.scc_of[entry]), at)
-    tail, reach = _shortest_steps(s, adj, at, target)
-    return _steps_to(info.min_parent, entry), cycle, loop, tail, reach
+    cycle, loop = _cycle_steps(adj, set(info.scc_of[entry]), at)
+    dist, parent = _shortest(adj, at, target)
+    return _steps_to(info.min_parent, entry), cycle, loop, _steps_to(parent, target), dist[target]
 
 
 def _pumps(f: Affine, reach: int, loop: int, above: int) -> int:
@@ -342,7 +322,7 @@ def nash_eq(s: CoSystem) -> Verdict:
     agents_report = []
     for agent in s.roster:
         base = s.classes[last["class"]].payoffs[agent].at(last["shift"])
-        adj = _adjacency(s, "deviate", agent)
+        adj = _adjacency(s, agent)
         info = _analyze(s, adj)
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
@@ -355,7 +335,7 @@ def nash_eq(s: CoSystem) -> Verdict:
             if payoff.slope > 0 and rs.maximum is None:
                 # payoff grows without bound along a positive cycle:
                 # pump the cycle just past the on-path value
-                head, cycle, loop, tail, reach = _lasso(s, adj, info, cls_id)
+                head, cycle, loop, tail, reach = _lasso(adj, info, cls_id)
                 k = _pumps(payoff, reach, loop, base)
                 if k == 0:
                     return _deviation_verdict(s, agent, base, head + tail, cls_id, reach,
@@ -409,7 +389,7 @@ def sgpe(s: CoSystem) -> Verdict:
         return Verdict(False, {"alw_leads_to_leaf": altl.certificate},
                        "not always leading to a leaf: " + altl.note)
 
-    adj = _adjacency(s, "tree")
+    adj = _adjacency(s)
     info = _analyze(s, adj)
     plays = play_table(s)  # no None entries, by alw_leads_to_leaf
 
@@ -434,7 +414,7 @@ def sgpe(s: CoSystem) -> Verdict:
         elif rs.maximum is not None:
             bad = rs.maximum if margin.at(rs.maximum) < 0 else None
         elif margin.slope < 0:
-            _, _, loop, _, reach = _lasso(s, adj, info, cls_id)
+            _, _, loop, _, reach = _lasso(adj, info, cls_id)
             bad = reach + loop * _pumps(Affine(0, 0) - margin, reach, loop, 0)
 
         if bad is not None:

@@ -543,65 +543,55 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
     Works for parametric systems: leaf payoffs are compared as evaluated
     integers at the accumulated index (root instantiated at n = 0).
     Sound approximation of bisimilarity: exact bisimilarity implies this
-    at every depth.  The search is depth-first with an explicit stack,
-    left before right, so the reported path is the first failing one in
-    that order, and any depth runs without recursion.
+    at every depth.
+
+    The search is a preorder walk over keys (class and shift on each
+    side, depth left) with one explicit stack, left before right, so the
+    reported path is the first failing one in that order, and any depth
+    runs without recursion.  ``came`` maps each key met to its (label,
+    key above), or None at the root.  A key met again is skipped: the
+    depth left falls along every path, so a key is never below itself,
+    and the stack has finished its first visit's subtree, without a
+    failure, before it returns to anything pushed outside it.  The
+    witness path is read back through ``came``, so memory stays linear
+    in the keys met at any depth.
     """
     _check_comparable(a, b)
-    Key = tuple[int, int, int, int, int]  # class and shift on each side, remaining depth
-    # memo value: None when the subcomparison agrees, else the reason at a
-    # differing head, or the (label, key) of the failing child comparison
-    memo: dict[Key, str | tuple[str, Key] | None] = {}
-    work: list[tuple[Key, list[tuple[str, Key]]]] = []  # key, child comparisons left (last first)
-
-    def enter(key: Key) -> None:
+    Key = tuple[int, int, int, int, int]
+    stack: list[tuple[Key, tuple[str, Key] | None]] = [
+        ((a.root.cls, a.root.shift, b.root.cls, b.root.shift, depth), None)]
+    came: dict[Key, tuple[str, Key] | None] = {}
+    reason: str | None = None
+    while stack and reason is None:
+        key, link = stack.pop()
+        if key in came:
+            continue
+        came[key] = link
         ca, sa, cb, sb, d = key
         ha, hb = unfold(a, Ref(ca, sa)), unfold(b, Ref(cb, sb))
         if isinstance(ha, Leaf) != isinstance(hb, Leaf):
-            memo[key] = "head kind differs"
+            reason = "head kind differs"
         elif isinstance(ha, Leaf):
             assert isinstance(hb, Leaf)
             va = {ag: f.at(0) for ag, f in ha.payoffs.items()}
             vb = {ag: f.at(0) for ag, f in hb.payoffs.items()}
-            memo[key] = None if va == vb else "leaf payoffs differ"
+            reason = None if va == vb else "leaf payoffs differ"
         else:
             assert isinstance(hb, Node)
             if ha.owner != hb.owner:
-                memo[key] = "owner differs"
+                reason = "owner differs"
             elif ha.choice is not hb.choice:
-                memo[key] = "choice differs"
-            elif d == 0:
-                memo[key] = None
-            else:
-                work.append((key, [(label, (na.cls, na.shift, nb.cls, nb.shift, d - 1))
-                                   for label, na, nb in (("r", ha.right, hb.right),
-                                                         ("l", ha.left, hb.left))]))
-
-    root = (a.root.cls, a.root.shift, b.root.cls, b.root.shift, depth)
-    enter(root)
-    while work:
-        key, todo = work[-1]
-        if not todo:
-            memo[key] = None
-            work.pop()
-            continue
-        label, child = todo[-1]
-        if child not in memo:
-            enter(child)
-        elif memo[child] is None:
-            todo.pop()
-        else:
-            memo[key] = (label, child)
-            work.pop()
-
-    path: list[str] = []
-    failure = memo[root]
-    while isinstance(failure, tuple):
-        path.append(failure[0])
-        failure = memo[failure[1]]
-    if failure is None:
+                reason = "choice differs"
+            elif d > 0:
+                stack += [((na.cls, na.shift, nb.cls, nb.shift, d - 1), (label, key))
+                          for label, na, nb in (("r", ha.right, hb.right), ("l", ha.left, hb.left))]
+    if reason is None:
         return Verdict(True, {"depth": depth}, f"observations agree to depth {depth}")
-    return Verdict(False, {"path": path, "reason": failure, "depth": depth}, f"distinguished: {failure}")
+    path: list[str] = []
+    while link is not None:
+        path.append(link[0])
+        link = came[link[1]]
+    return Verdict(False, {"path": path[::-1], "reason": reason, "depth": depth}, f"distinguished: {reason}")
 
 
 def strategy_to_game(s: CoSystem) -> CoSystem:

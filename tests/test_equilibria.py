@@ -122,6 +122,28 @@ def replay_deviation(s: CoSystem, cert: dict) -> None:
     assert len(set(overrides)) == len(overrides) and set(overrides) <= taken
 
 
+# two positive cycles, c1's and c2's, both feed one class past them
+TWO_CYCLES_NASH = """strategy agents A
+c0(n) = <A, r, c1(n), stop(n)>
+c1(n) = <A, r, c1(n+1), c2(n+5)>
+c2(n) = <A, r, c2(n+1), win(n)>
+win(n) = leaf[A: n]
+stop(n) = leaf[A: 100]
+root c0
+"""
+
+TWO_CYCLES_SGPE = """strategy agents A
+c0(n) = <A, l, c1(n), stop(n)>
+c1(n) = <A, r, c1(n+1), c2(n+5)>
+c2(n) = <A, r, c2(n+3), x(n)>
+x(n) = <A, l, lose(n), keep(n)>
+lose(n) = leaf[A: -n]
+keep(n) = leaf[A: -20]
+stop(n) = leaf[A: -1000]
+root c0
+"""
+
+
 def flip_class_choice(s: CoSystem, cls_id: int) -> CoSystem:
     cls = s.classes[cls_id]
     classes = list(s.classes)
@@ -489,6 +511,21 @@ class TestNashEq:
         assert (v.certificate["leaf_class"], v.certificate["leaf_index"]) == (3, 1)
         replay_deviation(s, v.certificate)
 
+    def test_lasso_pumps_the_positive_cycle_nearest_the_root(self):
+        # both c1 (first met at index 0) and c2 (at 5) sit on a positive
+        # cycle that feeds win; the lasso pumps c1's, so the path to it is
+        # [c0] and the tail goes on through c2
+        s = dsl.parse(TWO_CYCLES_NASH)
+        v = nash_eq(s)
+        assert not v.holds
+        cert = v.certificate
+        assert [p["class"] for p in cert["path"]] == [0]
+        assert [p["class"] for p in cert["cycle"]] == [1]
+        assert cert["repeat"] == 96
+        assert [p["class"] for p in cert["tail"]] == [1, 2]
+        assert cert["leaf_index"] == 101
+        replay_deviation(s, cert)
+
     def test_failure_witnesses_replay_on_random_strategies(self):
         failures = 0
         for seed in range(5000):
@@ -557,6 +594,17 @@ class TestSgpe:
         assert v.certificate["class"] == 1
         assert v.certificate["index"] == 3  # first n with 5-2n < 0
 
+    def test_lasso_pumps_the_positive_cycle_nearest_the_root(self):
+        # x's margin 20 - n turns negative past index 20; x is first met
+        # at index 5, and pumping c1's cycle (weight 1) first reaches a
+        # negative margin at 21, while pumping c2's (weight 3) would
+        # report 23
+        s = dsl.parse(TWO_CYCLES_SGPE)
+        v = sgpe(s)
+        assert not v.holds
+        assert (v.certificate["class"], v.certificate["index"]) == (3, 21)
+        replay_sgpe_failure(s, v.certificate)
+
     def test_failing_indices_are_reachable_on_random_strategies(self):
         failures = 0
         for parametric in (True, False):
@@ -579,20 +627,21 @@ class TestSgpe:
 
 class TestReachIndexSets:
     def test_backbone_indices_grow_without_bound(self):
-        sets = reach_index_sets(dollar_auction_strategy("ngu"), mode="tree")
+        sets = reach_index_sets(dollar_auction_strategy("ngu"))
         assert sets[0].minimum == 0 and sets[0].maximum is None
         assert sets[1].minimum == 0 and sets[1].maximum is None
 
     def test_finite_tree_indices_are_exact_singletons(self):
         tree = oracle.random_strategy(1, max_depth=3)
-        sets = reach_index_sets(oracle.embed(tree), mode="tree")
+        sets = reach_index_sets(oracle.embed(tree))
         for rs in sets.values():
             assert rs.minimum == rs.maximum == 0
 
-    def test_play_projection_follows_choices_only(self):
-        agu = dollar_auction_strategy("agu")
-        sets = reach_index_sets(agu, mode="play")
-        assert set(sets) == {0, 3}  # root and Alice's give-up leaf
+    def test_deviation_graph_branches_at_the_agents_classes_only(self):
+        # Alice may take either child at her own class 0; Bob always
+        # continues from class 1, so his give-up leaf (class 2) is never met
+        sets = reach_index_sets(dollar_auction_strategy("ngu"), agent="Alice")
+        assert set(sets) == {0, 1, 3}
 
     @pytest.mark.parametrize("choice", [Choice.L, Choice.R])
     def test_doubling_shift_chain_is_summarized_by_its_extremes(self, choice):

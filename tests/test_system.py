@@ -404,6 +404,62 @@ class TestBisimilarBounded:
         assert not bisimilar_bounded(a, b, 1).holds
 
 
+def naive_bounded(a: CoSystem, b: CoSystem, depth: int) -> tuple[list[str], str] | None:
+    """The first failing path of length <= depth, left before right, and
+    its reason, or None: a plain recursive search that unfolds every path
+    and remembers nothing between them."""
+
+    def search(ra: Ref, rb: Ref, d: int, path: list[str]) -> tuple[list[str], str] | None:
+        ha, hb = unfold(a, ra), unfold(b, rb)
+        if isinstance(ha, Leaf) != isinstance(hb, Leaf):
+            return path, "head kind differs"
+        if isinstance(ha, Leaf):
+            if any(ha.payoffs[ag].at(0) != hb.payoffs[ag].at(0) for ag in a.roster):
+                return path, "leaf payoffs differ"
+            return None
+        if ha.owner != hb.owner:
+            return path, "owner differs"
+        if ha.choice is not hb.choice:
+            return path, "choice differs"
+        if d == 0:
+            return None
+        for label in ("l", "r"):
+            choice = Choice(label)
+            found = search(ha.child(choice), hb.child(choice), d - 1, path + [label])
+            if found is not None:
+                return found
+        return None
+
+    return search(a.root, b.root, depth, [])
+
+
+def test_bisimilar_bounded_agrees_with_a_naive_search_on_random_pairs():
+    calls, failing, below_root = 0, 0, 0
+    for seed in range(300):
+        a = helpers.random_system(seed, max_shift=3)
+        partners = [helpers.unrolled_variant(a, seed)]
+        leaf = helpers.first_reachable_leaf(a)
+        if leaf is not None:
+            partners.append(helpers.payoff_mutant(a, leaf))
+        other = helpers.random_system(seed + 1000, kind=a.kind, max_shift=3)
+        if other.roster == a.roster:
+            partners.append(other)
+        for b in partners:
+            for depth in range(7):
+                v = bisimilar_bounded(a, b, depth)
+                found = naive_bounded(a, b, depth)
+                calls += 1
+                if found is None:
+                    assert v.holds and v.certificate == {"depth": depth}
+                else:
+                    path, reason = found
+                    assert not v.holds
+                    assert v.certificate == {"path": path, "reason": reason, "depth": depth}
+                    failing += 1
+                    below_root += bool(path)
+    assert calls > 1500 and failing > 300 and below_root > 100
+
+
 class TestErasure:
     def test_erased_strategies_play_the_family_game(self):
         game = dollar_auction_game()
