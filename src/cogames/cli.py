@@ -93,11 +93,11 @@ def _cmd_eval(args) -> tuple[list[dict], list[dict]]:
         raise InputError(f"{args.file}: eval needs a strategy file")
     if args.agent not in system.roster:
         raise InputError(f"{args.file}: agent {args.agent!r} not in roster {list(system.roster)}")
-    walk = leads_to_leaf(system)
-    if not walk.holds:
-        verdict = Verdict(False, walk.certificate, "no utility: strategy does not lead to a leaf")
+    utility = s2u(system, args.agent)
+    if utility is None:
+        verdict = Verdict(False, leads_to_leaf(system).certificate,
+                          "no utility: strategy does not lead to a leaf")
         return [_check("eval", verdict)], [meta]
-    utility = s2u(system, args.agent, walk)
     value = utility.at(args.n)
     verdict = Verdict(True, {"affine": utility.to_json(), "n": args.n}, f"utility {value}")
     item = _check("eval", verdict)
@@ -287,12 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_human(command: str, checks: list[dict]) -> None:
     if command == "demo":
-        names = ("ltl", "altl", "nash", "sgpe")
         by_name = {c["name"]: c for c in checks}
-        print(f"{'strategy':<10}" + "".join(f"{n:<18}" for n in names))
+        print((f"{'strategy':<10}" + "".join(f"{n:<18}" for n in CHECKS)).rstrip())
         for kind in (families.AGU, families.NGU):
             row = [f"{kind:<10}"]
-            for n in names:
+            for n in CHECKS:
                 cell = by_name[f"{kind}.{n}"]["certificate"]
                 text = cell["outcome"]
                 if "vacuous" in (cell.get("note") or ""):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table
+from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table, s2u, utility_from
 from .system import (
     Affine,
     Choice,
@@ -101,6 +101,7 @@ def _adjacency(s: CoSystem, agent: str | None = None) -> Adjacency:
 
 @dataclass
 class _ReachInfo:
+    adj: Adjacency
     sets: dict[int, ReachSet]
     # each unbounded class -> the positive-SCC member its lasso pumps
     entry: dict[int, int]
@@ -137,7 +138,11 @@ def _shortest(adj: Adjacency, source: Ref, target: int | None = None,
     return dist, parent
 
 
-def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
+def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
+    """Reach sets, lasso entries and parent steps over ``agent``'s
+    deviation graph (over the tree when ``agent`` is None), with the
+    adjacency they were computed on."""
+    adj = _adjacency(s, agent)
     root = s.root
     # least indices, keyed by the classes reachable under this projection
     dist, min_parent = _shortest(adj, root)
@@ -192,13 +197,13 @@ def _analyze(s: CoSystem, adj: Adjacency) -> _ReachInfo:
                         queue.append(ref.cls)
 
     sets = {c: ReachSet(d, most.get(c)) for c, d in dist.items()}
-    return _ReachInfo(sets, entry, scc_of, min_parent, max_parent)
+    return _ReachInfo(adj, sets, entry, scc_of, min_parent, max_parent)
 
 
 def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSet]:
     """Per-class least and greatest reachable index over the whole tree,
     or over ``agent``'s deviation graph when ``agent`` is given."""
-    return _analyze(s, _adjacency(s, agent)).sets
+    return _analyze(s, agent).sets
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +245,7 @@ def _cycle_steps(adj: Adjacency, members: set[int], at: Ref) -> tuple[list[Step]
     raise AssertionError("no positive edge inside a positive SCC")
 
 
-def _lasso(adj: Adjacency, info: _ReachInfo,
-           target: int) -> tuple[list[Step], list[Step], int, list[Step], int]:
+def _lasso(info: _ReachInfo, target: int) -> tuple[list[Step], list[Step], int, list[Step], int]:
     """A lasso along which ``target`` occurs at ``reach + k*loop`` for
     every k >= 0: the least-index steps to the positive-SCC member that
     ``_analyze`` chose as ``target``'s entry, a positive cycle there
@@ -249,8 +253,8 @@ def _lasso(adj: Adjacency, info: _ReachInfo,
     at index ``reach``."""
     entry = info.entry[target]
     at = Ref(entry, info.sets[entry].minimum)
-    cycle, loop = _cycle_steps(adj, set(info.scc_of[entry]), at)
-    dist, parent = _shortest(adj, at, target)
+    cycle, loop = _cycle_steps(info.adj, set(info.scc_of[entry]), at)
+    dist, parent = _shortest(info.adj, at, target)
     return _steps_to(info.min_parent, entry), cycle, loop, _steps_to(parent, target), dist[target]
 
 
@@ -313,17 +317,14 @@ def nash_eq(s: CoSystem) -> Verdict:
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("nash_eq expects a strategy")
-    walk = leads_to_leaf(s)
-    if not walk.holds:
-        return Verdict(True, {"leads_to_leaf": walk.certificate},
+    if play_table(s)[s.root.cls] is None:
+        return Verdict(True, {"leads_to_leaf": leads_to_leaf(s).certificate},
                        "vacuous: strategy does not lead to a leaf")
 
-    last = walk.certificate["path"][-1]
     agents_report = []
     for agent in s.roster:
-        base = s.classes[last["class"]].payoffs[agent].at(last["shift"])
-        adj = _adjacency(s, agent)
-        info = _analyze(s, adj)
+        base = s2u(s, agent).at(0)
+        info = _analyze(s, agent)
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
         for cls_id in sorted(info.sets):
@@ -335,7 +336,7 @@ def nash_eq(s: CoSystem) -> Verdict:
             if payoff.slope > 0 and rs.maximum is None:
                 # payoff grows without bound along a positive cycle:
                 # pump the cycle just past the on-path value
-                head, cycle, loop, tail, reach = _lasso(adj, info, cls_id)
+                head, cycle, loop, tail, reach = _lasso(info, cls_id)
                 k = _pumps(payoff, reach, loop, base)
                 if k == 0:
                     return _deviation_verdict(s, agent, base, head + tail, cls_id, reach,
@@ -389,21 +390,15 @@ def sgpe(s: CoSystem) -> Verdict:
         return Verdict(False, {"alw_leads_to_leaf": altl.certificate},
                        "not always leading to a leaf: " + altl.note)
 
-    adj = _adjacency(s)
-    info = _analyze(s, adj)
-    plays = play_table(s)  # no None entries, by alw_leads_to_leaf
-
-    def utility(ref: Ref, agent: str) -> Affine:
-        leaf, shift, _ = plays[ref.cls]
-        return s.classes[leaf].payoffs[agent].shifted(ref.shift + shift)
-
+    info = _analyze(s)
     table = []
     for cls_id in sorted(info.sets):
         cls = s.classes[cls_id]
         if isinstance(cls, Leaf):
             continue
         assert cls.choice is not None
-        left_u, right_u = utility(cls.left, cls.owner), utility(cls.right, cls.owner)
+        # never None: every class here leads to a leaf, by alw_leads_to_leaf
+        left_u, right_u = utility_from(s, cls.left, cls.owner), utility_from(s, cls.right, cls.owner)
         chosen, other = (left_u, right_u) if cls.choice is Choice.L else (right_u, left_u)
         margin = chosen - other
         rs = info.sets[cls_id]
@@ -414,7 +409,7 @@ def sgpe(s: CoSystem) -> Verdict:
         elif rs.maximum is not None:
             bad = rs.maximum if margin.at(rs.maximum) < 0 else None
         elif margin.slope < 0:
-            _, _, loop, _, reach = _lasso(adj, info, cls_id)
+            _, _, loop, _, reach = _lasso(info, cls_id)
             bad = reach + loop * _pumps(Affine(0, 0) - margin, reach, loop, 0)
 
         if bad is not None:

@@ -16,14 +16,20 @@ that makes the finite representation decide the infinite-tree predicates.
 The committed children form a functional graph on classes, so one pass
 (``play_table``) labels every class with the end of its chosen walk -
 leaf class, accumulated shift and step count - or with None when the
-walk cycles.  ``alw_leads_to_leaf`` and ``sgpe`` read that table.
+walk cycles.  The table is built once per system and kept in its memo
+(see ``system.CoSystem``), and every choice-following question reads
+it: ``alw_leads_to_leaf``, ``utility_from`` and so ``s2u``, and in
+``equilibria`` ``nash_eq`` (whether the root's walk ends, and each
+agent's on-path value) and ``sgpe`` (both branch utilities at every
+reachable node class).  Only ``leads_to_leaf`` walks, since its
+certificate is the path itself.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import Affine, CoSystem, Leaf, Node, Ref, STRATEGY, KindMismatchError, reachable, with_root
+from .system import Affine, CoSystem, Leaf, Node, Ref, STRATEGY, KindMismatchError, reachable
 from .verdict import Verdict
 
 
@@ -85,9 +91,13 @@ def play_table(s: CoSystem) -> list[PlayEnd | None]:
     None where it cycles.  Each class is walked once: a walk stops at a
     leaf, at a class already labelled, or at a class on the walk itself
     (a cycle), and the classes it passed are labelled on the way back.
+    Built once per system and kept in its memo, so callers must not
+    mutate the list.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("play_table expects a strategy")
+    if "play_table" in s._memo:
+        return s._memo["play_table"]
     table = [PlayEnd(i, 0, 0) if isinstance(c, Leaf) else None for i, c in enumerate(s.classes)]
     seen = [end is not None for end in table]
     for start in range(len(s.classes)):
@@ -104,6 +114,7 @@ def play_table(s: CoSystem) -> list[PlayEnd | None]:
                 cls = s.classes[cls_id]
                 end = PlayEnd(end.leaf, end.shift + cls.child(cls.choice).shift, end.steps + 1)
             table[cls_id] = end
+    s._memo["play_table"] = table
     return table
 
 
@@ -133,29 +144,28 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     return Verdict(True, {"classes": rows}, "every reachable class leads to a leaf")
 
 
-def s2u(s: CoSystem, agent: str, walk: Verdict | None = None) -> Affine | None:
+def s2u(s: CoSystem, agent: str) -> Affine | None:
     """The agent's utility under the strategy, as an affine function of
     the root index, or None when the strategy does not lead to a leaf.
 
     The defining relation is functional exactly on the leads-to-leaf
     domain (the chosen path is unique), which is why this is a partial
     function rather than a relation.  The concrete on-path value is the
-    evaluation at n = 0, the root baseline.  ``walk`` is
-    ``leads_to_leaf(s)`` when the caller already has it.
+    evaluation at n = 0, the root baseline.  It is ``utility_from`` at
+    the root, read from the play table.
     """
-    if agent not in s.roster:
-        raise ValueError(f"agent {agent!r} not in roster {s.roster}")
-    if walk is None:
-        walk = leads_to_leaf(s)
-    if not walk.holds:
-        return None
-    last = walk.certificate["path"][-1]
-    leaf = s.classes[last["class"]]
-    assert isinstance(leaf, Leaf)
-    return leaf.payoffs[agent].shifted(last["shift"])
+    return utility_from(s, s.root, agent)
 
 
 def utility_from(s: CoSystem, ref: Ref, agent: str) -> Affine | None:
     """``s2u`` of the subtree at ``ref``, as an affine function of the
-    *local* index of the class containing ``ref``."""
-    return s2u(with_root(s, ref), agent)
+    *local* index of the class containing ``ref``, or None when the
+    chosen walk from there cycles.  One lookup in the play table: the
+    end leaf's payoff, shifted by ``ref.shift`` plus the shift the walk
+    accumulates."""
+    if agent not in s.roster:
+        raise ValueError(f"agent {agent!r} not in roster {s.roster}")
+    end = play_table(s)[ref.cls]
+    if end is None:
+        return None
+    return s.classes[end.leaf].payoffs[agent].shifted(ref.shift + end.shift)

@@ -11,13 +11,18 @@ denotes an infinite tree, and offsets let payoffs grow along a backbone
 
 All values are immutable after construction and every operation is a pure
 function, so systems can be shared freely between concurrent analyses.
+The one exception is a system's private memo of derived tables (the
+reachable list here, the play table in ``semantics``): each table is a
+pure function of the system, written once on first use and never mutated
+by its readers, so a race between two analyses only computes a table
+twice.
 Payoff arithmetic is exact (Python integers); nothing here overflows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
@@ -122,12 +127,20 @@ class CoSystem:
     ``kind`` is ``"game"`` (no choices) or ``"strategy"`` (a choice at
     every node).  The roster is normalized to a sorted tuple, since it is
     a set.  The root is conventionally ``Ref(cls, 0)``.
+
+    ``_memo`` keeps the tables derived from the fields (``reachable``,
+    ``semantics.play_table``), so every check on one system reads one
+    copy.  Each table is written once, on first use; readers never
+    mutate it; a race between two readers only computes it twice.  The
+    memo takes no part in equality or ``repr``, and ``with_root`` (like
+    ``dataclasses.replace``) starts the new system with an empty one.
     """
 
     kind: str
     roster: tuple[str, ...]
     classes: tuple[NodeClass, ...]
     root: Ref = Ref(0, 0)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roster", tuple(sorted(set(self.roster))))
@@ -193,9 +206,13 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
     )
 
 
-def reachable(sys: CoSystem, start: int | None = None) -> list[int]:
-    """Class ids reachable through both children, in BFS order."""
-    first = sys.root.cls if start is None else start
+def reachable(sys: CoSystem) -> list[int]:
+    """Class ids reachable from the root through both children, in BFS
+    order.  Built once per system and kept in its memo, so callers must
+    not mutate the list."""
+    if "reachable" in sys._memo:
+        return sys._memo["reachable"]
+    first = sys.root.cls
     seen = {first}
     order = [first]
     queue = deque([first])
@@ -207,6 +224,7 @@ def reachable(sys: CoSystem, start: int | None = None) -> list[int]:
                     seen.add(ref.cls)
                     order.append(ref.cls)
                     queue.append(ref.cls)
+    sys._memo["reachable"] = order
     return order
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cogames.cli import build_parser, main
+from cogames.cli import CHECKS, build_parser, main
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SCHEMA = json.loads(
@@ -46,6 +46,9 @@ class TestDemo:
         assert code == 0
         assert "all verdicts match the expected pattern" in out
         assert "vacuous" in out
+        lines = out.splitlines()
+        assert lines[0].split() == ["strategy", *CHECKS]
+        assert all(line == line.rstrip() for line in lines), "trailing spaces in the table"
 
 
 class TestCheck:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from cogames import (
@@ -16,7 +19,7 @@ from cogames import (
     with_root,
     reachable,
 )
-from cogames import oracle
+from cogames import cli, oracle
 from cogames.semantics import play_table
 from cogames.families import (
     dollar_auction_game,
@@ -183,3 +186,76 @@ class TestMonotonicity:
             assert sgpe(s).holds == sgpe(padded).holds
             for agent in s.roster:
                 assert s2u(s, agent) == s2u(padded, agent)
+
+
+def fresh(s: CoSystem) -> CoSystem:
+    """An equal system with an empty memo."""
+    return CoSystem(s.kind, s.roster, s.classes, s.root)
+
+
+class TestSharedTables:
+    def test_checks_share_one_play_table_and_reachable_list(self):
+        pool = [dollar_auction_strategy("agu"), escalating_off_path()]
+        pool += [helpers.random_system(seed, kind=STRATEGY) for seed in range(30)]
+        rerooted_differs = False
+        for s in pool:
+            for check in cli.CHECKS.values():
+                check(s)
+            assert play_table(s) is play_table(s)
+            assert reachable(s) is reachable(s)
+            for k in range(len(s.classes)):
+                at = Ref(k, 0)
+                assert reachable(with_root(s, at)) == reachable(fresh(with_root(s, at)))
+                rerooted_differs |= reachable(with_root(s, at)) != reachable(s)
+            assert s == fresh(s)
+            assert repr(s) == repr(fresh(s)) and "_memo" not in repr(s)
+        # a re-rooted system that kept its parent's memo would fail above
+        assert rerooted_differs
+
+    def test_warmed_system_answers_like_a_fresh_one(self):
+        """No reader mutates a shared table: every check, ``s2u`` and
+        ``utility_from`` agree on a system the other checks have warmed
+        (in either order) and on a fresh copy."""
+        pool = [helpers.random_system(seed, kind=STRATEGY, max_shift=3) for seed in range(300)]
+        pool += [helpers.random_terminating_strategy(seed) for seed in range(300)]
+        for s in pool:
+            expected = {name: check(fresh(s)).to_json() for name, check in cli.CHECKS.items()}
+            for order in (list(cli.CHECKS), list(reversed(cli.CHECKS))):
+                warm = fresh(s)
+                for name in order:
+                    assert cli.CHECKS[name](warm).to_json() == expected[name], (order, name)
+                for agent in s.roster:
+                    assert s2u(warm, agent) == s2u(fresh(s), agent)
+                    for k in range(len(s.classes)):
+                        for shift in (0, 2):
+                            at = Ref(k, shift)
+                            assert utility_from(warm, at, agent) == utility_from(fresh(s), at, agent)
+
+    def test_threads_racing_on_a_cold_memo_agree(self):
+        """Readers racing to fill an empty memo at most compute a table
+        twice; every thread still gets the fresh answers."""
+        pool = [helpers.random_system(seed, kind=STRATEGY, max_classes=40) for seed in range(20)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for s in pool:
+                expected = [check(fresh(s)).to_json() for check in cli.CHECKS.values()]
+                shared = fresh(s)
+                results: list = []
+                start = threading.Barrier(8)
+
+                def work():
+                    start.wait(timeout=30)
+                    results.append([check(shared).to_json() for check in cli.CHECKS.values()])
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+                    assert not th.is_alive()
+                assert results == [expected] * len(threads)
+                assert play_table(shared) == play_table(fresh(s))
+                assert reachable(shared) == reachable(fresh(s))
+        finally:
+            sys.setswitchinterval(previous)
