@@ -22,12 +22,18 @@ cycle along which the index grows without bound.  Every index a
 certificate reports is one at which its class occurs.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
-exactly, with no bound on the offset drift between the two strategies.
-The product walk tracks the drift only in pairs from which a leaf with a
-nonzero slope is reachable.  If such a pair is reached with two drifts,
-the path to that leaf ends in a differing observation below one of the
-two arrivals, so the walk either finds a replayable mismatch or visits
-each class pair with one drift, at most ``|S|*|T|`` states.
+exactly, with no bound on the offset drift between the two strategies,
+by ``system.ProductWalk``, the engine ``bisimilar`` uses too.  Where
+no leaf with a nonzero slope is reachable, its union-find decides first
+whether the two strategies denote the same tree, and when they do the
+answer is ``INDUCTIVE`` with no difference and no walk.  Otherwise the
+product walk decides, and finds the witness or the agent's choice
+differences.  It tracks the drift only in
+pairs from which a leaf with a nonzero slope is reachable.  If such a
+pair is reached with two drifts, the path to that leaf ends in a
+differing observation below one of the two arrivals, so the walk either
+finds a replayable mismatch or visits each class pair with one drift, at
+most ``|S|*|T|`` states.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .system import (
     Ref,
     RosterMismatchError,
     STRATEGY,
+    reachable,
     sccs,
 )
 from .verdict import Verdict
@@ -149,13 +156,16 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
 
     # an SCC has a positive-weight cycle iff one of its internal edges has
     # positive weight (offsets are nonnegative, so the closing path adds
-    # nothing negative)
+    # nothing negative); each SCC is marked once, so the pass is linear
     scc_of = {v: comp for comp in sccs([root.cls], lambda c: (r.cls for _, r in adj[c])) for v in comp}
     positive: set[int] = set()
     for c in dist:
+        if c in positive:
+            continue
         for _, ref in adj[c]:
             if scc_of[c] is scc_of[ref.cls] and ref.shift > 0:
                 positive.update(scc_of[c])
+                break
 
     # unbounded = reachable from a positive cycle.  The search starts from
     # each positive member in (least index, id) order, and each start
@@ -385,8 +395,11 @@ def sgpe(s: CoSystem) -> Verdict:
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("sgpe expects a strategy")
-    altl = alw_leads_to_leaf(s)
-    if not altl.holds:
+    # the precondition is a scan of the shared play table; the
+    # alw_leads_to_leaf certificate is built only for a failure
+    ends = play_table(s)
+    if any(ends[c] is None for c in reachable(s)):
+        altl = alw_leads_to_leaf(s)
         return Verdict(False, {"alw_leads_to_leaf": altl.certificate},
                        "not always leading to a leaf: " + altl.note)
 
@@ -397,7 +410,7 @@ def sgpe(s: CoSystem) -> Verdict:
         if isinstance(cls, Leaf):
             continue
         assert cls.choice is not None
-        # never None: every class here leads to a leaf, by alw_leads_to_leaf
+        # never None: every class here leads to a leaf, by the scan above
         left_u, right_u = utility_from(s, cls.left, cls.owner), utility_from(s, cls.right, cls.owner)
         chosen, other = (left_u, right_u) if cls.choice is Choice.L else (right_u, left_u)
         margin = chosen - other
@@ -470,15 +483,20 @@ def _state_json(state: tuple[int, int, int]) -> dict[str, int]:
 def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     """Classify the relation between two strategies for a deviating agent.
 
-    Runs the product walk of ``system.ProductWalk`` (which also finds
-    ``bisimilar``'s witnesses).  It tracks the offset drift ``delta``
-    between the two sides wherever a leaf with a nonzero slope is
-    reachable.  Leaves must carry equal payoff functions under that
-    alignment; nodes must agree on owner, and on choice except where the
-    agent owns the node, where the walk records the difference and steps
-    on.  The walk is exact and terminates (its docstring has the
-    argument), so a ``NOT_CONVERTIBLE`` witness is a path from the roots
-    to an observation that differs, and any other verdict means the two
+    ``system.ProductWalk`` decides it, as it decides ``bisimilar``.
+    Where no leaf with a nonzero slope is reachable, its union-find
+    decides first whether the two denote the same tree; if they do, the
+    answer is ``INDUCTIVE`` with no difference, which is what the walk
+    would find, and the product is never walked.  Otherwise the product
+    walk runs.
+    It tracks the offset drift ``delta`` between the two sides wherever
+    a leaf with a nonzero slope is reachable.  Leaves must carry equal
+    payoff functions under that alignment; nodes must agree on owner,
+    and on choice except where the agent owns the node, where the walk
+    records the difference and steps on.  The walk is exact and
+    terminates (its docstring has the argument), so a
+    ``NOT_CONVERTIBLE`` witness is a path from the roots to an
+    observation that differs, and any other verdict means the two
     strategies denote the same tree up to the agent's own choices.
     Successor lists for the cycle analysis are built only when some
     difference was recorded.

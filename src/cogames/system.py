@@ -340,10 +340,12 @@ def _flatten(sys: CoSystem, heads: dict[Hashable, int], sloped: set[int], scale:
 
 
 class ProductWalk:
-    """Greatest-fixpoint walk over the product of two class graphs: the
-    engine of ``equilibria.convertible``, and the witness finder of
-    :func:`bisimilar`, which decides by union-find and walks the product
-    only once it knows the systems differ.
+    """The product of two class graphs: one set of flat tables for both
+    questions that compare two systems, ``bisimilar`` and
+    ``equilibria.convertible``.  Where no leaf with a nonzero slope is
+    reachable, a union-find decides whether the two systems denote the
+    same tree, and the breadth-first walk runs only when they differ, to
+    find the witness; elsewhere the walk both decides and finds it.
 
     Each system is compiled once by :func:`_flatten` into flat per-class
     lists: a head id (interned across both systems), the left and the
@@ -356,11 +358,17 @@ class ProductWalk:
     drift).  The drift is kept while ``i`` or ``j`` is sensitive and is 0
     elsewhere: below an insensitive pair every leaf is constant, so the
     drift cannot change an observation there, and the children of an
-    insensitive pair are insensitive too.  ``parent`` maps each state seen
-    to ``2*parent + label_bit`` (None at the root), so it is both the seen
-    set and the path witness; ``order`` is the breadth-first queue, a list
-    iterated as it grows.
+    insensitive pair are insensitive too.
 
+    :meth:`_union_find` runs first.  If it shows that the systems
+    denote the same tree, ``blocks`` holds its partition and the walk
+    never runs: every pair the walk would visit has equal heads, so it
+    would find neither a mismatch nor a choice difference.  Otherwise
+    ``blocks`` is None and the walk runs as below, on the same tables.
+
+    The walk: ``parent`` maps each state seen to ``2*parent + label_bit``
+    (None at the root), so it is both the seen set and the path witness;
+    ``order`` is the breadth-first queue, a list iterated as it grows.
     Equal head ids step straight on to the child pairs.  Different ones,
     and a sloped leaf under nonzero drift, take the slow path: it names
     the mismatch, or, where only the choice differs at a node ``agent``
@@ -399,7 +407,9 @@ class ProductWalk:
         start = self.encode(i, j, b.root.shift - a.root.shift if sensitive else 0)
         self.parent: dict[int, int | None] = {start: None}
         self.order = [start]
-        self._walk()
+        self.blocks = self._union_find()
+        if self.blocks is None:
+            self._walk()
 
     def encode(self, i: int, j: int, delta: int) -> int:
         return delta * self.size + i * self.width + j
@@ -429,6 +439,57 @@ class ProductWalk:
         m, drift, size = ma[i] | mb[j], state - pair, self.size
         return [la[i] + lb[j] + drift if m & 1 else (la[i] + lb[j]) % size,
                 ra[i] + rb[j] + drift if m & 2 else (ra[i] + rb[j]) % size]
+
+    def _union_find(self) -> list[int] | None:
+        """The block of every class if the two systems denote one tree
+        and no leaf with a nonzero slope is reachable (class ``j`` of
+        ``b`` is element ``|S| + j``), else None.
+
+        A Hopcroft-Karp union-find over the disjoint union of the two
+        class lists (Hopcroft & Karp, "A linear algorithm for testing
+        equivalence of finite automata", 1971; Bonchi & Pous, "Checking
+        NFA equivalence with bisimulations up to congruence", 2013).
+        Starting from the pair of roots, a pair whose classes already
+        share a block is skipped; otherwise their head ids must agree,
+        neither class may be sensitive, the two blocks are merged and the
+        two child pairs are pushed.  Below an insensitive pair the drift
+        cannot change an observation, so, as in the walk, ``% size``
+        drops the shifts from a child pair.  Every pair pushed is reached
+        from both roots by one path, so a head mismatch distinguishes the
+        systems.  Without one, the merged pairs form a bisimulation up to
+        equivalence, so the blocks relate only bisimilar classes; and
+        every class reachable from a root has been merged, so none of
+        them is sensitive.  A sensitive pair gives up, and leaves the
+        decision to the walk, which tracks the drift."""
+        head_a, la, ra, _, sens_a = self.flat_a
+        head_b, lb, rb, _, sens_b = self.flat_b
+        width, size, offset = self.width, self.size, len(head_a)
+        parent = list(range(offset + width))
+        members = [1] * len(parent)
+
+        def find(x: int) -> int:
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            while parent[x] != root:
+                parent[x], x = root, parent[x]
+            return root
+
+        todo = [self.order[0] % size]
+        while todo:
+            i, j = divmod(todo.pop(), width)
+            ri, rj = find(i), find(offset + j)
+            if ri == rj:
+                continue
+            if head_a[i] != head_b[j] or sens_a[i] or sens_b[j]:
+                return None
+            if members[ri] < members[rj]:
+                ri, rj = rj, ri
+            parent[rj] = ri
+            members[ri] += members[rj]
+            if head_a[i] >= 0:
+                todo += [(la[i] + lb[j]) % size, (ra[i] + rb[j]) % size]
+        return [find(x) for x in range(len(parent))]
 
     def _walk(self) -> None:
         head_a, la, ra, ma, _ = self.flat_a
@@ -487,71 +548,33 @@ class ProductWalk:
 def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     """Decide bisimilarity of two non-parametric systems.
 
-    A Hopcroft-Karp union-find over the disjoint union of the two class
-    lists decides it in near-linear time (Hopcroft & Karp, "A linear
-    algorithm for testing equivalence of finite automata", 1971; Bonchi
-    & Pous, "Checking NFA equivalence with bisimulations up to
-    congruence", 2013).  Starting from the pair of roots, a pair whose
-    classes already share a block is skipped; otherwise their head ids,
-    interned as in :class:`ProductWalk`, must agree, the two blocks are
-    merged and the two child pairs are pushed.  Every pair pushed is
-    reached from both roots by one path, so a head mismatch
-    distinguishes the systems.  Without one, the merged pairs form a
-    bisimulation up to equivalence, so the blocks relate only bisimilar
-    classes.
+    :class:`ProductWalk` decides it: its union-find runs in near-linear
+    time, and the product walk runs only once the union-find has found
+    that the systems differ.  Both read one set of flat tables, so each
+    system is flattened once.
 
     If it holds, the certificate is the block relation: every pair ``[i,
     j]`` of a class of ``a`` and a class of ``b`` in one block, sorted.
     It is a bisimulation that relates the roots and contains every pair
     the product walk visits, and may contain more: two classes of ``a``
     that each meet one class of ``b`` put all their partners in one
-    block.  If it fails, :class:`ProductWalk` finds the witness: the
-    shortest path of choices (breadth-first, left before right) to the
-    first mismatching observation.
+    block.  If it fails, the walk gives the witness: the shortest path
+    of choices (breadth-first, left before right) to the first
+    mismatching observation.
     """
     _check_comparable(a, b)
     if is_parametric(a) or is_parametric(b):
         raise ParametricUnsupportedError("use bisimilar_bounded for parametric systems")
-    # reachable references carry no shift, so a child is just its class
-    heads: dict[Hashable, int] = {}
-    head, left, right, *_ = _flatten(a, heads, set(), 1, 0)
-    head_b, left_b, right_b, *_ = _flatten(b, heads, set(), 1, 0)
-    width = len(head)  # class j of b is element width + j
-    head += head_b
-    left += [c + width for c in left_b]
-    right += [c + width for c in right_b]
-    parent = list(range(len(head)))
-    size = [1] * len(head)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    todo = [(a.root.cls, width + b.root.cls)]
-    while todo:
-        x, y = todo.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if head[x] != head[y]:
-            failure = ProductWalk(a, b).failure
-            assert failure is not None
-            path, _, reason = failure
-            return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
-        if size[rx] < size[ry]:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        size[rx] += size[ry]
-        if head[x] >= 0:
-            todo += [(left[x], left[y]), (right[x], right[y])]
+    walk = ProductWalk(a, b)
+    if walk.blocks is None:
+        assert walk.failure is not None
+        path, _, reason = walk.failure
+        return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
+    block, width = walk.blocks, len(a.classes)  # class j of b is element width + j
     partners: dict[int, list[int]] = {}
-    for j in range(width, len(head)):
-        partners.setdefault(find(j), []).append(j - width)
-    relation = [[i, j] for i in range(width) for j in partners.get(find(i), ())]
+    for j in range(width, len(block)):
+        partners.setdefault(block[j], []).append(j - width)
+    relation = [[i, j] for i in range(width) for j in partners.get(block[i], ())]
     return Verdict(True, {"relation": relation}, "bisimulation relation closed")
 
 

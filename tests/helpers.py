@@ -115,6 +115,14 @@ def payoff_mutant(sys: CoSystem, leaf_id: int) -> CoSystem:
     return CoSystem(sys.kind, sys.roster, tuple(classes), sys.root)
 
 
+def flip_class_choice(sys: CoSystem, cls_id: int) -> CoSystem:
+    """Flip the committed choice of one node class of a strategy."""
+    cls = sys.classes[cls_id]
+    classes = list(sys.classes)
+    classes[cls_id] = Node(cls.owner, cls.choice.other, cls.left, cls.right)
+    return CoSystem(sys.kind, sys.roster, tuple(classes), sys.root)
+
+
 def prefix_perturbation(sys: CoSystem, agent: str, seed: int, depth: int = 2) -> tuple[CoSystem, int]:
     """Unroll the first ``depth`` levels into fresh classes and flip some
     of the agent's choices there.  The fresh classes each stand for a

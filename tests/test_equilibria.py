@@ -22,11 +22,13 @@ from cogames import (
     leads_to_leaf,
     nash_eq,
     reach_index_sets,
+    reachable,
     sgpe,
     strategy_to_game,
     unfold,
 )
 from cogames.equilibria import Convertibility, NotApplicableError
+from cogames.system import ProductWalk
 from cogames import dsl, oracle
 from cogames.cli import main
 from cogames.families import centipede_strategy, dollar_auction_strategy
@@ -144,13 +146,6 @@ root c0
 """
 
 
-def flip_class_choice(s: CoSystem, cls_id: int) -> CoSystem:
-    cls = s.classes[cls_id]
-    classes = list(s.classes)
-    classes[cls_id] = Node(cls.owner, cls.choice.other, cls.left, cls.right)
-    return CoSystem(s.kind, s.roster, tuple(classes), s.root)
-
-
 class TestConvertible:
     def test_reflexivity(self):
         for s in (dollar_auction_strategy("agu"), helpers.random_system(3, kind=STRATEGY)):
@@ -166,7 +161,7 @@ class TestConvertible:
 
     def test_recurring_own_difference_is_coinductive_only(self):
         ngu = dollar_auction_strategy("ngu")
-        switched = flip_class_choice(ngu, 0)  # Alice's backbone class
+        switched = helpers.flip_class_choice(ngu, 0)  # Alice's backbone class
         r = convertible(ngu, switched, "Alice")
         assert r.value is COIND
         assert r.witness["difference"] == {"left_class": 0, "right_class": 0, "delta": 0}
@@ -195,7 +190,7 @@ class TestConvertible:
 
     def test_convertible_strategies_play_bisimilar_games(self):
         ngu = dollar_auction_strategy("ngu")
-        pairs = [(ngu, flip_class_choice(ngu, 0), "Alice")]
+        pairs = [(ngu, helpers.flip_class_choice(ngu, 0), "Alice")]
         for seed in range(10):
             s = helpers.random_terminating_strategy(seed)
             t, _ = helpers.prefix_perturbation(s, s.roster[0], seed=seed + 7)
@@ -390,7 +385,7 @@ def test_convertible_verdicts_replay_on_random_parametric_pairs():
         if leaf is not None:
             pairs.append((moved_in, helpers.payoff_mutant(moved_out, leaf)))
         if isinstance(moved_out.classes[0], Node):
-            pairs.append((moved_in, flip_class_choice(moved_out, 0)))
+            pairs.append((moved_in, helpers.flip_class_choice(moved_out, 0)))
         if other.roster == s.roster:
             pairs.append((moved_in, other))
         for a, b in pairs:
@@ -402,6 +397,52 @@ def test_convertible_verdicts_replay_on_random_parametric_pairs():
                 assert agree_to_depth(a, b, agent, 8), (seed, r.value, r.witness)
     assert min(counts.values()) > 20, counts
 
+
+def constant_leaves(s: CoSystem) -> CoSystem:
+    """The same shifts with every payoff slope set to 0: no class is
+    sensitive, so the union-find decides however the shifts sit."""
+    classes = [Leaf({a: Affine(0, f.intercept) for a, f in c.payoffs.items()})
+               if isinstance(c, Leaf) else c for c in s.classes]
+    return CoSystem(s.kind, s.roster, tuple(classes), s.root)
+
+
+def test_convertible_agrees_with_the_full_walk_on_random_pairs(monkeypatch):
+    """Differential sweep: convertible, which lets the union-find answer
+    same-tree pairs without walking, gives the same class, witness and
+    note as convertible with the union-find switched off, where the
+    product walk decides every pair.  Plain systems, systems with shifts
+    but constant leaves, and parametric systems (where the union-find
+    gives up at the first sensitive pair), with offset-moved pairs."""
+    results = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        plain = helpers.random_system(seed, kind=STRATEGY, max_classes=7, parametric=False)
+        sloped = helpers.random_system(seed, kind=STRATEGY, max_classes=7, max_shift=3)
+        for s in (plain, helpers.random_terminating_strategy(seed, parametric=False),
+                  sloped, constant_leaves(sloped)):
+            agent = s.roster[seed % len(s.roster)]
+            perturbed, _ = helpers.prefix_perturbation(s, agent, seed=seed)
+            moved_in, moved_out = helpers.offset_moved(s, rng.randrange(len(s.classes)),
+                                                       rng.randint(1, 9))
+            others = [s, helpers.unrolled_variant(s, seed),
+                      helpers.unrolled_variant(helpers.unrolled_variant(s, seed + 1), seed + 2),
+                      perturbed, helpers.unrolled_variant(perturbed, seed + 3), moved_in, moved_out]
+            leaf = helpers.first_reachable_leaf(s)
+            if leaf is not None:
+                others.append(helpers.payoff_mutant(s, leaf))
+            node = next((c for c in reachable(s) if isinstance(s.classes[c], Node)), None)
+            if node is not None:
+                others.append(helpers.flip_class_choice(s, node))
+            results += [(a, b, agent) for t in others for a, b in ((s, t), (t, s))]
+    fast = [convertible(*args) for args in results]
+    monkeypatch.setattr(ProductWalk, "_union_find", lambda self: None)
+    for r, (a, b, agent) in zip(fast, results):
+        walked = convertible(a, b, agent)
+        assert (r.value, r.witness, r.note) == (walked.value, walked.witness, walked.note), \
+            (a, b, agent)
+    counts = {value: sum(r.value is value for r in fast) for value in Convertibility}
+    same = sum(r.note == "strategies denote the same tree" for r in fast)
+    assert min(counts.values()) > 100 and same > 3000, (counts, same)
 
 class TestPreservation:
     def test_perturbed_give_up_stays_terminating(self):
@@ -568,6 +609,16 @@ class TestSgpe:
         assert not v.holds
         assert "alw_leads_to_leaf" in v.certificate
 
+    def test_precondition_reads_the_play_table_without_a_certificate(self, monkeypatch):
+        import cogames.equilibria as equilibria
+
+        def refuse(s):
+            raise AssertionError("a holding precondition needs no alw_leads_to_leaf certificate")
+
+        monkeypatch.setattr(equilibria, "alw_leads_to_leaf", refuse)
+        assert sgpe(dollar_auction_strategy("agu")).holds
+        assert sgpe(centipede_strategy("agu")).holds
+
     def test_worse_choice_reports_class_and_index(self):
         s = CoSystem(STRATEGY, ("A",), (
             Node("A", Choice.L, Ref(1), Ref(2)),
@@ -623,6 +674,73 @@ class TestSgpe:
             if sgpe(emb).holds:
                 assert nash_eq(emb).holds
                 assert oracle.exhaustive_nash(tree).holds
+
+
+def shifted_ring(length: int, slope: int) -> CoSystem:
+    """``length`` classes of agent A in a ring, every edge ``n+1``: each
+    chooses r, into the one leaf ``A: slope*n``, over l, on round the
+    ring, so each lap raises the index by ``length``."""
+    classes: list = [Node("A", Choice.R, Ref((i + 1) % length, 1), Ref(length, 1))
+                     for i in range(length)]
+    return CoSystem(STRATEGY, ("A",), (*classes, Leaf({"A": Affine(slope, 0)})))
+
+
+class TestShiftedRing:
+    """One positive SCC as large as the system: the reach analysis marks
+    it positive once, not once per shifted edge."""
+
+    LENGTH = 3000
+
+    def count_member_reads(self, monkeypatch) -> list[int]:
+        """Members read out of every SCC list ``sccs`` returns."""
+        import cogames.equilibria as equilibria
+
+        reads = [0]
+
+        class Counted(list):
+            def __iter__(self):
+                reads[0] += len(self)
+                return super().__iter__()
+
+        original = equilibria.sccs
+        monkeypatch.setattr(equilibria, "sccs",
+                            lambda *args: [Counted(comp) for comp in original(*args)])
+        return reads
+
+    def test_reach_analysis_reads_the_ring_a_bounded_number_of_times(self, monkeypatch):
+        reads = self.count_member_reads(monkeypatch)
+        s = shifted_ring(self.LENGTH, 1)
+        for agent in (None, "A"):
+            reads[0] = 0
+            sets = reach_index_sets(s, agent)
+            assert sets[0] == ReachSet(0, None) and sets[self.LENGTH] == ReachSet(1, None)
+            assert reads[0] <= 2 * len(s.classes)  # once to index the SCCs, once to mark them
+
+    def test_growing_leaf_breaks_both_equilibria(self):
+        s = shifted_ring(self.LENGTH, 1)
+        nash = nash_eq(s)
+        assert not nash.holds
+        assert (nash.certificate["on_path_value"], nash.certificate["repeat"]) == (1, 1)
+        assert nash.certificate["deviation_value"] == self.LENGTH + 1
+        replay_deviation(s, nash.certificate)
+        perfect = sgpe(s)
+        assert not perfect.holds
+        assert perfect.certificate == {"class": 0, "owner": "A", "choice": "r", "index": 0,
+                                       "chosen_value": 1, "other_value": 2}
+        replay_sgpe_failure(s, perfect.certificate)
+
+    def test_shrinking_leaf_keeps_both_equilibria(self):
+        s = shifted_ring(self.LENGTH, -1)
+        nash = nash_eq(s)
+        assert nash.holds
+        [report] = nash.certificate["agents"]
+        assert (report["on_path_value"], report["best_deviation_value"]) == (-1, -1)
+        perfect = sgpe(s)
+        assert perfect.holds
+        rows = perfect.certificate["classes"]
+        assert [row["class"] for row in rows] == list(range(self.LENGTH))
+        assert all(row["margin"] == {"slope": 0, "intercept": 1} for row in rows)
+        assert all(row["indices"] == {"minimum": row["class"], "maximum": None} for row in rows)
 
 
 class TestReachIndexSets:

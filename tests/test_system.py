@@ -22,7 +22,8 @@ from cogames import (
     validate,
     with_root,
 )
-from cogames import dsl, system
+from cogames import convertible, dsl, system
+from cogames.equilibria import Convertibility
 from cogames.system import ProductWalk, sccs
 from cogames.families import (
     dollar_auction_game,
@@ -279,6 +280,15 @@ def _replay_heads_differ(a: CoSystem, b: CoSystem, path: list[str]) -> bool:
     return _observation(a, ra) != _observation(b, rb)
 
 
+def full_walk(a: CoSystem, b: CoSystem) -> ProductWalk:
+    """The product walk with the union-find switched off, so it walks
+    every pair: the reference the union-find's verdicts are checked
+    against."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProductWalk, "_union_find", lambda self: None)
+        return ProductWalk(a, b)
+
+
 def _relation_is_a_bisimulation(a: CoSystem, b: CoSystem, relation: list[list[int]]) -> bool:
     """The root pair is related, related pairs have equal observations,
     and the child pairs of related nodes are related."""
@@ -327,7 +337,7 @@ def test_bisimilar_agrees_with_the_product_walk_on_random_pairs():
         for t in others:
             for a, b in ((s, t), (t, s)):
                 v = bisimilar(a, b)
-                walk = ProductWalk(a, b)
+                walk = full_walk(a, b)
                 assert v.holds == (walk.failure is None)
                 if not v.holds:
                     path, _, reason = walk.failure
@@ -350,7 +360,7 @@ def test_bisimilar_relation_may_relate_pairs_the_walk_never_visits():
     assert v.holds
     relation = v.certificate["relation"]
     assert _relation_is_a_bisimulation(a, b, relation)
-    walk = ProductWalk(a, b)
+    walk = full_walk(a, b)
     visited = {walk.decode(state)[:2] for state in walk.parent}
     assert set(map(tuple, relation)) - visited == {(3, 4)}
 
@@ -365,11 +375,17 @@ def identical_ring(length: int) -> CoSystem:
     return CoSystem(GAME, ("Alice",), tuple(classes))
 
 
-def test_bisimilar_coprime_rings_without_the_product_walk(monkeypatch):
-    def no_walk(*args, **kwargs):
-        raise AssertionError("a holding verdict must not walk the product")
+def refuse_to_walk(monkeypatch) -> None:
+    """Make the product walk itself raise; the flat tables and the
+    union-find stay."""
+    def no_walk(self):
+        raise AssertionError("a same-tree verdict must not walk the product")
 
-    monkeypatch.setattr(system, "ProductWalk", no_walk)
+    monkeypatch.setattr(ProductWalk, "_walk", no_walk)
+
+
+def test_bisimilar_coprime_rings_without_the_product_walk(monkeypatch):
+    refuse_to_walk(monkeypatch)
     p, q = 353, 354
     v = bisimilar(identical_ring(p), identical_ring(q))
     assert v.holds
@@ -377,6 +393,51 @@ def test_bisimilar_coprime_rings_without_the_product_walk(monkeypatch):
     assert len(relation) == 2 * p * q
     assert relation == sorted(relation)
     assert relation[:2] == [[0, 0], [0, 2]] and relation[-1] == [2 * p - 1, 2 * q - 1]
+
+
+def test_convertible_coprime_rings_without_the_product_walk(monkeypatch):
+    refuse_to_walk(monkeypatch)
+    p, q = 353, 354
+    a, b = (annotate(identical_ring(n), {2 * i: Choice.L for i in range(n)}) for n in (p, q))
+    r = convertible(a, b, "Alice")
+    assert (r.value, r.witness, r.note) == (
+        Convertibility.INDUCTIVE, {"differences": []}, "strategies denote the same tree")
+
+
+def flatten_calls(monkeypatch) -> list[CoSystem]:
+    """The system of every ``_flatten`` call from now on."""
+    calls = []
+    original = system._flatten
+
+    def counted(sys_, *args):
+        calls.append(sys_)
+        return original(sys_, *args)
+
+    monkeypatch.setattr(system, "_flatten", counted)
+    return calls
+
+
+def test_each_input_is_flattened_once_per_call(monkeypatch):
+    calls = flatten_calls(monkeypatch)
+    ring = identical_ring(7)
+    mutant = helpers.payoff_mutant(ring, 13)
+    for a, b in ((ring, identical_ring(5)), (ring, mutant), (mutant, ring)):
+        v = bisimilar(a, b)
+        assert v.holds == (b is not mutant and a is not mutant)
+        assert calls == [a, b] and calls[0] is a and calls[1] is b
+        calls.clear()
+    strategy = annotate(ring, {2 * i: Choice.L for i in range(7)})
+    agu, ngu = dollar_auction_strategy("agu"), dollar_auction_strategy("ngu")
+    pairs = {Convertibility.INDUCTIVE: (strategy, annotate(identical_ring(3), {0: Choice.L, 2: Choice.L,
+                                                                              4: Choice.L})),
+             Convertibility.COINDUCTIVE_ONLY: (strategy, helpers.flip_class_choice(strategy, 0)),
+             Convertibility.NOT_CONVERTIBLE: (strategy, helpers.payoff_mutant(strategy, 13))}
+    for value, (a, b) in pairs.items():
+        assert convertible(a, b, "Alice").value is value
+        assert calls == [a, b] and calls[0] is a and calls[1] is b
+        calls.clear()
+    assert convertible(agu, ngu, "Bob").value is Convertibility.NOT_CONVERTIBLE  # parametric
+    assert calls[0] is agu and calls[1] is ngu and len(calls) == 2
 
 
 class TestBisimilarBounded:
