@@ -31,6 +31,13 @@ explicit stack, so nesting depth is unbounded.  The printer emits one
 equation per class, named ``c0``, ``c1``, ..., with sorted rosters and
 payoff keys and normalized ``a*n+b`` affine spelling; parse/print
 round-trips are exact.
+
+Two readers share this grammar.  A flat reader takes the plain spelling
+that most files use (ASCII text, named refs only, one anchored regex
+match per equation) and gives up, without raising, on anything else.
+The token parser reads what the flat reader gives up on; it alone
+defines the grammar, and it raises every error, with its message,
+``line:col`` and expected tokens.
 """
 
 from __future__ import annotations
@@ -122,10 +129,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    """Parser over token texts.  The common spellings (an equation
-    header, a named ref, a leaf's ``agent :``, a node head) are matched by
-    comparing texts and advancing ``pos`` once; on any mismatch the
-    ``expect_*`` calls take over and raise the error."""
+    """Parser over token texts."""
 
     def __init__(self, text: str):
         self.text = text
@@ -169,6 +173,12 @@ class _Parser:
         tok = self.expect_ident("'n'")
         if tok != "n":
             raise self.error(self.pos - 1, f"found {tok!r}", ("n",))
+
+    def expect_agent(self) -> str:
+        tok = self.expect_ident("an agent name")
+        if tok not in self.roster:
+            raise self.error(self.pos - 1, f"unknown agent {tok!r}", cls=UnknownAgentError)
+        return tok
 
     # ---- file structure
 
@@ -227,21 +237,14 @@ class _Parser:
                 self.eq_ids[name] = len(self.eq_ids)
 
     def _parse_equation(self) -> None:
-        toks, pos = self.tokens, self.pos
-        cid = self.eq_ids.get(toks[pos])
-        if (cid is not None and toks[pos + 1] == "(" and toks[pos + 2] == "n"
-                and toks[pos + 3] == ")" and toks[pos + 4] == "="):
-            self.pos = pos + 5
-        else:
-            name = self.expect_ident("an equation header")
-            if name not in self.eq_ids:
-                raise self.error(pos, f"found {name!r}", ("equation header", "root"))
-            self.expect_punct("(")
-            self.expect_n()
-            self.expect_punct(")")
-            self.expect_punct("=")
-            cid = self.eq_ids[name]
-        self._parse_term(cid)
+        name = self.expect_ident("an equation header")
+        if name not in self.eq_ids:
+            raise self.error(self.pos - 1, f"found {name!r}", ("equation header", "root"))
+        self.expect_punct("(")
+        self.expect_n()
+        self.expect_punct(")")
+        self.expect_punct("=")
+        self._parse_term(self.eq_ids[name])
 
     # ---- terms
 
@@ -266,21 +269,16 @@ class _Parser:
         """Parse refs and close nodes from the top of ``open_nodes`` until
         a ref is an inline term.  Return the fresh class id allotted to
         that term, or None once every node is closed."""
-        toks = self.tokens
         while open_nodes:
             cid, owner, choice, refs = open_nodes[-1]
             if len(refs) == 2:
-                if toks[self.pos] != ">":
-                    self.expect_punct(">")
-                self.pos += 1
+                self.expect_punct(">")
                 open_nodes.pop()
                 self.classes[cid] = Node(owner, choice, refs[0], refs[1])
                 continue
             if refs:
-                if toks[self.pos] != ",":
-                    self.expect_punct(",")
-                self.pos += 1
-            tok = toks[self.pos]
+                self.expect_punct(",")
+            tok = self.tokens[self.pos]
             if tok == "<" or tok == "leaf":
                 fresh = self.next_fresh
                 self.next_fresh += 1
@@ -290,26 +288,16 @@ class _Parser:
         return None
 
     def _parse_leaf(self) -> Leaf:
-        toks = self.tokens
         self.pos += 1  # leaf
-        if toks[self.pos] != "[":
-            self.expect_punct("[")
-        self.pos += 1
+        self.expect_punct("[")
         payoffs: dict[str, Affine] = {}
         while True:
-            pos = self.pos
-            agent = toks[pos]
-            if agent in self.roster and agent not in payoffs and toks[pos + 1] == ":":
-                self.pos = pos + 2
-            else:
-                self.expect_ident("an agent name")
-                if agent not in self.roster:
-                    raise self.error(pos, f"unknown agent {agent!r}", cls=UnknownAgentError)
-                if agent in payoffs:
-                    raise self.error(pos, f"duplicate agent {agent!r} in leaf")
-                self.expect_punct(":")
+            agent = self.expect_agent()
+            if agent in payoffs:
+                raise self.error(self.pos - 1, f"duplicate agent {agent!r} in leaf")
+            self.expect_punct(":")
             payoffs[agent] = self._parse_affine()
-            if toks[self.pos] != ",":
+            if self.tokens[self.pos] != ",":
                 break
             self.pos += 1
         self.expect_punct("]")
@@ -317,56 +305,39 @@ class _Parser:
 
     def _parse_node_head(self, cid: int) -> _OpenNode:
         """``"<" owner ("," choice)? ","``: an open node for class ``cid``."""
+        self.pos += 1  # <
+        owner = self.expect_agent()
+        self.expect_punct(",")
         toks, pos = self.tokens, self.pos
-        owner = toks[pos + 1]
-        if owner in self.roster and toks[pos + 2] == ",":
-            pos += 3
-        else:
-            self.pos = pos + 1  # <
-            self.expect_ident("an agent name")
-            if owner not in self.roster:
-                raise self.error(pos + 1, f"unknown agent {owner!r}", cls=UnknownAgentError)
-            self.expect_punct(",")
-            pos = self.pos
         tok = toks[pos]
         choice = _CHOICES.get(tok)
         if choice is not None and toks[pos + 1] == ",":
             if self.kind == GAME:
                 raise self.error(pos, "choice annotation in a game-kind file",
                                  cls=ChoiceInGameKindError)
-            pos += 2
+            self.pos = pos + 2
         elif self.kind == STRATEGY:
             raise self.error(pos, f"strategy node needs a choice, found {tok!r}", ("l", "r"))
         else:
             choice = None
-        self.pos = pos
         return cid, owner, choice, []
 
     def _parse_named_ref(self) -> Ref:
-        toks, pos = self.tokens, self.pos
-        cid = self.eq_ids.get(toks[pos])
-        if cid is not None and toks[pos + 1] == "(" and toks[pos + 2] == "n":
-            if toks[pos + 3] == ")":
-                self.pos = pos + 4
-                return Ref(cid, 0)
-            if toks[pos + 3] == "+" and toks[pos + 4].isdecimal() and toks[pos + 5] == ")":
-                self.pos = pos + 6
-                return Ref(cid, int(toks[pos + 4]))
         name = self.expect_ident("an equation name or inline term")
-        if cid is None:
-            raise self.error(pos, f"unknown equation {name!r}", cls=UnknownEquationError)
+        if name not in self.eq_ids:
+            raise self.error(self.pos - 1, f"unknown equation {name!r}", cls=UnknownEquationError)
         self.expect_punct("(")
         self.expect_n()
         shift = 0
-        if toks[self.pos] == "+":
+        if self.tokens[self.pos] == "+":
             self.pos += 1
-            k = toks[self.pos]
+            k = self.tokens[self.pos]
             shift = int(k) if _is_int(k) else -1
             if shift < 0:
                 raise self.fail(f"found {k!r}", ("a natural offset",))
             self.pos += 1
         self.expect_punct(")")
-        return Ref(cid, shift)
+        return Ref(self.eq_ids[name], shift)
 
     # ---- affine payoffs
 
@@ -401,21 +372,93 @@ class _Parser:
                 raise self.fail(f"found {val!r}", ("an integer",))
             self.pos = pos + 3
             return Affine(slope, int(val) if tail == "+" else -int(val))
-        if tail[:1] == "-" and int(tail) < 0:  # a glued "-k"; "-0" is left unread
+        if tail[:1] == "-":  # an integer glued to its minus sign, "-0" too
             self.pos = pos + 2
             return Affine(slope, int(tail))
         self.pos = pos + 1
         return Affine(slope, 0)
 
 
+# The flat reader's spelling: a header, equations whose refs are all named,
+# and a root, with payoffs ``-?k``, ``-?k*n`` or ``-?n``, the last two with
+# an optional tail ``+k`` or ``-k``.  ``\s+`` stands wherever two
+# identifiers meet, so that no match splits one.  ``_ITEM`` is ``_PAYOFF``
+# without its groups: the equation match only checks a leaf's body, and
+# ``_FLAT_PAYOFF`` reads it.  All are compiled with ``re.ASCII``, so no
+# character outside ASCII matches them.
+_IDENT = r"[A-Za-z_]\w*"
+_REF = rf"({_IDENT})\s*\(\s*n\s*(?:\+\s*(\d+)\s*)?\)"
+_PAYOFF = rf"\s*({_IDENT})\s*:\s*(-?)\s*(?:(\d+)|(?:(\d+)\s*\*\s*)?n(?:\s*([+-])\s*(\d+))?)\s*"
+_ITEM = re.sub(r"\((?!\?)", "(?:", _PAYOFF)
+_FLAT_HEAD = re.compile(rf"\s*(strategy|game)\s+agents((?:\s+{_IDENT})+?)\s+(?={_IDENT}\s*\()",
+                        re.ASCII)
+_FLAT_EQ = re.compile(rf"\s*({_IDENT})\s*\(\s*n\s*\)\s*=\s*(?:"
+                      rf"<\s*({_IDENT})\s*,(?:\s*([lr])\s*,)?\s*{_REF}\s*,\s*{_REF}\s*>"
+                      rf"|leaf\s*\[({_ITEM}(?:,{_ITEM})*)\])", re.ASCII)
+_FLAT_PAYOFF = re.compile(rf"{_PAYOFF}(?:,|\Z)", re.ASCII)
+_FLAT_ROOT = re.compile(rf"\s*root\s+({_IDENT})\s*\Z", re.ASCII)
+
+
+def _parse_flat(text: str) -> CoSystem | None:
+    """The system of a file in the flat spelling, or None for any other
+    text, valid or not.  Where it returns a system, the token parser
+    returns an equal one."""
+    head = _FLAT_HEAD.match(text)
+    if head is None:
+        return None
+    kind, roster = head[1], head[2].split()
+    agents = set(roster)
+    if len(agents) < len(roster) or not agents.isdisjoint(RESERVED):
+        return None
+    # the matches, not their groups: a tuple per equation, all held at
+    # once, would stay on the tuple free list after the parse
+    equations = []
+    pos = head.end()
+    while (m := _FLAT_EQ.match(text, pos)) is not None:
+        equations.append(m)
+        pos = m.end()
+    root = _FLAT_ROOT.match(text, pos)
+    ids = {m[1]: i for i, m in enumerate(equations)}
+    if (root is None or root[1] not in ids or len(ids) < len(equations)
+            or not ids.keys().isdisjoint(RESERVED)):
+        return None
+    strategy = kind == STRATEGY
+    classes: list[NodeClass] = []
+    for m in equations:
+        _, owner, choice, left, left_shift, right, right_shift, body = m.groups()
+        if body is None:
+            if (owner not in agents or (choice is None) == strategy
+                    or left not in ids or right not in ids):
+                return None
+            classes.append(Node(owner, choice and _CHOICES[choice],
+                                Ref(ids[left], int(left_shift or 0)),
+                                Ref(ids[right], int(right_shift or 0))))
+            continue
+        payoffs: dict[str, Affine] = {}
+        for agent, minus, const, slope, tail_sign, tail in _FLAT_PAYOFF.findall(body):
+            if agent not in agents or agent in payoffs:
+                return None
+            sign = -1 if minus else 1
+            if const:
+                payoffs[agent] = Affine(0, sign * int(const))
+            else:
+                intercept = int(tail or 0)
+                payoffs[agent] = Affine(sign * int(slope or 1),
+                                        -intercept if tail_sign == "-" else intercept)
+        classes.append(Leaf(payoffs))
+    return CoSystem(kind, tuple(roster), tuple(classes), Ref(ids[root[1]], 0))
+
+
 def parse(text: str) -> CoSystem:
     """Parse source text into an equation system.
 
-    Classes are numbered by the textual order of the named equations,
-    then of the inline terms; this makes parse(render(x)) representation
-    equal to x.
+    The flat reader takes plain files; the token parser takes the rest
+    (inline terms, rarer spellings) and raises every error.  Classes are
+    numbered by the textual order of the named equations, then of the
+    inline terms; this makes parse(render(x)) representation equal to x.
     """
-    return _Parser(text).parse_file()
+    sys_ = _parse_flat(text)
+    return sys_ if sys_ is not None else _Parser(text).parse_file()
 
 
 def _render_affine(f: Affine) -> str:

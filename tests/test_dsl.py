@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -64,11 +65,17 @@ class TestParse:
             "- 2*n+1": Affine(-2, 1),
             "- n + 2": Affine(-1, 2),
             "- 7": Affine(0, -7),
+            # a minus glued to a zero tail, as "n - 0" and "n+0" are read
+            "n-0": Affine(1, 0),
+            "2*n-00": Affine(2, 0),
         }
         for text, expected in cases.items():
-            sys_ = parse(f"game agents A g(n) = leaf[A: {text}] root g")
+            source = f"game agents A g(n) = leaf[A: {text}] root g"
+            sys_ = parse(source)
             assert sys_.classes[0].payoffs["A"] == expected, text
             assert parse(render(sys_)) == sys_, text
+            # every spelling here is one the flat reader takes
+            assert dsl._parse_flat(source) == dsl._Parser(source).parse_file() == sys_, text
 
 
     def test_offset_spellings(self):
@@ -87,6 +94,92 @@ class TestParse:
         sources.append(DOLLAR_AGU_ONE_LINER)
         for text in sources:
             parse(text)
+
+
+def unrolled_dollar_auction(periods: int, seed: int) -> str:
+    """The dollar auction strategy ``agu`` unrolled ``periods`` times, in
+    shuffled equation order: period ``i`` stands at ``periods*n + i`` and
+    the last loops back to period 0 at ``n+1``."""
+    k = periods
+    eqs = []
+    for i in range(k):
+        nxt = f"alice{i + 1}(n)" if i + 1 < k else "alice0(n+1)"
+        p = 2 * i
+        eqs += [f"alice{i}(n) = <Alice, r, bob{i}(n), quit_a{i}(n)>",
+                f"bob{i}(n) = <Bob, r, {nxt}, quit_b{i}(n)>",
+                f"quit_a{i}(n) = leaf[Alice: {-2 * k}*n{-p - 1:+d}, Bob: {-2 * k}*n{-p:+d}]",
+                f"quit_b{i}(n) = leaf[Alice: {-2 * k}*n{-p - 2:+d}, Bob: {-2 * k}*n{-p - 1:+d}]"]
+    random.Random(seed).shuffle(eqs)
+    return "strategy agents Alice Bob\n" + "\n".join(eqs) + "\nroot alice0\n"
+
+
+def respaced(text: str) -> str:
+    """``text`` with spaces and tabs between all of its tokens."""
+    return " \t".join(dsl._TOKEN.findall(text)) + "\t\n"
+
+
+class TestFlatReader:
+    def test_plain_files_never_reach_the_token_parser(self, monkeypatch):
+        token_parser = dsl._Parser
+
+        def refuse(text):
+            raise AssertionError("the token parser was called")
+
+        monkeypatch.setattr(dsl, "_Parser", refuse)
+        sources = [p.read_text() for p in sorted(GAMES_DIR.glob("*.cog"))]
+        sources += [render(helpers.random_system(seed)) for seed in range(100)]
+        sources += [unrolled_dollar_auction(periods, seed)
+                    for seed, periods in enumerate((1, 2, 7, 40))]
+        assert "alice0(n+1)" in sources[-1] and "-80*n-1" in sources[-1]
+        for text in sources + [respaced(text) for text in sources]:
+            sys_ = parse(text)
+            expected = token_parser(text).parse_file()
+            assert sys_ == expected and repr(sys_) == repr(expected)
+
+    # (source, why the flat reader gives it up): each is valid, so the token
+    # parser reads it, or raises the error the token parser raises
+    GIVEN_UP = [
+        (DOLLAR_AGU_ONE_LINER, "inline term"),
+        ("game agents A g(n) = <A, g(n), leaf[A: 0]> root g", "inline leaf"),
+        ("game agents A leaf(n) = leaf[A: 0] root leaf", "reserved equation name"),
+        ("game agents A n g(n) = leaf[A: 0, n: 1] root g", "reserved agent"),
+        ("game agents A A g(n) = leaf[A: 0] root g", "duplicate agent"),
+        ("game agents A g(n) = leaf[A: 0] g(n) = leaf[A: 1] root g", "duplicate equation"),
+        ("game agents A g(n) = <A, g(n), h(n)> root g", "unknown ref"),
+        ("game agents A g(n) = leaf[A: 0] root h", "unknown root"),
+        ("game agents A g(n) = <B, g(n), g(n)> root g", "unknown owner"),
+        ("game agents A g(n) = leaf[B: 0] root g", "unknown leaf agent"),
+        ("game agents A B g(n) = leaf[A: 0, A: 1] root g", "duplicate leaf agent"),
+        ("game agents A g(n) = <A, l, g(n), g(n)> root g", "choice in a game"),
+        ("strategy agents A g(n) = <A, g(n), g(n)> root g", "no choice in a strategy"),
+        ("game agents A g(n) = leaf[A: --5] root g", "double minus"),
+        ("game agents A g(n) = leaf[A: n+-0] root g", "signed tail after plus"),
+        ("game agents A g(n) = <A, g(n+-0), g(n)> root g", "signed offset"),
+        ("game agents A g(n) = leaf[A: 5+1] root g", "tail on a constant"),
+        ("game agents A g(n) = leaf[A: 0] root g g", "trailing input"),
+        ("game agents A g(n) = leaf[A: 0] root g )", "trailing punctuation"),
+        ("game agents A g(n) = leaf[A: ٣] root g", "non-ASCII digit"),
+        ("game agents Åsa g(n) = leaf[Åsa: 0] root g", "non-ASCII agent"),
+        ("game agents A g(n) = leaf[A: 0]\x1croot g", "whitespace outside ASCII's \\s"),
+        ("strategy agents Annc0(n) = <Ann, l, c0(n), c0(n)> root c0",
+         "agent glued to the first equation name"),
+        ("game agents A rootg(n) = leaf[A: 0] root g", "root glued to an agent"),
+        ("game agents A g(n) = leaf[A: 0] rootg", "root glued to its name"),
+        ("game agents A g(n) = leaf[A: 0]", "no root"),
+        ("game agents A root g", "no equation"),
+    ]
+
+    @pytest.mark.parametrize("source, why", GIVEN_UP, ids=[why for _, why in GIVEN_UP])
+    def test_gives_up_on_other_spellings_without_raising(self, source, why):
+        assert dsl._parse_flat(source) is None
+        try:
+            expected = dsl._Parser(source).parse_file()
+        except ParseError as err:
+            with pytest.raises(type(err)) as again:
+                parse(source)
+            assert str(again.value) == str(err)
+        else:
+            assert parse(source) == expected
 
 
 class TestParseErrors:
@@ -205,7 +298,7 @@ ERROR_TABLE = [
     ("game agents A g(x) = leaf[A: 0] root g",
      ParseError, "1:15: at least one equation is required (expected equation)", 1, 15,
      ("equation",)),
-    # each row below leaves a fast path of the parser at a different token
+    # each row below stops the parser at a different token of a common spelling
     ("game agents A\nc0(n) = <A, c0(n+x), c0(n)>\nroot c0",
      ParseError, "2:18: found 'x' (expected a natural offset)", 2, 18, ("a natural offset",)),
     ("game agents A\nc0(n) = <A, c0(n+), c0(n)>\nroot c0",

@@ -1,4 +1,6 @@
-"""Property test: every mutated source parses or raises a positioned ParseError.
+"""Property tests on mutated sources: every one parses or raises a
+positioned ParseError, and the flat reader either gives it up or reads the
+system the token parser reads.
 
 Sources are the shipped games and rendered seeded systems, mutated by
 inserting, deleting or truncating characters drawn from the grammar's
@@ -11,12 +13,13 @@ from pathlib import Path
 import pytest
 
 from cogames import CoSystem
+from cogames import dsl
 from cogames.dsl import ParseError, parse, render
 
 import helpers
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
@@ -25,10 +28,12 @@ SOURCES = ([p.read_text() for p in sorted(GAMES_DIR.glob("*.cog"))]
 
 # Grammar characters and whitespace; non-ASCII letters, a decimal digit
 # (Arabic-Indic three) and non-decimal digits (superscript two, one half);
-# fragments that open or close inline terms.
+# fragments that open or close inline terms; rare payoff spellings, and an
+# agent that glues onto the identifier after it.
 INSERTS = st.one_of(st.sampled_from("abcdefgilnorstyABC_0123456789()[]<>,:=+-* \t\n\r"),
                     st.sampled_from("éßΩ٣²½"),
-                    st.sampled_from(["<Ann, l, ", "leaf[Ann: 0]", "c0(n+1)", ", "]))
+                    st.sampled_from(["<Ann, l, ", "leaf[Ann: 0]", "c0(n+1)", ", "]),
+                    st.sampled_from(["n-0", "n+-0", "--5", "- 5", "*n", " Ann"]))
 
 
 @st.composite
@@ -59,3 +64,18 @@ def test_parse_returns_a_system_or_a_positioned_error(text):
     else:
         assert isinstance(sys_, CoSystem)
         assert render(parse(render(sys_))) == render(sys_)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(mutated_sources())
+@example("strategy agents Annc0(n) = <Ann, l, c0(n), c0(n)>\nroot c0\n")
+@example("game agents Ann\nc0(n) = leaf[Ann: n-0]\nroot c0\n")
+@example("game agents Ann\nc0(n) = leaf[Ann: n+-0]\nroot c0\n")
+def test_flat_reader_gives_up_or_agrees_with_the_token_parser(text):
+    flat = dsl._parse_flat(text)
+    try:
+        expected = dsl._Parser(text).parse_file()
+    except ParseError:
+        assert flat is None
+    else:
+        assert flat is None or (flat == expected and repr(flat) == repr(expected))
