@@ -28,7 +28,6 @@ from .equilibria import (
     ConvClass,
     Convertibility,
     ReachSet,
-    check_altl_preservation,
     convertible,
     nash_eq,
     reach_index_sets,
@@ -64,10 +63,9 @@ __all__ = [
     "KindMismatchError", "LassoHistory", "Leaf", "Node",
     "ParametricUnsupportedError", "ReachSet", "Ref", "RosterMismatchError",
     "STRATEGY", "Verdict", "alw_leads_to_leaf", "annotate", "bisimilar",
-    "bisimilar_bounded", "canonicalize", "check_altl_preservation",
-    "convertible", "format_lasso", "h_bisimilar", "in_h1", "in_h2",
-    "is_finite", "is_history_of", "is_parametric", "leads_to_leaf",
-    "nash_eq", "parse_lasso", "reach_index_sets", "reachable", "s2u",
-    "sgpe", "strategy_history", "strategy_to_game", "unfold",
-    "utility_from", "validate", "with_root",
+    "bisimilar_bounded", "canonicalize", "convertible", "format_lasso",
+    "h_bisimilar", "in_h1", "in_h2", "is_finite", "is_history_of",
+    "is_parametric", "leads_to_leaf", "nash_eq", "parse_lasso",
+    "reach_index_sets", "reachable", "s2u", "sgpe", "strategy_history",
+    "strategy_to_game", "unfold", "utility_from", "validate", "with_root",
 ]

@@ -19,7 +19,10 @@ margins are affine in the index, so both checks only need the least and
 the greatest index of each class (``ReachSet``), or, when a
 positive-offset cycle lies on a path to the class, a lasso through that
 cycle along which the index grows without bound.  Every index a
-certificate reports is one at which its class occurs.
+certificate reports is one at which its class occurs.  Dijkstra finds
+the least indices; one pass over the SCCs in topological order finds
+the greatest indices and the lasso entries, so the analysis reads each
+class's edges a bounded number of times.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
@@ -39,7 +42,6 @@ most ``|S|*|T|`` states.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -60,10 +62,6 @@ from .system import (
     sccs,
 )
 from .verdict import Verdict
-
-
-class NotApplicableError(ValueError):
-    """Preservation check invoked on a pair that is not inductively convertible."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,57 +152,60 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     # least indices, keyed by the classes reachable under this projection
     dist, min_parent = _shortest(adj, root)
 
-    # an SCC has a positive-weight cycle iff one of its internal edges has
-    # positive weight (offsets are nonnegative, so the closing path adds
-    # nothing negative); each SCC is marked once, so the pass is linear
-    scc_of = {v: comp for comp in sccs([root.cls], lambda c: (r.cls for _, r in adj[c])) for v in comp}
-    positive: set[int] = set()
-    for c in dist:
-        if c in positive:
-            continue
-        for _, ref in adj[c]:
-            if scc_of[c] is scc_of[ref.cls] and ref.shift > 0:
-                positive.update(scc_of[c])
-                break
+    comps = sccs([root.cls], lambda c: (r.cls for _, r in adj[c]))
+    scc_of = {v: comp for comp in comps for v in comp}
 
-    # unbounded = reachable from a positive cycle.  The search starts from
-    # each positive member in (least index, id) order, and each start
-    # claims the classes no earlier start reached.  A class is therefore
-    # claimed by the nearest-to-root positive member that feeds it: an
-    # earlier start that fed it would have claimed it, and a later one
-    # sorts after the claimant.  Its lasso pumps that member's cycle.
+    # One pass over the SCCs in topological order (Tarjan's list reversed):
+    # an SCC is settled once every SCC with an edge into it is, and then
+    # makes offers along its edges out.  An SCC is positive iff one of its
+    # internal edges has positive weight (offsets are nonnegative, so the
+    # path closing that cycle adds nothing negative).  A class is
+    # unbounded iff a positive SCC feeds it.  Its lasso pumps the least
+    # (least index, id) positive member feeding it: the least of the
+    # entries fed into its SCC (``feed``, keyed by the SCC's first member)
+    # and, if the SCC is positive, of its own members.  In a bounded SCC
+    # every internal edge weighs 0, so all members share one greatest
+    # index, the best offer into a member; it spreads from that member
+    # along a tree of parent steps.  Until its SCC is settled, a class's
+    # ``most`` and ``max_parent`` hold the best offer made to it, and an
+    # unbounded class drops them.
+    positive = {scc_of[c][0] for c in dist for _, r in adj[c] if r.shift and scc_of[r.cls] is scc_of[c]}
+    rank = lambda m: (dist[m], m)
+    feed: dict[int, int] = {}
     entry: dict[int, int] = {}
-    for m in sorted(positive, key=lambda m: (dist[m], m)):
-        if m not in entry:
-            entry[m] = m
-            queue = deque([m])
-            while queue:
-                for _, ref in adj[queue.popleft()]:
-                    if ref.cls not in entry:
-                        entry[ref.cls] = m
-                        queue.append(ref.cls)
-
-    # greatest indices of the bounded classes, by a label-correcting FIFO
-    # pass for longest paths (Bellman-Ford).  Every path to a bounded class
-    # stays among bounded classes, where every cycle weighs 0, so a class
-    # is raised only along a strictly longer path, the pass ends within
-    # |classes| rounds, and the parent steps form a tree.
-    most: dict[int, int] = {}
-    max_parent: dict[int, Step | None] = {}
-    if root.cls not in entry:
-        most[root.cls], max_parent[root.cls] = root.shift, None
-        queue, waiting = deque([root.cls]), {root.cls}
-        while queue:
-            c = queue.popleft()
-            waiting.discard(c)
+    most: dict[int, int] = {root.cls: root.shift}
+    max_parent: dict[int, Step | None] = {root.cls: None}
+    for comp in reversed(comps):
+        head = comp[0]
+        if head in positive:
+            feed[head] = min(feed.get(head, head), *comp, key=rank)
+        if head in feed:
+            feeder = entry[head] = feed[head]
+            queue = [head]
+            for c in queue:
+                most.pop(c, None)
+                max_parent.pop(c, None)
+                for _, ref in adj[c]:
+                    t = ref.cls
+                    if scc_of[t] is not comp:
+                        k = scc_of[t][0]
+                        feed[k] = min(feed.get(k, feeder), feeder, key=rank)
+                    elif t not in entry:
+                        entry[t] = feeder
+                        queue.append(t)
+            continue
+        start = max(comp, key=lambda v: most.get(v, -1)) if len(comp) > 1 else head
+        w, queue, seen = most[start], [start], {start}
+        for c in queue:
             for label, ref in adj[c]:
-                w = most[c] + ref.shift
-                if ref.cls not in entry and w > most.get(ref.cls, w - 1):
-                    most[ref.cls] = w
-                    max_parent[ref.cls] = (c, most[c], label)
-                    if ref.cls not in waiting:
-                        waiting.add(ref.cls)
-                        queue.append(ref.cls)
+                t = ref.cls
+                if scc_of[t] is not comp:
+                    if w + ref.shift > most.get(t, -1):
+                        most[t], max_parent[t] = w + ref.shift, (c, w, label)
+                elif t not in seen:
+                    seen.add(t)
+                    most[t], max_parent[t] = w, (c, w, label)
+                    queue.append(t)
 
     sets = {c: ReachSet(d, most.get(c)) for c, d in dist.items()}
     return _ReachInfo(adj, sets, entry, scc_of, min_parent, max_parent)
@@ -498,8 +499,8 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     ``NOT_CONVERTIBLE`` witness is a path from the roots to an
     observation that differs, and any other verdict means the two
     strategies denote the same tree up to the agent's own choices.
-    Successor lists for the cycle analysis are built only when some
-    difference was recorded.
+    When some difference was recorded, the cycle analysis reads the
+    walk's own int states through ``walk.successors``.
     """
     if s.kind != STRATEGY or t.kind != STRATEGY:
         raise KindMismatchError("convertible expects two strategies")
@@ -517,70 +518,39 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
         return ConvClass(Convertibility.INDUCTIVE, {"differences": []},
                          "strategies denote the same tree")
 
-    # the cycle analysis below reads states as (i, j, delta) tuples
-    decode = walk.decode
-    out_edges = {decode(v): [decode(w) for w in walk.successors(v)] for v in walk.order}
-    diffs = {decode(v) for v in walk.diffs}
-
     # a difference is realized infinitely often iff it sits on or after a
-    # product cycle
-    comps = sccs(out_edges.keys(), lambda v: out_edges[v])
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    cyclic = set()
-    for comp in comps:
-        members = set(comp)
-        if len(comp) > 1 or any(v in out_edges[comp[0]] for v in comp):
-            cyclic.update(members)
-    after: set[tuple[int, int, int]] = set(cyclic)
-    origin: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    queue = deque(cyclic)
-    while queue:
-        v = queue.popleft()
-        for w in out_edges[v]:
-            if w not in after:
-                after.add(w)
+    # product cycle; the analysis runs on the walk's int states, and only
+    # the states written into the witness are decoded
+    succ, decode = walk.successors, walk.decode
+    cyclic = {v: comp for comp in sccs(walk.order, succ)
+              if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
+    # each state on or after a cycle -> the state the search reached it
+    # from, None on a cycle; seeded in the walk's breadth-first order
+    queue = [v for v in walk.order if v in cyclic]
+    origin: dict[int, int | None] = dict.fromkeys(queue)
+    for v in queue:
+        for w in succ(v):
+            if w not in origin:
                 origin[w] = v
                 queue.append(w)
 
-    recurring = sorted(diffs & after)
-    if not recurring:
+    v = target = min((d for d in walk.diffs if d in origin), key=decode, default=None)
+    if target is None:
         return ConvClass(
             Convertibility.INDUCTIVE,
-            {"differences": [_state_json(d) for d in sorted(diffs)]},
-            f"{len(diffs)} differing node class pair(s), none recurring",
+            {"differences": [_state_json(d) for d in sorted(map(decode, walk.diffs))]},
+            f"{len(walk.diffs)} differing node class pair(s), none recurring",
         )
 
-    target = recurring[0]
     hop_path = []
-    v = target
-    while v in origin:
-        hop_path.append(_state_json(v))
+    while origin[v] is not None:
+        hop_path.append(_state_json(decode(v)))
         v = origin[v]
-    cycle_comp = [x for x in comps[comp_of[v]]]
     witness = {
-        "difference": _state_json(target),
-        "cycle": [_state_json(x) for x in sorted(cycle_comp)],
+        "difference": _state_json(decode(target)),
+        "cycle": [_state_json(x) for x in sorted(map(decode, cyclic[v]))],
         "path_from_cycle": hop_path[::-1],
-        "path_from_root": walk.path_to(walk.encode(*v)),
+        "path_from_root": walk.path_to(v),
     }
     return ConvClass(Convertibility.COINDUCTIVE_ONLY, witness,
                      "a choice difference recurs along an unrolled cycle")
-
-
-def check_altl_preservation(s: CoSystem, t: CoSystem, agent: str) -> Verdict:
-    """Harness for the preservation law: an inductively convertible
-    rewrite of a strategy that always leads to a leaf again always leads
-    to a leaf.  A failing verdict here indicates an engine bug, not a
-    property of the inputs."""
-    conv = convertible(s, t, agent)
-    if conv.value is not Convertibility.INDUCTIVE:
-        raise NotApplicableError(f"pair is {conv.value.value}, not inductively convertible")
-    premise = alw_leads_to_leaf(s)
-    if not premise.holds:
-        return Verdict(True, {"source": premise.to_json()},
-                       "not applicable: premise fails, implication vacuous")
-    conclusion = alw_leads_to_leaf(t)
-    cert = {"source": premise.to_json(), "target": conclusion.to_json()}
-    if conclusion.holds:
-        return Verdict(True, cert, "always-leads-to-leaf preserved")
-    return Verdict(False, cert, "PRESERVATION VIOLATED: engine inconsistency")

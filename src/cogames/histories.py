@@ -129,8 +129,9 @@ def strategy_history(s: CoSystem) -> LassoHistory:
 
 
 def is_finite(sys: CoSystem) -> bool:
-    """True iff the reachable class graph is acyclic and non-parametric,
-    i.e. the system denotes a finite tree with index-independent payoffs."""
+    """True iff the reachable class graph is acyclic and reaches no leaf
+    with a nonzero payoff slope, i.e. the system denotes a finite tree
+    with index-independent payoffs (shifts change no observation there)."""
     if is_parametric(sys):
         return False
 

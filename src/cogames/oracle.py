@@ -24,8 +24,12 @@ from .system import Node as SysNode
 from .verdict import Verdict
 
 
+# per agent, ``exhaustive_nash`` refuses to enumerate more profiles
+MAX_PROFILES = 1 << 14
+
+
 class TooLargeError(ValueError):
-    """Enumeration would exceed the configured profile bound."""
+    """Enumeration would exceed ``MAX_PROFILES``."""
 
 
 @dataclass(frozen=True)
@@ -156,17 +160,17 @@ def owners(t: FiniteGame | FiniteStrategy) -> set[str]:
     return {node.owner for node, _, _ in _preorder(t) if not isinstance(node, Leaf)}
 
 
-def exhaustive_nash(s: FiniteStrategy, max_profiles: int = 1 << 14) -> Verdict:
+def exhaustive_nash(s: FiniteStrategy) -> Verdict:
     """Literal Nash check: per agent, enumerate every rewrite of that
     agent's choices, evaluate, and compare.  Finite strategies always
     lead to a leaf, so every profile has a utility."""
     order = _preorder(s)
     for agent in sorted(owners(s)):
         positions = _agent_positions(order, agent)
-        if 2 ** len(positions) > max_profiles:
+        if 2 ** len(positions) > MAX_PROFILES:
             raise TooLargeError(
                 f"{agent} owns {len(positions)} nodes: 2^{len(positions)} profiles "
-                f"exceed the bound of {max_profiles}")
+                f"exceed the bound of {MAX_PROFILES}")
         base = finite_utility(s, agent)
         for choices in itertools.product((Choice.L, Choice.R), repeat=len(positions)):
             assignment = dict(zip(positions, choices))

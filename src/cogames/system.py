@@ -42,7 +42,8 @@ class RosterMismatchError(ValueError):
 
 
 class ParametricUnsupportedError(ValueError):
-    """Exact bisimilarity requested for a parametric system."""
+    """Exact bisimilarity requested for a system from whose root a leaf
+    with a nonzero payoff slope is reachable."""
 
 
 class Choice(Enum):
@@ -271,19 +272,14 @@ def sccs(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable
 
 
 def is_parametric(sys: CoSystem) -> bool:
-    """True iff some reachable reference has shift > 0 or some reachable
-    leaf payoff has nonzero slope.  Non-parametric systems denote plain
-    rational trees and admit exact bisimilarity checking."""
-    if sys.root.shift > 0:
-        return True
+    """True iff a leaf with a nonzero payoff slope is reachable from the
+    root.  Shifts alone do not count: below constant leaves they change
+    no observation, so a system without such a leaf denotes a plain
+    rational tree and admits exact bisimilarity checking."""
     for i in reachable(sys):
         cls = sys.classes[i]
-        if isinstance(cls, Leaf):
-            if any(f.slope != 0 for f in cls.payoffs.values()):
-                return True
-        else:
-            if cls.left.shift > 0 or cls.right.shift > 0:
-                return True
+        if isinstance(cls, Leaf) and any(f.slope != 0 for f in cls.payoffs.values()):
+            return True
     return False
 
 
@@ -546,7 +542,9 @@ class ProductWalk:
 
 
 def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
-    """Decide bisimilarity of two non-parametric systems.
+    """Decide bisimilarity of two systems from whose roots no leaf with a
+    nonzero payoff slope is reachable (see :func:`is_parametric`; shifts
+    may appear anywhere).
 
     :class:`ProductWalk` decides it: its union-find runs in near-linear
     time, and the product walk runs only once the union-find has found

@@ -8,13 +8,16 @@ from cogames import (
     Affine,
     Choice,
     CoSystem,
+    Convertibility,
     GAME,
     Leaf,
     LassoHistory,
     Node,
     Ref,
     STRATEGY,
+    Verdict,
     alw_leads_to_leaf,
+    convertible,
     validate,
 )
 
@@ -201,3 +204,26 @@ def finite_corpus(count: int, build, max_size: int = 12, **kwargs) -> list:
             out.append(tree)
         seed += 1
     return out
+
+
+class NotApplicableError(ValueError):
+    """Preservation check invoked on a pair that is not inductively convertible."""
+
+
+def check_altl_preservation(s: CoSystem, t: CoSystem, agent: str) -> Verdict:
+    """Harness for the preservation law: an inductively convertible
+    rewrite of a strategy that always leads to a leaf again always leads
+    to a leaf.  A failing verdict here indicates an engine bug, not a
+    property of the inputs."""
+    conv = convertible(s, t, agent)
+    if conv.value is not Convertibility.INDUCTIVE:
+        raise NotApplicableError(f"pair is {conv.value.value}, not inductively convertible")
+    premise = alw_leads_to_leaf(s)
+    if not premise.holds:
+        return Verdict(True, {"source": premise.to_json()},
+                       "not applicable: premise fails, implication vacuous")
+    conclusion = alw_leads_to_leaf(t)
+    cert = {"source": premise.to_json(), "target": conclusion.to_json()}
+    if conclusion.holds:
+        return Verdict(True, cert, "always-leads-to-leaf preserved")
+    return Verdict(False, cert, "PRESERVATION VIOLATED: engine inconsistency")

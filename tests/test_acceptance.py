@@ -13,7 +13,6 @@ from cogames import (
     Choice,
     bisimilar_bounded,
     canonicalize,
-    check_altl_preservation,
     h_bisimilar,
     in_h1,
     in_h2,
@@ -107,7 +106,7 @@ def test_c05_preservation_on_200_inductive_pairs():
     for s, agent, seed in pairs:
         t, _ = helpers.prefix_perturbation(s, agent, seed=seed * 31 + 1)
         assert convertible(s, t, agent).value is Convertibility.INDUCTIVE
-        verdict = check_altl_preservation(s, t, agent)
+        verdict = helpers.check_altl_preservation(s, t, agent)
         assert verdict.holds and "vacuous" not in verdict.note
         checked += 1
     assert checked == 200

@@ -141,6 +141,21 @@ class TestBisim:
         run_json(capsys, "bisim", str(GAMES / f"{a}.cog"), str(GAMES / f"{b}.cog"))
         assert len(seen) == passes
 
+    def test_shifts_over_constant_leaves_are_decided_exactly(self, capsys, tmp_path):
+        # the two chains differ only at depth 30, past the bounded check's
+        # depth; bisim and convert must agree that they differ there
+        for name, end in (("a", 1), ("b", 2)):
+            (tmp_path / f"{name}.cog").write_text(shifted_constant_chain(30, end))
+        a, b = str(tmp_path / "a.cog"), str(tmp_path / "b.cog")
+        code, report = run_json(capsys, "bisim", a, b)
+        check = report["checks"][0]
+        assert (code, check["name"], check["outcome"]) == (1, "bisimilar", "fails")
+        assert check["certificate"] == {"path": ["l"] * 30, "reason": "leaf payoffs differ"}
+        code, report = run_json(capsys, "convert", a, b, "--agent", "A")
+        witness = report["checks"][0]["certificate"]["witness"]
+        assert code == 1
+        assert (witness["path"], witness["reason"]) == (["l"] * 30, "leaf payoffs differ for A")
+
     def test_depth_flag(self, capsys):
         code, _ = run_json(capsys, "bisim", str(GAMES / "dollar_auction_agu.cog"),
                            str(GAMES / "dollar_auction_ngu.cog"), "--depth", "5")
@@ -261,6 +276,18 @@ def chain_source(length: int, flip: int | None = None) -> str:
         lines.append(f"c{i}(n) = <A, {'r' if i == flip else 'l'}, {nxt}, stop{i}(n)>")
         lines.append(f"stop{i}(n) = leaf[A: n]")
     lines += ["end(n) = leaf[A: n+1]", "root c0"]
+    return "\n".join(lines) + "\n"
+
+
+def shifted_constant_chain(length: int, end: int) -> str:
+    """Agent A continues down ``length`` nodes, each a level deeper
+    (``n+1``), to a leaf paying ``end``; stopping pays 0.  Every leaf is
+    constant, so the shifts change no observation."""
+    lines = ["strategy agents A"]
+    for i in range(length):
+        nxt = f"c{i + 1}(n+1)" if i + 1 < length else "end(n+1)"
+        lines.append(f"c{i}(n) = <A, l, {nxt}, z(n)>")
+    lines += [f"end(n) = leaf[A: {end}]", "z(n) = leaf[A: 0]", "root c0"]
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,6 @@ from cogames import (
     STRATEGY,
     alw_leads_to_leaf,
     bisimilar_bounded,
-    check_altl_preservation,
     convertible,
     leads_to_leaf,
     nash_eq,
@@ -27,7 +26,7 @@ from cogames import (
     strategy_to_game,
     unfold,
 )
-from cogames.equilibria import Convertibility, NotApplicableError
+from cogames.equilibria import Convertibility
 from cogames.system import ProductWalk
 from cogames import dsl, oracle
 from cogames.cli import main
@@ -448,32 +447,32 @@ class TestPreservation:
     def test_perturbed_give_up_stays_terminating(self):
         agu = dollar_auction_strategy("agu")
         t, _ = helpers.prefix_perturbation(agu, "Alice", seed=5)
-        v = check_altl_preservation(agu, t, "Alice")
+        v = helpers.check_altl_preservation(agu, t, "Alice")
         assert v.holds
         assert v.certificate["source"]["outcome"] == "holds"
         assert v.certificate["target"]["outcome"] == "holds"
 
     def test_identity_trivially_preserved(self):
         s = centipede_strategy("agu")
-        assert check_altl_preservation(s, s, "Bob").holds
+        assert helpers.check_altl_preservation(s, s, "Bob").holds
 
     def test_vacuous_when_premise_fails(self):
         ngu = dollar_auction_strategy("ngu")
-        v = check_altl_preservation(ngu, ngu, "Alice")
+        v = helpers.check_altl_preservation(ngu, ngu, "Alice")
         assert v.holds and "vacuous" in v.note
 
     def test_not_applicable_without_inductive_convertibility(self):
         agu = dollar_auction_strategy("agu")
         ngu = dollar_auction_strategy("ngu")
-        with pytest.raises(NotApplicableError):
-            check_altl_preservation(agu, ngu, "Alice")
+        with pytest.raises(helpers.NotApplicableError):
+            helpers.check_altl_preservation(agu, ngu, "Alice")
 
     def test_lemma_on_generated_pairs(self):
         for seed in range(60):
             s = helpers.random_terminating_strategy(seed)
             agent = s.roster[seed % len(s.roster)]
             t, _ = helpers.prefix_perturbation(s, agent, seed=seed + 1000)
-            assert check_altl_preservation(s, t, agent).holds
+            assert helpers.check_altl_preservation(s, t, agent).holds
 
 
 class TestNashEq:
@@ -741,6 +740,62 @@ class TestShiftedRing:
         assert [row["class"] for row in rows] == list(range(self.LENGTH))
         assert all(row["margin"] == {"slope": 0, "intercept": 1} for row in rows)
         assert all(row["indices"] == {"minimum": row["class"], "maximum": None} for row in rows)
+
+
+def diamond_ladder(k: int) -> CoSystem:
+    """``k`` diamonds in a row: Alice's ``a_i`` (class i) goes on to
+    ``a_{i+1}`` at ``n``, or through Bob's ``b_i`` (class k+1+i) to it at
+    ``n+1``, and Bob may stop at ``z`` instead; the end leaf ``a_k`` pays
+    Alice ``n``.  Every node plays l, so ``a_i`` is met along 2**i paths,
+    at every index from 0 to i."""
+    a = [Node("Alice", Choice.L, Ref(i + 1), Ref(k + 1 + i, 1)) for i in range(k)]
+    b = [Node("Bob", Choice.L, Ref(i + 1), Ref(2 * k + 1)) for i in range(k)]
+    end = Leaf({"Alice": Affine(1, 0), "Bob": Affine.const(0)})
+    z = Leaf({"Alice": Affine.const(0), "Bob": Affine.const(0)})
+    return CoSystem(STRATEGY, ("Alice", "Bob"), (*a, end, *b, z))
+
+
+class TestDiamondLadder:
+    """Bounded classes met along many paths: the reach analysis reads
+    each class's edges a bounded number of times, not once per longer
+    path found."""
+
+    K = 1000
+
+    def test_reach_analysis_reads_each_class_a_bounded_number_of_times(self, monkeypatch):
+        import cogames.equilibria as equilibria
+
+        reads = [0]
+
+        class Counted(dict):
+            def __getitem__(self, c):
+                reads[0] += 1
+                return super().__getitem__(c)
+
+        original = equilibria._adjacency
+        monkeypatch.setattr(equilibria, "_adjacency", lambda *args: Counted(original(*args)))
+        s = diamond_ladder(self.K)
+        for agent in (None, "Alice", "Bob"):
+            reads[0] = 0
+            sets = reach_index_sets(s, agent)
+            assert reads[0] <= 4 * len(s.classes), agent
+            # Bob's deviation graph follows Alice's committed l only
+            tops = range(self.K + 1) if agent != "Bob" else [0] * (self.K + 1)
+            assert [sets[i] for i in range(self.K + 1)] == [ReachSet(0, top) for top in tops]
+
+    def test_alice_gains_by_taking_every_detour(self):
+        s = diamond_ladder(self.K)
+        nash = nash_eq(s)
+        assert not nash.holds
+        cert = nash.certificate
+        assert (cert["agent"], cert["on_path_value"], cert["deviation_value"]) == ("Alice", 0, self.K)
+        assert len(cert["overrides"]) == self.K
+        replay_deviation(s, cert)
+        perfect = sgpe(s)
+        assert not perfect.holds
+        assert perfect.certificate == {"class": 0, "owner": "Alice", "choice": "l", "index": 0,
+                                       "chosen_value": 0, "other_value": 1}
+        replay_sgpe_failure(s, perfect.certificate)
 
 
 class TestReachIndexSets:

@@ -1,6 +1,6 @@
 import pytest
 
-from cogames import Choice, GAME, STRATEGY, nash_eq, s2u, validate
+from cogames import Choice, GAME, STRATEGY, nash_eq, oracle, s2u, validate
 from cogames.oracle import (
     GameNode,
     Leaf,
@@ -80,13 +80,14 @@ class TestExhaustiveNash:
             for tiebreak in (PREFER_LEFT, PREFER_RIGHT):
                 assert exhaustive_nash(backward_induction(g, tiebreak)).holds
 
-    def test_profile_bound(self):
+    def test_profile_bound(self, monkeypatch):
         s = Leaf({"A": 0})
         for _ in range(15):
             s = StrategyNode("A", Choice.L, s, Leaf({"A": 0}))
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="2\\^15 profiles exceed the bound of 16384"):
             exhaustive_nash(s)
-        assert exhaustive_nash(s, max_profiles=1 << 15).holds
+        monkeypatch.setattr(oracle, "MAX_PROFILES", 1 << 15)
+        assert exhaustive_nash(s).holds
 
 
 class TestFiniteUtility:

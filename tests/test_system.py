@@ -148,6 +148,13 @@ class TestIsParametric:
         ), Ref(0))
         assert not is_parametric(sys_)
 
+    def test_reachable_offsets_on_constant_leaves_do_not_count(self):
+        sys_ = CoSystem(GAME, ("A",), (
+            Node("A", None, Ref(0, 1), Ref(1, 3)),
+            Leaf({"A": Affine.const(1)}),
+        ), Ref(0, 2))
+        assert not is_parametric(sys_)
+
 
 def left_comb_one_class():
     # X = <A, X, leaf 1>
