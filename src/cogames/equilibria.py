@@ -160,9 +160,9 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     # makes offers along its edges out.  An SCC is positive iff one of its
     # internal edges has positive weight (offsets are nonnegative, so the
     # path closing that cycle adds nothing negative).  A class is
-    # unbounded iff a positive SCC feeds it.  Its lasso pumps the least
-    # (least index, id) positive member feeding it: the least of the
-    # entries fed into its SCC (``feed``, keyed by the SCC's first member)
+    # unbounded iff a positive SCC feeds it.  Its lasso pumps the positive
+    # member feeding it with the least (least index, id): the least of the
+    # pairs fed into its SCC (``feed``, keyed by the SCC's first member)
     # and, if the SCC is positive, of its own members.  In a bounded SCC
     # every internal edge weighs 0, so all members share one greatest
     # index, the best offer into a member; it spreads from that member
@@ -170,17 +170,17 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     # ``most`` and ``max_parent`` hold the best offer made to it, and an
     # unbounded class drops them.
     positive = {scc_of[c][0] for c in dist for _, r in adj[c] if r.shift and scc_of[r.cls] is scc_of[c]}
-    rank = lambda m: (dist[m], m)
-    feed: dict[int, int] = {}
+    feed: dict[int, tuple[int, int]] = {}
     entry: dict[int, int] = {}
     most: dict[int, int] = {root.cls: root.shift}
     max_parent: dict[int, Step | None] = {root.cls: None}
     for comp in reversed(comps):
         head = comp[0]
         if head in positive:
-            feed[head] = min(feed.get(head, head), *comp, key=rank)
+            feed[head] = min(feed.get(head, (dist[head], head)), *((dist[v], v) for v in comp))
         if head in feed:
-            feeder = entry[head] = feed[head]
+            fed = feed[head]
+            entry[head] = fed[1]
             queue = [head]
             for c in queue:
                 most.pop(c, None)
@@ -189,9 +189,10 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
                     t = ref.cls
                     if scc_of[t] is not comp:
                         k = scc_of[t][0]
-                        feed[k] = min(feed.get(k, feeder), feeder, key=rank)
+                        if k not in feed or fed < feed[k]:
+                            feed[k] = fed
                     elif t not in entry:
-                        entry[t] = feeder
+                        entry[t] = fed[1]
                         queue.append(t)
             continue
         start = max(comp, key=lambda v: most.get(v, -1)) if len(comp) > 1 else head
