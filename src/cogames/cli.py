@@ -5,9 +5,18 @@ human summary or (with ``--json``) a stable machine report validating
 against ``schemas/report-v1.json``, printed as one line of compact JSON
 (pipe it through ``python -m json.tool`` for indented output).  Exit code
 0 means every requested check holds, 1 that some check fails, 2 a usage,
-parse, or validation error.  Reports are deterministic for identical
-inputs apart from the ``timing_ms`` field.  A reader that closes the
-pipe early gets no traceback; the exit code is still the checks'.
+parse, or validation error, and 70 (``EX_SOFTWARE``) an internal error:
+any other exception from a subcommand is printed as one ``internal
+error:`` line on stderr, without a traceback, so exit 1 always means a
+failing check.  Reports are deterministic for identical inputs apart
+from the ``timing_ms`` field.  A reader that closes the pipe early gets
+no traceback; the exit code is still the checks'.
+
+The report is rendered with ``check_circular=False``.  ``main`` builds it
+as a tree of fresh containers, so json's guard against reference cycles
+(an ``id`` inserted into and deleted from a dict for every list and dict
+it writes) can find nothing, and it was about half of the time spent
+rendering a large ``bisim`` relation.
 
 ``main`` may be called many times in one process (batch drivers, the
 benchmark's loop, the tests).  The argument parser is built on the first
@@ -38,6 +47,9 @@ from .system import bisimilar, bisimilar_bounded
 from .verdict import Verdict
 
 DEFAULT_BISIM_DEPTH = 24
+
+# exit code of an unexpected exception (sysexits.h EX_SOFTWARE)
+EXIT_INTERNAL = 70
 
 # the strategy checks that `check` and `demo` run, by flag name
 CHECKS = {"ltl": leads_to_leaf, "altl": alw_leads_to_leaf, "nash": nash_eq, "sgpe": sgpe}
@@ -327,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     exit_code = 1 if any(c["outcome"] == "fails" for c in checks) else 0
     try:
         if args.json:
@@ -339,7 +354,8 @@ def main(argv: list[str] | None = None) -> int:
                 "exit_code": exit_code,
                 "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
             }
-            print(json.dumps(report))
+            # a tree of fresh containers: json's per-container id bookkeeping buys nothing
+            print(json.dumps(report, check_circular=False))
         else:
             _print_human(args.command, checks)
         sys.stdout.flush()

@@ -7,14 +7,14 @@ small instances, so nothing in this module may share code with them.
 Payoffs are plain integers (finite trees need no index parameter); the
 profile count is capped on purpose.  A truncation is as deep as its
 horizon, so what ``truncate --solve`` runs walks a tree's positions in
-preorder with an explicit stack; only the test helpers ``finite_sgpe``,
-``size`` and the random generators recurse.
+preorder with an explicit stack; only the test helpers ``finite_sgpe``
+and ``size`` recurse.  The seeded random trees the tests feed it live
+in the tests' own helpers.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
@@ -232,30 +232,3 @@ def embed(t: FiniteGame | FiniteStrategy, kind: str | None = None) -> CoSystem:
             choice = node.choice if isinstance(node, StrategyNode) else None
             classes.append(SysNode(node.owner, choice, Ref(left), Ref(right)))
     return CoSystem(kind, tuple(sorted(roster)), tuple(classes), Ref(0))
-
-
-def random_game(seed: int, max_depth: int = 3, payoff_range: tuple[int, int] = (-9, 9),
-                roster: tuple[str, ...] = ("Alice", "Bob"), leaf_bias: float = 0.35) -> FiniteGame:
-    """Deterministic-in-seed random finite game."""
-    rng = random.Random(seed)
-
-    def gen(depth: int) -> FiniteGame:
-        if depth >= max_depth or rng.random() < leaf_bias:
-            return Leaf({a: rng.randint(*payoff_range) for a in roster})
-        return GameNode(rng.choice(roster), gen(depth + 1), gen(depth + 1))
-
-    return gen(0)
-
-
-def random_strategy(seed: int, max_depth: int = 3, payoff_range: tuple[int, int] = (-9, 9),
-                    roster: tuple[str, ...] = ("Alice", "Bob"), leaf_bias: float = 0.35) -> FiniteStrategy:
-    """Deterministic-in-seed random finite strategy (random choices)."""
-    rng = random.Random(seed)
-
-    def gen(depth: int) -> FiniteStrategy:
-        if depth >= max_depth or rng.random() < leaf_bias:
-            return Leaf({a: rng.randint(*payoff_range) for a in roster})
-        return StrategyNode(rng.choice(roster), rng.choice((Choice.L, Choice.R)),
-                            gen(depth + 1), gen(depth + 1))
-
-    return gen(0)

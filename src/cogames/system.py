@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain, product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .verdict import Verdict
@@ -551,14 +552,20 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     that the systems differ.  Both read one set of flat tables, so each
     system is flattened once.
 
-    If it holds, the certificate is the block relation: every pair ``[i,
-    j]`` of a class of ``a`` and a class of ``b`` in one block, sorted.
+    If it holds, the certificate is the block relation: every pair ``(i,
+    j)`` of a class of ``a`` and a class of ``b`` in one block, sorted.
     It is a bisimulation that relates the roots and contains every pair
     the product walk visits, and may contain more: two classes of ``a``
     that each meet one class of ``b`` put all their partners in one
     block.  If it fails, the walk gives the witness: the shortest path
     of choices (breadth-first, left before right) to the first
     mismatching observation.
+
+    The rows are tuples of two ints, which ``json`` writes as ``[i,
+    j]``.  ``itertools.product`` makes them, one class of ``a`` at a
+    time, so a row costs C time, and the cyclic collector stops
+    tracking each one at its first pass; two-int lists would stay
+    tracked and be scanned again by every older-generation pass.
     """
     _check_comparable(a, b)
     if is_parametric(a) or is_parametric(b):
@@ -572,7 +579,8 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     partners: dict[int, list[int]] = {}
     for j in range(width, len(block)):
         partners.setdefault(block[j], []).append(j - width)
-    relation = [[i, j] for i in range(width) for j in partners.get(block[i], ())]
+    relation = list(chain.from_iterable(product((i,), partners.get(block[i], ()))
+                                        for i in range(width)))
     return Verdict(True, {"relation": relation}, "bisimulation relation closed")
 
 

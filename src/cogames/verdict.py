@@ -3,8 +3,12 @@
 Every decision procedure in this package returns a :class:`Verdict` rather
 than a bare boolean, so a caller (or the CLI report) can inspect *why*
 something holds or fails.  Certificates are plain JSON-able structures:
-paths and cycles for the walk-based predicates, relation sets for the
+paths and cycles for the walk-based predicates, relations for the
 coinductive ones, deviation descriptions for the equilibrium checks.
+They hold dicts, lists, tuples, strings, ints, booleans and None, and
+nothing else; a tuple, such as a row ``(i, j)`` of a ``bisimilar``
+relation, is written by ``json`` as a list, so it reads back as
+``[i, j]``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from cogames import (
     Verdict,
     alw_leads_to_leaf,
     convertible,
+    oracle,
     validate,
 )
 
@@ -194,8 +195,6 @@ def random_lasso(rng: random.Random, max_prefix: int = 4, max_cycle: int = 3) ->
 
 def finite_corpus(count: int, build, max_size: int = 12, **kwargs) -> list:
     """First ``count`` seeded random trees of total size <= max_size."""
-    from cogames import oracle
-
     out = []
     seed = 0
     while len(out) < count:
@@ -204,6 +203,34 @@ def finite_corpus(count: int, build, max_size: int = 12, **kwargs) -> list:
             out.append(tree)
         seed += 1
     return out
+
+
+def random_game(seed: int, max_depth: int = 3, payoff_range: tuple[int, int] = (-9, 9),
+                roster: tuple[str, ...] = ("Alice", "Bob"), leaf_bias: float = 0.35) -> oracle.FiniteGame:
+    """Deterministic-in-seed random finite game."""
+    rng = random.Random(seed)
+
+    def gen(depth: int) -> oracle.FiniteGame:
+        if depth >= max_depth or rng.random() < leaf_bias:
+            return oracle.Leaf({a: rng.randint(*payoff_range) for a in roster})
+        return oracle.GameNode(rng.choice(roster), gen(depth + 1), gen(depth + 1))
+
+    return gen(0)
+
+
+def random_strategy(seed: int, max_depth: int = 3, payoff_range: tuple[int, int] = (-9, 9),
+                    roster: tuple[str, ...] = ("Alice", "Bob"),
+                    leaf_bias: float = 0.35) -> oracle.FiniteStrategy:
+    """Deterministic-in-seed random finite strategy (random choices)."""
+    rng = random.Random(seed)
+
+    def gen(depth: int) -> oracle.FiniteStrategy:
+        if depth >= max_depth or rng.random() < leaf_bias:
+            return oracle.Leaf({a: rng.randint(*payoff_range) for a in roster})
+        return oracle.StrategyNode(rng.choice(roster), rng.choice(CHOICES),
+                                   gen(depth + 1), gen(depth + 1))
+
+    return gen(0)
 
 
 class NotApplicableError(ValueError):

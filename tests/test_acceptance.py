@@ -79,7 +79,7 @@ def test_c03_worked_example_utility(capsys):
 
 
 def test_c04_existence_uniqueness_on_500_systems():
-    trees = helpers.finite_corpus(500, oracle.random_strategy, max_size=12)
+    trees = helpers.finite_corpus(500, helpers.random_strategy, max_size=12)
     assert len(trees) == 500
     for tree in trees:
         emb = oracle.embed(tree)
@@ -115,7 +115,7 @@ def test_c05_preservation_on_200_inductive_pairs():
 
 
 def test_c06_backward_induction_profiles_are_nash():
-    games = helpers.finite_corpus(500, oracle.random_game, max_size=12)
+    games = helpers.finite_corpus(500, helpers.random_game, max_size=12)
     assert len(games) == 500
     for g in games:
         for tiebreak in (oracle.PREFER_LEFT, oracle.PREFER_RIGHT):
@@ -125,7 +125,7 @@ def test_c06_backward_induction_profiles_are_nash():
 
 
 def test_c07_engine_oracle_equivalence():
-    strategies = helpers.finite_corpus(500, oracle.random_strategy, max_size=12)
+    strategies = helpers.finite_corpus(500, helpers.random_strategy, max_size=12)
     assert len(strategies) == 500
     for tree in strategies:
         emb = oracle.embed(tree)

@@ -156,6 +156,16 @@ class TestBisim:
         assert code == 1
         assert (witness["path"], witness["reason"]) == (["l"] * 30, "leaf payoffs differ for A")
 
+    def test_coprime_rings_print_every_row(self, capsys, tmp_path):
+        p, q = 5, 7
+        for length in (p, q):
+            (tmp_path / f"{length}.cog").write_text(ring_source(length))
+        code, out = run(capsys, "--json", "bisim", str(tmp_path / "5.cog"), str(tmp_path / "7.cog"))
+        expected = sorted([i, j] for i in range(2 * p) for j in range(2 * q) if i % 2 == j % 2)
+        assert code == 0 and len(expected) == 2 * p * q
+        assert json.loads(out)["checks"][0]["certificate"] == {"relation": expected}
+        assert f'"relation": {json.dumps(expected)}' in out
+
     def test_depth_flag(self, capsys):
         code, _ = run_json(capsys, "bisim", str(GAMES / "dollar_auction_agu.cog"),
                            str(GAMES / "dollar_auction_ngu.cog"), "--depth", "5")
@@ -279,6 +289,15 @@ def chain_source(length: int, flip: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ring_source(length: int) -> str:
+    """``length`` Alice nodes in a ring, each with its own leaf on the
+    right: node ``i`` is class ``2*i`` and its leaf class ``2*i + 1``."""
+    lines = ["game agents Alice"]
+    for i in range(length):
+        lines += [f"x{i}(n) = <Alice, x{(i + 1) % length}(n), e{i}(n)>", f"e{i}(n) = leaf[Alice: 0]"]
+    return "\n".join(lines + ["root x0", ""])
+
+
 def shifted_constant_chain(length: int, end: int) -> str:
     """Agent A continues down ``length`` nodes, each a level deeper
     (``n+1``), to a leaf paying ``end``; stopping pays 0.  Every leaf is
@@ -386,6 +405,15 @@ class TestErrorsAndStability:
             paths[-1].write_text(f"strategy agents {agent}\nx(n) = leaf[{agent}: 0]\nroot x\n")
         assert main([command[0], *map(str, paths), *command[1:]]) == 2
         assert "rosters differ" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(system):
+            raise KeyError("boom")
+
+        monkeypatch.setitem(CHECKS, "nash", broken)
+        assert main(["--json", "check", str(GAMES / "dollar_auction_agu.cog"), "--nash"]) == 70
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "internal error: KeyError: 'boom'\n")
 
     def test_report_is_one_line_of_compact_json(self, capsys):
         code, out = run(capsys, "--json", "bisim", str(GAMES / "paper_s0.cog"),

@@ -6,8 +6,9 @@ two of them to files and runs every file-reading command on them through
 ``main``: exit 0 or 1 must come with one line of JSON on stdout that
 validates against the report schema, and exit 2 with one ``error: PATH:
 ...`` line on stderr that names the input file (or both, for a pair that
-cannot be compared).  Any exception escaping
-``main`` fails the test.
+cannot be compared).  Any other exit code fails the test, so an
+unexpected exception, which ``main`` reports as an internal error with
+exit 70, fails it too.
 """
 
 import contextlib

@@ -584,7 +584,7 @@ class TestNashEq:
                 assert v.holds and "vacuous" in v.note
 
     def test_agrees_with_exhaustive_oracle(self):
-        trees = helpers.finite_corpus(200, oracle.random_strategy, max_size=12)
+        trees = helpers.finite_corpus(200, helpers.random_strategy, max_size=12)
         for tree in trees:
             assert nash_eq(oracle.embed(tree)).holds == oracle.exhaustive_nash(tree).holds
 
@@ -667,7 +667,7 @@ class TestSgpe:
         assert failures > 300
 
     def test_sgpe_implies_nash_on_finite_corpus(self):
-        trees = helpers.finite_corpus(200, oracle.random_strategy, max_size=12)
+        trees = helpers.finite_corpus(200, helpers.random_strategy, max_size=12)
         for tree in trees:
             emb = oracle.embed(tree)
             if sgpe(emb).holds:
@@ -805,7 +805,7 @@ class TestReachIndexSets:
         assert sets[1].minimum == 0 and sets[1].maximum is None
 
     def test_finite_tree_indices_are_exact_singletons(self):
-        tree = oracle.random_strategy(1, max_depth=3)
+        tree = helpers.random_strategy(1, max_depth=3)
         sets = reach_index_sets(oracle.embed(tree))
         for rs in sets.values():
             assert rs.minimum == rs.maximum == 0

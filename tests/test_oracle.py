@@ -13,14 +13,13 @@ from cogames.oracle import (
     finite_sgpe,
     finite_utility,
     owners,
-    random_game,
-    random_strategy,
     size,
     PREFER_LEFT,
     PREFER_RIGHT,
 )
 
 import helpers
+from helpers import random_game, random_strategy
 
 
 def worked_example() -> GameNode:

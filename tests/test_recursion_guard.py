@@ -6,9 +6,9 @@ a call cycle (one that calls itself, or calls a function that calls back)
 would hit Python's recursion limit on large inputs.  Calls are resolved by
 name: ``f(...)`` and ``self.f(...)`` are edges to every function or method
 of the module named ``f``.  In ``oracle`` only the helpers that tests use
-on small explicit trees (``finite_sgpe``, ``size`` and the random
-generators' ``gen``) may recurse: ``truncate --solve`` runs the rest on
-trees as deep as the truncation horizon.
+on small explicit trees (``finite_sgpe`` and ``size``) may recurse:
+``truncate --solve`` runs the rest on trees as deep as the truncation
+horizon.
 """
 
 import ast
@@ -88,4 +88,4 @@ def test_no_function_calls_itself(module):
 
 
 def test_oracle_recurses_only_in_test_helpers():
-    assert recursive_functions((PACKAGE / "oracle.py").read_text()) == ["finite_sgpe", "gen", "size"]
+    assert recursive_functions((PACKAGE / "oracle.py").read_text()) == ["finite_sgpe", "size"]

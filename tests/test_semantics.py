@@ -155,7 +155,7 @@ class TestS2u:
                 assert s2u(s, agent) is not None
 
     def test_uniqueness_against_recursive_oracle(self):
-        trees = helpers.finite_corpus(150, oracle.random_strategy, max_size=12)
+        trees = helpers.finite_corpus(150, helpers.random_strategy, max_size=12)
         for tree in trees:
             emb = oracle.embed(tree)
             for agent in emb.roster:

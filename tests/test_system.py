@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -260,7 +261,7 @@ BISIM_TABLE = {
     "holds": (
         _RING2.format(3), _RING3.format(3),
         {"outcome": "holds",
-         "certificate": {"relation": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 3], [2, 4]]},
+         "certificate": {"relation": [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 3), (2, 4)]},
          "note": "bisimulation relation closed"}),
 }
 
@@ -399,7 +400,14 @@ def test_bisimilar_coprime_rings_without_the_product_walk(monkeypatch):
     relation = v.certificate["relation"]
     assert len(relation) == 2 * p * q
     assert relation == sorted(relation)
-    assert relation[:2] == [[0, 0], [0, 2]] and relation[-1] == [2 * p - 1, 2 * q - 1]
+    assert relation[:2] == [(0, 0), (0, 2)] and relation[-1] == (2 * p - 1, 2 * q - 1)
+
+
+def test_bisimilar_rows_are_int_pairs_the_collector_does_not_track():
+    relation = bisimilar(identical_ring(353), identical_ring(354)).certificate["relation"]
+    gc.collect()
+    assert all(type(row) is tuple and len(row) == 2 and type(row[0]) is type(row[1]) is int
+               and not gc.is_tracked(row) for row in relation)
 
 
 def ring_strategy(length: int) -> CoSystem:
