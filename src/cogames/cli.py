@@ -15,7 +15,7 @@ no traceback; the exit code is still the checks'.
 The report is rendered with ``check_circular=False``.  ``main`` builds it
 as a tree of fresh containers, so json's guard against reference cycles
 (an ``id`` inserted into and deleted from a dict for every list and dict
-it writes) can find nothing, and it was about half of the time spent
+it writes) can find nothing, and would be about half of the time spent
 rendering a large ``bisim`` relation.
 
 ``main`` may be called many times in one process (batch drivers, the

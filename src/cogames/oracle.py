@@ -8,8 +8,7 @@ Payoffs are plain integers (finite trees need no index parameter); the
 profile count is capped on purpose.  A truncation is as deep as its
 horizon, so what ``truncate --solve`` runs walks a tree's positions in
 preorder with an explicit stack; only the test helpers ``finite_sgpe``
-and ``size`` recurse.  The seeded random trees the tests feed it live
-in the tests' own helpers.
+and ``size`` recurse.
 """
 
 from __future__ import annotations
