@@ -20,9 +20,16 @@ the greatest index of each class (``ReachSet``), or, when a
 positive-offset cycle lies on a path to the class, a lasso through that
 cycle along which the index grows without bound.  Every index a
 certificate reports is one at which its class occurs.  Dijkstra finds
-the least indices; one pass over the SCCs in topological order finds
-the greatest indices and the lasso entries, so the analysis reads each
-class's edges a bounded number of times.
+the least indices, Tarjan's algorithm (``system.sccs``) the SCCs, and
+one pass over the SCCs in topological order the greatest indices and
+the lasso entries.  All three passes read the
+system's edge table (``system.edge_table``, built once per system): the
+tree is its full columns and an agent's deviation graph picks, per
+class, the full entry or the chosen one, so a projection allocates two
+lists and no edge.  Results sit in lists indexed by class id.  Dijkstra
+reads a class's edges once, Tarjan its child ids once, and the SCC pass
+its edges once, twice in an SCC of more than one class, however many
+paths lead to the class.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
@@ -51,6 +58,7 @@ from .system import (
     Affine,
     Choice,
     CoSystem,
+    Edge,
     KindMismatchError,
     Leaf,
     Node,
@@ -58,6 +66,7 @@ from .system import (
     Ref,
     RosterMismatchError,
     STRATEGY,
+    edge_table,
     reachable,
     sccs,
 )
@@ -84,47 +93,60 @@ class ReachSet:
         return {"minimum": self.minimum, "maximum": self.maximum}
 
 
-Adjacency = dict[int, list[tuple[Choice, Ref]]]
 Step = tuple[int, int, Choice]  # class left, its index there, choice taken
 
 
-def _adjacency(s: CoSystem, agent: str | None = None) -> Adjacency:
-    """Edge projection of the class graph: both children at the classes
-    ``agent`` owns, the committed child elsewhere (``agent``'s deviation
-    graph); both children everywhere when ``agent`` is None (the tree)."""
-    adj: Adjacency = {}
-    for i, cls in enumerate(s.classes):
-        if isinstance(cls, Leaf):
-            adj[i] = []
-        elif agent is None or cls.owner == agent:
-            adj[i] = [(Choice.L, cls.left), (Choice.R, cls.right)]
-        else:
-            assert cls.choice is not None
-            adj[i] = [(cls.choice, cls.child(cls.choice))]
-    return adj
+def _projection(s: CoSystem, agent: str | None) -> tuple[list[tuple[int, ...]], list[tuple[Edge, ...]]]:
+    """Child ids and edges per class of ``agent``'s deviation graph: both
+    children at the classes ``agent`` owns, the committed child elsewhere;
+    both children everywhere when ``agent`` is None (the tree).  Each
+    entry is one of the system's edge table, picked per class."""
+    table = edge_table(s)
+    if agent is None:
+        return table.kids, table.edges
+    if s.kind != STRATEGY:
+        raise KindMismatchError("a deviation graph needs a strategy")
+    mine = [owner == agent for owner in table.owner]
+    return ([both if m else one for both, one, m in zip(table.kids, table.chosen_kids, mine)],
+            [both if m else one for both, one, m in zip(table.edges, table.chosen_edges, mine)])
 
 
 @dataclass
 class _ReachInfo:
-    adj: Adjacency
-    sets: dict[int, ReachSet]
-    # each unbounded class -> the positive-SCC member its lasso pumps
-    entry: dict[int, int]
-    scc_of: dict[int, list[int]]
+    """The reach analysis of one projection, in lists indexed by class
+    id (``least``, ``most``, the parent steps, ``where``) or by SCC
+    (``comps``, ``pump``)."""
+
+    edges: list[tuple[Edge, ...]]
+    # least index of each class, None where the projection never reaches it
+    least: list[int | None]
+    # greatest index of each reached class, read only where it is bounded
+    most: list[int]
+    # the reached SCCs in reverse topological order, and each reached
+    # class's position among them
+    comps: list[list[int]]
+    where: list[int]
+    # per SCC: None if bounded, else the positive-SCC member its lasso pumps
+    pump: list[int | None]
     # the step into each class on a path to its least / greatest index
-    min_parent: dict[int, Step | None]
-    max_parent: dict[int, Step | None]
+    min_parent: list[Step | None]
+    max_parent: list[Step | None]
+
+    def greatest(self, c: int) -> int | None:
+        """The greatest index of reached class ``c``, None if unbounded."""
+        return None if self.pump[self.where[c]] is not None else self.most[c]
 
 
-def _shortest(adj: Adjacency, source: Ref, target: int | None = None,
-              within: set[int] | None = None) -> tuple[dict[int, int], dict[int, Step | None]]:
-    """Least indices from ``source`` (Dijkstra; all offsets are >= 0) and
-    the step into each class on a path to its least index, keyed by the
-    classes reached.  The search stops once ``target`` is settled;
-    ``within`` restricts the classes it passes through on the way to
-    ``target`` (used to stay inside an SCC)."""
-    dist = {source.cls: source.shift}
-    parent: dict[int, Step | None] = {source.cls: None}
+def _shortest(edges: list[tuple[Edge, ...]], source: Ref, target: int | None = None,
+              within: set[int] | None = None) -> tuple[list[int | None], list[Step | None]]:
+    """Least indices from ``source`` (Dijkstra; all offsets are >= 0, and
+    the heap pops ``(index, id)`` pairs) and the step into each class on
+    a path to its least index, None where not reached.  The search stops once
+    ``target`` is settled; ``within`` restricts the classes it passes
+    through on the way to ``target`` (used to stay inside an SCC)."""
+    dist: list[int | None] = [None] * len(edges)
+    parent: list[Step | None] = [None] * len(edges)
+    dist[source.cls] = source.shift
     heap = [(source.shift, source.cls)]
     while heap:
         d, c = heapq.heappop(heap)
@@ -132,28 +154,29 @@ def _shortest(adj: Adjacency, source: Ref, target: int | None = None,
             continue
         if c == target:
             break
-        for label, ref in adj[c]:
-            if within is not None and ref.cls not in within and ref.cls != target:
+        for t, k, label in edges[c]:
+            if within is not None and t not in within and t != target:
                 continue
-            nd = d + ref.shift
-            if nd < dist.get(ref.cls, nd + 1):
-                dist[ref.cls] = nd
-                parent[ref.cls] = (c, d, label)
-                heapq.heappush(heap, (nd, ref.cls))
+            nd, dt = d + k, dist[t]
+            if dt is None or nd < dt:
+                dist[t] = nd
+                parent[t] = (c, d, label)
+                heapq.heappush(heap, (nd, t))
     return dist, parent
 
 
 def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
-    """Reach sets, lasso entries and parent steps over ``agent``'s
-    deviation graph (over the tree when ``agent`` is None), with the
-    adjacency they were computed on."""
-    adj = _adjacency(s, agent)
+    """Least and greatest indices, lasso entries and parent steps over
+    ``agent``'s deviation graph (over the tree when ``agent`` is None),
+    with the edges they were computed on."""
+    kids, edges = _projection(s, agent)
     root = s.root
-    # least indices, keyed by the classes reachable under this projection
-    dist, min_parent = _shortest(adj, root)
-
-    comps = sccs([root.cls], lambda c: (r.cls for _, r in adj[c]))
-    scc_of = {v: comp for comp in comps for v in comp}
+    least, min_parent = _shortest(edges, root)
+    comps = sccs([root.cls], kids.__getitem__)
+    where = [-1] * len(kids)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            where[v] = i
 
     # One pass over the SCCs in topological order (Tarjan's list reversed):
     # an SCC is settled once every SCC with an edge into it is, and then
@@ -162,60 +185,81 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     # path closing that cycle adds nothing negative).  A class is
     # unbounded iff a positive SCC feeds it.  Its lasso pumps the positive
     # member feeding it with the least (least index, id): the least of the
-    # pairs fed into its SCC (``feed``, keyed by the SCC's first member)
-    # and, if the SCC is positive, of its own members.  In a bounded SCC
-    # every internal edge weighs 0, so all members share one greatest
-    # index, the best offer into a member; it spreads from that member
-    # along a tree of parent steps.  Until its SCC is settled, a class's
-    # ``most`` and ``max_parent`` hold the best offer made to it, and an
-    # unbounded class drops them.
-    positive = {scc_of[c][0] for c in dist for _, r in adj[c] if r.shift and scc_of[r.cls] is scc_of[c]}
-    feed: dict[int, tuple[int, int]] = {}
-    entry: dict[int, int] = {}
-    most: dict[int, int] = {root.cls: root.shift}
-    max_parent: dict[int, Step | None] = {root.cls: None}
-    for comp in reversed(comps):
-        head = comp[0]
-        if head in positive:
-            feed[head] = min(feed.get(head, (dist[head], head)), *((dist[v], v) for v in comp))
-        if head in feed:
-            fed = feed[head]
-            entry[head] = fed[1]
-            queue = [head]
-            for c in queue:
-                most.pop(c, None)
-                max_parent.pop(c, None)
-                for _, ref in adj[c]:
-                    t = ref.cls
-                    if scc_of[t] is not comp:
-                        k = scc_of[t][0]
-                        if k not in feed or fed < feed[k]:
-                            feed[k] = fed
-                    elif t not in entry:
-                        entry[t] = fed[1]
-                        queue.append(t)
-            continue
-        start = max(comp, key=lambda v: most.get(v, -1)) if len(comp) > 1 else head
-        w, queue, seen = most[start], [start], {start}
-        for c in queue:
-            for label, ref in adj[c]:
-                t = ref.cls
-                if scc_of[t] is not comp:
-                    if w + ref.shift > most.get(t, -1):
-                        most[t], max_parent[t] = w + ref.shift, (c, w, label)
-                elif t not in seen:
-                    seen.add(t)
-                    most[t], max_parent[t] = w, (c, w, label)
-                    queue.append(t)
-
-    sets = {c: ReachSet(d, most.get(c)) for c, d in dist.items()}
-    return _ReachInfo(adj, sets, entry, scc_of, min_parent, max_parent)
+    # pairs fed into its SCC (``feed``) and, if the SCC is positive, of its
+    # own members; ``pump`` keeps that member's id.  In a bounded SCC every
+    # internal edge weighs 0, so all members share one greatest index, the
+    # best offer into a member (the first in the SCC's order on a tie); it
+    # spreads from that member along a tree of parent steps.  A bounded
+    # singleton just makes its offers.  Until its SCC is settled, a
+    # class's ``most`` and ``max_parent`` hold the best offer made to it;
+    # an unbounded class makes no offers.
+    feed: list[tuple[int, int] | None] = [None] * len(comps)
+    pump: list[int | None] = [None] * len(comps)
+    most = [-1] * len(kids)
+    most[root.cls] = root.shift
+    max_parent: list[Step | None] = [None] * len(kids)
+    for i in range(len(comps) - 1, -1, -1):
+        comp, fed = comps[i], feed[i]
+        if len(comp) == 1:
+            c = comp[0]
+            es = edges[c]
+            if fed is None:
+                w = most[c]
+                for t, k, label in es:
+                    if w + k > most[t]:
+                        if t == c:
+                            # a positive self-loop: the offers already
+                            # made went to classes ``c`` feeds below
+                            fed = (least[c], c)
+                            break
+                        most[t], max_parent[t] = w + k, (c, w, label)
+                if fed is None:
+                    continue
+            else:
+                for t, k, _ in es:
+                    if t == c and k:
+                        fed = min(fed, (least[c], c))
+            outs = [where[t] for t, _, _ in es if t != c]
+        else:
+            # one read of the members: positive or not, the least pair,
+            # the member with the best offer, and the SCCs its edges enter
+            positive, own, start, outs = False, None, None, []
+            for c in comp:
+                for t, k, _ in edges[c]:
+                    if where[t] != i:
+                        outs.append(where[t])
+                    elif k:
+                        positive = True
+                if own is None or (least[c], c) < own:
+                    own = (least[c], c)
+                if start is None or most[c] > most[start]:
+                    start = c
+            if positive and (fed is None or own < fed):
+                fed = own
+            if fed is None:
+                w, queue, seen = most[start], [start], {start}
+                for c in queue:
+                    for t, k, label in edges[c]:
+                        if where[t] != i:
+                            if w + k > most[t]:
+                                most[t], max_parent[t] = w + k, (c, w, label)
+                        elif t not in seen:
+                            seen.add(t)
+                            most[t], max_parent[t] = w, (c, w, label)
+                            queue.append(t)
+                continue
+        pump[i] = fed[1]
+        for j in outs:
+            if feed[j] is None or fed < feed[j]:
+                feed[j] = fed
+    return _ReachInfo(edges, least, most, comps, where, pump, min_parent, max_parent)
 
 
 def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSet]:
     """Per-class least and greatest reachable index over the whole tree,
     or over ``agent``'s deviation graph when ``agent`` is given."""
-    return _analyze(s, agent).sets
+    info = _analyze(s, agent)
+    return {c: ReachSet(lo, info.greatest(c)) for c, lo in enumerate(info.least) if lo is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +278,7 @@ def _step(s: CoSystem, cls_id: int, index: int, choice: Choice, agent: str) -> d
     }
 
 
-def _steps_to(parent: dict[int, Step | None], target: int) -> list[Step]:
+def _steps_to(parent: list[Step | None], target: int) -> list[Step]:
     """The steps from the root to ``target`` along a parent table."""
     steps, step = [], parent[target]
     while step is not None:
@@ -244,14 +288,14 @@ def _steps_to(parent: dict[int, Step | None], target: int) -> list[Step]:
     return steps
 
 
-def _cycle_steps(adj: Adjacency, members: set[int], at: Ref) -> tuple[list[Step], int]:
+def _cycle_steps(edges: list[tuple[Edge, ...]], members: set[int], at: Ref) -> tuple[list[Step], int]:
     """A positive-weight cycle from ``at`` back to its class inside one
     SCC, as steps plus the cycle's total weight."""
     for c in sorted(members):
-        for label, ref in adj[c]:
-            if ref.cls in members and ref.shift > 0:
-                dist, parent = _shortest(adj, at, c, members)
-                back_dist, back = _shortest(adj, Ref(ref.cls, dist[c] + ref.shift), at.cls, members)
+        for t, k, label in edges[c]:
+            if t in members and k > 0:
+                dist, parent = _shortest(edges, at, c, members)
+                back_dist, back = _shortest(edges, Ref(t, dist[c] + k), at.cls, members)
                 return (_steps_to(parent, c) + [(c, dist[c], label)] + _steps_to(back, at.cls),
                         back_dist[at.cls] - at.shift)
     raise AssertionError("no positive edge inside a positive SCC")
@@ -263,10 +307,10 @@ def _lasso(info: _ReachInfo, target: int) -> tuple[list[Step], list[Step], int, 
     ``_analyze`` chose as ``target``'s entry, a positive cycle there
     (weight ``loop``) and min-weight steps on to ``target``, which arrive
     at index ``reach``."""
-    entry = info.entry[target]
-    at = Ref(entry, info.sets[entry].minimum)
-    cycle, loop = _cycle_steps(info.adj, set(info.scc_of[entry]), at)
-    dist, parent = _shortest(info.adj, at, target)
+    entry = info.pump[info.where[target]]
+    at = Ref(entry, info.least[entry])
+    cycle, loop = _cycle_steps(info.edges, set(info.comps[info.where[entry]]), at)
+    dist, parent = _shortest(info.edges, at, target)
     return _steps_to(info.min_parent, entry), cycle, loop, _steps_to(parent, target), dist[target]
 
 
@@ -339,13 +383,13 @@ def nash_eq(s: CoSystem) -> Verdict:
         info = _analyze(s, agent)
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
-        for cls_id in sorted(info.sets):
+        for cls_id, least in enumerate(info.least):
             cls = s.classes[cls_id]
-            if not isinstance(cls, Leaf):
+            if least is None or not isinstance(cls, Leaf):
                 continue
             payoff = cls.payoffs[agent]
-            rs = info.sets[cls_id]
-            if payoff.slope > 0 and rs.maximum is None:
+            top = info.greatest(cls_id)
+            if payoff.slope > 0 and top is None:
                 # payoff grows without bound along a positive cycle:
                 # pump the cycle just past the on-path value
                 head, cycle, loop, tail, reach = _lasso(info, cls_id)
@@ -357,15 +401,15 @@ def nash_eq(s: CoSystem) -> Verdict:
                 index = reach + k * loop
                 return _deviation_verdict(s, agent, base, head, cls_id, index, payoff.at(index),
                                           (cycle, k, tail))
-            at_index = rs.maximum if payoff.slope > 0 else rs.minimum
+            at_index = top if payoff.slope > 0 else least
             value = payoff.at(at_index)
-            leaves_report.append({"leaf_class": cls_id, "reach": rs.to_json(),
+            leaves_report.append({"leaf_class": cls_id, "reach": {"minimum": least, "maximum": top},
                                   "max_value": value, "at_index": at_index})
             if best is None or value > best[0]:
                 best = (value, cls_id, at_index)
         if best is not None and best[0] > base:
             value, leaf, index = best
-            parent = info.min_parent if index == info.sets[leaf].minimum else info.max_parent
+            parent = info.min_parent if index == info.least[leaf] else info.max_parent
             return _deviation_verdict(s, agent, base, _steps_to(parent, leaf), leaf, index, value)
         agents_report.append({
             "agent": agent,
@@ -407,22 +451,22 @@ def sgpe(s: CoSystem) -> Verdict:
 
     info = _analyze(s)
     table = []
-    for cls_id in sorted(info.sets):
+    for cls_id, least in enumerate(info.least):
         cls = s.classes[cls_id]
-        if isinstance(cls, Leaf):
+        if least is None or isinstance(cls, Leaf):
             continue
         assert cls.choice is not None
         # never None: every class here leads to a leaf, by the scan above
         left_u, right_u = utility_from(s, cls.left, cls.owner), utility_from(s, cls.right, cls.owner)
         chosen, other = (left_u, right_u) if cls.choice is Choice.L else (right_u, left_u)
         margin = chosen - other
-        rs = info.sets[cls_id]
+        top = info.greatest(cls_id)
 
         bad: int | None = None
-        if margin.at(rs.minimum) < 0:
-            bad = rs.minimum
-        elif rs.maximum is not None:
-            bad = rs.maximum if margin.at(rs.maximum) < 0 else None
+        if margin.at(least) < 0:
+            bad = least
+        elif top is not None:
+            bad = top if margin.at(top) < 0 else None
         elif margin.slope < 0:
             _, _, loop, _, reach = _lasso(info, cls_id)
             bad = reach + loop * _pumps(Affine(0, 0) - margin, reach, loop, 0)
@@ -441,12 +485,12 @@ def sgpe(s: CoSystem) -> Verdict:
             "class": cls_id,
             "owner": cls.owner,
             "choice": cls.choice.value,
-            "n_min": rs.minimum,
-            "indices": rs.to_json(),
+            "n_min": least,
+            "indices": {"minimum": least, "maximum": top},
             "chosen": chosen.to_json(),
             "other": other.to_json(),
             "margin": margin.to_json(),
-            "margin_at_n_min": margin.at(rs.minimum),
+            "margin_at_n_min": margin.at(least),
         })
     return Verdict(True, {"classes": table},
                    "chosen branch weakly dominates at every reachable node class")

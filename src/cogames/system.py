@@ -12,10 +12,10 @@ denotes an infinite tree, and offsets let payoffs grow along a backbone
 All values are immutable after construction and every operation is a pure
 function, so systems can be shared freely between concurrent analyses.
 The one exception is a system's private memo of derived tables (the
-reachable list here, the play table in ``semantics``): each table is a
-pure function of the system, written once on first use and never mutated
-by its readers, so a race between two analyses only computes a table
-twice.
+reachable list and the edge table here, the play table in
+``semantics``): each table is a pure function of the system, written
+once on first use and never mutated by its readers, so a race between
+two analyses only computes a table twice.
 Payoff arithmetic is exact (Python integers); nothing here overflows.
 """
 
@@ -25,7 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, product
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
+from sys import maxsize
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Union
 
 from .verdict import Verdict
 
@@ -131,11 +132,12 @@ class CoSystem:
     a set.  The root is conventionally ``Ref(cls, 0)``.
 
     ``_memo`` keeps the tables derived from the fields (``reachable``,
-    ``semantics.play_table``), so every check on one system reads one
-    copy.  Each table is written once, on first use; readers never
-    mutate it; a race between two readers only computes it twice.  The
-    memo takes no part in equality or ``repr``, and ``with_root`` (like
-    ``dataclasses.replace``) starts the new system with an empty one.
+    ``edge_table``, ``semantics.play_table``), so every check on one
+    system reads one copy.  Each table is written once, on first use;
+    readers never mutate it; a race between two readers only computes
+    it twice.  The memo takes no part in equality or ``repr``, and
+    ``with_root`` (like ``dataclasses.replace``) starts the new system
+    with an empty one.
     """
 
     kind: str
@@ -230,45 +232,112 @@ def reachable(sys: CoSystem) -> list[int]:
     return order
 
 
+Edge = tuple[int, int, Choice]  # child class, shift, label
+
+
+class EdgeTable(NamedTuple):
+    """The class graph as flat per-class columns, indexed by class id.
+
+    At a node, ``kids`` holds the child class ids and ``edges`` the
+    ``(child, shift, label)`` triples, left before right; ``owner`` is
+    the owning agent, and ``chosen_kids`` and ``chosen_edges`` hold the
+    committed child alone as a one-element tuple (None in a game).  A
+    leaf has ``()`` in every tuple column and owner None.  A projection
+    of the graph picks, class by class, the full tuples or the chosen
+    ones, and shares them with the table."""
+
+    kids: list[tuple[int, ...]]
+    edges: list[tuple[Edge, ...]]
+    owner: list[str | None]
+    chosen_kids: list[tuple[int, ...] | None]
+    chosen_edges: list[tuple[Edge, ...] | None]
+
+
+def edge_table(sys: CoSystem) -> EdgeTable:
+    """The system's :class:`EdgeTable`.  Built once per system and kept in
+    its memo, so callers must not mutate it."""
+    if "edges" in sys._memo:
+        return sys._memo["edges"]
+    table = kids, edges, owner, chosen_kids, chosen_edges = EdgeTable([], [], [], [], [])
+    for cls in sys.classes:
+        if isinstance(cls, Leaf):
+            kids.append(())
+            edges.append(())
+            owner.append(None)
+            chosen_kids.append(())
+            chosen_edges.append(())
+            continue
+        lc, rc = cls.left.cls, cls.right.cls
+        left, right = (lc, cls.left.shift, Choice.L), (rc, cls.right.shift, Choice.R)
+        kids.append((lc, rc))
+        edges.append((left, right))
+        owner.append(cls.owner)
+        if cls.choice is None:
+            chosen_kids.append(None)
+            chosen_edges.append(None)
+        elif cls.choice is Choice.L:
+            chosen_kids.append((lc,))
+            chosen_edges.append((left,))
+        else:
+            chosen_kids.append((rc,))
+            chosen_edges.append((right,))
+    sys._memo["edges"] = table
+    return table
+
+
+_DONE = maxsize  # the low link of a node whose component is emitted
+
+
 def sccs(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]]) -> list[list[Hashable]]:
     """Strongly connected components reachable from ``nodes``, in reverse
-    topological order.  Iterative Tarjan: an explicit stack of successor
-    iterators replaces recursion, so graph depth is unbounded."""
-    index: dict[Hashable, int] = {}
+    topological order, each listing its members in the reverse of the
+    order the search reached them.  Iterative Tarjan: an explicit stack of
+    successor iterators replaces recursion, so graph depth is unbounded.
+
+    The nodes may be any hashables.  ``succ(v)`` returns an iterable of
+    ``v``'s successors and is called once per node, so a bound
+    ``__getitem__`` of a list of tuples serves and no per-node generator
+    is made.  A node's low link takes the low links of the visited
+    successors still on the stack, a variant of Tarjan's that finds the
+    same components; once a component is emitted its members' low links
+    are set above every visit number, so no on-stack set is needed."""
     low: dict[Hashable, int] = {}
     stack: list[Hashable] = []
-    on_stack: set[Hashable] = set()
     out: list[list[Hashable]] = []
-    work: list[tuple[Hashable, Iterator[Hashable]]] = []
-
-    def push(v: Hashable) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        work.append((v, iter(succ(v))))
-
     for root in nodes:
-        if root not in index:
-            push(root)
+        if root in low:
+            continue
+        # a frame: a node, its visit number and its successors still unread
+        low[root] = num = len(low)
+        work = [(root, num, iter(succ(root)))]
+        stack.append(root)
         while work:
-            v, edges = work[-1]
+            v, num, edges = work[-1]
             for w in edges:
-                if w not in index:
-                    push(w)
+                lw = low.get(w)
+                if lw is None:
+                    low[w] = lw = len(low)
+                    work.append((w, lw, iter(succ(w))))
+                    stack.append(w)
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if lw < low[v]:
+                    low[v] = lw
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
+                lv = low[v]
+                if lv == num:
+                    w = stack.pop()
+                    low[w] = _DONE
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        low[w] = _DONE
+                        comp.append(w)
                     out.append(comp)
+                else:
+                    parent = work[-1][0]
+                    if lv < low[parent]:
+                        low[parent] = lv
     return out
 
 

@@ -9,6 +9,7 @@ from cogames import (
     Affine,
     Choice,
     CoSystem,
+    KindMismatchError,
     Leaf,
     Node,
     Ref,
@@ -675,6 +676,35 @@ class TestSgpe:
                 assert oracle.exhaustive_nash(tree).holds
 
 
+def count_reach_reads(monkeypatch) -> dict[str, int]:
+    """Count what the reach analysis reads: ``members``, the members read
+    out of the SCC lists ``sccs`` returns, and ``edges``, the entries
+    read out of the projection's child-id and edge lists.  Iterating a
+    list counts one read per entry."""
+    import cogames.equilibria as equilibria
+
+    reads = {"members": 0, "edges": 0}
+
+    def counted(kind: str):
+        class Counted(list):
+            def __iter__(self):
+                reads[kind] += len(self)
+                return super().__iter__()
+
+            def __getitem__(self, at):
+                reads[kind] += 1
+                return super().__getitem__(at)
+        return Counted
+
+    members, entries = counted("members"), counted("edges")
+    sccs, projection = equilibria.sccs, equilibria._projection
+    monkeypatch.setattr(equilibria, "sccs",
+                        lambda *args: [members(comp) for comp in sccs(*args)])
+    monkeypatch.setattr(equilibria, "_projection",
+                        lambda *args: tuple(entries(column) for column in projection(*args)))
+    return reads
+
+
 def shifted_ring(length: int, slope: int) -> CoSystem:
     """``length`` classes of agent A in a ring, every edge ``n+1``: each
     chooses r, into the one leaf ``A: slope*n``, over l, on round the
@@ -690,30 +720,16 @@ class TestShiftedRing:
 
     LENGTH = 3000
 
-    def count_member_reads(self, monkeypatch) -> list[int]:
-        """Members read out of every SCC list ``sccs`` returns."""
-        import cogames.equilibria as equilibria
-
-        reads = [0]
-
-        class Counted(list):
-            def __iter__(self):
-                reads[0] += len(self)
-                return super().__iter__()
-
-        original = equilibria.sccs
-        monkeypatch.setattr(equilibria, "sccs",
-                            lambda *args: [Counted(comp) for comp in original(*args)])
-        return reads
-
     def test_reach_analysis_reads_the_ring_a_bounded_number_of_times(self, monkeypatch):
-        reads = self.count_member_reads(monkeypatch)
+        reads = count_reach_reads(monkeypatch)
         s = shifted_ring(self.LENGTH, 1)
         for agent in (None, "A"):
-            reads[0] = 0
+            reads.update(members=0, edges=0)
             sets = reach_index_sets(s, agent)
             assert sets[0] == ReachSet(0, None) and sets[self.LENGTH] == ReachSet(1, None)
-            assert reads[0] <= 2 * len(s.classes)  # once to index the SCCs, once to mark them
+            # once to index the SCCs, once to mark them
+            assert 0 < reads["members"] <= 2 * len(s.classes), agent
+            assert 0 < reads["edges"] <= 4 * len(s.classes), agent
 
     def test_growing_leaf_breaks_both_equilibria(self):
         s = shifted_ring(self.LENGTH, 1)
@@ -763,22 +779,13 @@ class TestDiamondLadder:
     K = 1000
 
     def test_reach_analysis_reads_each_class_a_bounded_number_of_times(self, monkeypatch):
-        import cogames.equilibria as equilibria
-
-        reads = [0]
-
-        class Counted(dict):
-            def __getitem__(self, c):
-                reads[0] += 1
-                return super().__getitem__(c)
-
-        original = equilibria._adjacency
-        monkeypatch.setattr(equilibria, "_adjacency", lambda *args: Counted(original(*args)))
+        reads = count_reach_reads(monkeypatch)
         s = diamond_ladder(self.K)
         for agent in (None, "Alice", "Bob"):
-            reads[0] = 0
+            reads.update(members=0, edges=0)
             sets = reach_index_sets(s, agent)
-            assert reads[0] <= 4 * len(s.classes), agent
+            assert 0 < reads["members"] <= 2 * len(s.classes), agent
+            assert 0 < reads["edges"] <= 4 * len(s.classes), agent
             # Bob's deviation graph follows Alice's committed l only
             tops = range(self.K + 1) if agent != "Bob" else [0] * (self.K + 1)
             assert [sets[i] for i in range(self.K + 1)] == [ReachSet(0, top) for top in tops]
@@ -810,11 +817,47 @@ class TestReachIndexSets:
         for rs in sets.values():
             assert rs.minimum == rs.maximum == 0
 
+    def test_agrees_with_a_bounded_search_of_index_states(self):
+        # A bounded class occurs only at indices <= top = max_shift*(|classes|-1),
+        # the weight of a simple path.  An unbounded one occurs past top, and
+        # first past it within one more lap of a cycle, at most
+        # max_shift*|classes| higher; indices never fall along a path, so a
+        # breadth-first search of (class, index) states capped there finds it.
+        unbounded = 0
+        for seed in range(1500):
+            s = helpers.random_system(seed, kind=STRATEGY, max_classes=8)
+            max_shift = max((r.shift for c in s.classes if isinstance(c, Node)
+                             for r in (c.left, c.right)), default=0)
+            top, cap = max_shift * (len(s.classes) - 1), max_shift * (2 * len(s.classes) - 1)
+            for agent in (None, *s.roster):
+                seen, queue = {s.root}, deque([s.root])
+                while queue:
+                    at = queue.popleft()
+                    cls = s.classes[at.cls]
+                    if isinstance(cls, Leaf):
+                        continue
+                    both = agent is None or cls.owner == agent
+                    for ref in (cls.left, cls.right) if both else (cls.child(cls.choice),):
+                        nxt = Ref(ref.cls, at.shift + ref.shift)
+                        if nxt.shift <= cap and nxt not in seen:
+                            seen.add(nxt)
+                            queue.append(nxt)
+                indices: dict[int, list[int]] = {}
+                for at in seen:
+                    indices.setdefault(at.cls, []).append(at.shift)
+                expected = {c: ReachSet(min(ns), max(ns) if max(ns) <= top else None)
+                            for c, ns in indices.items()}
+                assert reach_index_sets(s, agent) == expected, (seed, agent)
+                unbounded += sum(rs.maximum is None for rs in expected.values())
+        assert unbounded > 1000
+
     def test_deviation_graph_branches_at_the_agents_classes_only(self):
         # Alice may take either child at her own class 0; Bob always
         # continues from class 1, so his give-up leaf (class 2) is never met
         sets = reach_index_sets(dollar_auction_strategy("ngu"), agent="Alice")
         assert set(sets) == {0, 1, 3}
+        with pytest.raises(KindMismatchError):  # a game commits to no child
+            reach_index_sets(strategy_to_game(dollar_auction_strategy("ngu")), agent="Alice")
 
     @pytest.mark.parametrize("choice", [Choice.L, Choice.R])
     def test_doubling_shift_chain_is_summarized_by_its_extremes(self, choice):

@@ -555,7 +555,7 @@ class TestErasure:
         assert annotate(game, choices) == agu
 
 
-def closure(edges: dict[int, list[int]], start: int) -> set[int]:
+def closure(edges: dict, start) -> set:
     seen, todo = {start}, [start]
     while todo:
         for w in edges[todo.pop()]:
@@ -568,17 +568,18 @@ def closure(edges: dict[int, list[int]], start: int) -> set[int]:
 class TestSccs:
     def test_matches_mutual_reachability_in_reverse_topological_order(self):
         rng = random.Random(5)
-        for _ in range(400):
+        for name in (int, "n{}".format) * 400:  # int and string node names
             n = rng.randint(1, 10)
-            edges = {v: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for v in range(n)}
-            for v in rng.sample(range(n), rng.randint(0, n)):
+            nodes = [name(v) for v in range(n)]
+            edges = {v: [rng.choice(nodes) for _ in range(rng.randint(0, 3))] for v in nodes}
+            for v in rng.sample(nodes, rng.randint(0, n)):
                 edges[v].append(v)  # self-loops
-            reach = {v: closure(edges, v) for v in range(n)}
-            comps = sccs(range(n), lambda v: edges[v])
-            expected = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+            reach = {v: closure(edges, v) for v in nodes}
+            comps = sccs(rng.sample(nodes, n), edges.__getitem__)
+            expected = {frozenset(w for w in reach[v] if v in reach[w]) for v in nodes}
             assert sorted(map(sorted, comps)) == sorted(map(sorted, expected))
             position = {v: i for i, comp in enumerate(comps) for v in comp}
-            for v in range(n):
+            for v in nodes:
                 assert all(position[w] <= position[v] for w in edges[v])
 
     def test_covers_only_what_the_start_nodes_reach(self):
