@@ -22,14 +22,14 @@ cycle along which the index grows without bound.  Every index a
 certificate reports is one at which its class occurs.  Dijkstra finds
 the least indices, Tarjan's algorithm (``system.sccs``) the SCCs, and
 one pass over the SCCs in topological order the greatest indices and
-the lasso entries.  All three passes read the
-system's edge table (``system.edge_table``, built once per system): the
-tree is its full columns and an agent's deviation graph picks, per
-class, the full entry or the chosen one, so a projection allocates two
-lists and no edge.  Results sit in lists indexed by class id.  Dijkstra
-reads a class's edges once, Tarjan its child ids once, and the SCC pass
-its edges once, twice in an SCC of more than one class, however many
-paths lead to the class.
+the lasso entries.  All three passes read the system's edge table
+(``system.edge_table``, built once per system): the tree is its full
+columns and an agent's deviation graph picks, per class, the full entry
+or the chosen one, so a projection allocates two lists and no edge.
+Results sit in lists indexed by class id.  Dijkstra reads a class's
+edges once, Tarjan its child ids once, and the SCC pass its edges once,
+twice in an SCC of more than one class, however many paths lead to the
+class.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
@@ -141,9 +141,10 @@ def _shortest(edges: list[tuple[Edge, ...]], source: Ref, target: int | None = N
               within: set[int] | None = None) -> tuple[list[int | None], list[Step | None]]:
     """Least indices from ``source`` (Dijkstra; all offsets are >= 0, and
     the heap pops ``(index, id)`` pairs) and the step into each class on
-    a path to its least index, None where not reached.  The search stops once
-    ``target`` is settled; ``within`` restricts the classes it passes
-    through on the way to ``target`` (used to stay inside an SCC)."""
+    a path to its least index, None where not reached.  The search stops
+    once ``target`` is settled; ``within`` restricts the classes it
+    passes through on the way to ``target`` (used to stay inside an
+    SCC)."""
     dist: list[int | None] = [None] * len(edges)
     parent: list[Step | None] = [None] * len(edges)
     dist[source.cls] = source.shift
