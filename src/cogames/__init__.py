@@ -43,7 +43,6 @@ from .system import (
     KindMismatchError,
     Leaf,
     Node,
-    ParametricUnsupportedError,
     Ref,
     RosterMismatchError,
     annotate,
@@ -60,8 +59,8 @@ from .verdict import Verdict
 
 __all__ = [
     "Affine", "Choice", "CoSystem", "ConvClass", "Convertibility", "GAME",
-    "KindMismatchError", "LassoHistory", "Leaf", "Node",
-    "ParametricUnsupportedError", "ReachSet", "Ref", "RosterMismatchError",
+    "KindMismatchError", "LassoHistory", "Leaf", "Node", "ReachSet", "Ref",
+    "RosterMismatchError",
     "STRATEGY", "Verdict", "alw_leads_to_leaf", "annotate", "bisimilar",
     "bisimilar_bounded", "canonicalize", "convertible", "format_lasso",
     "h_bisimilar", "in_h1", "in_h2", "is_finite", "is_history_of",

@@ -89,9 +89,6 @@ class ReachSet:
     minimum: int
     maximum: int | None
 
-    def to_json(self) -> dict[str, Any]:
-        return {"minimum": self.minimum, "maximum": self.maximum}
-
 
 Step = tuple[int, int, Choice]  # class left, its index there, choice taken
 

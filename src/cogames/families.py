@@ -53,7 +53,7 @@ class TreeTooLargeError(ValueError):
     """Truncation would build more than ``MAX_TREE_NODES`` nodes."""
 
 
-def _backbone(kind: str | None, alice_leaf: Leaf, bob_leaf: Leaf, roster=("Alice", "Bob")) -> CoSystem:
+def _backbone(kind: str | None, alice_leaf: Leaf, bob_leaf: Leaf) -> CoSystem:
     """Two node classes (Alice at n continues to Bob at n, Bob at n
     continues to Alice at n+1) with per-owner give-up leaves on the right.
 
@@ -74,7 +74,7 @@ def _backbone(kind: str | None, alice_leaf: Leaf, bob_leaf: Leaf, roster=("Alice
         bob_leaf,
         alice_leaf,
     )
-    return CoSystem(sys_kind, tuple(roster), classes, Ref(0, 0))
+    return CoSystem(sys_kind, ("Alice", "Bob"), classes, Ref(0, 0))
 
 
 _DOLLAR_ALICE_LEAF = Leaf({"Alice": Affine(-2, -1), "Bob": Affine(-2, 0)})

@@ -202,11 +202,11 @@ def finite_sgpe(s: FiniteStrategy) -> bool:
     return mine_r <= mine_l if s.choice is Choice.L else mine_l <= mine_r
 
 
-def embed(t: FiniteGame | FiniteStrategy, kind: str | None = None) -> CoSystem:
+def embed(t: FiniteGame | FiniteStrategy) -> CoSystem:
     """Embed a finite tree as an acyclic, non-parametric equation system,
     one class per node in preorder.  The kind is inferred from the node
-    types unless the tree is a single leaf, in which case it defaults to
-    strategy.  An explicit stack keeps deep trees off the call stack."""
+    types; a single leaf is a strategy.  An explicit stack keeps deep
+    trees off the call stack."""
     nodes: list[FiniteGame | FiniteStrategy] = []  # preorder
     kids: list[list[int]] = []  # preorder slots of each node's two children
     todo: list[tuple[FiniteGame | FiniteStrategy, int, int]] = [(t, -1, 0)]
@@ -218,8 +218,7 @@ def embed(t: FiniteGame | FiniteStrategy, kind: str | None = None) -> CoSystem:
         kids.append([0, 0])
         if not isinstance(node, Leaf):
             todo += [(node.right, len(nodes) - 1, 1), (node.left, len(nodes) - 1, 0)]
-    if kind is None:
-        kind = GAME if any(isinstance(node, GameNode) for node in nodes) else STRATEGY
+    kind = GAME if any(isinstance(node, GameNode) for node in nodes) else STRATEGY
     roster: set[str] = set()
     classes: list[SysLeaf | SysNode] = []
     for node, (left, right) in zip(nodes, kids):

@@ -43,11 +43,6 @@ class RosterMismatchError(ValueError):
     """Two systems compared over different agent rosters."""
 
 
-class ParametricUnsupportedError(ValueError):
-    """Exact bisimilarity requested for a system from whose root a leaf
-    with a nonzero payoff slope is reachable."""
-
-
 class Choice(Enum):
     """Binary branch label.  L sorts before R in every canonical order."""
 
@@ -344,8 +339,8 @@ def sccs(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable
 def is_parametric(sys: CoSystem) -> bool:
     """True iff a leaf with a nonzero payoff slope is reachable from the
     root.  Shifts alone do not count: below constant leaves they change
-    no observation, so a system without such a leaf denotes a plain
-    rational tree and admits exact bisimilarity checking."""
+    no observation, so a system without such a leaf denotes one plain
+    rational tree at every root index."""
     for i in reachable(sys):
         cls = sys.classes[i]
         if isinstance(cls, Leaf) and any(f.slope != 0 for f in cls.payoffs.values()):
@@ -411,7 +406,8 @@ class ProductWalk:
     ``equilibria.convertible``.  Where no leaf with a nonzero slope is
     reachable, a union-find decides whether the two systems denote the
     same tree, and the breadth-first walk runs only when they differ, to
-    find the witness; elsewhere the walk both decides and finds it.
+    find the witness; elsewhere the walk decides at every root index at
+    once, and either finds the witness or visits a closed set of states.
 
     Each system is compiled once by :func:`_flatten` into flat per-class
     lists: a head id (interned across both systems), the left and the
@@ -455,7 +451,11 @@ class ProductWalk:
     observation lies a bounded number of steps below one of the two
     arrivals, and the breadth-first walk, which has finitely many states
     at each depth, reaches it.  Without such a conflict every pair
-    carries one drift, so there are at most ``|S|*|T|`` states.
+    carries one drift, so there are at most ``|S|*|T|`` states.  With
+    ``agent=None`` and no mismatch, the states visited relate the roots,
+    agree on every observation under their drift and hold their child
+    states: a bisimulation at every root index, up to the drift dropped
+    from insensitive pairs.
     """
 
     def __init__(self, a: CoSystem, b: CoSystem, agent: str | None = None) -> None:
@@ -612,38 +612,50 @@ class ProductWalk:
 
 
 def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
-    """Decide bisimilarity of two systems from whose roots no leaf with a
-    nonzero payoff slope is reachable (see :func:`is_parametric`; shifts
-    may appear anywhere).
+    """Decide whether two systems denote the same tree at every root
+    index ``n``: equal observations on every path, leaf payoffs equal as
+    affine functions of ``n``.  Shifts and payoff slopes may appear
+    anywhere.
 
     :class:`ProductWalk` decides it: its union-find runs in near-linear
-    time, and the product walk runs only once the union-find has found
-    that the systems differ.  Both read one set of flat tables, so each
-    system is flattened once.
+    time, and the product walk runs only where the union-find gives up,
+    on a pair that differs or from which a leaf with a nonzero slope is
+    reachable.  Both read one set of flat tables, so each system is
+    flattened once.
 
-    If it holds, the certificate is the block relation: every pair ``(i,
-    j)`` of a class of ``a`` and a class of ``b`` in one block, sorted.
-    It is a bisimulation that relates the roots and contains every pair
-    the product walk visits, and may contain more: two classes of ``a``
-    that each meet one class of ``b`` put all their partners in one
-    block.  If it fails, the walk gives the witness: the shortest path
-    of choices (breadth-first, left before right) to the first
-    mismatching observation.
+    If it fails, the walk gives the witness: the shortest path of
+    choices (breadth-first, left before right) to the first mismatching
+    observation, which differs at root index 0 or 1.
 
-    The rows are tuples of two ints, which ``json`` writes as ``[i,
-    j]``.  ``itertools.product`` makes them, one class of ``a`` at a
-    time, so a row costs C time, and the cyclic collector stops
-    tracking each one at its first pass; two-int lists would stay
-    tracked and be scanned again by every older-generation pass.
+    If the union-find decides that it holds, the certificate is the
+    block relation: every pair ``(i, j)`` of a class of ``a`` and a
+    class of ``b`` in one block, sorted.  It is a bisimulation that
+    relates the roots and contains every pair the product walk visits,
+    and may contain more: two classes of ``a`` that each meet one class
+    of ``b`` put all their partners in one block.  The rows are tuples
+    of two ints, which ``json`` writes as ``[i, j]``.
+    ``itertools.product`` makes them, one class of ``a`` at a time, so a
+    row costs C time, and the cyclic collector stops tracking each one
+    at its first pass; two-int lists would stay tracked and be scanned
+    again by every older-generation pass.
+
+    If the walk decides that it holds, the certificate is the walk's
+    visited states, sorted ``(i, j, delta)`` int tuples: class ``i`` of
+    ``a`` at index ``n`` and class ``j`` of ``b`` at ``n + delta`` denote
+    the same tree for every ``n``.  The root state carries the roots'
+    shift difference.  A child state carries its parent's drift plus
+    the difference of the two edge shifts, except that the drift is 0
+    on a pair from which no leaf with a nonzero slope is reachable,
+    where it changes no observation.
     """
     _check_comparable(a, b)
-    if is_parametric(a) or is_parametric(b):
-        raise ParametricUnsupportedError("use bisimilar_bounded for parametric systems")
     walk = ProductWalk(a, b)
-    if walk.blocks is None:
-        assert walk.failure is not None
+    if walk.failure is not None:
         path, _, reason = walk.failure
         return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
+    if walk.blocks is None:
+        return Verdict(True, {"states": sorted(map(walk.decode, walk.order))},
+                       "product walk closed at every index")
     block, width = walk.blocks, len(a.classes)  # class j of b is element width + j
     partners: dict[int, list[int]] = {}
     for j in range(width, len(block)):

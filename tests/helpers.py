@@ -119,6 +119,26 @@ def payoff_mutant(sys: CoSystem, leaf_id: int) -> CoSystem:
     return CoSystem(sys.kind, sys.roster, tuple(classes), sys.root)
 
 
+def shift_mutant(sys: CoSystem, seed: int) -> CoSystem:
+    """One more level of shift on one child edge of a random node class:
+    the same tree where no leaf with a nonzero slope lies below the edge,
+    usually a different one where one does."""
+    rng = random.Random(seed)
+    nodes = [i for i, cls in enumerate(sys.classes) if isinstance(cls, Node)]
+    if not nodes:
+        return sys
+    victim = rng.choice(nodes)
+    cls = sys.classes[victim]
+    left, right = cls.left, cls.right
+    if rng.random() < 0.5:
+        left = Ref(left.cls, left.shift + 1)
+    else:
+        right = Ref(right.cls, right.shift + 1)
+    classes = list(sys.classes)
+    classes[victim] = Node(cls.owner, cls.choice, left, right)
+    return CoSystem(sys.kind, sys.roster, tuple(classes), sys.root)
+
+
 def flip_class_choice(sys: CoSystem, cls_id: int) -> CoSystem:
     """Flip the committed choice of one node class of a strategy."""
     cls = sys.classes[cls_id]

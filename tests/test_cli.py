@@ -100,6 +100,13 @@ class TestEval:
                      "--n", "-1"]) == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_agent_outside_the_roster_is_an_input_error(self, capsys):
+        path = str(GAMES / "dollar_auction_agu.cog")
+        assert main(["eval", path, "--agent", "Zed"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: agent 'Zed' not in roster ['Alice', 'Bob']\n"
+
     def test_no_utility_exits_one(self, capsys):
         code, report = run_json(capsys, "eval", str(GAMES / "dollar_auction_ngu.cog"),
                                 "--agent", "Alice")
@@ -166,16 +173,20 @@ class TestBisim:
         assert json.loads(out)["checks"][0]["certificate"] == {"relation": expected}
         assert f'"relation": {json.dumps(expected)}' in out
 
-    def test_depth_flag(self, capsys):
-        code, _ = run_json(capsys, "bisim", str(GAMES / "dollar_auction_agu.cog"),
-                           str(GAMES / "dollar_auction_ngu.cog"), "--depth", "5")
-        assert code == 1
-
-
     def test_negative_depth_is_a_usage_error(self, capsys):
+        # bisim has no --depth: parametric inputs are always compared to depth 24
         assert main(["bisim", str(GAMES / "dollar_auction.cog"), str(GAMES / "dollar_auction.cog"),
                      "--depth", "-1"]) == 2
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --depth" in err
+
+    def test_human_summary_prints_the_failing_witness(self, capsys):
+        code, out = run(capsys, "bisim", str(GAMES / "dollar_auction.cog"), str(GAMES / "centipede.cog"))
+        assert code == 1
+        # the bounded search goes depth first, left before right
+        witness = {"path": ["l"] * 23 + ["r"], "reason": "leaf payoffs differ", "depth": 24}
+        assert out == ("bisimilar_bounded[24]: fails - parametric inputs, bounded to depth 24: "
+                       f"distinguished: leaf payoffs differ\n  witness: {json.dumps(witness)}\n")
 
 
 class TestConvert:
@@ -338,11 +349,12 @@ class TestLargeInputs:
         code, report = run_json(capsys, "history", str(path))
         assert code == 0 and report["checks"][0]["value"] == history
 
-    def test_bounded_bisim_runs_without_recursion(self, capsys, tmp_path):
-        path = tmp_path / "chain.cog"
-        path.write_text(chain_source(3000))
-        assert main(["bisim", str(path), str(path), "--depth", "3000"]) == 0
-        assert capsys.readouterr().out.startswith("bisimilar_bounded[3000]: holds")
+    def test_bounded_bisim_runs_without_recursion(self):
+        from cogames import bisimilar_bounded, dsl
+
+        chain = dsl.parse(chain_source(3000))
+        v = bisimilar_bounded(chain, chain, 3000)
+        assert (v.holds, v.certificate) == (True, {"depth": 3000})
 
     def test_reader_closing_the_pipe_early_gets_no_traceback(self, tmp_path):
         path = tmp_path / "chain.cog"
@@ -435,7 +447,7 @@ class TestErrorsAndStability:
 PARSER_ARGVS = [
     ["--json", "check", "f.cog", "--ltl", "--nash"], ["check", "--ltl"],
     ["eval", "f.cog", "--agent", "A", "--n", "3"], ["eval", "f.cog"],
-    ["bisim", "a.cog", "b.cog", "--depth", "4"], ["bisim", "a.cog", "b.cog", "--depth", "-1"],
+    ["bisim", "a.cog", "b.cog"], ["bisim", "a.cog", "b.cog", "--depth", "4"],
     ["convert", "a.cog", "b.cog", "--agent", "A"], ["convert", "a.cog", "b.cog"],
     ["history", "f.cog", "--check", "l(r)^w"], ["history", "f.cog", "g.cog"],
     ["truncate", "f.cog", "--depth", "3", "--solve", "--tiebreak", "prefer_right"],

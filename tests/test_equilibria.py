@@ -212,6 +212,11 @@ class TestConvertible:
         with pytest.raises(RosterMismatchError):
             convertible(a, b, "A")
 
+    def test_agent_outside_the_roster_rejected(self):
+        s = dollar_auction_strategy("agu")
+        with pytest.raises(ValueError, match=r"agent 'Zed' not in roster \('Alice', 'Bob'\)"):
+            convertible(s, s, "Zed")
+
     def test_parametrization_drift_is_exact(self):
         # the drifting backbone only reaches constant leaves, and a
         # reachable indexed leaf elsewhere does not make its drift matter
@@ -474,6 +479,12 @@ class TestPreservation:
             agent = s.roster[seed % len(s.roster)]
             t, _ = helpers.prefix_perturbation(s, agent, seed=seed + 1000)
             assert helpers.check_altl_preservation(s, t, agent).holds
+
+
+@pytest.mark.parametrize("check", [nash_eq, sgpe])
+def test_equilibrium_checks_reject_a_game(check):
+    with pytest.raises(KindMismatchError, match=f"{check.__name__} expects a strategy"):
+        check(strategy_to_game(dollar_auction_strategy("agu")))
 
 
 class TestNashEq:

@@ -140,6 +140,10 @@ class TestTruncate:
             for d in range(0, 6):
                 assert prune(truncate(sys_, d), d) == prune(truncate(sys_, d + 1), d)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            truncate(dollar_auction_game(), -1)
+
     def test_no_leaf_at_horizon(self):
         both_nodes = CoSystem(GAME, ("A",), (
             Node("A", None, Ref(0), Ref(0)),

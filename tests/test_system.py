@@ -1,5 +1,6 @@
 import gc
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,6 @@ from cogames import (
     KindMismatchError,
     Leaf,
     Node,
-    ParametricUnsupportedError,
     Ref,
     STRATEGY,
     annotate,
@@ -75,6 +75,22 @@ class TestValidate:
     def test_payoff_domain_must_match_roster(self):
         bad = CoSystem(GAME, ("A", "B"), (Leaf({"A": Affine.const(0)}),))
         assert validate(bad).certificate["error"] == "PayoffDomain"
+
+    def test_unknown_kind_rejected(self):
+        v = validate(CoSystem("tree", ("A",), (Leaf({"A": Affine.const(0)}),)))
+        assert (v.holds, v.certificate) == (False, {"error": "BadKind", "kind": "tree"})
+
+    def test_owner_outside_the_roster_rejected(self):
+        bad = CoSystem(GAME, ("A",), (Node("Z", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})))
+        v = validate(bad)
+        assert (v.holds, v.certificate) == (False, {"error": "UnknownOwner", "class": 0})
+        assert v.note == "owner 'Z' not in roster"
+
+    @pytest.mark.parametrize("root", [Ref(1), Ref(0, -1)])
+    def test_root_out_of_range_rejected(self, root):
+        v = validate(CoSystem(GAME, ("A",), (Leaf({"A": Affine.const(0)}),), root))
+        assert (v.holds, v.certificate) == (
+            False, {"error": "InvalidRef", "class": "root", "ref": root.to_json()})
 
     def test_random_generated_systems_validate(self):
         for seed in range(100):
@@ -176,6 +192,34 @@ def left_comb_two_classes():
     ))
 
 
+GAMES = Path(__file__).resolve().parent.parent / "games"
+
+# the dollar auction under "always give up", unrolled into two
+# Alice/Bob periods: period i stands for backbone position 2n + i
+DOLLAR_AGU_TWO_PERIODS = """strategy agents Alice Bob
+alice0(n) = <Alice, r, bob0(n), quit_a0(n)>
+bob0(n) = <Bob, r, alice1(n), quit_b0(n)>
+alice1(n) = <Alice, r, bob1(n), quit_a1(n)>
+bob1(n) = <Bob, r, alice0(n+1), quit_b1(n)>
+quit_a0(n) = leaf[Alice: -4*n-1, Bob: -4*n]
+quit_b0(n) = leaf[Alice: -4*n-1, Bob: -4*n-2]
+quit_a1(n) = leaf[Alice: -4*n-3, Bob: -4*n-2]
+quit_b1(n) = leaf[Alice: -4*n-3, Bob: -4*n-4]
+root alice0
+"""
+
+
+def sloped_chain(length: int, end: str) -> str:
+    """Agent A continues down ``length`` nodes, each a level deeper
+    (``n+1``), to a leaf paying ``end``; stopping pays 0."""
+    lines = ["game agents A"]
+    for i in range(length):
+        nxt = f"c{i + 1}(n+1)" if i + 1 < length else "end(n+1)"
+        lines.append(f"c{i}(n) = <A, {nxt}, z(n)>")
+    lines += [f"end(n) = leaf[A: {end}]", "z(n) = leaf[A: 0]", "root c0"]
+    return "\n".join(lines) + "\n"
+
+
 class TestBisimilar:
     def test_reflexive_with_diagonal_relation(self):
         for seed in range(30):
@@ -196,9 +240,35 @@ class TestBisimilar:
         assert not v.holds
         assert v.certificate["path"] == []
 
-    def test_parametric_inputs_rejected(self):
-        with pytest.raises(ParametricUnsupportedError):
-            bisimilar(dollar_auction_game(), dollar_auction_game())
+    def test_parametric_family_holds_with_the_walk_states(self):
+        v = bisimilar(dollar_auction_game(), dollar_auction_game())
+        assert v.to_json() == {"outcome": "holds", "note": "product walk closed at every index",
+                               "certificate": {"states": [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]}}
+
+    def test_sloped_leaf_differs_from_a_constant_one_at_the_root(self):
+        a = dsl.parse("game agents A\nx(n) = leaf[A: n]\nroot x\n")
+        b = dsl.parse("game agents A\nx(n) = leaf[A: 0]\nroot x\n")
+        for v in (bisimilar(a, b), bisimilar(b, a)):
+            assert v.to_json() == {"outcome": "fails", "note": "distinguished: leaf payoffs differ",
+                                   "certificate": {"path": [], "reason": "leaf payoffs differ"}}
+        assert bisimilar_bounded(a, b, 24).holds  # both pay 0 at n = 0
+
+    def test_slopes_that_differ_below_the_bounded_depth(self):
+        a, b = (dsl.parse(sloped_chain(30, end)) for end in ("n", "2*n"))
+        v = bisimilar(a, b)
+        assert (v.holds, v.certificate) == (False, {"path": ["l"] * 30, "reason": "leaf payoffs differ"})
+        assert bisimilar_bounded(a, b, 24).holds
+
+    def test_unrolled_dollar_auction_is_another_family(self):
+        # two periods per class pair, each entering the next at n+1: the
+        # slopes are doubled, so the give-up leaves pay -4n-1 where the
+        # family pays -2n-1, and the trees agree at n = 0 only
+        unrolled = dsl.parse(DOLLAR_AGU_TWO_PERIODS)
+        family = dsl.parse((GAMES / "dollar_auction_agu.cog").read_text())
+        for a, b in ((unrolled, family), (family, unrolled)):
+            v = bisimilar(a, b)
+            assert (v.holds, v.certificate) == (False, {"path": ["r"], "reason": "leaf payoffs differ"})
+            assert bisimilar_bounded(a, b, 24).holds
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(KindMismatchError):
@@ -355,6 +425,116 @@ def test_bisimilar_agrees_with_the_product_walk_on_random_pairs():
                 assert relation == sorted(relation)
                 assert _relation_is_a_bisimulation(a, b, relation)
                 assert {walk.decode(state)[:2] for state in walk.parent} <= set(map(tuple, relation))
+
+
+def _sloped_below(sys: CoSystem, cls: int) -> bool:
+    """A leaf with a nonzero slope is reachable from class ``cls``,
+    found by unfolding alone."""
+    seen, todo = {cls}, [cls]
+    while todo:
+        head = unfold(sys, Ref(todo.pop()))
+        if isinstance(head, Leaf):
+            if any(f.slope for f in head.payoffs.values()):
+                return True
+            continue
+        for ref in (head.left, head.right):
+            if ref.cls not in seen:
+                seen.add(ref.cls)
+                todo.append(ref.cls)
+    return False
+
+
+def _states_are_a_bisimulation(a: CoSystem, b: CoSystem, states: list[tuple[int, int, int]]) -> bool:
+    """Replay a walk certificate with ``unfold`` alone: the root state is
+    a row, every row ``(i, j, delta)`` observes class ``i`` of ``a`` at
+    ``n`` like class ``j`` of ``b`` at ``n + delta``, and every row's
+    child states are rows.  A pair from which no leaf with a nonzero
+    slope is reachable denotes one tree at every index, so its state
+    carries drift 0."""
+    rows = set(states)
+    sens_a = [_sloped_below(a, i) for i in range(len(a.classes))]
+    sens_b = [_sloped_below(b, j) for j in range(len(b.classes))]
+
+    def state(ra: Ref, rb: Ref) -> tuple[int, int, int]:
+        drift = rb.shift - ra.shift if sens_a[ra.cls] or sens_b[rb.cls] else 0
+        return ra.cls, rb.cls, drift
+
+    if state(a.root, b.root) not in rows:
+        return False
+    for i, j, delta in rows:
+        ra, rb = Ref(i), Ref(j, delta)
+        if _observation(a, ra) != _observation(b, rb):
+            return False
+        ha, hb = unfold(a, ra), unfold(b, rb)
+        if isinstance(ha, Node) and any(state(ha.child(c), hb.child(c)) not in rows for c in Choice):
+            return False
+    return True
+
+
+def _value(sys: CoSystem, ref: Ref, n: int) -> tuple:
+    """The observation at ``ref`` with the root index set to ``n``."""
+    head = unfold(sys, ref)
+    if isinstance(head, Leaf):
+        return ({agent: f.at(n) for agent, f in head.payoffs.items()},)
+    return head.owner, head.choice
+
+
+def _path_ends_differing_at_index_0_or_1(a: CoSystem, b: CoSystem, path: list[str]) -> bool:
+    ra, rb = a.root, b.root
+    for step in path:
+        assert _observation(a, ra) == _observation(b, rb)
+        ra, rb = unfold(a, ra).child(Choice(step)), unfold(b, rb).child(Choice(step))
+    return any(_value(a, ra, n) != _value(b, rb, n) for n in (0, 1))
+
+
+def _shifted_roots(a: CoSystem, b: CoSystem, k: int) -> tuple[CoSystem, CoSystem]:
+    return (with_root(a, Ref(a.root.cls, a.root.shift + k)),
+            with_root(b, Ref(b.root.cls, b.root.shift + k)))
+
+
+def test_bisimilar_decides_random_parametric_pairs_with_replayable_certificates():
+    """Differential sweep over parametric pairs: presentations of one
+    tree (itself, an unrolled variant, moved offsets), a shift mutant
+    (one tree or two, by whether a sloped leaf lies below the edge) and
+    different trees (a payoff mutant, an unrelated system).  Every
+    certificate replays with ``unfold`` alone, and a holding pair agrees
+    under the bounded comparison at the first six root indices."""
+    pairs, walked, relations, failing = 0, 0, 0, 0
+    for seed in range(250):
+        s = helpers.random_system(seed, max_shift=3)
+        rng = random.Random(seed)
+        moved = helpers.offset_moved(s, rng.randrange(len(s.classes)), rng.randint(1, 3))
+        partners = [(s, s), (s, helpers.unrolled_variant(s, seed)), moved,
+                    (moved[0], helpers.unrolled_variant(moved[1], seed + 1)),
+                    (s, helpers.shift_mutant(s, seed))]
+        leaf = helpers.first_reachable_leaf(s)
+        if leaf is not None:
+            partners.append((s, helpers.payoff_mutant(s, leaf)))
+        other = helpers.random_system(seed + 1000, kind=s.kind, max_shift=3)
+        if other.roster == s.roster:
+            partners.append((s, other))
+        for x, y in partners:
+            for a, b in ((x, y), (y, x)):
+                v = bisimilar(a, b)
+                pairs += 1
+                if not v.holds:
+                    assert set(v.certificate) == {"path", "reason"}
+                    assert _path_ends_differing_at_index_0_or_1(a, b, v.certificate["path"])
+                    failing += 1
+                    continue
+                if "relation" in v.certificate:
+                    assert not (is_parametric(a) or is_parametric(b))
+                    assert _relation_is_a_bisimulation(a, b, v.certificate["relation"])
+                    relations += 1
+                else:
+                    states = v.certificate["states"]
+                    assert states == sorted(states)
+                    assert all(type(x) is int for row in states for x in row)
+                    assert _states_are_a_bisimulation(a, b, states)
+                    walked += 1
+                for k in range(6):
+                    assert bisimilar_bounded(*_shifted_roots(a, b, k), 6).holds
+    assert pairs >= 1000 and walked >= 300 and failing >= 300 and relations > 0
 
 
 def test_bisimilar_relation_may_relate_pairs_the_walk_never_visits():
