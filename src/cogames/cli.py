@@ -42,7 +42,7 @@ from .equilibria import Convertibility, convertible, nash_eq, sgpe
 from .histories import format_lasso, is_history_of, parse_lasso, strategy_history
 from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
 from .system import CoSystem, STRATEGY, KindMismatchError, RosterMismatchError
-from .system import bisimilar, bisimilar_bounded, is_parametric, strategy_to_game, validate
+from .system import bisimilar, bisimilar_bounded, is_parametric, validate
 from .verdict import Verdict
 
 # the depth to which `bisim` compares parametric inputs
@@ -159,8 +159,7 @@ def _cmd_history(args) -> tuple[list[dict], list[dict]]:
             lasso = parse_lasso(args.check)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        walkable = strategy_to_game(system) if system.kind == STRATEGY else system
-        member = is_history_of(walkable, lasso)
+        member = is_history_of(system, lasso)
         verdict = Verdict(member, {"history": format_lasso(lasso)},
                           "history of this system" if member else "not a history of this system")
         return [_check("is_history_of", verdict)], [meta]

@@ -33,12 +33,14 @@ class.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
-by ``system.ProductWalk``, the engine ``bisimilar`` uses too.  Where
-no leaf with a nonzero slope is reachable, its union-find decides first
-whether the two strategies denote the same tree, and when they do the
-answer is ``INDUCTIVE`` with no difference and no walk.  Otherwise the
-product walk decides, and finds the witness or the agent's choice
-differences.  It tracks the drift only in
+by ``system.ProductWalk``, the engine ``bisimilar`` uses too.  It picks
+its regime once, at the roots, from each system's sensitivity table
+(per class: is a leaf with a nonzero slope reachable from it?).  Where
+neither root is sensitive, its union-find decides first whether the two
+strategies denote the same tree, and when they do the answer is
+``INDUCTIVE`` with no difference and no walk.  Otherwise the product
+walk decides, and finds the witness or the agent's choice differences.
+It tracks the drift only in
 pairs from which a leaf with a nonzero slope is reachable.  If such a
 pair is reached with two drifts, the path to that leaf ends in a
 differing observation below one of the two arrivals, so the walk either
@@ -528,10 +530,10 @@ def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
     """Classify the relation between two strategies for a deviating agent.
 
     ``system.ProductWalk`` decides it, as it decides ``bisimilar``.
-    Where no leaf with a nonzero slope is reachable, its union-find
-    decides first whether the two denote the same tree; if they do, the
-    answer is ``INDUCTIVE`` with no difference, which is what the walk
-    would find, and the product is never walked.  Otherwise the product
+    Where no leaf with a nonzero slope is reachable from either root,
+    its union-find decides first whether the two denote the same tree;
+    if they do, the answer is ``INDUCTIVE`` with no difference, which is
+    what the walk would find, and the product is never walked.  Otherwise the product
     walk runs.
     It tracks the offset drift ``delta`` between the two sides wherever
     a leaf with a nonzero slope is reachable.  Leaves must carry equal

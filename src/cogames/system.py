@@ -12,10 +12,10 @@ denotes an infinite tree, and offsets let payoffs grow along a backbone
 All values are immutable after construction and every operation is a pure
 function, so systems can be shared freely between concurrent analyses.
 The one exception is a system's private memo of derived tables (the
-reachable list and the edge table here, the play table in
-``semantics``): each table is a pure function of the system, written
-once on first use and never mutated by its readers, so a race between
-two analyses only computes a table twice.
+reachable list, the sensitivity table and the edge table here, the play
+table in ``semantics``): each table is a pure function of the system,
+written once on first use and never mutated by its readers, so a race
+between two analyses only computes a table twice.
 Payoff arithmetic is exact (Python integers); nothing here overflows.
 """
 
@@ -127,10 +127,10 @@ class CoSystem:
     a set.  The root is conventionally ``Ref(cls, 0)``.
 
     ``_memo`` keeps the tables derived from the fields (``reachable``,
-    ``edge_table``, ``semantics.play_table``), so every check on one
-    system reads one copy.  Each table is written once, on first use;
-    readers never mutate it; a race between two readers only computes
-    it twice.  The memo takes no part in equality or ``repr``, and
+    ``_sensitive``, ``edge_table``, ``semantics.play_table``), so every
+    check on one system reads one copy.  Each table is written once, on
+    first use; readers never mutate it; a race between two readers only
+    computes it twice.  The memo takes no part in equality or ``repr``, and
     ``with_root`` (like ``dataclasses.replace``) starts the new system
     with an empty one.
     """
@@ -336,16 +336,39 @@ def sccs(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable
     return out
 
 
+def _sensitive(sys: CoSystem) -> list[bool]:
+    """Per class id, whether the class is *sensitive*: a leaf with a
+    nonzero payoff slope is reachable from it (the class itself
+    included).  One reverse pass from the leaves with a nonzero slope
+    over every class, reachable from the root or not.  Built once per
+    system and kept in its memo, so callers must not mutate the list."""
+    if "sensitive" in sys._memo:
+        return sys._memo["sensitive"]
+    preds: list[list[int]] = [[] for _ in sys.classes]
+    sensitive = [False] * len(sys.classes)
+    for c, cls in enumerate(sys.classes):
+        if isinstance(cls, Leaf):
+            sensitive[c] = any(f.slope for f in cls.payoffs.values())
+        else:
+            preds[cls.left.cls].append(c)
+            preds[cls.right.cls].append(c)
+    queue = [c for c in range(len(sensitive)) if sensitive[c]]
+    for c in queue:
+        for p in preds[c]:
+            if not sensitive[p]:
+                sensitive[p] = True
+                queue.append(p)
+    sys._memo["sensitive"] = sensitive
+    return sensitive
+
+
 def is_parametric(sys: CoSystem) -> bool:
     """True iff a leaf with a nonzero payoff slope is reachable from the
-    root.  Shifts alone do not count: below constant leaves they change
-    no observation, so a system without such a leaf denotes one plain
+    root: the root's entry in the system's sensitivity table.  Shifts
+    alone do not count: below constant leaves they change no
+    observation, so a system without such a leaf denotes one plain
     rational tree at every root index."""
-    for i in reachable(sys):
-        cls = sys.classes[i]
-        if isinstance(cls, Leaf) and any(f.slope != 0 for f in cls.payoffs.values()):
-            return True
-    return False
+    return _sensitive(sys)[sys.root.cls]
 
 
 def with_root(sys: CoSystem, ref: Ref) -> CoSystem:
@@ -360,60 +383,45 @@ def _check_comparable(a: CoSystem, b: CoSystem) -> None:
         raise RosterMismatchError(f"rosters differ: {a.roster} vs {b.roster}")
 
 
-def _flatten(sys: CoSystem, heads: dict[Hashable, int], sloped: set[int], scale: int,
-             unit: int) -> tuple[list, ...]:
+def _flatten(sys: CoSystem, heads: dict[Hashable, int], scale: int, unit: int) -> tuple[list, ...]:
     """Per-class lists: head id, the left and the right child as
-    ``class*scale + shift*unit``, a mask of the sensitive children (1
-    left, 2 right), and whether the class itself is sensitive (one
-    reverse pass from the sloped leaves).
+    ``class*scale + shift*unit``, and a mask of the children that
+    :func:`_sensitive` marks (1 left, 2 right).
 
     A head id is an int interned in ``heads`` from the one-step
-    observation: negative for leaf payoffs (added to ``sloped`` if some
-    payoff has a nonzero slope), nonnegative for owner and choice.
-    Sharing ``heads`` between two systems makes equal ids mean equal
-    observations."""
-    n = len(sys.classes)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    sensitive = [False] * n
+    observation: negative for leaf payoffs, nonnegative for owner and
+    choice.  Sharing ``heads`` between two systems makes equal ids mean
+    equal observations."""
+    sensitive = _sensitive(sys)
     rows = []
-    for c, cls in enumerate(sys.classes):
+    for cls in sys.classes:
         if isinstance(cls, Leaf):
-            h = heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads))
-            if any(f.slope for f in cls.payoffs.values()):
-                sloped.add(h)
-                sensitive[c] = True
-            rows.append((h, 0, 0))
+            rows.append((heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads)), 0, 0, 0))
         else:
-            preds[cls.left.cls].append(c)
-            preds[cls.right.cls].append(c)
             rows.append((heads.setdefault((cls.owner, cls.choice), len(heads)),
                          cls.left.cls * scale + cls.left.shift * unit,
-                         cls.right.cls * scale + cls.right.shift * unit))
-    queue = [c for c in range(n) if sensitive[c]]
-    for c in queue:
-        for p in preds[c]:
-            if not sensitive[p]:
-                sensitive[p] = True
-                queue.append(p)
-    mask = [0 if isinstance(cls, Leaf) else
-            sensitive[cls.left.cls] | sensitive[cls.right.cls] << 1 for cls in sys.classes]
-    return (*map(list, zip(*rows)), mask, sensitive)
+                         cls.right.cls * scale + cls.right.shift * unit,
+                         sensitive[cls.left.cls] | sensitive[cls.right.cls] << 1))
+    return tuple(map(list, zip(*rows)))
 
 
 class ProductWalk:
     """The product of two class graphs: one set of flat tables for both
     questions that compare two systems, ``bisimilar`` and
-    ``equilibria.convertible``.  Where no leaf with a nonzero slope is
-    reachable, a union-find decides whether the two systems denote the
-    same tree, and the breadth-first walk runs only when they differ, to
-    find the witness; elsewhere the walk decides at every root index at
+    ``equilibria.convertible``.  The regime is picked once, at the
+    roots, from the two systems' :func:`_sensitive` tables.  If neither
+    root is sensitive, no leaf with a nonzero slope is reachable, and a
+    union-find decides whether the two systems denote the same tree; the
+    breadth-first walk runs only when they differ, to find the witness.
+    If a root is sensitive, the walk decides at every root index at
     once, and either finds the witness or visits a closed set of states.
 
     Each system is compiled once by :func:`_flatten` into flat per-class
     lists: a head id (interned across both systems), the left and the
     right child as one int each (its class and shift, scaled into the
     state coding), and a mask of the children that are *sensitive*: a
-    leaf with a nonzero slope is reachable from them.  A product state is
+    leaf with a nonzero slope is reachable from them.  A pair is
+    sensitive if one of its classes is.  A product state is
     one int, ``delta*P + i*|T| + j`` for class ``i`` of ``a``, class ``j``
     of ``b`` and the offset drift ``delta = shift_b - shift_a``, where ``P
     = |S|*|T|`` (Python's floor ``%`` and ``divmod`` decode a negative
@@ -422,28 +430,31 @@ class ProductWalk:
     drift cannot change an observation there, and the children of an
     insensitive pair are insensitive too.
 
-    :meth:`_union_find` runs first.  If it shows that the systems
-    denote the same tree, ``blocks`` holds its partition and the walk
-    never runs: every pair the walk would visit has equal heads, so it
-    would find neither a mismatch nor a choice difference.  Otherwise
-    ``blocks`` is None and the walk runs as below, on the same tables.
+    Below two insensitive roots :meth:`_union_find` runs first.  If it
+    shows that the systems denote the same tree, ``blocks`` holds its
+    partition and the walk never runs: every pair the walk would visit
+    has equal heads, so it would find neither a mismatch nor a choice
+    difference.  Otherwise, or with a sensitive root, ``blocks`` is None
+    and the walk runs as below, on the same tables.
 
     The walk: ``parent`` maps each state seen to ``2*parent + label_bit``
     (None at the root), so it is both the seen set and the path witness;
     ``order`` is the breadth-first queue, a list iterated as it grows.
     Equal head ids step straight on to the child pairs.  Different ones,
-    and a sloped leaf under nonzero drift, take the slow path: it names
-    the mismatch, or, where only the choice differs at a node ``agent``
-    owns, records the state in ``diffs`` and steps on (with
+    and two leaves under nonzero drift, take the slow path: a drift
+    survives only at a sensitive pair, where two leaves with equal heads
+    both have a nonzero slope, and :meth:`_differ` decides either way.
+    It names the mismatch, or, where only the choice differs at a node
+    ``agent`` owns, records the state in ``diffs`` and steps on (with
     ``agent=None`` any choice difference is a mismatch).  ``failure`` is
     ``(path, (i, j, delta), reason)`` for the first mismatch in
     breadth-first order (left before right), else None.
 
     The walk is exact and terminates.  Say a sensitive pair, with ``i``
     sensitive (or ``j``, symmetrically), is reached with two drifts.
-    Follow, from both arrivals, the path of labels from ``i`` to a sloped
-    leaf: the classes met on it do not depend on the drift, and neither
-    does the sum of the shift differences along it.  So both arrivals
+    Follow, from both arrivals, the path of labels from ``i`` to a leaf
+    with a nonzero slope: the classes met on it do not depend on the
+    drift, and neither does the sum of the shift differences along it.  So both arrivals
     meet the same mismatch before the end, or the path ends at the same
     pair of leaves under two different drifts, and a payoff with a
     nonzero slope agrees with the other side's under at most one of
@@ -463,17 +474,16 @@ class ProductWalk:
         self.width = len(b.classes)
         self.size = len(a.classes) * self.width
         heads: dict[Hashable, int] = {}
-        self.sloped: set[int] = set()
-        self.flat_a = _flatten(a, heads, self.sloped, self.width, -self.size)
-        self.flat_b = _flatten(b, heads, self.sloped, 1, self.size)
+        self.flat_a = _flatten(a, heads, self.width, -self.size)
+        self.flat_b = _flatten(b, heads, 1, self.size)
         self.diffs: list[int] = []
         self.failure: tuple[list[str], tuple[int, int, int], str] | None = None
         i, j = a.root.cls, b.root.cls
-        sensitive = self.flat_a[4][i] or self.flat_b[4][j]
-        start = self.encode(i, j, b.root.shift - a.root.shift if sensitive else 0)
+        drifts = _sensitive(a)[i] or _sensitive(b)[j]
+        start = self.encode(i, j, b.root.shift - a.root.shift if drifts else 0)
         self.parent: dict[int, int | None] = {start: None}
         self.order = [start]
-        self.blocks = self._union_find()
+        self.blocks = None if drifts else self._union_find()
         if self.blocks is None:
             self._walk()
 
@@ -496,8 +506,8 @@ class ProductWalk:
         """Child states of a state the walk has stepped past: the drift
         ``state - pair`` carries on into a sensitive child pair, and
         ``% size`` drops it, with the shifts, from an insensitive one."""
-        head_a, la, ra, ma, _ = self.flat_a
-        _, lb, rb, mb, _ = self.flat_b
+        head_a, la, ra, ma = self.flat_a
+        _, lb, rb, mb = self.flat_b
         pair = state % self.size
         i, j = divmod(pair, self.width)
         if head_a[i] < 0:
@@ -508,27 +518,25 @@ class ProductWalk:
 
     def _union_find(self) -> list[int] | None:
         """The block of every class if the two systems denote one tree
-        and no leaf with a nonzero slope is reachable (class ``j`` of
-        ``b`` is element ``|S| + j``), else None.
+        (class ``j`` of ``b`` is element ``|S| + j``), else None.  Called
+        only below two insensitive roots.
 
         A Hopcroft-Karp union-find over the disjoint union of the two
         class lists (Hopcroft & Karp, "A linear algorithm for testing
         equivalence of finite automata", 1971; Bonchi & Pous, "Checking
         NFA equivalence with bisimulations up to congruence", 2013).
         Starting from the pair of roots, a pair whose classes already
-        share a block is skipped; otherwise their head ids must agree,
-        neither class may be sensitive, the two blocks are merged and the
-        two child pairs are pushed.  Below an insensitive pair the drift
-        cannot change an observation, so, as in the walk, ``% size``
-        drops the shifts from a child pair.  Every pair pushed is reached
-        from both roots by one path, so a head mismatch distinguishes the
-        systems.  Without one, the merged pairs form a bisimulation up to
-        equivalence, so the blocks relate only bisimilar classes; and
-        every class reachable from a root has been merged, so none of
-        them is sensitive.  A sensitive pair gives up, and leaves the
-        decision to the walk, which tracks the drift."""
-        head_a, la, ra, _, sens_a = self.flat_a
-        head_b, lb, rb, _, sens_b = self.flat_b
+        share a block is skipped; otherwise their head ids must agree, the
+        two blocks are merged and the two child pairs are pushed.  Every
+        class reachable from an insensitive root is insensitive, so every
+        pair pushed is, and below an insensitive pair the drift cannot
+        change an observation: as in the walk, ``% size`` drops the
+        shifts from a child pair.  Every pair pushed is reached from both
+        roots by one path, so a head mismatch distinguishes the systems.
+        Without one, the merged pairs form a bisimulation up to
+        equivalence, so the blocks relate only bisimilar classes."""
+        head_a, la, ra, _ = self.flat_a
+        head_b, lb, rb, _ = self.flat_b
         width, size, offset = self.width, self.size, len(head_a)
         parent = list(range(offset + width))
         members = [1] * len(parent)
@@ -547,7 +555,7 @@ class ProductWalk:
             ri, rj = find(i), find(offset + j)
             if ri == rj:
                 continue
-            if head_a[i] != head_b[j] or sens_a[i] or sens_b[j]:
+            if head_a[i] != head_b[j]:
                 return None
             if members[ri] < members[rj]:
                 ri, rj = rj, ri
@@ -558,15 +566,15 @@ class ProductWalk:
         return [find(x) for x in range(len(parent))]
 
     def _walk(self) -> None:
-        head_a, la, ra, ma, _ = self.flat_a
-        head_b, lb, rb, mb, _ = self.flat_b
-        width, size, sloped = self.width, self.size, self.sloped
+        head_a, la, ra, ma = self.flat_a
+        head_b, lb, rb, mb = self.flat_b
+        width, size = self.width, self.size
         parent, order = self.parent, self.order
         for state in order:
             pair = state % size
             i, j = divmod(pair, width)
             h = head_a[i]
-            if h != head_b[j] or (state != pair and h in sloped):
+            if h != head_b[j] or (h < 0 and state != pair):
                 delta = (state - pair) // size
                 reason = self._differ(state, i, j, delta)
                 if reason is not None:
@@ -617,11 +625,11 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     affine functions of ``n``.  Shifts and payoff slopes may appear
     anywhere.
 
-    :class:`ProductWalk` decides it: its union-find runs in near-linear
-    time, and the product walk runs only where the union-find gives up,
-    on a pair that differs or from which a leaf with a nonzero slope is
-    reachable.  Both read one set of flat tables, so each system is
-    flattened once.
+    :class:`ProductWalk` decides it.  Where a leaf with a nonzero slope
+    is reachable from a root, the product walk decides; elsewhere its
+    union-find runs first, in near-linear time, and the walk runs only
+    when the trees differ.  Both read one set of flat tables, so each
+    system is flattened once.
 
     If it fails, the walk gives the witness: the shortest path of
     choices (breadth-first, left before right) to the first mismatching
@@ -673,29 +681,25 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
     Sound approximation of bisimilarity: exact bisimilarity implies this
     at every depth.
 
-    The search is a preorder walk over keys (class and shift on each
-    side, depth left) with one explicit stack, left before right, so the
-    reported path is the first failing one in that order, and any depth
-    runs without recursion.  ``came`` maps each key met to its (label,
-    key above), or None at the root.  A key met again is skipped: the
-    depth left falls along every path, so a key is never below itself,
-    and the stack has finished its first visit's subtree, without a
-    failure, before it returns to anything pushed outside it.  The
-    witness path is read back through ``came``, so memory stays linear
-    in the keys met at any depth.
+    The search is breadth first, left before right, over keys (class
+    and shift on each side), so the reported path is the first shortest
+    failing one, as in :func:`bisimilar`, and any depth runs without
+    recursion.  ``order`` is the queue of keys with their depth left, a
+    list iterated as it grows, and ``came`` maps each key met to its
+    (label, key above), or None at the root.  A key met again is
+    skipped: the observations below a key do not depend on the path to
+    it, and the first meeting is at the shallowest depth, so it has the
+    most depth left.  The witness path is read back through ``came``,
+    so memory stays linear in the keys met.
     """
     _check_comparable(a, b)
-    Key = tuple[int, int, int, int, int]
-    stack: list[tuple[Key, tuple[str, Key] | None]] = [
-        ((a.root.cls, a.root.shift, b.root.cls, b.root.shift, depth), None)]
-    came: dict[Key, tuple[str, Key] | None] = {}
+    Key = tuple[int, int, int, int]
+    root: Key = (a.root.cls, a.root.shift, b.root.cls, b.root.shift)
+    came: dict[Key, tuple[str, Key] | None] = {root: None}
+    order = [(root, depth)]
     reason: str | None = None
-    while stack and reason is None:
-        key, link = stack.pop()
-        if key in came:
-            continue
-        came[key] = link
-        ca, sa, cb, sb, d = key
+    for key, d in order:
+        ca, sa, cb, sb = key
         ha, hb = unfold(a, Ref(ca, sa)), unfold(b, Ref(cb, sb))
         if isinstance(ha, Leaf) != isinstance(hb, Leaf):
             reason = "head kind differs"
@@ -711,11 +715,17 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
             elif ha.choice is not hb.choice:
                 reason = "choice differs"
             elif d > 0:
-                stack += [((na.cls, na.shift, nb.cls, nb.shift, d - 1), (label, key))
-                          for label, na, nb in (("r", ha.right, hb.right), ("l", ha.left, hb.left))]
-    if reason is None:
+                for label, na, nb in (("l", ha.left, hb.left), ("r", ha.right, hb.right)):
+                    child = (na.cls, na.shift, nb.cls, nb.shift)
+                    if child not in came:
+                        came[child] = (label, key)
+                        order.append((child, d - 1))
+        if reason is not None:
+            break
+    else:
         return Verdict(True, {"depth": depth}, f"observations agree to depth {depth}")
     path: list[str] = []
+    link = came[key]
     while link is not None:
         path.append(link[0])
         link = came[link[1]]

@@ -148,6 +148,33 @@ class TestBisim:
         run_json(capsys, "bisim", str(GAMES / f"{a}.cog"), str(GAMES / f"{b}.cog"))
         assert len(seen) == passes
 
+    @pytest.mark.parametrize("a, b, built", [("paper_s0", "paper_s0", 2),  # union-find
+                                             ("chain_1", "chain_2", 2),  # walk
+                                             ("dollar_auction", "centipede", 1)])  # bounded
+    def test_each_input_sensitivity_table_is_built_once(self, capsys, monkeypatch, tmp_path,
+                                                        a, b, built):
+        from cogames import system
+
+        for end in (1, 2):
+            (tmp_path / f"chain_{end}.cog").write_text(shifted_constant_chain(30, end))
+        paths = [(tmp_path if name.startswith("chain") else GAMES) / f"{name}.cog"
+                 for name in (a, b)]
+        reads = []
+        original = system._sensitive
+
+        def recorded(sys_):
+            table = original(sys_)
+            reads.append((sys_, table))
+            return table
+
+        # the command line reads it through is_parametric, the walk directly
+        monkeypatch.setattr(system, "_sensitive", recorded)
+        run_json(capsys, "bisim", *map(str, paths))
+        tables: dict[int, list[bool]] = {}
+        for sys_, table in reads:
+            assert tables.setdefault(id(sys_), table) is table
+        assert len(tables) == built and len(reads) >= built
+
     def test_shifts_over_constant_leaves_are_decided_exactly(self, capsys, tmp_path):
         # the two chains differ only at depth 30, past the bounded check's
         # depth; bisim and convert must agree that they differ there
@@ -183,8 +210,9 @@ class TestBisim:
     def test_human_summary_prints_the_failing_witness(self, capsys):
         code, out = run(capsys, "bisim", str(GAMES / "dollar_auction.cog"), str(GAMES / "centipede.cog"))
         assert code == 1
-        # the bounded search goes depth first, left before right
-        witness = {"path": ["l"] * 23 + ["r"], "reason": "leaf payoffs differ", "depth": 24}
+        # the bounded search goes breadth first, left before right: the
+        # give-up leaves pay (-1, 0) and (0, 0) at n = 0
+        witness = {"path": ["r"], "reason": "leaf payoffs differ", "depth": 24}
         assert out == ("bisimilar_bounded[24]: fails - parametric inputs, bounded to depth 24: "
                        f"distinguished: leaf payoffs differ\n  witness: {json.dumps(witness)}\n")
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from cogames import (
 )
 from cogames import convertible, dsl, system
 from cogames.equilibria import Convertibility
-from cogames.system import ProductWalk, sccs
+from cogames.system import ProductWalk, reachable, sccs
 from cogames.families import (
     dollar_auction_game,
     dollar_auction_strategy,
@@ -172,6 +173,46 @@ class TestIsParametric:
         ), Ref(0, 2))
         assert not is_parametric(sys_)
 
+    def test_unreachable_sloped_leaf_does_not_count(self):
+        # classes 2 and 3 see the sloped leaf; the root reaches neither
+        sys_ = CoSystem(GAME, ("A",), (
+            Node("A", None, Ref(1), Ref(0, 1)),
+            Leaf({"A": Affine.const(1)}),
+            Leaf({"A": Affine(3, 0)}),
+            Node("A", None, Ref(0), Ref(2)),
+        ), Ref(0))
+        assert not is_parametric(sys_)
+        assert system._sensitive(sys_) == [False, False, True, True]
+        assert is_parametric(with_root(sys_, Ref(3)))
+
+
+def _sloped_leaf_reachable(sys: CoSystem) -> bool:
+    """Some leaf with a nonzero slope is in ``reachable(sys)``."""
+    return any(isinstance(sys.classes[c], Leaf)
+               and any(f.slope for f in sys.classes[c].payoffs.values())
+               for c in reachable(sys))
+
+
+def test_sensitivity_table_matches_forward_reachability_on_random_systems():
+    """Every class's entry is whether a leaf with a nonzero slope is
+    reachable from it, found by re-rooting there and searching forward;
+    is_parametric is the root's entry, and the table is built once."""
+    systems, sensitive, insensitive = 0, 0, 0
+    for seed in range(300):
+        for kind in (GAME, STRATEGY):
+            for parametric in (True, False):
+                s = helpers.random_system(seed, kind=kind, parametric=parametric, max_classes=8)
+                table = system._sensitive(s)
+                assert len(table) == len(s.classes)
+                for c in range(len(s.classes)):
+                    assert table[c] == _sloped_leaf_reachable(with_root(s, Ref(c, 0)))
+                assert is_parametric(s) == table[s.root.cls]
+                assert system._sensitive(s) is table
+                systems += 1
+                sensitive += sum(table)
+                insensitive += len(table) - sum(table)
+    assert systems >= 1000 and sensitive > 1000 and insensitive > 1000
+
 
 def left_comb_one_class():
     # X = <A, X, leaf 1>
@@ -252,6 +293,16 @@ class TestBisimilar:
             assert v.to_json() == {"outcome": "fails", "note": "distinguished: leaf payoffs differ",
                                    "certificate": {"path": [], "reason": "leaf payoffs differ"}}
         assert bisimilar_bounded(a, b, 24).holds  # both pay 0 at n = 0
+
+    def test_one_sloped_leaf_under_a_drift_differs(self):
+        # equal head ids on both sides: only the drift tells them apart
+        leaf = dsl.parse("game agents A\nx(n) = leaf[A: n]\nroot x\n")
+        v = bisimilar(leaf, with_root(leaf, Ref(0, 1)))
+        assert v.certificate == {"path": [], "reason": "leaf payoffs differ"}
+        a = dsl.parse("game agents A\nt(n) = <A, x(n), x(n)>\nx(n) = leaf[A: n]\nroot t\n")
+        b = dsl.parse("game agents A\nt(n) = <A, x(n), x(n+1)>\nx(n) = leaf[A: n]\nroot t\n")
+        for v in (bisimilar(a, b), bisimilar(b, a)):
+            assert v.certificate == {"path": ["r"], "reason": "leaf payoffs differ"}
 
     def test_slopes_that_differ_below_the_bounded_depth(self):
         a, b = (dsl.parse(sloped_chain(30, end)) for end in ("n", "2*n"))
@@ -572,6 +623,30 @@ def refuse_to_walk(monkeypatch) -> None:
     monkeypatch.setattr(ProductWalk, "_walk", no_walk)
 
 
+def test_a_sensitive_root_goes_straight_to_the_walk(monkeypatch):
+    def no_union_find(self):
+        raise AssertionError("a sensitive root must not run the union-find")
+
+    monkeypatch.setattr(ProductWalk, "_union_find", no_union_find)
+    agu, ngu = dollar_auction_strategy("agu"), dollar_auction_strategy("ngu")
+    assert bisimilar(agu, agu).holds and not bisimilar(agu, ngu).holds
+    assert convertible(agu, ngu, "Bob").value is Convertibility.NOT_CONVERTIBLE
+    walks = 0
+    for seed in range(200):
+        s = helpers.random_system(seed, max_shift=3)
+        if not is_parametric(s):
+            continue
+        partners = [helpers.unrolled_variant(s, seed)]
+        other = helpers.random_system(seed + 1000, kind=s.kind, max_shift=3)
+        if other.roster == s.roster:
+            partners.append(other)  # sensitive or not: one sensitive root suffices
+        for t in partners:
+            for a, b in ((s, t), (t, s)):
+                assert ProductWalk(a, b).blocks is None
+                walks += 1
+    assert walks >= 200
+
+
 def test_bisimilar_coprime_rings_without_the_product_walk(monkeypatch):
     refuse_to_walk(monkeypatch)
     p, q = 353, 354
@@ -661,32 +736,37 @@ class TestBisimilarBounded:
 
 
 def naive_bounded(a: CoSystem, b: CoSystem, depth: int) -> tuple[list[str], str] | None:
-    """The first failing path of length <= depth, left before right, and
-    its reason, or None: a plain recursive search that unfolds every path
-    and remembers nothing between them."""
+    """The first failing path of length <= depth, shortest first and
+    left before right among equal lengths, and its reason, or None: a
+    plain search that unfolds every path from the roots on its own and
+    remembers nothing between paths."""
 
-    def search(ra: Ref, rb: Ref, d: int, path: list[str]) -> tuple[list[str], str] | None:
-        ha, hb = unfold(a, ra), unfold(b, rb)
+    def reason(ha, hb) -> str | None:
         if isinstance(ha, Leaf) != isinstance(hb, Leaf):
-            return path, "head kind differs"
+            return "head kind differs"
         if isinstance(ha, Leaf):
             if any(ha.payoffs[ag].at(0) != hb.payoffs[ag].at(0) for ag in a.roster):
-                return path, "leaf payoffs differ"
+                return "leaf payoffs differ"
             return None
         if ha.owner != hb.owner:
-            return path, "owner differs"
+            return "owner differs"
         if ha.choice is not hb.choice:
-            return path, "choice differs"
-        if d == 0:
-            return None
-        for label in ("l", "r"):
-            choice = Choice(label)
-            found = search(ha.child(choice), hb.child(choice), d - 1, path + [label])
-            if found is not None:
-                return found
+            return "choice differs"
         return None
 
-    return search(a.root, b.root, depth, [])
+    for length in range(depth + 1):
+        for path in itertools.product("lr", repeat=length):
+            ra, rb = a.root, b.root
+            for label in path:
+                ha, hb = unfold(a, ra), unfold(b, rb)
+                if reason(ha, hb) is not None or isinstance(ha, Leaf):
+                    break  # a shorter path fails, or this one leaves the tree
+                ra, rb = ha.child(Choice(label)), hb.child(Choice(label))
+            else:
+                found = reason(unfold(a, ra), unfold(b, rb))
+                if found is not None:
+                    return list(path), found
+    return None
 
 
 def test_bisimilar_bounded_agrees_with_a_naive_search_on_random_pairs():
