@@ -66,7 +66,8 @@ def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256(data).hexdigest()
     try:
-        system = dsl.parse(data.decode("utf-8"))
+        # a byte-order mark is not part of the text; the digest covers the raw bytes
+        system = dsl.parse(data.decode("utf-8-sig"))
     except (UnicodeDecodeError, dsl.ParseError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     ok = validate(system)

@@ -19,17 +19,25 @@ margins are affine in the index, so both checks only need the least and
 the greatest index of each class (``ReachSet``), or, when a
 positive-offset cycle lies on a path to the class, a lasso through that
 cycle along which the index grows without bound.  Every index a
-certificate reports is one at which its class occurs.  Dijkstra finds
-the least indices, Tarjan's algorithm (``system.sccs``) the SCCs, and
-one pass over the SCCs in topological order the greatest indices and
-the lasso entries.  All three passes read the system's edge table
-(``system.edge_table``, built once per system): the tree is its full
-columns and an agent's deviation graph picks, per class, the full entry
-or the chosen one, so a projection allocates two lists and no edge.
-Results sit in lists indexed by class id.  Dijkstra reads a class's
-edges once, Tarjan its child ids once, and the SCC pass its edges once,
-twice in an SCC of more than one class, however many paths lead to the
-class.
+certificate reports is one at which its class occurs.
+
+All of these come from one pass per projection (``_analyze``) over the
+tree's condensation (``system.condensation``: one Tarjan search per
+system, kept in its memo beside the edge table), in topological order.
+Each class offers its least and greatest index along its edges out, and
+so does each SCC once settled.  The tree is the edge table's full
+columns; an agent's deviation graph picks, per class, the full entry or
+the chosen one, so a projection allocates two lists and no edge.  Its
+SCCs refine the tree's: an acyclic tree SCC is one class, which just
+makes its offers, and inside a cyclic one ``sccs`` runs over the
+projection's edges there.  Only a positive SCC (one with an internal
+edge of positive offset) runs Dijkstra, locally, from the members
+offers reached; a bounded one spreads its least and greatest offer.
+Results sit in lists indexed by class id.  A deviation witness or lasso
+head follows the least-index parent steps, whose ties go to the first
+offer in topological order, inside a positive SCC to the parent with
+the least (index, id), and between a node's two edges to L.  Dijkstra
+over the whole projection runs only to build a lasso.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
@@ -55,19 +63,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table, s2u, utility_from
+from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table, utility_columns
 from .system import (
-    Affine,
     Choice,
     CoSystem,
     Edge,
     KindMismatchError,
-    Leaf,
     Node,
     ProductWalk,
     Ref,
     RosterMismatchError,
     STRATEGY,
+    condensation,
     edge_table,
     reachable,
     sccs,
@@ -113,45 +120,46 @@ def _projection(s: CoSystem, agent: str | None) -> tuple[list[tuple[int, ...]], 
 @dataclass
 class _ReachInfo:
     """The reach analysis of one projection, in lists indexed by class
-    id (``least``, ``most``, the parent steps, ``where``) or by SCC
-    (``comps``, ``pump``)."""
+    id, plus the members of each positive SCC."""
 
     edges: list[tuple[Edge, ...]]
     # least index of each class, None where the projection never reaches it
     least: list[int | None]
     # greatest index of each reached class, read only where it is bounded
     most: list[int]
-    # the reached SCCs in reverse topological order, and each reached
-    # class's position among them
-    comps: list[list[int]]
-    where: list[int]
-    # per SCC: None if bounded, else the positive-SCC member its lasso pumps
-    pump: list[int | None]
+    # per reached class: None if bounded, else the (least index, id) of
+    # the positive-SCC member its lasso pumps
+    pump: list[tuple[int, int] | None]
+    # the members of each positive SCC, keyed by the one with the least
+    # (least index, id)
+    loops: dict[int, list[int]]
     # the step into each class on a path to its least / greatest index
     min_parent: list[Step | None]
     max_parent: list[Step | None]
 
     def greatest(self, c: int) -> int | None:
         """The greatest index of reached class ``c``, None if unbounded."""
-        return None if self.pump[self.where[c]] is not None else self.most[c]
+        return None if self.pump[c] is not None else self.most[c]
 
 
-def _shortest(edges: list[tuple[Edge, ...]], source: Ref, target: int | None = None,
-              within: set[int] | None = None) -> tuple[list[int | None], list[Step | None]]:
-    """Least indices from ``source`` (Dijkstra; all offsets are >= 0, and
-    the heap pops ``(index, id)`` pairs) and the step into each class on
-    a path to its least index, None where not reached.  The search stops
+def _shortest(edges: list[tuple[Edge, ...]], dist: list[int | None], parent: list[Step | None],
+              sources: list[tuple[int, int]], target: int | None = None,
+              within: set[int] | None = None) -> list[int]:
+    """Dijkstra from several sources (all offsets are >= 0, and the heap
+    pops ``(index, id)`` pairs), into ``dist`` and ``parent``, which
+    already hold each source's index and the step into it.  A class's
+    entry improves only on a strictly smaller index.  The search stops
     once ``target`` is settled; ``within`` restricts the classes it
-    passes through on the way to ``target`` (used to stay inside an
-    SCC)."""
-    dist: list[int | None] = [None] * len(edges)
-    parent: list[Step | None] = [None] * len(edges)
-    dist[source.cls] = source.shift
-    heap = [(source.shift, source.cls)]
+    passes through (to stay inside an SCC), ``target`` apart.  Returns
+    the classes it settled, in the order it settled them."""
+    heap = list(sources)
+    heapq.heapify(heap)
+    order = []
     while heap:
         d, c = heapq.heappop(heap)
         if d > dist[c]:
             continue
+        order.append(c)
         if c == target:
             break
         for t, k, label in edges[c]:
@@ -162,97 +170,163 @@ def _shortest(edges: list[tuple[Edge, ...]], source: Ref, target: int | None = N
                 dist[t] = nd
                 parent[t] = (c, d, label)
                 heapq.heappush(heap, (nd, t))
+    return order
+
+
+def _search(edges: list[tuple[Edge, ...]], source: Ref, target: int | None = None,
+            within: set[int] | None = None) -> tuple[list[int | None], list[Step | None]]:
+    """``_shortest`` from one source, into fresh lists."""
+    dist: list[int | None] = [None] * len(edges)
+    parent: list[Step | None] = [None] * len(edges)
+    dist[source.cls] = source.shift
+    _shortest(edges, dist, parent, [(source.shift, source.cls)], target, within)
     return dist, parent
 
 
 def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     """Least and greatest indices, lasso entries and parent steps over
     ``agent``'s deviation graph (over the tree when ``agent`` is None),
-    with the edges they were computed on."""
-    kids, edges = _projection(s, agent)
-    root = s.root
-    least, min_parent = _shortest(edges, root)
-    comps = sccs([root.cls], kids.__getitem__)
-    where = [-1] * len(kids)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            where[v] = i
+    with the edges they were computed on.
 
-    # One pass over the SCCs in topological order (Tarjan's list reversed):
-    # an SCC is settled once every SCC with an edge into it is, and then
-    # makes offers along its edges out.  An SCC is positive iff one of its
-    # internal edges has positive weight (offsets are nonnegative, so the
-    # path closing that cycle adds nothing negative).  A class is
-    # unbounded iff a positive SCC feeds it.  Its lasso pumps the positive
-    # member feeding it with the least (least index, id): the least of the
-    # pairs fed into its SCC (``feed``) and, if the SCC is positive, of its
-    # own members; ``pump`` keeps that member's id.  In a bounded SCC every
-    # internal edge weighs 0, so all members share one greatest index, the
-    # best offer into a member (the first in the SCC's order on a tie); it
-    # spreads from that member along a tree of parent steps.  A bounded
-    # singleton just makes its offers.  Until its SCC is settled, a
-    # class's ``most`` and ``max_parent`` hold the best offer made to it;
-    # an unbounded class makes no offers.
-    feed: list[tuple[int, int] | None] = [None] * len(comps)
-    pump: list[int | None] = [None] * len(comps)
-    most = [-1] * len(kids)
-    most[root.cls] = root.shift
-    max_parent: list[Step | None] = [None] * len(kids)
+    One pass over the tree's condensation (``system.condensation``, one
+    Tarjan search per system) in topological order.  A deviation graph
+    keeps a subset of the tree's edges, so each of its SCCs lies inside
+    one tree SCC, and a path never leaves a tree SCC and comes back.
+    Once every SCC with an edge into an SCC is settled, the SCC settles
+    and makes its offers along its edges out: its least and its greatest
+    index (the least offer wins unless a later one is strictly smaller,
+    the greatest unless a later one is strictly larger), or, once a
+    positive SCC feeds it, the lasso entry ``pump``.  An acyclic tree
+    SCC is one class, which just makes its offers; that is the whole of
+    a chain.  Inside a cyclic tree SCC, ``sccs`` finds the projection's
+    SCCs from the members offers reached, over the projection's edges
+    there, and ``_settle`` settles each in topological order.
+    """
+    kids, edges = _projection(s, agent)
+    comps, where, cyclic = condensation(s)
+    n = len(kids)
+    least: list[int | None] = [None] * n
+    most = [-1] * n
+    min_parent: list[Step | None] = [None] * n
+    max_parent: list[Step | None] = [None] * n
+    pump: list[tuple[int, int] | None] = [None] * n
+    loops: dict[int, list[int]] = {}
+    root = s.root
+    least[root.cls] = most[root.cls] = root.shift
     for i in range(len(comps) - 1, -1, -1):
-        comp, fed = comps[i], feed[i]
-        if len(comp) == 1:
-            c = comp[0]
-            es = edges[c]
-            if fed is None:
-                w = most[c]
-                for t, k, label in es:
-                    if w + k > most[t]:
-                        if t == c:
-                            # a positive self-loop: the offers already
-                            # made went to classes ``c`` feeds below
-                            fed = (least[c], c)
-                            break
-                        most[t], max_parent[t] = w + k, (c, w, label)
-                if fed is None:
-                    continue
+        comp = comps[i]
+        if cyclic[i]:
+            if agent is None:
+                # strongly connected in the tree itself, and reached
+                subs = [comp]
             else:
-                for t, k, _ in es:
-                    if t == c and k:
-                        fed = min(fed, (least[c], c))
-            outs = [where[t] for t, _, _ in es if t != c]
+                entries = [c for c in comp if least[c] is not None]
+                if not entries:
+                    continue
+                subs = sccs(entries, lambda v: [t for t in kids[v] if where[t] == i])
+            for j in range(len(subs) - 1, -1, -1):
+                _settle(subs[j], edges, least, most, min_parent, max_parent, pump, loops)
+            continue
+        c = comp[0]
+        w = least[c]
+        if w is None:
+            continue
+        fed = pump[c]
+        if fed is None:
+            top = most[c]
+            for t, k, label in edges[c]:
+                if least[t] is None or w + k < least[t]:
+                    least[t], min_parent[t] = w + k, (c, w, label)
+                if top + k > most[t]:
+                    most[t], max_parent[t] = top + k, (c, top, label)
         else:
-            # one read of the members: positive or not, the least pair,
-            # the member with the best offer, and the SCCs its edges enter
-            positive, own, start, outs = False, None, None, []
-            for c in comp:
-                for t, k, _ in edges[c]:
-                    if where[t] != i:
-                        outs.append(where[t])
-                    elif k:
-                        positive = True
-                if own is None or (least[c], c) < own:
-                    own = (least[c], c)
-                if start is None or most[c] > most[start]:
-                    start = c
-            if positive and (fed is None or own < fed):
-                fed = own
-            if fed is None:
-                w, queue, seen = most[start], [start], {start}
-                for c in queue:
-                    for t, k, label in edges[c]:
-                        if where[t] != i:
-                            if w + k > most[t]:
-                                most[t], max_parent[t] = w + k, (c, w, label)
-                        elif t not in seen:
-                            seen.add(t)
-                            most[t], max_parent[t] = w, (c, w, label)
-                            queue.append(t)
+            for t, k, label in edges[c]:
+                if least[t] is None or w + k < least[t]:
+                    least[t], min_parent[t] = w + k, (c, w, label)
+                if pump[t] is None or fed < pump[t]:
+                    pump[t] = fed
+    return _ReachInfo(edges, least, most, pump, loops, min_parent, max_parent)
+
+
+def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | None], most: list[int],
+            min_parent: list[Step | None], max_parent: list[Step | None],
+            pump: list[tuple[int, int] | None], loops: dict[int, list[int]]) -> None:
+    """Settle one SCC of a projection, every member reached, given the
+    offers made into it, and make its offers out.
+
+    The SCC is positive iff one of its internal edges has positive weight
+    (offsets are nonnegative, so the path closing that cycle adds nothing
+    negative).  A positive SCC finds its least indices with a local
+    Dijkstra from the members with offers, and pumps, and feeds, the
+    least of the lasso entries offered to it and its own member with the
+    least (least index, id).  In a bounded SCC every internal edge weighs
+    0, so all members share one least index, the least offer, which
+    spreads from the member with the least (offer, id) along a tree of
+    parent steps.  Unless a positive SCC feeds it, they share one
+    greatest index too, the best offer (the first in the SCC's order on
+    a tie), which spreads likewise.  A member keeps an equal offer made
+    from outside as its least parent, and takes the spread's step as its
+    greatest parent.
+    """
+    # one read of the members: their set, the heads of their positive
+    # edges, the offers made to them and the lasso entry fed to them
+    inside: set[int] = set()
+    heads, fed, sources, top = [], None, [], None
+    for c in comp:
+        inside.add(c)
+        heads.extend(t for t, k, _ in edges[c] if k)
+        if least[c] is not None:
+            sources.append((least[c], c))
+        if pump[c] is not None and (fed is None or pump[c] < fed):
+            fed = pump[c]
+        if top is None or most[c] > most[top]:
+            top = c
+    if any(t in inside for t in heads):
+        order = _shortest(edges, least, min_parent, sources, within=inside)
+        own = (least[order[0]], order[0])
+        for c in order:
+            if least[c] > own[0]:
+                break
+            own = min(own, (least[c], c))
+        loops[own[1]] = comp
+        if fed is None or own < fed:
+            fed = own
+    else:
+        w, start = min(sources)
+        order, seen = [start], {start}
+        for c in order:
+            for t, _, label in edges[c]:
+                if t in inside and t not in seen:
+                    seen.add(t)
+                    order.append(t)
+                    if least[t] is None or least[t] > w:
+                        least[t], min_parent[t] = w, (c, w, label)
+    if fed is None:
+        w, order, seen = most[top], [top], {top}
+        for c in order:
+            lc = least[c]
+            for t, k, label in edges[c]:
+                if t in inside:
+                    if t not in seen:
+                        seen.add(t)
+                        most[t], max_parent[t] = w, (c, w, label)
+                        order.append(t)
+                    continue
+                if least[t] is None or lc + k < least[t]:
+                    least[t], min_parent[t] = lc + k, (c, lc, label)
+                if w + k > most[t]:
+                    most[t], max_parent[t] = w + k, (c, w, label)
+        return
+    for c in order:
+        pump[c] = fed
+        lc = least[c]
+        for t, k, label in edges[c]:
+            if t in inside:
                 continue
-        pump[i] = fed[1]
-        for j in outs:
-            if feed[j] is None or fed < feed[j]:
-                feed[j] = fed
-    return _ReachInfo(edges, least, most, comps, where, pump, min_parent, max_parent)
+            if least[t] is None or lc + k < least[t]:
+                least[t], min_parent[t] = lc + k, (c, lc, label)
+            if pump[t] is None or fed < pump[t]:
+                pump[t] = fed
 
 
 def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSet]:
@@ -294,8 +368,8 @@ def _cycle_steps(edges: list[tuple[Edge, ...]], members: set[int], at: Ref) -> t
     for c in sorted(members):
         for t, k, label in edges[c]:
             if t in members and k > 0:
-                dist, parent = _shortest(edges, at, c, members)
-                back_dist, back = _shortest(edges, Ref(t, dist[c] + k), at.cls, members)
+                dist, parent = _search(edges, at, c, members)
+                back_dist, back = _search(edges, Ref(t, dist[c] + k), at.cls, members)
                 return (_steps_to(parent, c) + [(c, dist[c], label)] + _steps_to(back, at.cls),
                         back_dist[at.cls] - at.shift)
     raise AssertionError("no positive edge inside a positive SCC")
@@ -307,17 +381,17 @@ def _lasso(info: _ReachInfo, target: int) -> tuple[list[Step], list[Step], int, 
     ``_analyze`` chose as ``target``'s entry, a positive cycle there
     (weight ``loop``) and min-weight steps on to ``target``, which arrive
     at index ``reach``."""
-    entry = info.pump[info.where[target]]
-    at = Ref(entry, info.least[entry])
-    cycle, loop = _cycle_steps(info.edges, set(info.comps[info.where[entry]]), at)
-    dist, parent = _shortest(info.edges, at, target)
+    index, entry = info.pump[target]
+    at = Ref(entry, index)
+    cycle, loop = _cycle_steps(info.edges, set(info.loops[entry]), at)
+    dist, parent = _search(info.edges, at, target)
     return _steps_to(info.min_parent, entry), cycle, loop, _steps_to(parent, target), dist[target]
 
 
-def _pumps(f: Affine, reach: int, loop: int, above: int) -> int:
-    """The least k >= 0 with ``f.at(reach + k*loop) > above``, for a
-    positive slope and loop."""
-    return max(0, -((f.at(reach) - above - 1) // (f.slope * loop)))
+def _pumps(slope: int, intercept: int, reach: int, loop: int, above: int) -> int:
+    """The least k >= 0 with ``slope*(reach + k*loop) + intercept >
+    above``, for a positive slope and loop."""
+    return max(0, -((slope * reach + intercept - above - 1) // (slope * loop)))
 
 
 def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
@@ -369,31 +443,35 @@ def nash_eq(s: CoSystem) -> Verdict:
     otherwise.  A strict improvement yields a concrete finite deviation
     path as the counterexample (a lasso, when a positive cycle has to be
     pumped past the on-path value), and the holds-certificate reports the
-    per-agent optima.
+    per-agent optima.  The on-path value is read from the agent's utility
+    columns.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("nash_eq expects a strategy")
-    if play_table(s)[s.root.cls] is None:
+    root = s.root
+    if play_table(s).leaf[root.cls] < 0:
         return Verdict(True, {"leads_to_leaf": leads_to_leaf(s).certificate},
                        "vacuous: strategy does not lead to a leaf")
 
+    leaves = [c for c, es in enumerate(edge_table(s).edges) if not es]
     agents_report = []
     for agent in s.roster:
-        base = s2u(s, agent).at(0)
+        slope, intercept = utility_columns(s, agent)
+        base = slope[root.cls] * root.shift + intercept[root.cls]
         info = _analyze(s, agent)
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
-        for cls_id, least in enumerate(info.least):
-            cls = s.classes[cls_id]
-            if least is None or not isinstance(cls, Leaf):
+        for cls_id in leaves:
+            least = info.least[cls_id]
+            if least is None:
                 continue
-            payoff = cls.payoffs[agent]
+            payoff = s.classes[cls_id].payoffs[agent]
             top = info.greatest(cls_id)
             if payoff.slope > 0 and top is None:
                 # payoff grows without bound along a positive cycle:
                 # pump the cycle just past the on-path value
                 head, cycle, loop, tail, reach = _lasso(info, cls_id)
-                k = _pumps(payoff, reach, loop, base)
+                k = _pumps(payoff.slope, payoff.intercept, reach, loop, base)
                 if k == 0:
                     return _deviation_verdict(s, agent, base, head + tail, cls_id, reach,
                                               payoff.at(reach))
@@ -432,67 +510,74 @@ def sgpe(s: CoSystem) -> Verdict:
     reachable node class, that the owner's chosen branch weakly dominates
     the other at every index the class is reachable at.  Dominance is
     weak (ties are subgame perfect).  The certificate tabulates both
-    branch utilities, read from the play table, and the margin per class.
-    The margin is affine in the index, so it is negative somewhere iff it
-    is negative at the least or the greatest index, or has a negative
-    slope past a positive cycle.  A failure names an index the class
-    occurs at: that end, or in the last case the first index on a lasso
-    through the cycle at which the margin is negative.
+    branch utilities, read as ints from the owner's utility columns, and
+    the margin per class.  The margin is affine in the index, so it is
+    negative somewhere iff it is negative at the least or the greatest
+    index, or has a negative slope past a positive cycle.  A failure
+    names an index the class occurs at: that end, or in the last case
+    the first index on a lasso through the cycle at which the margin is
+    negative.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("sgpe expects a strategy")
     # the precondition is a scan of the shared play table; the
     # alw_leads_to_leaf certificate is built only for a failure
-    ends = play_table(s)
-    if any(ends[c] is None for c in reachable(s)):
+    ends = play_table(s).leaf
+    if any(ends[c] < 0 for c in reachable(s)):
         altl = alw_leads_to_leaf(s)
         return Verdict(False, {"alw_leads_to_leaf": altl.certificate},
                        "not always leading to a leaf: " + altl.note)
 
     info = _analyze(s)
-    table = []
+    table = edge_table(s)
+    columns = {agent: utility_columns(s, agent) for agent in s.roster}
+    rows = []
     for cls_id, least in enumerate(info.least):
-        cls = s.classes[cls_id]
-        if least is None or isinstance(cls, Leaf):
+        es = table.edges[cls_id]
+        if least is None or not es:
             continue
-        assert cls.choice is not None
-        # never None: every class here leads to a leaf, by the scan above
-        left_u, right_u = utility_from(s, cls.left, cls.owner), utility_from(s, cls.right, cls.owner)
-        chosen, other = (left_u, right_u) if cls.choice is Choice.L else (right_u, left_u)
-        margin = chosen - other
+        owner = table.owner[cls_id]
+        slope, intercept = columns[owner]
+        # never cycling: every class here leads to a leaf, by the scan above
+        [(c, k, choice)] = table.chosen_edges[cls_id]
+        o, j, _ = es[1] if choice is Choice.L else es[0]
+        chosen_slope, other_slope = slope[c], slope[o]
+        chosen = chosen_slope * k + intercept[c]
+        other = other_slope * j + intercept[o]
+        margin_slope, margin = chosen_slope - other_slope, chosen - other
         top = info.greatest(cls_id)
 
         bad: int | None = None
-        if margin.at(least) < 0:
+        if margin_slope * least + margin < 0:
             bad = least
         elif top is not None:
-            bad = top if margin.at(top) < 0 else None
-        elif margin.slope < 0:
+            bad = top if margin_slope * top + margin < 0 else None
+        elif margin_slope < 0:
             _, _, loop, _, reach = _lasso(info, cls_id)
-            bad = reach + loop * _pumps(Affine(0, 0) - margin, reach, loop, 0)
+            bad = reach + loop * _pumps(-margin_slope, -margin, reach, loop, 0)
 
         if bad is not None:
             return Verdict(False, {
                 "class": cls_id,
-                "owner": cls.owner,
-                "choice": cls.choice.value,
+                "owner": owner,
+                "choice": choice.value,
                 "index": bad,
-                "chosen_value": chosen.at(bad),
-                "other_value": other.at(bad),
-            }, f"{cls.owner} prefers the other branch of class {cls_id} at index {bad}")
+                "chosen_value": chosen_slope * bad + chosen,
+                "other_value": other_slope * bad + other,
+            }, f"{owner} prefers the other branch of class {cls_id} at index {bad}")
 
-        table.append({
+        rows.append({
             "class": cls_id,
-            "owner": cls.owner,
-            "choice": cls.choice.value,
+            "owner": owner,
+            "choice": choice.value,
             "n_min": least,
             "indices": {"minimum": least, "maximum": top},
-            "chosen": chosen.to_json(),
-            "other": other.to_json(),
-            "margin": margin.to_json(),
-            "margin_at_n_min": margin.at(least),
+            "chosen": {"slope": chosen_slope, "intercept": chosen},
+            "other": {"slope": other_slope, "intercept": other},
+            "margin": {"slope": margin_slope, "intercept": margin},
+            "margin_at_n_min": margin_slope * least + margin,
         })
-    return Verdict(True, {"classes": table},
+    return Verdict(True, {"classes": rows},
                    "chosen branch weakly dominates at every reachable node class")
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .semantics import leads_to_leaf
-from .system import Choice, CoSystem, Leaf, STRATEGY, KindMismatchError, edge_table, is_parametric, sccs
+from .system import Choice, CoSystem, Leaf, STRATEGY, KindMismatchError, condensation, is_parametric
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,7 @@ def is_finite(sys: CoSystem) -> bool:
     with index-independent payoffs (shifts change no observation there)."""
     if is_parametric(sys):
         return False
-    kids = edge_table(sys).kids
-    return all(len(comp) == 1 and comp[0] not in kids[comp[0]]
-               for comp in sccs([sys.root.cls], kids.__getitem__))
+    return not any(condensation(sys).cyclic)
 
 
 _LASSO_RE = re.compile(r"^(?P<prefix>[lr]*)(?:\((?P<cycle>[lr]+)\)\^w)?$")

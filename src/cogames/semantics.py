@@ -14,22 +14,34 @@ terminating walk visits each class at most once.  This is the argument
 that makes the finite representation decide the infinite-tree predicates.
 
 The committed children form a functional graph on classes, so one pass
-(``play_table``) labels every class with the end of its chosen walk -
-leaf class, accumulated shift and step count - or with None when the
-walk cycles.  The table is built once per system and kept in its memo
-(see ``system.CoSystem``), and every choice-following question reads
-it: ``alw_leads_to_leaf``, ``utility_from`` and so ``s2u``, and in
-``equilibria`` ``nash_eq`` (whether the root's walk ends, and each
-agent's on-path value) and ``sgpe`` (both branch utilities at every
-reachable node class).  Only ``leads_to_leaf`` walks, since its
-certificate is the path itself.
+(``play_table``) labels every class with the end of its chosen walk, in
+three int columns indexed by class id: the leaf class it ends at (-1
+where the walk cycles), the shift it accumulates and its step count.
+The pass reads the chosen column of the system's edge table
+(``system.edge_table``).  Per agent, ``utility_columns`` turns the table
+into two more int columns: the slope of the agent's utility from each
+class, and its intercept at the class's local index 0.  All of these
+are built once per system and kept in its memo (see
+``system.CoSystem``), and every choice-following question reads them
+instead of building an object per class: ``alw_leads_to_leaf``,
+``utility_from`` and so ``s2u``, and in ``equilibria`` ``nash_eq``
+(whether the root's walk ends, and each agent's on-path value) and
+``sgpe`` (both branch utilities at every reachable node class).
+
+Only ``leads_to_leaf`` walks, since its certificate is the path itself.
+Its verdict is kept in the memo too, one per start reference, so the
+certificates that cite one walk (``alw_leads_to_leaf``'s failure,
+``nash_eq``'s vacuous holds, ``sgpe``'s failing precondition) walk it
+once between them and share the certificate, which readers must not
+mutate.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import Affine, CoSystem, Leaf, Node, Ref, STRATEGY, KindMismatchError, reachable
+from .system import (Affine, CoSystem, KindMismatchError, Leaf, Node, Ref, STRATEGY, edge_table,
+                     reachable)
 from .verdict import Verdict
 
 
@@ -44,78 +56,127 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     Holds with the finite path (visited references and choices taken) if
     a leaf is reached; fails with the repeating class cycle and the
     choices taken otherwise.  Terminates within |classes| + 1 steps.
+    The verdict is kept in the system's memo per start reference, so
+    callers must not mutate its certificate.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("leads_to_leaf expects a strategy")
-    cur = s.root if at is None else at
+    start = s.root if at is None else at
+    key = ("leads_to_leaf", start)
+    if key not in s._memo:
+        s._memo[key] = _walk(s, start)
+    return s._memo[key]
+
+
+def _walk(s: CoSystem, start: Ref) -> Verdict:
+    """The chosen walk from ``start`` and its ``leads_to_leaf`` verdict."""
+    classes = s.classes
+    cur, shift = start.cls, start.shift
     first_visit: dict[int, int] = {}
-    refs = [cur]
+    visited, shifts = [cur], [shift]
     choices: list[str] = []
     while True:
-        cls = s.classes[cur.cls]
+        cls = classes[cur]
         if isinstance(cls, Leaf):
             return Verdict(
                 True,
                 {
-                    "path": [r.to_json() for r in refs],
+                    "path": [{"class": c, "shift": k} for c, k in zip(visited, shifts)],
                     "choices": choices,
-                    "total_shift": cur.shift,
+                    "total_shift": shift,
                 },
                 f"leaf reached in {len(choices)} steps",
             )
-        if cur.cls in first_visit:
-            cycle = [r.cls for r in refs[first_visit[cur.cls] : -1]]
+        if cur in first_visit:
+            cycle = visited[first_visit[cur]:-1]
             return Verdict(
                 False,
                 {
                     "cycle": cycle,
                     "owners": [_owner_of(s, c) for c in cycle],
-                    "entered_after": first_visit[cur.cls],
+                    "entered_after": first_visit[cur],
                     "choices": choices,
                 },
                 "chosen path revisits a class and can never terminate",
             )
-        first_visit[cur.cls] = len(refs) - 1
-        assert cls.choice is not None
+        first_visit[cur] = len(visited) - 1
         nxt = cls.child(cls.choice)
-        cur = Ref(nxt.cls, cur.shift + nxt.shift)
-        refs.append(cur)
+        cur, shift = nxt.cls, shift + nxt.shift
+        visited.append(cur)
+        shifts.append(shift)
         choices.append(cls.choice.value)
 
 
-PlayEnd = NamedTuple("PlayEnd", [("leaf", int), ("shift", int), ("steps", int)])
+class PlayTable(NamedTuple):
+    """The end of the chosen walk from every class at local index 0, as
+    int columns indexed by class id: the leaf class the walk ends at (-1
+    where it cycles), the shift it accumulates and its step count (both
+    0 where it cycles)."""
+
+    leaf: list[int]
+    shift: list[int]
+    steps: list[int]
 
 
-def play_table(s: CoSystem) -> list[PlayEnd | None]:
-    """The end of the chosen walk from every class at local index 0, or
-    None where it cycles.  Each class is walked once: a walk stops at a
-    leaf, at a class already labelled, or at a class on the walk itself
-    (a cycle), and the classes it passed are labelled on the way back.
-    Built once per system and kept in its memo, so callers must not
-    mutate the list.
+def play_table(s: CoSystem) -> PlayTable:
+    """The system's :class:`PlayTable`.  Each class is walked once along
+    the edge table's chosen column: a walk stops at a leaf, at a class
+    already labelled, or at a class on the walk itself (a cycle), and
+    the classes it passed are labelled on the way back.  Built once per
+    system and kept in its memo, so callers must not mutate it.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("play_table expects a strategy")
     if "play_table" in s._memo:
         return s._memo["play_table"]
-    table = [PlayEnd(i, 0, 0) if isinstance(c, Leaf) else None for i, c in enumerate(s.classes)]
-    seen = [end is not None for end in table]
-    for start in range(len(s.classes)):
+    chosen = edge_table(s).chosen_edges
+    n = len(chosen)
+    leaf, shift, steps = [-1] * n, [0] * n, [0] * n
+    seen = [False] * n
+    for c, es in enumerate(chosen):
+        if not es:
+            leaf[c], seen[c] = c, True
+    for start in range(n):
         walk: list[int] = []
         cur = start
         while not seen[cur]:
             seen[cur] = True
             walk.append(cur)
-            cls = s.classes[cur]
-            cur = cls.child(cls.choice).cls
-        end = table[cur]  # None also while ``cur`` is on this walk: a cycle
-        for cls_id in reversed(walk):
-            if end is not None:
-                cls = s.classes[cls_id]
-                end = PlayEnd(end.leaf, end.shift + cls.child(cls.choice).shift, end.steps + 1)
-            table[cls_id] = end
-    s._memo["play_table"] = table
+            cur = chosen[cur][0][0]
+        end = leaf[cur]  # -1 also while ``cur`` is on this walk: a cycle
+        if end < 0:
+            continue
+        k, m = shift[cur], steps[cur]
+        for c in reversed(walk):
+            k += chosen[c][0][1]
+            m += 1
+            leaf[c], shift[c], steps[c] = end, k, m
+    table = s._memo["play_table"] = PlayTable(leaf, shift, steps)
     return table
+
+
+def utility_columns(s: CoSystem, agent: str) -> tuple[list[int], list[int]]:
+    """``agent``'s utility from every class at local index 0, as two int
+    columns indexed by class id: the slope, and the intercept at local
+    index 0 (the end leaf's payoff shifted by the walk's shift); both 0
+    where the chosen walk cycles, which the play table's ``leaf`` column
+    marks.  Built once per system and agent and kept in the system's
+    memo, so callers must not mutate them."""
+    if agent not in s.roster:
+        raise ValueError(f"agent {agent!r} not in roster {s.roster}")
+    key = ("utility", agent)
+    if key in s._memo:
+        return s._memo[key]
+    leaf, shift, _ = play_table(s)
+    # per end leaf, and (0, 0) for -1
+    slopes, intercepts = {-1: 0}, {-1: 0}
+    for e in set(leaf):
+        if e >= 0:
+            f = s.classes[e].payoffs[agent]
+            slopes[e], intercepts[e] = f.slope, f.intercept
+    columns = s._memo[key] = ([slopes[e] for e in leaf],
+                              [slopes[e] * k + intercepts[e] for e, k in zip(leaf, shift)])
+    return columns
 
 
 def alw_leads_to_leaf(s: CoSystem) -> Verdict:
@@ -129,18 +190,17 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("alw_leads_to_leaf expects a strategy")
-    table = play_table(s)
-    rows = []
-    for cls_id in reachable(s):
-        end = table[cls_id]
-        if end is None:
-            return Verdict(
-                False,
-                {"class": cls_id, "owner": _owner_of(s, cls_id),
-                 "cycle": leads_to_leaf(s, Ref(cls_id, 0)).certificate},
-                f"class {cls_id} does not lead to a leaf",
-            )
-        rows.append({"class": cls_id, "leaf": end.leaf, "steps": end.steps})
+    leaf, _, steps = play_table(s)
+    order = reachable(s)
+    bad = next((c for c in order if leaf[c] < 0), None)
+    if bad is not None:
+        return Verdict(
+            False,
+            {"class": bad, "owner": _owner_of(s, bad),
+             "cycle": leads_to_leaf(s, Ref(bad, 0)).certificate},
+            f"class {bad} does not lead to a leaf",
+        )
+    rows = [{"class": c, "leaf": leaf[c], "steps": steps[c]} for c in order]
     return Verdict(True, {"classes": rows}, "every reachable class leads to a leaf")
 
 
@@ -160,12 +220,10 @@ def s2u(s: CoSystem, agent: str) -> Affine | None:
 def utility_from(s: CoSystem, ref: Ref, agent: str) -> Affine | None:
     """``s2u`` of the subtree at ``ref``, as an affine function of the
     *local* index of the class containing ``ref``, or None when the
-    chosen walk from there cycles.  One lookup in the play table: the
-    end leaf's payoff, shifted by ``ref.shift`` plus the shift the walk
-    accumulates."""
-    if agent not in s.roster:
-        raise ValueError(f"agent {agent!r} not in roster {s.roster}")
-    end = play_table(s)[ref.cls]
-    if end is None:
+    chosen walk from there cycles.  One lookup in the agent's utility
+    columns, shifted by ``ref.shift``."""
+    slope, intercept = utility_columns(s, agent)
+    if play_table(s).leaf[ref.cls] < 0:
         return None
-    return s.classes[end.leaf].payoffs[agent].shifted(ref.shift + end.shift)
+    k = slope[ref.cls]
+    return Affine(k, k * ref.shift + intercept[ref.cls])

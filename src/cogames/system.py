@@ -12,8 +12,9 @@ denotes an infinite tree, and offsets let payoffs grow along a backbone
 All values are immutable after construction and every operation is a pure
 function, so systems can be shared freely between concurrent analyses.
 The one exception is a system's private memo of derived tables (the
-reachable list, the sensitivity table and the edge table here, the play
-table in ``semantics``): each table is a pure function of the system,
+reachable list, the sensitivity table, the edge table and its
+condensation here, the play table, the utility columns and the chosen
+walks in ``semantics``): each table is a pure function of the system,
 written once on first use and never mutated by its readers, so a race
 between two analyses only computes a table twice.
 Payoff arithmetic is exact (Python integers); nothing here overflows.
@@ -127,8 +128,10 @@ class CoSystem:
     a set.  The root is conventionally ``Ref(cls, 0)``.
 
     ``_memo`` keeps the tables derived from the fields (``reachable``,
-    ``_sensitive``, ``edge_table``, ``semantics.play_table``), so every
-    check on one system reads one copy.  Each table is written once, on
+    ``_sensitive``, ``edge_table``, ``condensation``,
+    ``semantics.play_table``, ``semantics.utility_columns`` and the
+    ``semantics.leads_to_leaf`` verdict per start), so every check on
+    one system reads one copy.  Each table is written once, on
     first use; readers never mutate it; a race between two readers only
     computes it twice.  The memo takes no part in equality or ``repr``, and
     ``with_root`` (like ``dataclasses.replace``) starts the new system
@@ -333,6 +336,38 @@ def sccs(nodes: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable
                     parent = work[-1][0]
                     if lv < low[parent]:
                         low[parent] = lv
+    return out
+
+
+class Condensation(NamedTuple):
+    """The strongly connected components of the class graph reachable
+    from the root, through both children.
+
+    ``comps`` lists them in reverse topological order, as :func:`sccs`
+    returns them; ``where`` gives each reached class's position in
+    ``comps`` (-1 for a class the root does not reach); ``cyclic`` says
+    per component whether it holds a cycle: more than one member, or a
+    member that is its own child."""
+
+    comps: list[list[int]]
+    where: list[int]
+    cyclic: list[bool]
+
+
+def condensation(sys: CoSystem) -> Condensation:
+    """The system's :class:`Condensation`: one Tarjan search from the
+    root over the edge table's ``kids``.  Built once per system and kept
+    in its memo, so callers must not mutate it."""
+    if "condensation" in sys._memo:
+        return sys._memo["condensation"]
+    kids = edge_table(sys).kids
+    comps = sccs([sys.root.cls], kids.__getitem__)
+    where = [-1] * len(kids)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            where[v] = i
+    cyclic = [len(comp) > 1 or comp[0] in kids[comp[0]] for comp in comps]
+    out = sys._memo["condensation"] = Condensation(comps, where, cyclic)
     return out
 
 

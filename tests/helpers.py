@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from cogames import (
@@ -21,6 +22,7 @@ from cogames import (
     oracle,
     validate,
 )
+from cogames.system import sccs
 
 AGENTS = ("Ann", "Ben", "Cyd")
 CHOICES = (Choice.L, Choice.R)
@@ -274,3 +276,66 @@ def check_altl_preservation(s: CoSystem, t: CoSystem, agent: str) -> Verdict:
     if conclusion.holds:
         return Verdict(True, cert, "always-leads-to-leaf preserved")
     return Verdict(False, cert, "PRESERVATION VIOLATED: engine inconsistency")
+
+
+def reference_reach(s: CoSystem, agent: str | None = None) -> tuple[list, list, list]:
+    """An independent reach analysis, to compare ``equilibria._analyze``
+    with: per class id, the least index, the greatest index (None where
+    unbounded) and the lasso entry (the positive-SCC member with the least
+    (least index, id) that feeds the class, None where bounded), over
+    ``agent``'s deviation graph or, when ``agent`` is None, the tree; None
+    in all three for a class not reached.  Dijkstra over the whole graph
+    for the least indices, one Tarjan search (``system.sccs``) of the
+    projection itself, and a pass over its SCCs in topological order for
+    the rest."""
+    edges: list[list[tuple[int, int]]] = []
+    for cls in s.classes:
+        if isinstance(cls, Leaf):
+            edges.append([])
+        elif agent is None or cls.owner == agent:
+            edges.append([(cls.left.cls, cls.left.shift), (cls.right.cls, cls.right.shift)])
+        else:
+            child = cls.child(cls.choice)
+            edges.append([(child.cls, child.shift)])
+    least: list = [None] * len(edges)
+    least[s.root.cls] = s.root.shift
+    heap = [(s.root.shift, s.root.cls)]
+    while heap:
+        d, c = heapq.heappop(heap)
+        if d > least[c]:
+            continue
+        for t, k in edges[c]:
+            if least[t] is None or d + k < least[t]:
+                least[t] = d + k
+                heapq.heappush(heap, (d + k, t))
+    comps = sccs([s.root.cls], lambda v: [t for t, _ in edges[v]])
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    most: list = [None] * len(edges)
+    most[s.root.cls] = s.root.shift
+    entry: list = [None] * len(comps)
+    for i in range(len(comps) - 1, -1, -1):
+        comp = comps[i]
+        if any(k and where[t] == i for c in comp for t, k in edges[c]):
+            own = min((least[c], c) for c in comp)
+            entry[i] = own if entry[i] is None else min(entry[i], own)
+        if entry[i] is None:
+            top = max(most[c] for c in comp if most[c] is not None)
+            for c in comp:
+                most[c] = top
+        for c in comp:
+            for t, k in edges[c]:
+                j = where[t]
+                if j == i:
+                    continue
+                if entry[i] is not None:
+                    entry[j] = entry[i] if entry[j] is None else min(entry[j], entry[i])
+                elif most[t] is None or most[c] + k > most[t]:
+                    most[t] = most[c] + k
+    greatest: list = [None] * len(edges)
+    pump: list = [None] * len(edges)
+    for v, i in where.items():
+        if entry[i] is None:
+            greatest[v] = most[v]
+        else:
+            pump[v] = entry[i][1]
+    return least, greatest, pump

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -64,6 +65,57 @@ class TestCheck:
                                 "--ltl", "--altl", "--nash", "--sgpe")
         assert code == 0
         assert [c["outcome"] for c in report["checks"]] == ["holds"] * 4
+
+    def test_one_chosen_walk_per_check(self, capsys, monkeypatch):
+        # ltl, the altl failure, nash's vacuous holds and sgpe's failing
+        # precondition all cite the walk from the root, which cycles
+        import cogames.semantics as semantics
+
+        walks = []
+        walk = semantics._walk
+
+        def counted(s, at):
+            walks.append(at)
+            return walk(s, at)
+
+        monkeypatch.setattr(semantics, "_walk", counted)
+        code, report = run_json(capsys, "check", str(GAMES / "dollar_auction_ngu.cog"),
+                                "--ltl", "--altl", "--nash", "--sgpe")
+        assert code == 1
+        assert [c["outcome"] for c in report["checks"]] == ["fails", "fails", "holds", "fails"]
+        assert len(walks) == 1
+        cycle = report["checks"][0]["certificate"]
+        altl = report["checks"][1]["certificate"]
+        assert altl["cycle"] == cycle
+        assert report["checks"][2]["certificate"] == {"leads_to_leaf": cycle}
+        assert report["checks"][3]["certificate"] == {"alw_leads_to_leaf": altl}
+
+    def test_one_tarjan_search_per_acyclic_check(self, capsys, monkeypatch, tmp_path):
+        # 1 000 nodes, each with a side leaf: 2 000 classes and no cycle, so
+        # the tree's condensation is the one search, and every projection
+        # of it is settled without another
+        import cogames.equilibria as equilibria
+        import cogames.system as system
+
+        lines = ["strategy agents A B"]
+        for i in range(1000):
+            lines.append(f"c{i}(n) = <{'AB'[i % 2]}, l, c{i + 1}(n+1), leaf[A: n, B: n]>")
+        lines += ["c1000(n) = leaf[A: 5000, B: 5000]", "root c0"]
+        path = tmp_path / "chain.cog"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        sccs = system.sccs
+
+        def counted(*args):
+            calls.append(args)
+            return sccs(*args)
+
+        monkeypatch.setattr(system, "sccs", counted)
+        monkeypatch.setattr(equilibria, "sccs", counted)
+        code, report = run_json(capsys, "check", str(path), "--ltl", "--altl", "--nash", "--sgpe")
+        assert code == 0
+        assert len(report["checks"][3]["certificate"]["classes"]) == 1000
+        assert len(calls) == 1
 
     def test_sgpe_failure_names_an_index_the_class_occurs_at(self, capsys, tmp_path):
         # x occurs at even indices only; its margin 2 - n first turns
@@ -414,6 +466,27 @@ class TestErrorsAndStability:
         assert main(["check", str(bad), "--ltl"]) == 2
         err = capsys.readouterr().err
         assert "2:" in err  # line number of the offending token
+
+    def test_byte_order_mark_is_not_part_of_the_text(self, capsys, tmp_path):
+        plain = GAMES / "paper_s0.cog"
+        marked = tmp_path / "paper_s0_bom.cog"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            code, report = run_json(capsys, "check", str(path), "--ltl", "--altl", "--nash", "--sgpe")
+            assert code == 0
+            [meta] = report.pop("inputs")
+            assert meta == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            del report["timing_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_error_after_a_byte_order_mark_keeps_its_column(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cog"
+        for text in ("strategy agents A $\n", "\ufeffstrategy agents A $\n"):
+            bad.write_text(text, encoding="utf-8")
+            assert main(["check", str(bad), "--ltl"]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: 1:19: unexpected character '$'\n"
 
     def test_invalid_system_rejected(self, capsys, tmp_path):
         # parseable but not validating: leaf misses an agent

@@ -28,7 +28,8 @@ from cogames import (
     unfold,
 )
 from cogames.equilibria import Convertibility
-from cogames.system import ProductWalk
+from cogames.system import ProductWalk, condensation, sccs
+from cogames import equilibria
 from cogames import dsl, oracle
 from cogames.cli import main
 from cogames.families import centipede_strategy, dollar_auction_strategy
@@ -689,9 +690,10 @@ class TestSgpe:
 
 def count_reach_reads(monkeypatch) -> dict[str, int]:
     """Count what the reach analysis reads: ``members``, the members read
-    out of the SCC lists ``sccs`` returns, and ``edges``, the entries
-    read out of the projection's child-id and edge lists.  Iterating a
-    list counts one read per entry."""
+    out of the SCC lists of the tree's condensation and of the ``sccs``
+    searches inside its cyclic SCCs, and ``edges``, the entries read out
+    of the projection's child-id and edge lists.  Iterating a list counts
+    one read per entry."""
     import cogames.equilibria as equilibria
 
     reads = {"members": 0, "edges": 0}
@@ -708,7 +710,10 @@ def count_reach_reads(monkeypatch) -> dict[str, int]:
         return Counted
 
     members, entries = counted("members"), counted("edges")
-    sccs, projection = equilibria.sccs, equilibria._projection
+    condensation, sccs, projection = equilibria.condensation, equilibria.sccs, equilibria._projection
+    monkeypatch.setattr(equilibria, "condensation",
+                        lambda s: condensation(s)._replace(
+                            comps=[members(comp) for comp in condensation(s).comps]))
     monkeypatch.setattr(equilibria, "sccs",
                         lambda *args: [members(comp) for comp in sccs(*args)])
     monkeypatch.setattr(equilibria, "_projection",
@@ -738,7 +743,7 @@ class TestShiftedRing:
             reads.update(members=0, edges=0)
             sets = reach_index_sets(s, agent)
             assert sets[0] == ReachSet(0, None) and sets[self.LENGTH] == ReachSet(1, None)
-            # once to index the SCCs, once to mark them
+            # once to find the reached members, once to settle them
             assert 0 < reads["members"] <= 2 * len(s.classes), agent
             assert 0 < reads["edges"] <= 4 * len(s.classes), agent
 
@@ -814,6 +819,65 @@ class TestDiamondLadder:
         assert perfect.certificate == {"class": 0, "owner": "Alice", "choice": "l", "index": 0,
                                        "chosen_value": 0, "other_value": 1}
         replay_sgpe_failure(s, perfect.certificate)
+
+
+def replay_steps(s: CoSystem, steps: list, target: Ref, agent: str | None) -> None:
+    """Check, with ``unfold`` only, that parent steps walk from the root
+    to ``target`` in ``agent``'s deviation graph (the tree when None)."""
+    at = s.root
+    for cls_id, index, choice in steps:
+        assert (cls_id, index) == (at.cls, at.shift)
+        head = unfold(s, at)
+        assert agent is None or choice is head.choice or head.owner == agent
+        at = head.child(choice)
+    assert at == target
+
+
+class TestReachPass:
+    """The one topological pass over the condensation against an
+    independent Dijkstra + Tarjan analysis (``helpers.reference_reach``)."""
+
+    def test_agrees_with_the_reference_analysis(self):
+        # max_shift 0 and 1 give many zero-shift diamonds, where paths of
+        # equal least index tie
+        unbounded = split = 0
+        for seed in range(3000):
+            s = helpers.random_system(seed, kind=STRATEGY, max_classes=6 + seed % 7,
+                                      max_shift=seed % 3)
+            for agent in (None, *s.roster):
+                info = equilibria._analyze(s, agent)
+                least, greatest, pump = helpers.reference_reach(s, agent)
+                assert info.least == least, (seed, agent)
+                for c, lo in enumerate(least):
+                    if lo is None:
+                        continue
+                    assert info.greatest(c) == greatest[c], (seed, agent, c)
+                    assert (info.pump[c] or (None, None))[1] == pump[c], (seed, agent, c)
+                    replay_steps(s, equilibria._steps_to(info.min_parent, c), Ref(c, lo), agent)
+                    if greatest[c] is not None:
+                        replay_steps(s, equilibria._steps_to(info.max_parent, c),
+                                     Ref(c, greatest[c]), agent)
+                    unbounded += greatest[c] is None
+                if agent is not None:
+                    # some tree SCC holds more than one of the projection's
+                    reached = {condensation(s).where[c] for c, lo in enumerate(least) if lo is not None}
+                    kids = equilibria._projection(s, agent)[0]
+                    split += len(sccs([s.root.cls], kids.__getitem__)) > len(reached)
+        assert unbounded > 4000 and split > 250
+
+    def test_failure_certificates_replay(self):
+        nash_failures = sgpe_failures = 0
+        for seed in range(3000):
+            s = helpers.random_system(seed, kind=STRATEGY, max_classes=6 + seed % 7,
+                                      max_shift=seed % 3)
+            nash, perfect = nash_eq(s), sgpe(s)
+            if not nash.holds:
+                nash_failures += 1
+                replay_deviation(s, nash.certificate)
+            if not perfect.holds and "index" in perfect.certificate:
+                sgpe_failures += 1
+                replay_sgpe_failure(s, perfect.certificate)
+        assert nash_failures > 200 and sgpe_failures > 200
 
 
 class TestReachIndexSets:

@@ -20,7 +20,7 @@ from cogames import (
     reachable,
 )
 from cogames import cli, oracle
-from cogames.semantics import play_table
+from cogames.semantics import play_table, utility_columns
 from cogames.families import (
     dollar_auction_game,
     dollar_auction_strategy,
@@ -119,14 +119,16 @@ class TestPlayTable:
         pool = [helpers.random_system(seed, kind=STRATEGY, max_classes=8) for seed in range(300)]
         pool += [helpers.random_terminating_strategy(seed) for seed in range(100)]
         for s in pool:
-            table = play_table(s)
+            leaf, shift, steps = play_table(s)
+            assert len(leaf) == len(shift) == len(steps) == len(s.classes)
             for cls_id in range(len(s.classes)):
                 walk = leads_to_leaf(s, Ref(cls_id, 0))
                 if not walk.holds:
-                    assert table[cls_id] is None
+                    assert (leaf[cls_id], shift[cls_id], steps[cls_id]) == (-1, 0, 0)
                     continue
                 last = walk.certificate["path"][-1]
-                assert table[cls_id] == (last["class"], last["shift"], len(walk.certificate["choices"]))
+                assert (leaf[cls_id], shift[cls_id], steps[cls_id]) == (
+                    last["class"], last["shift"], len(walk.certificate["choices"]))
 
     def test_rejects_games(self):
         with pytest.raises(KindMismatchError):
@@ -202,6 +204,8 @@ class TestSharedTables:
             for check in cli.CHECKS.values():
                 check(s)
             assert play_table(s) is play_table(s)
+            for agent in s.roster:
+                assert utility_columns(s, agent) is utility_columns(s, agent)
             assert reachable(s) is reachable(s)
             for k in range(len(s.classes)):
                 at = Ref(k, 0)
@@ -255,7 +259,7 @@ class TestSharedTables:
                     th.join(timeout=30)
                     assert not th.is_alive()
                 assert results == [expected] * len(threads)
-                assert play_table(shared) == play_table(fresh(s))
+                assert play_table(shared)._asdict() == play_table(fresh(s))._asdict()
                 assert reachable(shared) == reachable(fresh(s))
         finally:
             sys.setswitchinterval(previous)
