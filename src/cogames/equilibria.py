@@ -33,11 +33,13 @@ makes its offers, and inside a cyclic one ``sccs`` runs over the
 projection's edges there.  Only a positive SCC (one with an internal
 edge of positive offset) runs Dijkstra, locally, from the members
 offers reached; a bounded one spreads its least and greatest offer.
-Results sit in lists indexed by class id.  A deviation witness or lasso
-head follows the least-index parent steps, whose ties go to the first
-offer in topological order, inside a positive SCC to the parent with
-the least (index, id), and between a node's two edges to L.  Dijkstra
-over the whole projection runs only to build a lasso.
+Results sit in lists indexed by class id, a parent as the id of the
+class the offer came from; ``_steps_to`` turns parents back into steps.
+A deviation witness or lasso head follows the least-index parents,
+whose ties go to the first offer in topological order, inside a
+positive SCC to the parent with the least (index, id), and between a
+node's two edges to L.  Dijkstra over the whole projection runs only
+to build a lasso.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
@@ -133,21 +135,21 @@ class _ReachInfo:
     # the members of each positive SCC, keyed by the one with the least
     # (least index, id)
     loops: dict[int, list[int]]
-    # the step into each class on a path to its least / greatest index
-    min_parent: list[Step | None]
-    max_parent: list[Step | None]
+    # the class a path to each class's least / greatest index comes from
+    min_parent: list[int | None]
+    max_parent: list[int | None]
 
     def greatest(self, c: int) -> int | None:
         """The greatest index of reached class ``c``, None if unbounded."""
         return None if self.pump[c] is not None else self.most[c]
 
 
-def _shortest(edges: list[tuple[Edge, ...]], dist: list[int | None], parent: list[Step | None],
+def _shortest(edges: list[tuple[Edge, ...]], dist: list[int | None], parent: list[int | None],
               sources: list[tuple[int, int]], target: int | None = None,
               within: set[int] | None = None) -> list[int]:
     """Dijkstra from several sources (all offsets are >= 0, and the heap
     pops ``(index, id)`` pairs), into ``dist`` and ``parent``, which
-    already hold each source's index and the step into it.  A class's
+    already hold each source's index and parent.  A class's
     entry improves only on a strictly smaller index.  The search stops
     once ``target`` is settled; ``within`` restricts the classes it
     passes through (to stay inside an SCC), ``target`` apart.  Returns
@@ -162,29 +164,29 @@ def _shortest(edges: list[tuple[Edge, ...]], dist: list[int | None], parent: lis
         order.append(c)
         if c == target:
             break
-        for t, k, label in edges[c]:
+        for t, k, _ in edges[c]:
             if within is not None and t not in within and t != target:
                 continue
             nd, dt = d + k, dist[t]
             if dt is None or nd < dt:
                 dist[t] = nd
-                parent[t] = (c, d, label)
+                parent[t] = c
                 heapq.heappush(heap, (nd, t))
     return order
 
 
 def _search(edges: list[tuple[Edge, ...]], source: Ref, target: int | None = None,
-            within: set[int] | None = None) -> tuple[list[int | None], list[Step | None]]:
+            within: set[int] | None = None) -> tuple[list[int | None], list[int | None]]:
     """``_shortest`` from one source, into fresh lists."""
     dist: list[int | None] = [None] * len(edges)
-    parent: list[Step | None] = [None] * len(edges)
+    parent: list[int | None] = [None] * len(edges)
     dist[source.cls] = source.shift
     _shortest(edges, dist, parent, [(source.shift, source.cls)], target, within)
     return dist, parent
 
 
 def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
-    """Least and greatest indices, lasso entries and parent steps over
+    """Least and greatest indices, lasso entries and parents over
     ``agent``'s deviation graph (over the tree when ``agent`` is None),
     with the edges they were computed on.
 
@@ -207,8 +209,8 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     n = len(kids)
     least: list[int | None] = [None] * n
     most = [-1] * n
-    min_parent: list[Step | None] = [None] * n
-    max_parent: list[Step | None] = [None] * n
+    min_parent: list[int | None] = [None] * n
+    max_parent: list[int | None] = [None] * n
     pump: list[tuple[int, int] | None] = [None] * n
     loops: dict[int, list[int]] = {}
     root = s.root
@@ -234,22 +236,22 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
         fed = pump[c]
         if fed is None:
             top = most[c]
-            for t, k, label in edges[c]:
+            for t, k, _ in edges[c]:
                 if least[t] is None or w + k < least[t]:
-                    least[t], min_parent[t] = w + k, (c, w, label)
+                    least[t], min_parent[t] = w + k, c
                 if top + k > most[t]:
-                    most[t], max_parent[t] = top + k, (c, top, label)
+                    most[t], max_parent[t] = top + k, c
         else:
-            for t, k, label in edges[c]:
+            for t, k, _ in edges[c]:
                 if least[t] is None or w + k < least[t]:
-                    least[t], min_parent[t] = w + k, (c, w, label)
+                    least[t], min_parent[t] = w + k, c
                 if pump[t] is None or fed < pump[t]:
                     pump[t] = fed
     return _ReachInfo(edges, least, most, pump, loops, min_parent, max_parent)
 
 
 def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | None], most: list[int],
-            min_parent: list[Step | None], max_parent: list[Step | None],
+            min_parent: list[int | None], max_parent: list[int | None],
             pump: list[tuple[int, int] | None], loops: dict[int, list[int]]) -> None:
     """Settle one SCC of a projection, every member reached, given the
     offers made into it, and make its offers out.
@@ -262,10 +264,10 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
     least (least index, id).  In a bounded SCC every internal edge weighs
     0, so all members share one least index, the least offer, which
     spreads from the member with the least (offer, id) along a tree of
-    parent steps.  Unless a positive SCC feeds it, they share one
+    parents.  Unless a positive SCC feeds it, they share one
     greatest index too, the best offer (the first in the SCC's order on
     a tie), which spreads likewise.  A member keeps an equal offer made
-    from outside as its least parent, and takes the spread's step as its
+    from outside as its least parent, and takes the spread's as its
     greatest parent.
     """
     # one read of the members: their set, the heads of their positive
@@ -295,36 +297,36 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
         w, start = min(sources)
         order, seen = [start], {start}
         for c in order:
-            for t, _, label in edges[c]:
+            for t, _, _ in edges[c]:
                 if t in inside and t not in seen:
                     seen.add(t)
                     order.append(t)
                     if least[t] is None or least[t] > w:
-                        least[t], min_parent[t] = w, (c, w, label)
+                        least[t], min_parent[t] = w, c
     if fed is None:
         w, order, seen = most[top], [top], {top}
         for c in order:
             lc = least[c]
-            for t, k, label in edges[c]:
+            for t, k, _ in edges[c]:
                 if t in inside:
                     if t not in seen:
                         seen.add(t)
-                        most[t], max_parent[t] = w, (c, w, label)
+                        most[t], max_parent[t] = w, c
                         order.append(t)
                     continue
                 if least[t] is None or lc + k < least[t]:
-                    least[t], min_parent[t] = lc + k, (c, lc, label)
+                    least[t], min_parent[t] = lc + k, c
                 if w + k > most[t]:
-                    most[t], max_parent[t] = w + k, (c, w, label)
+                    most[t], max_parent[t] = w + k, c
         return
     for c in order:
         pump[c] = fed
         lc = least[c]
-        for t, k, label in edges[c]:
+        for t, k, _ in edges[c]:
             if t in inside:
                 continue
             if least[t] is None or lc + k < least[t]:
-                least[t], min_parent[t] = lc + k, (c, lc, label)
+                least[t], min_parent[t] = lc + k, c
             if pump[t] is None or fed < pump[t]:
                 pump[t] = fed
 
@@ -352,12 +354,18 @@ def _step(s: CoSystem, cls_id: int, index: int, choice: Choice, agent: str) -> d
     }
 
 
-def _steps_to(parent: list[Step | None], target: int) -> list[Step]:
-    """The steps from the root to ``target`` along a parent table."""
-    steps, step = [], parent[target]
-    while step is not None:
-        steps.append(step)
-        step = parent[step[0]]
+def _steps_to(edges: list[tuple[Edge, ...]], parent: list[int | None], index: list[int | None],
+              target: int) -> list[Step]:
+    """The steps from the source of a search to ``target`` along its
+    parent table and the indices it found.  The step out of a parent is
+    its first edge into the child that arrives at the child's index, the
+    edge whose offer the search took."""
+    steps, c = [], target
+    while parent[c] is not None:
+        p = parent[c]
+        label = next(label for t, k, label in edges[p] if t == c and index[p] + k == index[c])
+        steps.append((p, index[p], label))
+        c = p
     steps.reverse()
     return steps
 
@@ -370,8 +378,8 @@ def _cycle_steps(edges: list[tuple[Edge, ...]], members: set[int], at: Ref) -> t
             if t in members and k > 0:
                 dist, parent = _search(edges, at, c, members)
                 back_dist, back = _search(edges, Ref(t, dist[c] + k), at.cls, members)
-                return (_steps_to(parent, c) + [(c, dist[c], label)] + _steps_to(back, at.cls),
-                        back_dist[at.cls] - at.shift)
+                return (_steps_to(edges, parent, dist, c) + [(c, dist[c], label)]
+                        + _steps_to(edges, back, back_dist, at.cls), back_dist[at.cls] - at.shift)
     raise AssertionError("no positive edge inside a positive SCC")
 
 
@@ -385,7 +393,8 @@ def _lasso(info: _ReachInfo, target: int) -> tuple[list[Step], list[Step], int, 
     at = Ref(entry, index)
     cycle, loop = _cycle_steps(info.edges, set(info.loops[entry]), at)
     dist, parent = _search(info.edges, at, target)
-    return _steps_to(info.min_parent, entry), cycle, loop, _steps_to(parent, target), dist[target]
+    return (_steps_to(info.edges, info.min_parent, info.least, entry), cycle, loop,
+            _steps_to(info.edges, parent, dist, target), dist[target])
 
 
 def _pumps(slope: int, intercept: int, reach: int, loop: int, above: int) -> int:
@@ -456,39 +465,44 @@ def nash_eq(s: CoSystem) -> Verdict:
     leaves = [c for c, es in enumerate(edge_table(s).edges) if not es]
     agents_report = []
     for agent in s.roster:
+        # at a leaf, the utility columns hold its own payoff
         slope, intercept = utility_columns(s, agent)
         base = slope[root.cls] * root.shift + intercept[root.cls]
         info = _analyze(s, agent)
+        pump, most = info.pump, info.most
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
         for cls_id in leaves:
             least = info.least[cls_id]
             if least is None:
                 continue
-            payoff = s.classes[cls_id].payoffs[agent]
-            top = info.greatest(cls_id)
-            if payoff.slope > 0 and top is None:
+            a, b = slope[cls_id], intercept[cls_id]
+            top = most[cls_id] if pump[cls_id] is None else None
+            if a > 0 and top is None:
                 # payoff grows without bound along a positive cycle:
                 # pump the cycle just past the on-path value
                 head, cycle, loop, tail, reach = _lasso(info, cls_id)
-                k = _pumps(payoff.slope, payoff.intercept, reach, loop, base)
+                k = _pumps(a, b, reach, loop, base)
                 if k == 0:
                     return _deviation_verdict(s, agent, base, head + tail, cls_id, reach,
-                                              payoff.at(reach))
+                                              a * reach + b)
                 tail = [(c, w + k * loop, label) for c, w, label in tail]
                 index = reach + k * loop
-                return _deviation_verdict(s, agent, base, head, cls_id, index, payoff.at(index),
+                return _deviation_verdict(s, agent, base, head, cls_id, index, a * index + b,
                                           (cycle, k, tail))
-            at_index = top if payoff.slope > 0 else least
-            value = payoff.at(at_index)
+            at_index = top if a > 0 else least
+            value = a * at_index + b
             leaves_report.append({"leaf_class": cls_id, "reach": {"minimum": least, "maximum": top},
                                   "max_value": value, "at_index": at_index})
             if best is None or value > best[0]:
                 best = (value, cls_id, at_index)
         if best is not None and best[0] > base:
             value, leaf, index = best
-            parent = info.min_parent if index == info.least[leaf] else info.max_parent
-            return _deviation_verdict(s, agent, base, _steps_to(parent, leaf), leaf, index, value)
+            if index == info.least[leaf]:
+                steps = _steps_to(info.edges, info.min_parent, info.least, leaf)
+            else:
+                steps = _steps_to(info.edges, info.max_parent, info.most, leaf)
+            return _deviation_verdict(s, agent, base, steps, leaf, index, value)
         agents_report.append({
             "agent": agent,
             "on_path_value": base,
@@ -531,21 +545,21 @@ def sgpe(s: CoSystem) -> Verdict:
     info = _analyze(s)
     table = edge_table(s)
     columns = {agent: utility_columns(s, agent) for agent in s.roster}
+    pump, most = info.pump, info.most
     rows = []
-    for cls_id, least in enumerate(info.least):
-        es = table.edges[cls_id]
+    for cls_id, (least, es, owner, chosen) in enumerate(
+            zip(info.least, table.edges, table.owner, table.chosen_edges)):
         if least is None or not es:
             continue
-        owner = table.owner[cls_id]
         slope, intercept = columns[owner]
         # never cycling: every class here leads to a leaf, by the scan above
-        [(c, k, choice)] = table.chosen_edges[cls_id]
+        [(c, k, choice)] = chosen
         o, j, _ = es[1] if choice is Choice.L else es[0]
         chosen_slope, other_slope = slope[c], slope[o]
-        chosen = chosen_slope * k + intercept[c]
-        other = other_slope * j + intercept[o]
-        margin_slope, margin = chosen_slope - other_slope, chosen - other
-        top = info.greatest(cls_id)
+        chosen_value = chosen_slope * k + intercept[c]
+        other_value = other_slope * j + intercept[o]
+        margin_slope, margin = chosen_slope - other_slope, chosen_value - other_value
+        top = most[cls_id] if pump[cls_id] is None else None
 
         bad: int | None = None
         if margin_slope * least + margin < 0:
@@ -556,24 +570,25 @@ def sgpe(s: CoSystem) -> Verdict:
             _, _, loop, _, reach = _lasso(info, cls_id)
             bad = reach + loop * _pumps(-margin_slope, -margin, reach, loop, 0)
 
+        letter = "l" if choice is Choice.L else "r"
         if bad is not None:
             return Verdict(False, {
                 "class": cls_id,
                 "owner": owner,
-                "choice": choice.value,
+                "choice": letter,
                 "index": bad,
-                "chosen_value": chosen_slope * bad + chosen,
-                "other_value": other_slope * bad + other,
+                "chosen_value": chosen_slope * bad + chosen_value,
+                "other_value": other_slope * bad + other_value,
             }, f"{owner} prefers the other branch of class {cls_id} at index {bad}")
 
         rows.append({
             "class": cls_id,
             "owner": owner,
-            "choice": choice.value,
+            "choice": letter,
             "n_min": least,
             "indices": {"minimum": least, "maximum": top},
-            "chosen": {"slope": chosen_slope, "intercept": chosen},
-            "other": {"slope": other_slope, "intercept": other},
+            "chosen": {"slope": chosen_slope, "intercept": chosen_value},
+            "other": {"slope": other_slope, "intercept": other_value},
             "margin": {"slope": margin_slope, "intercept": margin},
             "margin_at_n_min": margin_slope * least + margin,
         })

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import (Affine, CoSystem, KindMismatchError, Leaf, Node, Ref, STRATEGY, edge_table,
-                     reachable)
+from .system import (Affine, Choice, CoSystem, KindMismatchError, Leaf, Node, Ref, STRATEGY,
+                     edge_table, reachable)
 from .verdict import Verdict
 
 
@@ -100,11 +100,14 @@ def _walk(s: CoSystem, start: Ref) -> Verdict:
                 "chosen path revisits a class and can never terminate",
             )
         first_visit[cur] = len(visited) - 1
-        nxt = cls.child(cls.choice)
+        if cls.choice is Choice.L:
+            nxt, letter = cls.left, "l"
+        else:
+            nxt, letter = cls.right, "r"
         cur, shift = nxt.cls, shift + nxt.shift
         visited.append(cur)
         shifts.append(shift)
-        choices.append(cls.choice.value)
+        choices.append(letter)
 
 
 class PlayTable(NamedTuple):

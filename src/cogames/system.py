@@ -22,7 +22,6 @@ Payoff arithmetic is exact (Python integers); nothing here overflows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, product
@@ -210,22 +209,19 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
 
 def reachable(sys: CoSystem) -> list[int]:
     """Class ids reachable from the root through both children, in BFS
-    order.  Built once per system and kept in its memo, so callers must
-    not mutate the list."""
+    order, read off the edge table's ``kids``.  Built once per system and
+    kept in its memo, so callers must not mutate the list."""
     if "reachable" in sys._memo:
         return sys._memo["reachable"]
-    first = sys.root.cls
-    seen = {first}
-    order = [first]
-    queue = deque([first])
-    while queue:
-        cls = sys.classes[queue.popleft()]
-        if isinstance(cls, Node):
-            for ref in (cls.left, cls.right):
-                if ref.cls not in seen:
-                    seen.add(ref.cls)
-                    order.append(ref.cls)
-                    queue.append(ref.cls)
+    kids = edge_table(sys).kids
+    seen = [False] * len(kids)
+    order = [sys.root.cls]
+    seen[sys.root.cls] = True
+    for c in order:
+        for t in kids[c]:
+            if not seen[t]:
+                seen[t] = True
+                order.append(t)
     sys._memo["reachable"] = order
     return order
 
@@ -256,30 +252,22 @@ def edge_table(sys: CoSystem) -> EdgeTable:
     its memo, so callers must not mutate it."""
     if "edges" in sys._memo:
         return sys._memo["edges"]
-    table = kids, edges, owner, chosen_kids, chosen_edges = EdgeTable([], [], [], [], [])
+    # one row per class, then one column per field
+    rows = []
+    leaf = ((), (), None, (), ())
     for cls in sys.classes:
         if isinstance(cls, Leaf):
-            kids.append(())
-            edges.append(())
-            owner.append(None)
-            chosen_kids.append(())
-            chosen_edges.append(())
+            rows.append(leaf)
             continue
         lc, rc = cls.left.cls, cls.right.cls
         left, right = (lc, cls.left.shift, Choice.L), (rc, cls.right.shift, Choice.R)
-        kids.append((lc, rc))
-        edges.append((left, right))
-        owner.append(cls.owner)
         if cls.choice is None:
-            chosen_kids.append(None)
-            chosen_edges.append(None)
+            rows.append(((lc, rc), (left, right), cls.owner, None, None))
         elif cls.choice is Choice.L:
-            chosen_kids.append((lc,))
-            chosen_edges.append((left,))
+            rows.append(((lc, rc), (left, right), cls.owner, (lc,), (left,)))
         else:
-            chosen_kids.append((rc,))
-            chosen_edges.append((right,))
-    sys._memo["edges"] = table
+            rows.append(((lc, rc), (left, right), cls.owner, (rc,), (right,)))
+    table = sys._memo["edges"] = EdgeTable(*map(list, zip(*rows)))
     return table
 
 

@@ -853,10 +853,11 @@ class TestReachPass:
                         continue
                     assert info.greatest(c) == greatest[c], (seed, agent, c)
                     assert (info.pump[c] or (None, None))[1] == pump[c], (seed, agent, c)
-                    replay_steps(s, equilibria._steps_to(info.min_parent, c), Ref(c, lo), agent)
+                    steps = equilibria._steps_to(info.edges, info.min_parent, info.least, c)
+                    replay_steps(s, steps, Ref(c, lo), agent)
                     if greatest[c] is not None:
-                        replay_steps(s, equilibria._steps_to(info.max_parent, c),
-                                     Ref(c, greatest[c]), agent)
+                        steps = equilibria._steps_to(info.edges, info.max_parent, info.most, c)
+                        replay_steps(s, steps, Ref(c, greatest[c]), agent)
                     unbounded += greatest[c] is None
                 if agent is not None:
                     # some tree SCC holds more than one of the projection's
