@@ -135,6 +135,16 @@ stop(n) = leaf[A: 100]
 root c0
 """
 
+# c2's cycle lies below c1's, but the root reaches c2 directly at index 0
+# and c1 only at 5, so a lasso into win pumps c2's cycle
+SHORTCUT_CYCLES_NASH = """strategy agents A
+c0(n) = <A, l, c1(n+5), c2(n)>
+c1(n) = <A, r, c1(n+1), c2(n)>
+c2(n) = <A, r, c2(n+1), win(n)>
+win(n) = leaf[A: n]
+root c0
+"""
+
 TWO_CYCLES_SGPE = """strategy agents A
 c0(n) = <A, l, c1(n), stop(n)>
 c1(n) = <A, r, c1(n+1), c2(n+5)>
@@ -577,6 +587,16 @@ class TestNashEq:
         assert cert["repeat"] == 96
         assert [p["class"] for p in cert["tail"]] == [1, 2]
         assert cert["leaf_index"] == 101
+        replay_deviation(s, cert)
+
+    def test_lasso_pumps_the_cycle_met_at_the_least_index_below_another(self):
+        s = dsl.parse(SHORTCUT_CYCLES_NASH)
+        v = nash_eq(s)
+        assert not v.holds
+        cert = v.certificate
+        assert [(p["class"], p["choice"]) for p in cert["path"]] == [(0, "r")]
+        assert [p["class"] for p in cert["cycle"]] == [2]
+        assert (cert["on_path_value"], cert["repeat"], cert["leaf_index"]) == (5, 6, 6)
         replay_deviation(s, cert)
 
     def test_failure_witnesses_replay_on_random_strategies(self):
