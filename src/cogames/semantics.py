@@ -215,7 +215,7 @@ def s2u(s: CoSystem, agent: str) -> Affine | None:
     domain (the chosen path is unique), which is why this is a partial
     function rather than a relation.  The concrete on-path value is the
     evaluation at n = 0, the root baseline.  It is ``utility_from`` at
-    the root, read from the play table.
+    the root, read from the agent's utility columns.
     """
     return utility_from(s, s.root, agent)
 
