@@ -12,6 +12,12 @@ failing check.  Reports are deterministic for identical inputs apart
 from the ``timing_ms`` field.  A reader that closes the pipe early gets
 no traceback; the exit code is still the checks'.
 
+Integers have no bound on their length, in input files, arguments and
+reports alike.  CPython refuses int/str conversions past 4 300 digits by
+default, a guard against quadratic conversion of untrusted input;
+``main`` reads files that its user names, so it lifts that limit for its
+own duration (``unbounded_int_digits``) and restores it on return.
+
 The report is rendered with ``check_circular=False``.  ``main`` builds it
 as a tree of fresh containers, so json's guard against reference cycles
 (an ``id`` inserted into and deleted from a dict for every list and dict
@@ -27,6 +33,7 @@ parser that ``build_parser`` returns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -53,6 +60,22 @@ EXIT_INTERNAL = 70
 
 # the strategy checks that `check` and `demo` run, by flag name
 CHECKS = {"ltl": leads_to_leaf, "altl": alw_leads_to_leaf, "nash": nash_eq, "sgpe": sgpe}
+
+
+@contextlib.contextmanager
+def unbounded_int_digits():
+    """Lift CPython's limit on int/str conversions for the block and
+    restore it after.  The limit is process-wide, so this holds for every
+    thread.  Interpreters without the limit (before 3.10.7) skip this."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class InputError(Exception):
@@ -323,22 +346,9 @@ def _print_human(command: str, checks: list[dict]) -> None:
             print(f"  witness: {json.dumps(c['certificate'], default=str)}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    started = time.perf_counter()
-    try:
-        checks, inputs = args.run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    exit_code = 1 if any(c["outcome"] == "fails" for c in checks) else 0
+def _emit(args, checks: list[dict], inputs: list[dict], exit_code: int, started: float) -> None:
+    """Print the JSON report or the human summary.  A reader that has
+    closed the pipe gets nothing more."""
     try:
         if args.json:
             report = {
@@ -360,7 +370,27 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    return exit_code
+
+
+def main(argv: list[str] | None = None) -> int:
+    with unbounded_int_digits():
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        started = time.perf_counter()
+        try:
+            checks, inputs = args.run(args)
+            exit_code = 1 if any(c["outcome"] == "fails" for c in checks) else 0
+            _emit(args, checks, inputs, exit_code, started)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        return exit_code
 
 
 if __name__ == "__main__":

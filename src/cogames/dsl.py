@@ -22,6 +22,14 @@ an error it knows the failing token's index, one more scan of the text
 finds that token's offset, and the error's ``line:col`` is worked out
 from the offset.
 
+The grammar sets no bound on the length of an integer.  CPython refuses
+int/str conversions past 4 300 digits by default
+(``sys.set_int_max_str_digits``), a guard against quadratic conversion of
+untrusted input.  ``parse`` and ``render`` keep whatever limit their
+caller has set, and past it raise the interpreter's ``ValueError``.
+``cli.main`` lifts the limit while it runs, since the command line reads
+files that its user names.
+
 A ``-`` glued to digits is part of the integer literal, so the canonical
 spelling ``-2*n-1`` denotes slope -2, intercept -1; a leading ``-``
 negates the leading term only, so ``-n+2`` denotes slope -1, intercept 2.

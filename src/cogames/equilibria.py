@@ -25,21 +25,22 @@ All of these come from one pass per projection (``_analyze``) over the
 tree's condensation (``system.condensation``: one Tarjan search per
 system, kept in its memo beside the edge table), in topological order.
 Each class offers its least and greatest index along its edges out, and
-so does each SCC once settled.  The tree is the edge table's full
-columns; an agent's deviation graph picks, per class, the full entry or
-the chosen one, so a projection allocates two lists and no edge.  Its
-SCCs refine the tree's: an acyclic tree SCC is one class, which just
-makes its offers, and inside a cyclic one ``sccs`` runs over the
-projection's edges there.  Only a positive SCC (one with an internal
-edge of positive offset) runs Dijkstra, locally, from the members
-offers reached; a bounded one spreads its least and greatest offer.
-Results sit in lists indexed by class id, a parent as the id of the
-class the offer came from; ``_steps_to`` turns parents back into steps.
-A deviation witness or lasso head follows the least-index parents,
-whose ties go to the first offer in topological order, inside a
-positive SCC to the parent with the least (index, id), and between a
-node's two edges to L.  Dijkstra over the whole projection runs only
-to build a lasso.
+so does each SCC once settled.  The tree is the edge table's ``edges``
+column; an agent's deviation graph picks, per class, that entry or the
+``chosen`` one, so a projection allocates one list and no edge.  Both
+checks read the system through its edge table, never its classes.  A
+projection's SCCs refine the tree's: an acyclic tree SCC is one class,
+which just makes its offers, and inside a cyclic one ``sccs`` runs over
+the projection's edges there.  Each cyclic SCC of the projection finds
+its least indices with one Dijkstra, run locally from the members offers
+reached; a bounded one (no internal edge of positive offset) spreads its
+greatest offer.  Results sit in lists indexed by class id, a parent as
+the id of the class the offer came from; ``_steps_to`` turns parents
+back into steps.  A deviation witness or lasso head follows the
+least-index parents, whose ties go to the first offer in topological
+order, inside a cyclic SCC to the first parent its Dijkstra settles, and
+between a node's two edges to L.  Dijkstra over the whole projection
+runs only to build a lasso.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
 exactly, with no bound on the offset drift between the two strategies,
@@ -70,8 +71,8 @@ from .system import (
     Choice,
     CoSystem,
     Edge,
+    EdgeTable,
     KindMismatchError,
-    Node,
     ProductWalk,
     Ref,
     RosterMismatchError,
@@ -104,19 +105,18 @@ class ReachSet:
 Step = tuple[int, int, Choice]  # class left, its index there, choice taken
 
 
-def _projection(s: CoSystem, agent: str | None) -> tuple[list[tuple[int, ...]], list[tuple[Edge, ...]]]:
-    """Child ids and edges per class of ``agent``'s deviation graph: both
-    children at the classes ``agent`` owns, the committed child elsewhere;
-    both children everywhere when ``agent`` is None (the tree).  Each
-    entry is one of the system's edge table, picked per class."""
+def _projection(s: CoSystem, agent: str | None) -> list[tuple[Edge, ...]]:
+    """The edges per class of ``agent``'s deviation graph: both children
+    at the classes ``agent`` owns, the committed child elsewhere; both
+    children everywhere when ``agent`` is None (the tree).  Each entry is
+    one of the system's edge table, picked per class."""
     table = edge_table(s)
     if agent is None:
-        return table.kids, table.edges
+        return table.edges
     if s.kind != STRATEGY:
         raise KindMismatchError("a deviation graph needs a strategy")
-    mine = [owner == agent for owner in table.owner]
-    return ([both if m else one for both, one, m in zip(table.kids, table.chosen_kids, mine)],
-            [both if m else one for both, one, m in zip(table.edges, table.chosen_edges, mine)])
+    return [both if owner == agent else one
+            for both, one, owner in zip(table.edges, table.chosen, table.owner)]
 
 
 @dataclass
@@ -204,9 +204,9 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     SCCs from the members offers reached, over the projection's edges
     there, and ``_settle`` settles each in topological order.
     """
-    kids, edges = _projection(s, agent)
+    edges = _projection(s, agent)
     comps, where, cyclic = condensation(s)
-    n = len(kids)
+    n = len(edges)
     least: list[int | None] = [None] * n
     most = [-1] * n
     min_parent: list[int | None] = [None] * n
@@ -225,7 +225,7 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
                 entries = [c for c in comp if least[c] is not None]
                 if not entries:
                     continue
-                subs = sccs(entries, lambda v: [t for t in kids[v] if where[t] == i])
+                subs = sccs(entries, lambda v: [t for t, _, _ in edges[v] if where[t] == i])
             for j in range(len(subs) - 1, -1, -1):
                 _settle(subs[j], edges, least, most, min_parent, max_parent, pump, loops)
             continue
@@ -256,19 +256,18 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
     """Settle one SCC of a projection, every member reached, given the
     offers made into it, and make its offers out.
 
-    The SCC is positive iff one of its internal edges has positive weight
-    (offsets are nonnegative, so the path closing that cycle adds nothing
-    negative).  A positive SCC finds its least indices with a local
-    Dijkstra from the members with offers, and pumps, and feeds, the
-    least of the lasso entries offered to it and its own member with the
-    least (least index, id).  In a bounded SCC every internal edge weighs
-    0, so all members share one least index, the least offer, which
-    spreads from the member with the least (offer, id) along a tree of
-    parents.  Unless a positive SCC feeds it, they share one
+    Every SCC finds its least indices with a local Dijkstra from the
+    members with offers; a member keeps an equal offer made from outside
+    as its least parent.  The SCC is positive iff one of its internal
+    edges has positive weight (offsets are nonnegative, so the path
+    closing that cycle adds nothing negative).  A positive SCC pumps,
+    and feeds, the least of the lasso entries offered to it and its own
+    member with the least (least index, id).  In a bounded SCC every
+    internal edge weighs 0, so Dijkstra gives every member the least
+    offer.  Unless a positive SCC feeds it, the members share one
     greatest index too, the best offer (the first in the SCC's order on
-    a tie), which spreads likewise.  A member keeps an equal offer made
-    from outside as its least parent, and takes the spread's as its
-    greatest parent.
+    a tie), which spreads from that member along a tree of parents, the
+    members' greatest parents.
     """
     # one read of the members: their set, the heads of their positive
     # edges, the offers made to them and the lasso entry fed to them
@@ -283,8 +282,8 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
             fed = pump[c]
         if top is None or most[c] > most[top]:
             top = c
+    order = _shortest(edges, least, min_parent, sources, within=inside)
     if any(t in inside for t in heads):
-        order = _shortest(edges, least, min_parent, sources, within=inside)
         own = (least[order[0]], order[0])
         for c in order:
             if least[c] > own[0]:
@@ -293,16 +292,6 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
         loops[own[1]] = comp
         if fed is None or own < fed:
             fed = own
-    else:
-        w, start = min(sources)
-        order, seen = [start], {start}
-        for c in order:
-            for t, _, _ in edges[c]:
-                if t in inside and t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    if least[t] is None or least[t] > w:
-                        least[t], min_parent[t] = w, c
     if fed is None:
         w, order, seen = most[top], [top], {top}
         for c in order:
@@ -342,15 +331,14 @@ def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSe
 # deviation witness construction
 
 
-def _step(s: CoSystem, cls_id: int, index: int, choice: Choice, agent: str) -> dict[str, Any]:
-    cls = s.classes[cls_id]
-    assert isinstance(cls, Node)
+def _step(table: EdgeTable, cls_id: int, index: int, choice: Choice, agent: str) -> dict[str, Any]:
+    owner = table.owner[cls_id]
     return {
         "class": cls_id,
-        "owner": cls.owner,
+        "owner": owner,
         "index": index,
         "choice": choice.value,
-        "overridden": cls.owner == agent and choice is not cls.choice,
+        "overridden": owner == agent and choice is not table.chosen[cls_id][0][2],
     }
 
 
@@ -411,20 +399,21 @@ def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
     ``cycle`` (written with its first-round indices) and then ``tail``
     (written with its indices after those rounds), so the witness stays
     the size of the class graph however many rounds the gap needs."""
+    table = edge_table(s)
     cert: dict[str, Any] = {
         "agent": agent,
         "on_path_value": base,
         "deviation_value": value,
         "leaf_class": leaf_cls,
         "leaf_index": leaf_index,
-        "path": [_step(s, c, w, label, agent) for c, w, label in steps],
+        "path": [_step(table, c, w, label, agent) for c, w, label in steps],
     }
     written = cert["path"]
     if pumped is not None:
         cycle, repeat, tail = pumped
-        cert["cycle"] = [_step(s, c, w, label, agent) for c, w, label in cycle]
+        cert["cycle"] = [_step(table, c, w, label, agent) for c, w, label in cycle]
         cert["repeat"] = repeat
-        cert["tail"] = [_step(s, c, w, label, agent) for c, w, label in tail]
+        cert["tail"] = [_step(table, c, w, label, agent) for c, w, label in tail]
         written = written + cert["cycle"] + cert["tail"]
     # one step may be written in more than one part of a lasso
     overrides, seen = [], set()
@@ -548,7 +537,7 @@ def sgpe(s: CoSystem) -> Verdict:
     pump, most = info.pump, info.most
     rows = []
     for cls_id, (least, es, owner, chosen) in enumerate(
-            zip(info.least, table.edges, table.owner, table.chosen_edges)):
+            zip(info.least, table.edges, table.owner, table.chosen)):
         if least is None or not es:
             continue
         slope, intercept = columns[owner]

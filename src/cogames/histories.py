@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass
 
 from .semantics import leads_to_leaf
-from .system import Choice, CoSystem, Leaf, STRATEGY, KindMismatchError, condensation, is_parametric
+from .system import (Choice, CoSystem, STRATEGY, KindMismatchError, condensation, edge_table,
+                     is_parametric)
 
 
 @dataclass(frozen=True)
@@ -87,28 +88,29 @@ def is_history_of(g: CoSystem, h: LassoHistory) -> bool:
     """Whether following ``h``'s choices through the class graph stays
     defined at every step.
 
-    The walk ignores strategy choices, so games and strategies are both
-    accepted.  A finite history may end at a leaf or an interior node; a
-    leaf met before the history ends refutes membership.  Infinite
-    histories are decided by detecting a repeated (class, cycle-position)
-    state, which the walk must reach within |classes| * |cycle| steps.
+    The walk steps through the edge table's ``kids`` and ignores strategy
+    choices, so games and strategies are both accepted.  A finite history
+    may end at a leaf or an interior node; a leaf met before the history
+    ends refutes membership.  Infinite histories are decided by detecting
+    a repeated (class, cycle-position) state, which the walk must reach
+    within |classes| * |cycle| steps.
     """
+    kids = edge_table(g).kids
     cur = g.root.cls
+    # a node's kids are (left, right), so ``c is Choice.R`` indexes them
     for c in h.prefix:
-        cls = g.classes[cur]
-        if isinstance(cls, Leaf):
+        if not kids[cur]:
             return False
-        cur = cls.child(c).cls
+        cur = kids[cur][c is Choice.R]
     if h.finite:
         return True
     seen: set[tuple[int, int]] = set()
     pos = 0
     while (cur, pos) not in seen:
         seen.add((cur, pos))
-        cls = g.classes[cur]
-        if isinstance(cls, Leaf):
+        if not kids[cur]:
             return False
-        cur = cls.child(h.cycle[pos]).cls
+        cur = kids[cur][h.cycle[pos] is Choice.R]
         pos = (pos + 1) % len(h.cycle)
     return True
 

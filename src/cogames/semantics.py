@@ -17,16 +17,20 @@ The committed children form a functional graph on classes, so one pass
 (``play_table``) labels every class with the end of its chosen walk, in
 three int columns indexed by class id: the leaf class it ends at (-1
 where the walk cycles), the shift it accumulates and its step count.
-The pass reads the chosen column of the system's edge table
-(``system.edge_table``).  Per agent, ``utility_columns`` turns the table
-into two more int columns: the slope of the agent's utility from each
-class, and its intercept at the class's local index 0.  All of these
-are built once per system and kept in its memo (see
-``system.CoSystem``), and every choice-following question reads them
-instead of building an object per class: ``alw_leads_to_leaf``,
-``utility_from`` and so ``s2u``, and in ``equilibria`` ``nash_eq``
-(whether the root's walk ends, and each agent's on-path value) and
-``sgpe`` (both branch utilities at every reachable node class).
+Per agent, ``utility_columns`` turns the table into two more int
+columns: the slope of the agent's utility from each class, and its
+intercept at the class's local index 0.  All of these are built once
+per system and kept in its memo (see ``system.CoSystem``), and every
+choice-following question reads them instead of building an object per
+class: ``alw_leads_to_leaf``, ``utility_from`` and so ``s2u``, and in
+``equilibria`` ``nash_eq`` (whether the root's walk ends, and each
+agent's on-path value) and ``sgpe`` (both branch utilities at every
+reachable node class).
+
+Nothing here reads the system's classes: the walks follow the
+``chosen`` column of its edge table (``system.edge_table``),
+certificates name owners from its ``owner`` column, and the utility
+columns read leaf payoffs from its ``payoffs`` column.
 
 Only ``leads_to_leaf`` walks, since its certificate is the path itself.
 Its verdict is kept in the memo too, one per start reference, so the
@@ -40,14 +44,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import (Affine, Choice, CoSystem, KindMismatchError, Leaf, Node, Ref, STRATEGY,
-                     edge_table, reachable)
+from .system import Affine, CoSystem, KindMismatchError, Ref, STRATEGY, edge_table, reachable
 from .verdict import Verdict
-
-
-def _owner_of(sys: CoSystem, cls_id: int) -> str | None:
-    cls = sys.classes[cls_id]
-    return cls.owner if isinstance(cls, Node) else None
 
 
 def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
@@ -69,15 +67,16 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
 
 
 def _walk(s: CoSystem, start: Ref) -> Verdict:
-    """The chosen walk from ``start`` and its ``leads_to_leaf`` verdict."""
-    classes = s.classes
+    """The chosen walk from ``start`` and its ``leads_to_leaf`` verdict,
+    along the edge table's ``chosen`` column."""
+    table = edge_table(s)
+    chosen, owner = table.chosen, table.owner
     cur, shift = start.cls, start.shift
     first_visit: dict[int, int] = {}
     visited, shifts = [cur], [shift]
     choices: list[str] = []
     while True:
-        cls = classes[cur]
-        if isinstance(cls, Leaf):
+        if not chosen[cur]:
             return Verdict(
                 True,
                 {
@@ -93,21 +92,18 @@ def _walk(s: CoSystem, start: Ref) -> Verdict:
                 False,
                 {
                     "cycle": cycle,
-                    "owners": [_owner_of(s, c) for c in cycle],
+                    "owners": [owner[c] for c in cycle],
                     "entered_after": first_visit[cur],
                     "choices": choices,
                 },
                 "chosen path revisits a class and can never terminate",
             )
         first_visit[cur] = len(visited) - 1
-        if cls.choice is Choice.L:
-            nxt, letter = cls.left, "l"
-        else:
-            nxt, letter = cls.right, "r"
-        cur, shift = nxt.cls, shift + nxt.shift
+        [(cur, k, label)] = chosen[cur]
+        shift += k
         visited.append(cur)
         shifts.append(shift)
-        choices.append(letter)
+        choices.append(label.value)
 
 
 class PlayTable(NamedTuple):
@@ -132,7 +128,7 @@ def play_table(s: CoSystem) -> PlayTable:
         raise KindMismatchError("play_table expects a strategy")
     if "play_table" in s._memo:
         return s._memo["play_table"]
-    chosen = edge_table(s).chosen_edges
+    chosen = edge_table(s).chosen
     n = len(chosen)
     leaf, shift, steps = [-1] * n, [0] * n, [0] * n
     seen = [False] * n
@@ -171,11 +167,12 @@ def utility_columns(s: CoSystem, agent: str) -> tuple[list[int], list[int]]:
     if key in s._memo:
         return s._memo[key]
     leaf, shift, _ = play_table(s)
+    payoffs = edge_table(s).payoffs
     # per end leaf, and (0, 0) for -1
     slopes, intercepts = {-1: 0}, {-1: 0}
     for e in set(leaf):
         if e >= 0:
-            f = s.classes[e].payoffs[agent]
+            f = payoffs[e][agent]
             slopes[e], intercepts[e] = f.slope, f.intercept
     columns = s._memo[key] = ([slopes[e] for e in leaf],
                               [slopes[e] * k + intercepts[e] for e, k in zip(leaf, shift)])
@@ -199,7 +196,7 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     if bad is not None:
         return Verdict(
             False,
-            {"class": bad, "owner": _owner_of(s, bad),
+            {"class": bad, "owner": edge_table(s).owner[bad],
              "cycle": leads_to_leaf(s, Ref(bad, 0)).certificate},
             f"class {bad} does not lead to a leaf",
         )

@@ -18,6 +18,9 @@ walks in ``semantics``): each table is a pure function of the system,
 written once on first use and never mutated by its readers, so a race
 between two analyses only computes a table twice.
 Payoff arithmetic is exact (Python integers); nothing here overflows.
+No int here is converted to or from text, so CPython's limit on such
+conversions applies only where text is read or written: ``dsl``'s
+docstring states the policy there.
 """
 
 from __future__ import annotations
@@ -130,11 +133,15 @@ class CoSystem:
     ``_sensitive``, ``edge_table``, ``condensation``,
     ``semantics.play_table``, ``semantics.utility_columns`` and the
     ``semantics.leads_to_leaf`` verdict per start), so every check on
-    one system reads one copy.  Each table is written once, on
-    first use; readers never mutate it; a race between two readers only
-    computes it twice.  The memo takes no part in equality or ``repr``, and
-    ``with_root`` (like ``dataclasses.replace``) starts the new system
-    with an empty one.
+    one system reads one copy.  The edge table is the only form of the
+    system that the checks in ``semantics``, ``equilibria`` and
+    ``histories`` read; ``classes`` is read to build it, and by the
+    product walk (``_sensitive``, ``_flatten``), ``unfold``, the printer
+    in ``dsl`` and ``families``' truncation.  Each table is written once,
+    on first use; readers never mutate it; a race between two readers
+    only computes it twice.  The memo takes no part in equality or
+    ``repr``, and ``with_root`` (like ``dataclasses.replace``) starts the
+    new system with an empty one.
     """
 
     kind: str
@@ -230,21 +237,23 @@ Edge = tuple[int, int, Choice]  # child class, shift, label
 
 
 class EdgeTable(NamedTuple):
-    """The class graph as flat per-class columns, indexed by class id.
+    """The class graph as flat per-class columns, indexed by class id: the
+    one form of a system that the checks in ``semantics``,
+    ``equilibria`` and ``histories`` read.
 
     At a node, ``kids`` holds the child class ids and ``edges`` the
     ``(child, shift, label)`` triples, left before right; ``owner`` is
-    the owning agent, and ``chosen_kids`` and ``chosen_edges`` hold the
-    committed child alone as a one-element tuple (None in a game).  A
-    leaf has ``()`` in every tuple column and owner None.  A projection
-    of the graph picks, class by class, the full tuples or the chosen
-    ones, and shares them with the table."""
+    the owning agent, ``chosen`` holds the committed edge alone as a
+    one-element tuple (None in a game), and ``payoffs`` is None.  A leaf
+    has ``()`` in every tuple column, owner None, and its payoff mapping
+    in ``payoffs``.  A projection of the graph picks, class by class, the
+    full edges or the chosen one, and shares them with the table."""
 
     kids: list[tuple[int, ...]]
     edges: list[tuple[Edge, ...]]
     owner: list[str | None]
-    chosen_kids: list[tuple[int, ...] | None]
-    chosen_edges: list[tuple[Edge, ...] | None]
+    chosen: list[tuple[Edge, ...] | None]
+    payoffs: list[Mapping[str, Affine] | None]
 
 
 def edge_table(sys: CoSystem) -> EdgeTable:
@@ -254,19 +263,18 @@ def edge_table(sys: CoSystem) -> EdgeTable:
         return sys._memo["edges"]
     # one row per class, then one column per field
     rows = []
-    leaf = ((), (), None, (), ())
     for cls in sys.classes:
         if isinstance(cls, Leaf):
-            rows.append(leaf)
+            rows.append(((), (), None, (), cls.payoffs))
             continue
         lc, rc = cls.left.cls, cls.right.cls
         left, right = (lc, cls.left.shift, Choice.L), (rc, cls.right.shift, Choice.R)
         if cls.choice is None:
             rows.append(((lc, rc), (left, right), cls.owner, None, None))
         elif cls.choice is Choice.L:
-            rows.append(((lc, rc), (left, right), cls.owner, (lc,), (left,)))
+            rows.append(((lc, rc), (left, right), cls.owner, (left,), None))
         else:
-            rows.append(((lc, rc), (left, right), cls.owner, (rc,), (right,)))
+            rows.append(((lc, rc), (left, right), cls.owner, (right,), None))
     table = sys._memo["edges"] = EdgeTable(*map(list, zip(*rows)))
     return table
 

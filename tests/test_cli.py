@@ -11,7 +11,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cogames.cli import CHECKS, build_parser, main
+from cogames.cli import CHECKS, InputError, build_parser, main, unbounded_int_digits
+from cogames.semantics import leads_to_leaf
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SCHEMA = json.loads(
@@ -300,6 +301,15 @@ class TestHistory:
     def test_bad_lasso_text_is_a_usage_error(self, capsys):
         assert main(["history", str(GAMES / "dollar_auction.cog"), "--check", "xyz"]) == 2
 
+    @pytest.mark.parametrize("stem, codes", [
+        ("dollar_auction", [0, 0, 1, 0]),
+        ("centipede", [0, 0, 1, 0]),
+        ("paper_s0", [0, 1, 0, 1]),
+    ])
+    def test_membership_on_the_shipped_games(self, capsys, stem, codes):
+        lassos = ["r", "(l)^w", "rl", "ll"]
+        assert [main(["history", str(GAMES / f"{stem}.cog"), "--check", h]) for h in lassos] == codes
+
 
 class TestTruncate:
     def test_emits_parseable_source(self, capsys):
@@ -454,6 +464,56 @@ class TestLargeInputs:
                 proc.kill()
         assert proc.returncode == 0
         assert b"Traceback" not in err
+
+
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                    reason="this interpreter has no int/str conversion limit")
+
+
+class TestLongIntegers:
+    """Integers past CPython's default int/str conversion limit (4 300
+    digits) pass through ``main``, which lifts the limit while it runs."""
+
+    def test_long_payoff(self, capsys, tmp_path):
+        path = tmp_path / "long.cog"
+        path.write_text(f"strategy agents A\nc0(n) = leaf[A: {'1' * 5000}]\nroot c0\n")
+        assert run(capsys, "check", str(path), "--ltl", "--nash")[0] == 0
+        code, out = run(capsys, "--json", "check", str(path), "--ltl", "--nash")
+        assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+
+    def test_long_utility_in_the_report(self, capsys, tmp_path):
+        nines = "9" * 3000
+        path = tmp_path / "long.cog"
+        path.write_text(f"strategy agents A\nc0(n) = <A, l, c1(n+{nines}), c1(n)>\n"
+                        f"c1(n) = leaf[A: {nines}*n]\nroot c0\n")
+        code, out = run(capsys, "--json", "check", str(path), "--ltl", "--nash", "--sgpe")
+        assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+        code, out = run(capsys, "--json", "eval", str(path), "--agent", "A")
+        assert code == 0 and out.count("\n") == 1
+        with unbounded_int_digits():
+            assert json.loads(out)["checks"][0]["value"] == int(nines) ** 2
+
+    @NEEDS_DIGIT_LIMIT
+    @pytest.mark.parametrize("outcome, code", [(None, 0), (InputError("bad"), 2),
+                                               (KeyError("boom"), 70)])
+    def test_main_lifts_the_limit_and_restores_it(self, capsys, monkeypatch, outcome, code):
+        seen = []
+
+        def ltl(system):
+            seen.append(sys.get_int_max_str_digits())
+            if outcome is not None:
+                raise outcome
+            return leads_to_leaf(system)
+
+        monkeypatch.setitem(CHECKS, "ltl", ltl)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["check", str(GAMES / "paper_s0.cog"), "--ltl"]) == code
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert seen == [0]
 
 
 class TestErrorsAndStability:

@@ -13,7 +13,7 @@ from cogames.dsl import (
     render,
 )
 from cogames import dsl, families
-from cogames.cli import main
+from cogames.cli import main, unbounded_int_digits
 
 import helpers
 from test_cli import run_json
@@ -362,6 +362,13 @@ class TestHostileInputs:
         code, report = run_json(capsys, "check", str(path), "--ltl")
         assert code == 0
         assert [c["outcome"] for c in report["checks"]] == ["holds"]
+
+    def test_integers_past_the_default_digit_limit_round_trip(self):
+        big = 10 ** 5000 - 1  # 5 000 nines, past CPython's default 4 300 digits
+        sys_ = CoSystem(GAME, ("A",), (Node("A", None, Ref(0, big), Ref(1)),
+                                       Leaf({"A": Affine(-big, big)})))
+        with unbounded_int_digits():
+            assert parse(render(sys_)) == sys_
 
 
 class TestRender:

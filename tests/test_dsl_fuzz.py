@@ -4,8 +4,10 @@ system the token parser reads.
 
 Sources are the shipped games and rendered seeded systems, mutated by
 inserting, deleting or truncating characters drawn from the grammar's
-alphabet plus a few non-ASCII letters and digits.  Any exception other than
-``ParseError`` fails the test.
+alphabet plus a few non-ASCII letters and digits, and digit runs longer
+than CPython's default int/str conversion limit (4 300 digits).  The tests
+here lift that limit, as ``cogames.cli.main`` does.  Any exception other
+than ``ParseError`` fails the test.
 """
 
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 
 from cogames import CoSystem
 from cogames import dsl
+from cogames.cli import unbounded_int_digits
 from cogames.dsl import ParseError, parse, render
 
 import helpers
@@ -23,17 +26,28 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
+# the last two hold integers past CPython's default int/str conversion limit
 SOURCES = ([p.read_text() for p in sorted(GAMES_DIR.glob("*.cog"))]
-           + [render(helpers.random_system(seed)) for seed in range(40)])
+           + [render(helpers.random_system(seed)) for seed in range(40)]
+           + [f"strategy agents Ann\nc0(n) = leaf[Ann: {'1' * 5000}]\nroot c0\n",
+              f"strategy agents Ann\nc0(n) = <Ann, l, c1(n+{'9' * 3000}), c1(n)>\n"
+              f"c1(n) = leaf[Ann: {'9' * 3000}*n]\nroot c0\n"])
 
 # Grammar characters and whitespace; non-ASCII letters, a decimal digit
 # (Arabic-Indic three) and non-decimal digits (superscript two, one half);
 # fragments that open or close inline terms; rare payoff spellings, and an
-# agent that glues onto the identifier after it.
+# agent that glues onto the identifier after it; digit runs past 4 300.
 INSERTS = st.one_of(st.sampled_from("abcdefgilnorstyABC_0123456789()[]<>,:=+-* \t\n\r"),
                     st.sampled_from("éßΩ٣²½"),
                     st.sampled_from(["<Ann, l, ", "leaf[Ann: 0]", "c0(n+1)", ", "]),
-                    st.sampled_from(["n-0", "n+-0", "--5", "- 5", "*n", " Ann"]))
+                    st.sampled_from(["n-0", "n+-0", "--5", "- 5", "*n", " Ann"]),
+                    st.sampled_from(["9" * 4301, "1" * 5000, f"leaf[Ann: {'7' * 4400}*n]"]))
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_digit_limit():
+    with unbounded_int_digits():
+        yield
 
 
 @st.composite

@@ -712,8 +712,8 @@ def count_reach_reads(monkeypatch) -> dict[str, int]:
     """Count what the reach analysis reads: ``members``, the members read
     out of the SCC lists of the tree's condensation and of the ``sccs``
     searches inside its cyclic SCCs, and ``edges``, the entries read out
-    of the projection's child-id and edge lists.  Iterating a list counts
-    one read per entry."""
+    of the projection's edge list.  Iterating a list counts one read per
+    entry."""
     import cogames.equilibria as equilibria
 
     reads = {"members": 0, "edges": 0}
@@ -736,8 +736,7 @@ def count_reach_reads(monkeypatch) -> dict[str, int]:
                             comps=[members(comp) for comp in condensation(s).comps]))
     monkeypatch.setattr(equilibria, "sccs",
                         lambda *args: [members(comp) for comp in sccs(*args)])
-    monkeypatch.setattr(equilibria, "_projection",
-                        lambda *args: tuple(entries(column) for column in projection(*args)))
+    monkeypatch.setattr(equilibria, "_projection", lambda *args: entries(projection(*args)))
     return reads
 
 
@@ -860,7 +859,7 @@ class TestReachPass:
     def test_agrees_with_the_reference_analysis(self):
         # max_shift 0 and 1 give many zero-shift diamonds, where paths of
         # equal least index tie
-        unbounded = split = 0
+        unbounded = split = flat = flat_ties = 0
         for seed in range(3000):
             s = helpers.random_system(seed, kind=STRATEGY, max_classes=6 + seed % 7,
                                       max_shift=seed % 3)
@@ -879,12 +878,26 @@ class TestReachPass:
                         steps = equilibria._steps_to(info.edges, info.max_parent, info.most, c)
                         replay_steps(s, steps, Ref(c, greatest[c]), agent)
                     unbounded += greatest[c] is None
+                edges = equilibria._projection(s, agent)
+                comps = sccs([s.root.cls], lambda v: [t for t, _, _ in edges[v]])
                 if agent is not None:
                     # some tree SCC holds more than one of the projection's
                     reached = {condensation(s).where[c] for c, lo in enumerate(least) if lo is not None}
-                    kids = equilibria._projection(s, agent)[0]
-                    split += len(sccs([s.root.cls], kids.__getitem__)) > len(reached)
+                    split += len(comps) > len(reached)
+                # the cyclic projection SCCs without a positive internal
+                # edge, whose least indices a Dijkstra over zero-weight
+                # edges finds, and those of them entered at two or more
+                # members, where offers made from outside tie
+                where = {v: i for i, comp in enumerate(comps) for v in comp}
+                for i, comp in enumerate(comps):
+                    inner = [k for c in comp for t, k, _ in edges[c] if where[t] == i]
+                    if inner and not any(inner):
+                        flat += 1
+                        entered = {t for v in where if where[v] != i
+                                   for t, _, _ in edges[v] if where[t] == i}
+                        flat_ties += len(entered | ({s.root.cls} & set(comp))) >= 2
         assert unbounded > 4000 and split > 250
+        assert flat >= 1000 and flat_ties >= 20, (flat, flat_ties)
 
     def test_failure_certificates_replay(self):
         nash_failures = sgpe_failures = 0

@@ -15,10 +15,18 @@ from cogames import (
     Node,
     Ref,
     STRATEGY,
+    alw_leads_to_leaf,
     annotate,
     bisimilar,
     bisimilar_bounded,
+    is_history_of,
     is_parametric,
+    leads_to_leaf,
+    nash_eq,
+    reach_index_sets,
+    s2u,
+    sgpe,
+    strategy_history,
     strategy_to_game,
     unfold,
     validate,
@@ -850,3 +858,48 @@ class TestSccs:
         n = 20000
         comps = sccs([0], lambda v: [v + 1] if v + 1 < n else [0])
         assert len(comps) == 1 and len(comps[0]) == n
+
+
+class Unreadable(tuple):
+    """A class tuple that refuses every read."""
+
+    def refuse(self, *args):
+        raise AssertionError("the system's classes were read")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = __reversed__ = refuse
+    __eq__ = __ne__ = __hash__ = index = count = refuse
+
+
+class TestChecksReadTheEdgeTable:
+    """Once a strategy's edge table is built, the checks in ``semantics``,
+    ``equilibria`` and ``histories`` never read its classes."""
+
+    CHECKS = {
+        "leads_to_leaf": lambda s, lassos: leads_to_leaf(s),
+        "alw_leads_to_leaf": lambda s, lassos: alw_leads_to_leaf(s),
+        "nash_eq": lambda s, lassos: nash_eq(s),
+        "sgpe": lambda s, lassos: sgpe(s),
+        "s2u": lambda s, lassos: [s2u(s, agent) for agent in s.roster],
+        "reach_index_sets": lambda s, lassos: [reach_index_sets(s, agent)
+                                               for agent in (None, *s.roster)],
+        "strategy_history": lambda s, lassos: strategy_history(s),
+        "is_history_of": lambda s, lassos: [is_history_of(s, h) for h in lassos],
+    }
+
+    def test_checks_agree_without_the_classes(self):
+        for seed in range(600):
+            s = helpers.random_system(seed, kind=STRATEGY, max_classes=6 + seed % 7,
+                                      max_shift=seed % 3)
+            untouched = CoSystem(s.kind, s.roster, s.classes, s.root)
+            rng = random.Random(seed)
+            lassos = [helpers.random_lasso(rng) for _ in range(4)]
+            system.edge_table(s)
+            object.__setattr__(s, "classes", Unreadable(s.classes))
+            for name, check in self.CHECKS.items():
+                assert check(s, lassos) == check(untouched, lassos), (seed, name)
+
+    def test_a_read_of_the_classes_is_caught(self):
+        s = helpers.random_system(0, kind=STRATEGY)
+        object.__setattr__(s, "classes", Unreadable(s.classes))
+        with pytest.raises(AssertionError, match="classes were read"):
+            system.edge_table(s)
