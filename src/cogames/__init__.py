@@ -25,10 +25,7 @@ from .histories import (
     strategy_history,
 )
 from .equilibria import (
-    ConvClass,
-    Convertibility,
     ReachSet,
-    convertible,
     nash_eq,
     reach_index_sets,
     sgpe,
@@ -39,6 +36,8 @@ from .system import (
     STRATEGY,
     Affine,
     Choice,
+    ConvClass,
+    Convertibility,
     CoSystem,
     KindMismatchError,
     Leaf,
@@ -48,6 +47,7 @@ from .system import (
     annotate,
     bisimilar,
     bisimilar_bounded,
+    convertible,
     is_parametric,
     reachable,
     strategy_to_game,

@@ -4,13 +4,14 @@ Subcommands parse ``.cog`` files, run the requested checks, and emit a
 human summary or (with ``--json``) a stable machine report validating
 against ``schemas/report-v1.json``, printed as one line of compact JSON
 (pipe it through ``python -m json.tool`` for indented output).  Exit code
-0 means every requested check holds, 1 that some check fails, 2 a usage,
-parse, or validation error, and 70 (``EX_SOFTWARE``) an internal error:
-any other exception from a subcommand is printed as one ``internal
-error:`` line on stderr, without a traceback, so exit 1 always means a
-failing check.  Reports are deterministic for identical inputs apart
-from the ``timing_ms`` field.  A reader that closes the pipe early gets
-no traceback; the exit code is still the checks'.
+0 means every requested check holds, 1 that some check fails, 2 a usage
+or input error (an invalid system is a parse error), and 70
+(``EX_SOFTWARE``) an internal error: any other exception from a
+subcommand is printed as one ``internal error:`` line on stderr, without
+a traceback, so exit 1 always means a failing check.  Reports are
+deterministic for identical inputs apart from the ``timing_ms`` field.
+A reader that closes the pipe early gets no traceback; the exit code is
+still the checks'.
 
 Integers have no bound on their length, in input files, arguments and
 reports alike.  CPython refuses int/str conversions past 4 300 digits by
@@ -45,11 +46,11 @@ from typing import Any
 
 from . import __version__
 from . import dsl, families, oracle
-from .equilibria import Convertibility, convertible, nash_eq, sgpe
+from .equilibria import nash_eq, sgpe
 from .histories import format_lasso, is_history_of, parse_lasso, strategy_history
 from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
-from .system import CoSystem, STRATEGY, KindMismatchError, RosterMismatchError
-from .system import bisimilar, bisimilar_bounded, is_parametric, validate
+from .system import CoSystem, Convertibility, STRATEGY, KindMismatchError, RosterMismatchError
+from .system import bisimilar, bisimilar_bounded, convertible, is_parametric
 from .verdict import Verdict
 
 # the depth to which `bisim` compares parametric inputs
@@ -83,6 +84,9 @@ class InputError(Exception):
 
 
 def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
+    """The system in the file at ``path`` and its input record.  The
+    readers in ``dsl`` reject every invalid system with a positioned
+    error, so nothing here validates it again."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -93,9 +97,6 @@ def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
         system = dsl.parse(data.decode("utf-8-sig"))
     except (UnicodeDecodeError, dsl.ParseError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    ok = validate(system)
-    if not ok.holds:
-        raise InputError(f"{path}: invalid system: {ok.note} ({ok.certificate})")
     return system, {"path": path, "sha256": digest}
 
 

@@ -22,13 +22,22 @@ an error it knows the failing token's index, one more scan of the text
 finds that token's offset, and the error's ``line:col`` is worked out
 from the offset.
 
+Beyond the grammar, a file names each agent and each equation once,
+owns every node by an agent of the roster, gives every leaf exactly one
+payoff per agent of the roster, and puts a choice at every node of a
+strategy and at none of a game.  Refs name equations and shifts are
+natural numbers.  These are the invariants of ``system.validate``, so
+every system that ``parse`` returns passes it.
+
 The grammar sets no bound on the length of an integer.  CPython refuses
 int/str conversions past 4 300 digits by default
 (``sys.set_int_max_str_digits``), a guard against quadratic conversion of
-untrusted input.  ``parse`` and ``render`` keep whatever limit their
-caller has set, and past it raise the interpreter's ``ValueError``.
-``cli.main`` lifts the limit while it runs, since the command line reads
-files that its user names.
+untrusted input.  ``parse`` keeps whatever limit its caller has set, and
+reports a literal past it as a positioned ``ParseError`` that names the
+limit.  ``render`` writes and does not read input: it keeps the limit
+too, and past it raises the interpreter's ``ValueError``.  ``cli.main``
+lifts the limit while it runs, since the command line reads files that
+its user names.
 
 A ``-`` glued to digits is part of the integer literal, so the canonical
 spelling ``-2*n-1`` denotes slope -2, intercept -1; a leading ``-``
@@ -45,12 +54,14 @@ that most files use (ASCII text, named refs only, one anchored regex
 match per equation) and gives up, without raising, on anything else.
 The token parser reads what the flat reader gives up on; it alone
 defines the grammar, and it raises every error, with its message,
-``line:col`` and expected tokens.
+``line:col`` and expected tokens.  So the flat reader also gives up on
+an invalid system and on an integer past the caller's limit.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .system import Affine, Choice, CoSystem, GAME, Leaf, Node, NodeClass, Ref, STRATEGY
 
@@ -182,6 +193,15 @@ class _Parser:
         if tok != "n":
             raise self.error(self.pos - 1, f"found {tok!r}", ("n",))
 
+    def int_at(self, index: int) -> int:
+        """The value of integer token ``index``, which ``int`` refuses only
+        past the caller's int/str conversion limit."""
+        try:
+            return int(self.tokens[index])
+        except ValueError:
+            raise self.error(index, f"integer past the int/str limit of {sys.get_int_max_str_digits()} "
+                             "digits (sys.set_int_max_str_digits)") from None
+
     def expect_agent(self) -> str:
         tok = self.expect_ident("an agent name")
         if tok not in self.roster:
@@ -309,6 +329,9 @@ class _Parser:
                 break
             self.pos += 1
         self.expect_punct("]")
+        if len(payoffs) < len(self.roster):
+            missing = next(agent for agent in self.roster if agent not in payoffs)
+            raise self.error(self.pos - 1, f"leaf gives no payoff to {missing!r}")
         return Leaf(payoffs)
 
     def _parse_node_head(self, cid: int) -> _OpenNode:
@@ -340,7 +363,7 @@ class _Parser:
         if self.tokens[self.pos] == "+":
             self.pos += 1
             k = self.tokens[self.pos]
-            shift = int(k) if _is_int(k) else -1
+            shift = self.int_at(self.pos) if _is_int(k) else -1
             if shift < 0:
                 raise self.fail(f"found {k!r}", ("a natural offset",))
             self.pos += 1
@@ -363,8 +386,8 @@ class _Parser:
         elif _is_int(tok):
             if toks[pos + 1] != "*":
                 self.pos = pos + 1
-                return Affine(0, sign * int(tok))
-            slope = sign * int(tok)
+                return Affine(0, sign * self.int_at(pos))
+            slope = sign * self.int_at(pos)
             pos += 2
             if toks[pos] != "n":
                 self.pos = pos
@@ -379,10 +402,10 @@ class _Parser:
                 self.pos = pos + 2
                 raise self.fail(f"found {val!r}", ("an integer",))
             self.pos = pos + 3
-            return Affine(slope, int(val) if tail == "+" else -int(val))
+            return Affine(slope, self.int_at(pos + 2) if tail == "+" else -self.int_at(pos + 2))
         if tail[:1] == "-":  # an integer glued to its minus sign, "-0" too
             self.pos = pos + 2
-            return Affine(slope, int(tail))
+            return Affine(slope, self.int_at(pos + 1))
         self.pos = pos + 1
         return Affine(slope, 0)
 
@@ -408,9 +431,10 @@ _FLAT_ROOT = re.compile(rf"\s*root\s+({_IDENT})\s*\Z", re.ASCII)
 
 
 def _parse_flat(text: str) -> CoSystem | None:
-    """The system of a file in the flat spelling, or None for any other
-    text, valid or not.  Where it returns a system, the token parser
-    returns an equal one."""
+    """The system of a valid file in the flat spelling, or None for any
+    other text.  Where it returns a system, the token parser returns an
+    equal one.  Past the caller's int/str limit ``int`` raises
+    ``ValueError``, and ``parse`` gives the text to the token parser."""
     head = _FLAT_HEAD.match(text)
     if head is None:
         return None
@@ -453,19 +477,26 @@ def _parse_flat(text: str) -> CoSystem | None:
                 intercept = int(tail or 0)
                 payoffs[agent] = Affine(sign * int(slope or 1),
                                         -intercept if tail_sign == "-" else intercept)
+        if len(payoffs) < len(agents):
+            return None
         classes.append(Leaf(payoffs))
     return CoSystem(kind, tuple(roster), tuple(classes), Ref(ids[root[1]], 0))
 
 
 def parse(text: str) -> CoSystem:
-    """Parse source text into an equation system.
+    """Parse source text into an equation system that passes
+    ``system.validate``, or raise a positioned ``ParseError``; nothing
+    else escapes, under any int/str conversion limit.
 
     The flat reader takes plain files; the token parser takes the rest
     (inline terms, rarer spellings) and raises every error.  Classes are
     numbered by the textual order of the named equations, then of the
     inline terms; this makes parse(render(x)) representation equal to x.
     """
-    sys_ = _parse_flat(text)
+    try:
+        sys_ = _parse_flat(text)
+    except ValueError:  # an integer past the int/str limit, which the token parser reports
+        sys_ = None
     return sys_ if sys_ is not None else _Parser(text).parse_file()
 
 

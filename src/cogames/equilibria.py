@@ -1,4 +1,4 @@
-"""Convertibility and equilibrium checking on strategy systems.
+"""Equilibrium checking on strategy systems.
 
 Nash equilibrium quantifies over every strategy an agent can reach by
 rewriting its own choices.  On the finite representation that quantifier
@@ -23,7 +23,7 @@ certificate reports is one at which its class occurs.
 
 All of these come from one pass per projection (``_analyze``) over the
 tree's condensation (``system.condensation``: one Tarjan search per
-system, kept in its memo beside the edge table), in topological order.
+system, memoized like the edge table), in topological order.
 Each class offers its least and greatest index along its edges out, and
 so does each SCC once settled.  The tree is the edge table's ``edges``
 column; an agent's deviation graph picks, per class, that entry or the
@@ -43,27 +43,13 @@ between a node's two edges to L.  Dijkstra over the whole projection
 runs only to build a lasso.
 
 Convertibility, the relation the Nash quantifier ranges over, is decided
-exactly, with no bound on the offset drift between the two strategies,
-by ``system.ProductWalk``, the engine ``bisimilar`` uses too.  It picks
-its regime once, at the roots, from each system's sensitivity table
-(per class: is a leaf with a nonzero slope reachable from it?).  Where
-neither root is sensitive, its union-find decides first whether the two
-strategies denote the same tree, and when they do the answer is
-``INDUCTIVE`` with no difference and no walk.  Otherwise the product
-walk decides, and finds the witness or the agent's choice differences.
-It tracks the drift only in
-pairs from which a leaf with a nonzero slope is reachable.  If such a
-pair is reached with two drifts, the path to that leaf ends in a
-differing observation below one of the two arrivals, so the walk either
-finds a replayable mismatch or visits each class pair with one drift, at
-most ``|S|*|T|`` states.
+in ``system`` beside bisimilarity, by the same product walk.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
 from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table, utility_columns
@@ -73,15 +59,17 @@ from .system import (
     Edge,
     EdgeTable,
     KindMismatchError,
-    ProductWalk,
     Ref,
-    RosterMismatchError,
     STRATEGY,
     condensation,
     edge_table,
     reachable,
     sccs,
 )
+# convertibility lives in ``system``; these names stay importable from here
+# because the benchmark's traced replay (bench/tracing.py) imports them from
+# this module
+from .system import ConvClass, Convertibility, convertible  # noqa: F401
 from .verdict import Verdict
 
 
@@ -583,108 +571,3 @@ def sgpe(s: CoSystem) -> Verdict:
         })
     return Verdict(True, {"classes": rows},
                    "chosen branch weakly dominates at every reachable node class")
-
-
-# ---------------------------------------------------------------------------
-# convertibility
-
-
-class Convertibility(Enum):
-    NOT_CONVERTIBLE = "not_convertible"
-    INDUCTIVE = "inductive"
-    COINDUCTIVE_ONLY = "coinductive_only"
-
-
-@dataclass(frozen=True)
-class ConvClass:
-    """Classification of a strategy pair for one deviating agent.
-
-    ``INDUCTIVE``: same tree up to finitely many choice changes at the
-    agent's own nodes.  ``COINDUCTIVE_ONLY``: changes only at the agent's
-    nodes, but recurring on an unrolled cycle, hence infinitely many.
-    ``NOT_CONVERTIBLE``: some observation differs in a way the agent's
-    deviations cannot explain.
-    """
-
-    value: Convertibility
-    witness: Any = None
-    note: str = ""
-
-
-def _state_json(state: tuple[int, int, int]) -> dict[str, int]:
-    return {"left_class": state[0], "right_class": state[1], "delta": state[2]}
-
-
-def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
-    """Classify the relation between two strategies for a deviating agent.
-
-    ``system.ProductWalk`` decides it, as it decides ``bisimilar``.
-    Where no leaf with a nonzero slope is reachable from either root,
-    its union-find decides first whether the two denote the same tree;
-    if they do, the answer is ``INDUCTIVE`` with no difference, which is
-    what the walk would find, and the product is never walked.  Otherwise the product
-    walk runs.
-    It tracks the offset drift ``delta`` between the two sides wherever
-    a leaf with a nonzero slope is reachable.  Leaves must carry equal
-    payoff functions under that alignment; nodes must agree on owner,
-    and on choice except where the agent owns the node, where the walk
-    records the difference and steps on.  The walk is exact and
-    terminates (its docstring has the argument), so a
-    ``NOT_CONVERTIBLE`` witness is a path from the roots to an
-    observation that differs, and any other verdict means the two
-    strategies denote the same tree up to the agent's own choices.
-    When some difference was recorded, the cycle analysis reads the
-    walk's own int states through ``walk.successors``.
-    """
-    if s.kind != STRATEGY or t.kind != STRATEGY:
-        raise KindMismatchError("convertible expects two strategies")
-    if s.roster != t.roster:
-        raise RosterMismatchError(f"rosters differ: {s.roster} vs {t.roster}")
-    if agent not in s.roster:
-        raise ValueError(f"agent {agent!r} not in roster {s.roster}")
-
-    walk = ProductWalk(s, t, agent)
-    if walk.failure is not None:
-        path, state, reason = walk.failure
-        witness = {"path": path, "state": _state_json(state), "reason": reason}
-        return ConvClass(Convertibility.NOT_CONVERTIBLE, witness, reason)
-    if not walk.diffs:
-        return ConvClass(Convertibility.INDUCTIVE, {"differences": []},
-                         "strategies denote the same tree")
-
-    # a difference is realized infinitely often iff it sits on or after a
-    # product cycle; the analysis runs on the walk's int states, and only
-    # the states written into the witness are decoded
-    succ, decode = walk.successors, walk.decode
-    cyclic = {v: comp for comp in sccs(walk.order, succ)
-              if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
-    # each state on or after a cycle -> the state the search reached it
-    # from, None on a cycle; seeded in the walk's breadth-first order
-    queue = [v for v in walk.order if v in cyclic]
-    origin: dict[int, int | None] = dict.fromkeys(queue)
-    for v in queue:
-        for w in succ(v):
-            if w not in origin:
-                origin[w] = v
-                queue.append(w)
-
-    v = target = min((d for d in walk.diffs if d in origin), key=decode, default=None)
-    if target is None:
-        return ConvClass(
-            Convertibility.INDUCTIVE,
-            {"differences": [_state_json(d) for d in sorted(map(decode, walk.diffs))]},
-            f"{len(walk.diffs)} differing node class pair(s), none recurring",
-        )
-
-    hop_path = []
-    while origin[v] is not None:
-        hop_path.append(_state_json(decode(v)))
-        v = origin[v]
-    witness = {
-        "difference": _state_json(decode(target)),
-        "cycle": [_state_json(x) for x in sorted(map(decode, cyclic[v]))],
-        "path_from_cycle": hop_path[::-1],
-        "path_from_root": walk.path_to(v),
-    }
-    return ConvClass(Convertibility.COINDUCTIVE_ONLY, witness,
-                     "a choice difference recurs along an unrolled cycle")

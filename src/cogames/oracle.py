@@ -205,23 +205,16 @@ def finite_sgpe(s: FiniteStrategy) -> bool:
 def embed(t: FiniteGame | FiniteStrategy) -> CoSystem:
     """Embed a finite tree as an acyclic, non-parametric equation system,
     one class per node in preorder.  The kind is inferred from the node
-    types; a single leaf is a strategy.  An explicit stack keeps deep
-    trees off the call stack."""
-    nodes: list[FiniteGame | FiniteStrategy] = []  # preorder
-    kids: list[list[int]] = []  # preorder slots of each node's two children
-    todo: list[tuple[FiniteGame | FiniteStrategy, int, int]] = [(t, -1, 0)]
-    while todo:
-        node, up, side = todo.pop()
+    types; a single leaf is a strategy."""
+    order = _preorder(t)
+    kids = [[0, 0] for _ in order]  # preorder slots of each node's two children
+    for slot, (_, up, choice) in enumerate(order):
         if up >= 0:
-            kids[up][side] = len(nodes)
-        nodes.append(node)
-        kids.append([0, 0])
-        if not isinstance(node, Leaf):
-            todo += [(node.right, len(nodes) - 1, 1), (node.left, len(nodes) - 1, 0)]
-    kind = GAME if any(isinstance(node, GameNode) for node in nodes) else STRATEGY
+            kids[up][choice is Choice.R] = slot
+    kind = GAME if any(isinstance(node, GameNode) for node, _, _ in order) else STRATEGY
     roster: set[str] = set()
     classes: list[SysLeaf | SysNode] = []
-    for node, (left, right) in zip(nodes, kids):
+    for (node, _, _), (left, right) in zip(order, kids):
         if isinstance(node, Leaf):
             roster.update(node.payoffs)
             classes.append(SysLeaf({a: Affine.const(v) for a, v in node.payoffs.items()}))

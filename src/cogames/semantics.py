@@ -19,13 +19,12 @@ three int columns indexed by class id: the leaf class it ends at (-1
 where the walk cycles), the shift it accumulates and its step count.
 Per agent, ``utility_columns`` turns the table into two more int
 columns: the slope of the agent's utility from each class, and its
-intercept at the class's local index 0.  All of these are built once
-per system and kept in its memo (see ``system.CoSystem``), and every
-choice-following question reads them instead of building an object per
-class: ``alw_leads_to_leaf``, ``utility_from`` and so ``s2u``, and in
-``equilibria`` ``nash_eq`` (whether the root's walk ends, and each
-agent's on-path value) and ``sgpe`` (both branch utilities at every
-reachable node class).
+intercept at the class's local index 0.  All of these are
+``system.memoized`` tables, and every choice-following question reads
+them instead of building an object per class: ``alw_leads_to_leaf``,
+``utility_from`` and so ``s2u``, and in ``equilibria`` ``nash_eq``
+(whether the root's walk ends, and each agent's on-path value) and
+``sgpe`` (both branch utilities at every reachable node class).
 
 Nothing here reads the system's classes: the walks follow the
 ``chosen`` column of its edge table (``system.edge_table``),
@@ -33,18 +32,17 @@ certificates name owners from its ``owner`` column, and the utility
 columns read leaf payoffs from its ``payoffs`` column.
 
 Only ``leads_to_leaf`` walks, since its certificate is the path itself.
-Its verdict is kept in the memo too, one per start reference, so the
+Its verdict is memoized too, one per start reference, so the
 certificates that cite one walk (``alw_leads_to_leaf``'s failure,
 ``nash_eq``'s vacuous holds, ``sgpe``'s failing precondition) walk it
-once between them and share the certificate, which readers must not
-mutate.
+once between them and share the certificate.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import Affine, CoSystem, KindMismatchError, Ref, STRATEGY, edge_table, reachable
+from .system import Affine, CoSystem, KindMismatchError, Ref, STRATEGY, edge_table, memoized, reachable
 from .verdict import Verdict
 
 
@@ -54,16 +52,17 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     Holds with the finite path (visited references and choices taken) if
     a leaf is reached; fails with the repeating class cycle and the
     choices taken otherwise.  Terminates within |classes| + 1 steps.
-    The verdict is kept in the system's memo per start reference, so
-    callers must not mutate its certificate.
+    The verdict is memoized per start reference.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("leads_to_leaf expects a strategy")
-    start = s.root if at is None else at
-    key = ("leads_to_leaf", start)
-    if key not in s._memo:
-        s._memo[key] = _walk(s, start)
-    return s._memo[key]
+    return _chosen_walk(s, s.root if at is None else at)
+
+
+@memoized
+def _chosen_walk(s: CoSystem, start: Ref) -> Verdict:
+    """:func:`_walk`, built once per start."""
+    return _walk(s, start)
 
 
 def _walk(s: CoSystem, start: Ref) -> Verdict:
@@ -117,17 +116,15 @@ class PlayTable(NamedTuple):
     steps: list[int]
 
 
+@memoized
 def play_table(s: CoSystem) -> PlayTable:
     """The system's :class:`PlayTable`.  Each class is walked once along
     the edge table's chosen column: a walk stops at a leaf, at a class
     already labelled, or at a class on the walk itself (a cycle), and
-    the classes it passed are labelled on the way back.  Built once per
-    system and kept in its memo, so callers must not mutate it.
+    the classes it passed are labelled on the way back.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("play_table expects a strategy")
-    if "play_table" in s._memo:
-        return s._memo["play_table"]
     chosen = edge_table(s).chosen
     n = len(chosen)
     leaf, shift, steps = [-1] * n, [0] * n, [0] * n
@@ -150,22 +147,18 @@ def play_table(s: CoSystem) -> PlayTable:
             k += chosen[c][0][1]
             m += 1
             leaf[c], shift[c], steps[c] = end, k, m
-    table = s._memo["play_table"] = PlayTable(leaf, shift, steps)
-    return table
+    return PlayTable(leaf, shift, steps)
 
 
+@memoized
 def utility_columns(s: CoSystem, agent: str) -> tuple[list[int], list[int]]:
     """``agent``'s utility from every class at local index 0, as two int
     columns indexed by class id: the slope, and the intercept at local
     index 0 (the end leaf's payoff shifted by the walk's shift); both 0
     where the chosen walk cycles, which the play table's ``leaf`` column
-    marks.  Built once per system and agent and kept in the system's
-    memo, so callers must not mutate them."""
+    marks.  Memoized per agent."""
     if agent not in s.roster:
         raise ValueError(f"agent {agent!r} not in roster {s.roster}")
-    key = ("utility", agent)
-    if key in s._memo:
-        return s._memo[key]
     leaf, shift, _ = play_table(s)
     payoffs = edge_table(s).payoffs
     # per end leaf, and (0, 0) for -1
@@ -174,9 +167,8 @@ def utility_columns(s: CoSystem, agent: str) -> tuple[list[int], list[int]]:
         if e >= 0:
             f = payoffs[e][agent]
             slopes[e], intercepts[e] = f.slope, f.intercept
-    columns = s._memo[key] = ([slopes[e] for e in leaf],
-                              [slopes[e] * k + intercepts[e] for e, k in zip(leaf, shift)])
-    return columns
+    return ([slopes[e] for e in leaf],
+            [slopes[e] * k + intercepts[e] for e, k in zip(leaf, shift)])
 
 
 def alw_leads_to_leaf(s: CoSystem) -> Verdict:

@@ -9,14 +9,16 @@ from its root reference yields the denoted tree; a class graph with cycles
 denotes an infinite tree, and offsets let payoffs grow along a backbone
 (the dollar-auction and centipede shapes).
 
+Two questions compare two systems: bisimilarity, and convertibility, the
+relation that the Nash quantifier in ``equilibria`` ranges over.  One
+product walk (:class:`ProductWalk`) decides both exactly, with no bound
+on the offset drift between the two sides, and its int-coded states are
+read only here.
+
 All values are immutable after construction and every operation is a pure
 function, so systems can be shared freely between concurrent analyses.
-The one exception is a system's private memo of derived tables (the
-reachable list, the sensitivity table, the edge table and its
-condensation here, the play table, the utility columns and the chosen
-walks in ``semantics``): each table is a pure function of the system,
-written once on first use and never mutated by its readers, so a race
-between two analyses only computes a table twice.
+The one exception is a system's private memo of derived tables, which
+only :func:`memoized` reads and writes; its docstring states the rule.
 Payoff arithmetic is exact (Python integers); nothing here overflows.
 No int here is converted to or from text, so CPython's limit on such
 conversions applies only where text is read or written: ``dsl``'s
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import wraps
 from itertools import chain, product
 from sys import maxsize
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Union
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Union
 
 from .verdict import Verdict
 
@@ -129,19 +132,13 @@ class CoSystem:
     every node).  The roster is normalized to a sorted tuple, since it is
     a set.  The root is conventionally ``Ref(cls, 0)``.
 
-    ``_memo`` keeps the tables derived from the fields (``reachable``,
-    ``_sensitive``, ``edge_table``, ``condensation``,
-    ``semantics.play_table``, ``semantics.utility_columns`` and the
-    ``semantics.leads_to_leaf`` verdict per start), so every check on
-    one system reads one copy.  The edge table is the only form of the
-    system that the checks in ``semantics``, ``equilibria`` and
-    ``histories`` read; ``classes`` is read to build it, and by the
+    ``_memo`` holds the tables that :func:`memoized` builders derive
+    from the fields, so every check on one system reads one copy; it
+    takes no part in equality or ``repr``.  The edge table is the only
+    form of the system that the checks in ``semantics``, ``equilibria``
+    and ``histories`` read; ``classes`` is read to build it, and by the
     product walk (``_sensitive``, ``_flatten``), ``unfold``, the printer
-    in ``dsl`` and ``families``' truncation.  Each table is written once,
-    on first use; readers never mutate it; a race between two readers
-    only computes it twice.  The memo takes no part in equality or
-    ``repr``, and ``with_root`` (like ``dataclasses.replace``) starts the
-    new system with an empty one.
+    in ``dsl`` and ``families``' truncation.
     """
 
     kind: str
@@ -153,6 +150,26 @@ class CoSystem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "roster", tuple(sorted(set(self.roster))))
         object.__setattr__(self, "classes", tuple(self.classes))
+
+
+def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
+    """``build(sys, *args)``, kept in the system's memo under the builder
+    and its extra arguments.
+
+    The one memo rule: a table is a pure function of the system and the
+    arguments, built on first use per system and key, and shared by
+    every later reader, which must not mutate it.  Two readers racing on
+    a cold key build it twice at worst, and either copy serves.  A
+    builder that raises stores nothing, so a kind or argument check
+    inside it raises on every call.  ``with_root`` (like
+    ``dataclasses.replace``) starts the new system with an empty memo."""
+    @wraps(build)
+    def table(sys: CoSystem, *args: Hashable) -> Any:
+        key = (build, *args) if args else build
+        if key not in sys._memo:
+            sys._memo[key] = build(sys, *args)
+        return sys._memo[key]
+    return table
 
 
 def validate(sys: CoSystem) -> Verdict:
@@ -214,12 +231,10 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
     )
 
 
+@memoized
 def reachable(sys: CoSystem) -> list[int]:
     """Class ids reachable from the root through both children, in BFS
-    order, read off the edge table's ``kids``.  Built once per system and
-    kept in its memo, so callers must not mutate the list."""
-    if "reachable" in sys._memo:
-        return sys._memo["reachable"]
+    order, read off the edge table's ``kids``."""
     kids = edge_table(sys).kids
     seen = [False] * len(kids)
     order = [sys.root.cls]
@@ -229,7 +244,6 @@ def reachable(sys: CoSystem) -> list[int]:
             if not seen[t]:
                 seen[t] = True
                 order.append(t)
-    sys._memo["reachable"] = order
     return order
 
 
@@ -256,11 +270,9 @@ class EdgeTable(NamedTuple):
     payoffs: list[Mapping[str, Affine] | None]
 
 
+@memoized
 def edge_table(sys: CoSystem) -> EdgeTable:
-    """The system's :class:`EdgeTable`.  Built once per system and kept in
-    its memo, so callers must not mutate it."""
-    if "edges" in sys._memo:
-        return sys._memo["edges"]
+    """The system's :class:`EdgeTable`."""
     # one row per class, then one column per field
     rows = []
     for cls in sys.classes:
@@ -275,8 +287,7 @@ def edge_table(sys: CoSystem) -> EdgeTable:
             rows.append(((lc, rc), (left, right), cls.owner, (left,), None))
         else:
             rows.append(((lc, rc), (left, right), cls.owner, (right,), None))
-    table = sys._memo["edges"] = EdgeTable(*map(list, zip(*rows)))
-    return table
+    return EdgeTable(*map(list, zip(*rows)))
 
 
 _DONE = maxsize  # the low link of a node whose component is emitted
@@ -350,12 +361,10 @@ class Condensation(NamedTuple):
     cyclic: list[bool]
 
 
+@memoized
 def condensation(sys: CoSystem) -> Condensation:
     """The system's :class:`Condensation`: one Tarjan search from the
-    root over the edge table's ``kids``.  Built once per system and kept
-    in its memo, so callers must not mutate it."""
-    if "condensation" in sys._memo:
-        return sys._memo["condensation"]
+    root over the edge table's ``kids``."""
     kids = edge_table(sys).kids
     comps = sccs([sys.root.cls], kids.__getitem__)
     where = [-1] * len(kids)
@@ -363,18 +372,15 @@ def condensation(sys: CoSystem) -> Condensation:
         for v in comp:
             where[v] = i
     cyclic = [len(comp) > 1 or comp[0] in kids[comp[0]] for comp in comps]
-    out = sys._memo["condensation"] = Condensation(comps, where, cyclic)
-    return out
+    return Condensation(comps, where, cyclic)
 
 
+@memoized
 def _sensitive(sys: CoSystem) -> list[bool]:
     """Per class id, whether the class is *sensitive*: a leaf with a
     nonzero payoff slope is reachable from it (the class itself
     included).  One reverse pass from the leaves with a nonzero slope
-    over every class, reachable from the root or not.  Built once per
-    system and kept in its memo, so callers must not mutate the list."""
-    if "sensitive" in sys._memo:
-        return sys._memo["sensitive"]
+    over every class, reachable from the root or not."""
     preds: list[list[int]] = [[] for _ in sys.classes]
     sensitive = [False] * len(sys.classes)
     for c, cls in enumerate(sys.classes):
@@ -389,7 +395,6 @@ def _sensitive(sys: CoSystem) -> list[bool]:
             if not sensitive[p]:
                 sensitive[p] = True
                 queue.append(p)
-    sys._memo["sensitive"] = sensitive
     return sensitive
 
 
@@ -438,8 +443,8 @@ def _flatten(sys: CoSystem, heads: dict[Hashable, int], scale: int, unit: int) -
 
 class ProductWalk:
     """The product of two class graphs: one set of flat tables for both
-    questions that compare two systems, ``bisimilar`` and
-    ``equilibria.convertible``.  The regime is picked once, at the
+    questions that compare two systems, :func:`bisimilar` and
+    :func:`convertible`.  The regime is picked once, at the
     roots, from the two systems' :func:`_sensitive` tables.  If neither
     root is sensitive, no leaf with a nonzero slope is reachable, and a
     union-find decides whether the two systems denote the same tree; the
@@ -702,6 +707,106 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     relation = list(chain.from_iterable(product((i,), partners.get(block[i], ()))
                                         for i in range(width)))
     return Verdict(True, {"relation": relation}, "bisimulation relation closed")
+
+
+class Convertibility(Enum):
+    NOT_CONVERTIBLE = "not_convertible"
+    INDUCTIVE = "inductive"
+    COINDUCTIVE_ONLY = "coinductive_only"
+
+
+@dataclass(frozen=True)
+class ConvClass:
+    """Classification of a strategy pair for one deviating agent.
+
+    ``INDUCTIVE``: same tree up to finitely many choice changes at the
+    agent's own nodes.  ``COINDUCTIVE_ONLY``: changes only at the agent's
+    nodes, but recurring on an unrolled cycle, hence infinitely many.
+    ``NOT_CONVERTIBLE``: some observation differs in a way the agent's
+    deviations cannot explain.
+    """
+
+    value: Convertibility
+    witness: Any = None
+    note: str = ""
+
+
+def _state_json(state: tuple[int, int, int]) -> dict[str, int]:
+    return {"left_class": state[0], "right_class": state[1], "delta": state[2]}
+
+
+def convertible(s: CoSystem, t: CoSystem, agent: str) -> ConvClass:
+    """Classify the relation between two strategies for a deviating agent.
+
+    :class:`ProductWalk` decides it, as it decides :func:`bisimilar`.
+    Where no leaf with a nonzero slope is reachable from either root,
+    its union-find decides first whether the two denote the same tree;
+    if they do, the answer is ``INDUCTIVE`` with no difference, which is
+    what the walk would find, and the product is never walked.
+    Otherwise the product walk runs.  It tracks the offset drift
+    ``delta`` between the two sides wherever a leaf with a nonzero slope
+    is reachable.  Leaves must carry equal
+    payoff functions under that alignment; nodes must agree on owner,
+    and on choice except where the agent owns the node, where the walk
+    records the difference and steps on.  The walk is exact and
+    terminates (its docstring has the argument), so a
+    ``NOT_CONVERTIBLE`` witness is a path from the roots to an
+    observation that differs, and any other verdict means the two
+    strategies denote the same tree up to the agent's own choices.
+    When some difference was recorded, the cycle analysis reads the
+    walk's own int states through ``walk.successors``.
+    """
+    if s.kind != STRATEGY or t.kind != STRATEGY:
+        raise KindMismatchError("convertible expects two strategies")
+    _check_comparable(s, t)
+    if agent not in s.roster:
+        raise ValueError(f"agent {agent!r} not in roster {s.roster}")
+
+    walk = ProductWalk(s, t, agent)
+    if walk.failure is not None:
+        path, state, reason = walk.failure
+        witness = {"path": path, "state": _state_json(state), "reason": reason}
+        return ConvClass(Convertibility.NOT_CONVERTIBLE, witness, reason)
+    if not walk.diffs:
+        return ConvClass(Convertibility.INDUCTIVE, {"differences": []},
+                         "strategies denote the same tree")
+
+    # a difference is realized infinitely often iff it sits on or after a
+    # product cycle; the analysis runs on the walk's int states, and only
+    # the states written into the witness are decoded
+    succ, decode = walk.successors, walk.decode
+    cyclic = {v: comp for comp in sccs(walk.order, succ)
+              if len(comp) > 1 or comp[0] in succ(comp[0]) for v in comp}
+    # each state on or after a cycle -> the state the search reached it
+    # from, None on a cycle; seeded in the walk's breadth-first order
+    queue = [v for v in walk.order if v in cyclic]
+    origin: dict[int, int | None] = dict.fromkeys(queue)
+    for v in queue:
+        for w in succ(v):
+            if w not in origin:
+                origin[w] = v
+                queue.append(w)
+
+    v = target = min((d for d in walk.diffs if d in origin), key=decode, default=None)
+    if target is None:
+        return ConvClass(
+            Convertibility.INDUCTIVE,
+            {"differences": [_state_json(d) for d in sorted(map(decode, walk.diffs))]},
+            f"{len(walk.diffs)} differing node class pair(s), none recurring",
+        )
+
+    hop_path = []
+    while origin[v] is not None:
+        hop_path.append(_state_json(decode(v)))
+        v = origin[v]
+    witness = {
+        "difference": _state_json(decode(target)),
+        "cycle": [_state_json(x) for x in sorted(map(decode, cyclic[v]))],
+        "path_from_cycle": hop_path[::-1],
+        "path_from_root": walk.path_to(v),
+    }
+    return ConvClass(Convertibility.COINDUCTIVE_ONLY, witness,
+                     "a choice difference recurs along an unrolled cycle")
 
 
 def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import random
+import sys
 
 from cogames import (
     Affine,
@@ -26,6 +28,33 @@ from cogames.system import sccs
 
 AGENTS = ("Ann", "Ben", "Cyd")
 CHOICES = (Choice.L, Choice.R)
+
+# A leaf that gives no payoff to one agent of the roster: the token parser
+# reports it at the leaf's closing bracket, 2:18.
+INCOMPLETE_LEAF = "strategy agents A B\nc0(n) = leaf[A: 1]\nroot c0\n"
+
+# Strategies that hold a 5 000-digit integer, past CPython's default
+# int/str conversion limit of 4 300 digits: a payoff; a shift on a named
+# ref; and the same shift in a node whose other child is an inline leaf,
+# which only the token parser reads.  Every check holds on each.
+PAST_THE_DIGIT_LIMIT = [
+    f"strategy agents A\nc0(n) = leaf[A: {'1' * 5000}]\nroot c0\n",
+    f"strategy agents A\nc0(n) = <A, l, c1(n+{'9' * 5000}), c1(n)>\nc1(n) = leaf[A: 0]\nroot c0\n",
+    f"strategy agents A\nc0(n) = <A, l, c1(n+{'9' * 5000}), leaf[A: 0]>\nc1(n) = leaf[A: 0]\n"
+    "root c0\n",
+]
+
+
+@contextlib.contextmanager
+def default_int_digits():
+    """Hold CPython's default int/str conversion limit for the block and
+    restore the caller's limit after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def random_affine(rng: random.Random, parametric: bool = True) -> Affine:

@@ -25,7 +25,7 @@ from cogames import (
 )
 from cogames import dsl, families, oracle
 from cogames.cli import main
-from cogames.equilibria import Convertibility, convertible
+from cogames.system import Convertibility, convertible
 import random
 
 import helpers

@@ -14,6 +14,8 @@ import pytest
 from cogames.cli import CHECKS, InputError, build_parser, main, unbounded_int_digits
 from cogames.semantics import leads_to_leaf
 
+import helpers
+
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "cogames" / "schemas" / "report-v1.json")
@@ -475,11 +477,13 @@ class TestLongIntegers:
     digits) pass through ``main``, which lifts the limit while it runs."""
 
     def test_long_payoff(self, capsys, tmp_path):
+        # a long payoff, then a long shift in a file each reader reads
         path = tmp_path / "long.cog"
-        path.write_text(f"strategy agents A\nc0(n) = leaf[A: {'1' * 5000}]\nroot c0\n")
-        assert run(capsys, "check", str(path), "--ltl", "--nash")[0] == 0
-        code, out = run(capsys, "--json", "check", str(path), "--ltl", "--nash")
-        assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+        for source in helpers.PAST_THE_DIGIT_LIMIT:
+            path.write_text(source)
+            assert run(capsys, "check", str(path), "--ltl", "--nash")[0] == 0
+            code, out = run(capsys, "--json", "check", str(path), "--ltl", "--nash")
+            assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
 
     def test_long_utility_in_the_report(self, capsys, tmp_path):
         nines = "9" * 3000
@@ -549,10 +553,44 @@ class TestErrorsAndStability:
             assert capsys.readouterr().err == f"error: {bad}: 1:19: unexpected character '$'\n"
 
     def test_invalid_system_rejected(self, capsys, tmp_path):
-        # parseable but not validating: leaf misses an agent
+        # well formed, but a leaf misses an agent: the parser names it at the
+        # leaf's closing bracket
         bad = tmp_path / "partial.cog"
-        bad.write_text("game agents A B\ng(n) = leaf[A: 0]\nroot g\n")
-        assert main(["check", str(bad), "--ltl"]) == 2
+        for text, where in (("game agents A B\ng(n) = leaf[A: 0]\nroot g\n", "2:17"),
+                            (helpers.INCOMPLETE_LEAF, "2:18")):
+            bad.write_text(text)
+            assert main(["check", str(bad), "--ltl"]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: {where}: leaf gives no payoff to 'B'\n"
+
+    # (arguments, with shipped file stems for paths; exit code)
+    SHIPPED_RUNS = [
+        *[(["check", stem, "--ltl", "--altl", "--nash", "--sgpe"], code)
+          for stem, code in (("dollar_auction_agu", 0), ("centipede_agu", 0),
+                             ("dollar_auction_ngu", 1), ("centipede_ngu", 1), ("paper_s0", 0))],
+        (["eval", "dollar_auction_agu", "--agent", "Alice"], 0),
+        (["eval", "dollar_auction_ngu", "--agent", "Alice"], 1),
+        (["eval", "dollar_auction", "--agent", "Alice"], 2),
+        (["bisim", "paper_s0", "paper_s0"], 0),
+        (["bisim", "dollar_auction", "centipede"], 1),
+        (["convert", "dollar_auction_agu", "dollar_auction_agu", "--agent", "Alice"], 0),
+        (["convert", "dollar_auction_agu", "centipede_agu", "--agent", "Alice"], 1),
+        (["history", "paper_s0"], 0),
+        (["history", "dollar_auction", "--check", "r"], 0),
+        (["history", "dollar_auction"], 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", SHIPPED_RUNS, ids=[" ".join(argv) for argv, _ in SHIPPED_RUNS])
+    def test_no_command_validates_what_the_readers_return(self, capsys, monkeypatch, argv, code):
+        from cogames import cli, system
+
+        def refuse(sys_):
+            raise AssertionError("the readers' systems are valid already")
+
+        monkeypatch.setattr(system, "validate", refuse)
+        monkeypatch.setattr(cli, "validate", refuse, raising=False)
+        paths = [str(GAMES / f"{arg}.cog") if (GAMES / f"{arg}.cog").exists() else arg
+                 for arg in argv]
+        assert main(paths) == code
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,7 @@ class TestFlatReader:
         ("game agents A g(n) = <B, g(n), g(n)> root g", "unknown owner"),
         ("game agents A g(n) = leaf[B: 0] root g", "unknown leaf agent"),
         ("game agents A B g(n) = leaf[A: 0, A: 1] root g", "duplicate leaf agent"),
+        ("game agents A B g(n) = leaf[A: 0] root g", "leaf misses an agent"),
         ("game agents A g(n) = <A, l, g(n), g(n)> root g", "choice in a game"),
         ("strategy agents A g(n) = <A, g(n), g(n)> root g", "no choice in a strategy"),
         ("game agents A g(n) = leaf[A: --5] root g", "double minus"),
@@ -322,6 +324,10 @@ ERROR_TABLE = [
      UnknownEquationError, "3:6: unknown equation 'h'", 3, 6, ()),
     ("game agents A g(n) = leaf[A: 0] root g )",
      ParseError, "1:40: trailing input ')' (expected end of file)", 1, 40, ("end of file",)),
+    # every leaf covers the roster; the error sits at the closing bracket
+    (helpers.INCOMPLETE_LEAF, ParseError, "2:18: leaf gives no payoff to 'B'", 2, 18, ()),
+    ("game agents B A\ng(n) = <A, leaf[A: 0], g(n)>\nroot g",
+     ParseError, "2:21: leaf gives no payoff to 'B'", 2, 21, ()),
 ]
 
 
@@ -362,6 +368,16 @@ class TestHostileInputs:
         code, report = run_json(capsys, "check", str(path), "--ltl")
         assert code == 0
         assert [c["outcome"] for c in report["checks"]] == ["holds"]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+    @pytest.mark.parametrize("source, col", zip(helpers.PAST_THE_DIGIT_LIMIT, (17, 21, 21)))
+    def test_integers_past_the_callers_digit_limit_are_positioned_errors(self, source, col):
+        limit = sys.int_info.default_max_str_digits
+        with helpers.default_int_digits(), pytest.raises(ParseError) as err:
+            parse(source)
+        assert (err.value.line, err.value.col) == (2, col)
+        assert str(err.value) == (f"2:{col}: integer past the int/str limit of {limit} digits "
+                                  "(sys.set_int_max_str_digits)")
 
     def test_integers_past_the_default_digit_limit_round_trip(self):
         big = 10 ** 5000 - 1  # 5 000 nines, past CPython's default 4 300 digits

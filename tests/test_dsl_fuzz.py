@@ -1,20 +1,22 @@
-"""Property tests on mutated sources: every one parses or raises a
-positioned ParseError, and the flat reader either gives it up or reads the
-system the token parser reads.
+"""Property tests on mutated sources: every one parses to a valid system or
+raises a positioned ParseError, and the flat reader either gives it up or
+reads the system the token parser reads.
 
 Sources are the shipped games and rendered seeded systems, mutated by
 inserting, deleting or truncating characters drawn from the grammar's
 alphabet plus a few non-ASCII letters and digits, and digit runs longer
 than CPython's default int/str conversion limit (4 300 digits).  The tests
-here lift that limit, as ``cogames.cli.main`` does.  Any exception other
-than ``ParseError`` fails the test.
+here lift that limit, as ``cogames.cli.main`` does, and the parse property
+runs a second time under the default limit.  Any exception other than
+``ParseError`` fails the test.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from cogames import CoSystem
+from cogames import CoSystem, validate
 from cogames import dsl
 from cogames.cli import unbounded_int_digits
 from cogames.dsl import ParseError, parse, render
@@ -65,9 +67,9 @@ def mutated_sources(draw) -> str:
     return text
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(mutated_sources())
-def test_parse_returns_a_system_or_a_positioned_error(text):
+def check_parse(text: str) -> None:
+    """``parse`` returns a valid system that round-trips, or raises a
+    ParseError positioned inside the text."""
     try:
         sys_ = parse(text)
     except ParseError as err:
@@ -77,7 +79,26 @@ def test_parse_returns_a_system_or_a_positioned_error(text):
         assert str(err).startswith(f"{err.line}:{err.col}: ")
     else:
         assert isinstance(sys_, CoSystem)
+        assert validate(sys_).holds
         assert render(parse(render(sys_))) == render(sys_)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(mutated_sources())
+@example(helpers.INCOMPLETE_LEAF)
+def test_parse_returns_a_system_or_a_positioned_error(text):
+    check_parse(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(mutated_sources())
+@example(helpers.PAST_THE_DIGIT_LIMIT[0])
+@example(helpers.PAST_THE_DIGIT_LIMIT[1])
+@example(helpers.PAST_THE_DIGIT_LIMIT[2])
+def test_parse_raises_only_parse_errors_under_the_default_digit_limit(text):
+    with helpers.default_int_digits():
+        check_parse(text)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -85,6 +106,7 @@ def test_parse_returns_a_system_or_a_positioned_error(text):
 @example("strategy agents Annc0(n) = <Ann, l, c0(n), c0(n)>\nroot c0\n")
 @example("game agents Ann\nc0(n) = leaf[Ann: n-0]\nroot c0\n")
 @example("game agents Ann\nc0(n) = leaf[Ann: n+-0]\nroot c0\n")
+@example(helpers.INCOMPLETE_LEAF)
 def test_flat_reader_gives_up_or_agrees_with_the_token_parser(text):
     flat = dsl._parse_flat(text)
     try:

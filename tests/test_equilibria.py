@@ -27,8 +27,7 @@ from cogames import (
     strategy_to_game,
     unfold,
 )
-from cogames.equilibria import Convertibility
-from cogames.system import ProductWalk, condensation, sccs
+from cogames.system import Convertibility, ProductWalk, condensation, sccs
 from cogames import equilibria
 from cogames import dsl, oracle
 from cogames.cli import main

@@ -33,8 +33,7 @@ from cogames import (
     with_root,
 )
 from cogames import convertible, dsl, system
-from cogames.equilibria import Convertibility
-from cogames.system import ProductWalk, reachable, sccs
+from cogames.system import Convertibility, ProductWalk, reachable, sccs
 from cogames.families import (
     dollar_auction_game,
     dollar_auction_strategy,
