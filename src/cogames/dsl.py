@@ -52,10 +52,13 @@ round-trips are exact.
 Two readers share this grammar.  A flat reader takes the plain spelling
 that most files use (ASCII text, named refs only, one anchored regex
 match per equation) and gives up, without raising, on anything else.
-The token parser reads what the flat reader gives up on; it alone
-defines the grammar, and it raises every error, with its message,
-``line:col`` and expected tokens.  So the flat reader also gives up on
-an invalid system and on an integer past the caller's limit.
+It writes the system's columns (``system.CoSystem``) straight from the
+match groups and builds no class object.  The token parser reads what
+the flat reader gives up on, into class objects that ``CoSystem`` turns
+into the same columns; it alone defines the grammar, and it raises
+every error, with its message, ``line:col`` and expected tokens.  So
+the flat reader also gives up on an invalid system and on an integer
+past the caller's limit.
 """
 
 from __future__ import annotations
@@ -433,15 +436,19 @@ _FLAT_ROOT = re.compile(rf"\s*root\s+({_IDENT})\s*\Z", re.ASCII)
 def _parse_flat(text: str) -> CoSystem | None:
     """The system of a valid file in the flat spelling, or None for any
     other text.  Where it returns a system, the token parser returns an
-    equal one.  Past the caller's int/str limit ``int`` raises
-    ``ValueError``, and ``parse`` gives the text to the token parser."""
+    equal one.  It fills the system's columns from the regex groups and
+    builds no class object.  Past the caller's int/str limit ``int``
+    raises ``ValueError``, and ``parse`` gives the text to the token
+    parser."""
     head = _FLAT_HEAD.match(text)
     if head is None:
         return None
-    kind, roster = head[1], head[2].split()
-    agents = set(roster)
-    if len(agents) < len(roster) or not agents.isdisjoint(RESERVED):
+    kind, names = head[1], head[2].split()
+    roster = tuple(sorted(set(names)))
+    if len(roster) < len(names) or not RESERVED.isdisjoint(roster):
         return None
+    # each agent's slope slot in a leaf's payoff entry; the intercept follows
+    slot = {agent: 2 * i for i, agent in enumerate(roster)}
     # the matches, not their groups: a tuple per equation, all held at
     # once, would stay on the tuple free list after the parse
     equations = []
@@ -455,32 +462,32 @@ def _parse_flat(text: str) -> CoSystem | None:
             or not ids.keys().isdisjoint(RESERVED)):
         return None
     strategy = kind == STRATEGY
-    classes: list[NodeClass] = []
+    width = 2 * len(roster)
+    rows = []  # one row of column entries per class, in ``CoSystem``'s field order
     for m in equations:
         _, owner, choice, left, left_shift, right, right_shift, body = m.groups()
         if body is None:
-            if (owner not in agents or (choice is None) == strategy
+            if (owner not in slot or (choice is None) == strategy
                     or left not in ids or right not in ids):
                 return None
-            classes.append(Node(owner, choice and _CHOICES[choice],
-                                Ref(ids[left], int(left_shift or 0)),
-                                Ref(ids[right], int(right_shift or 0))))
+            rows.append((owner, choice and _CHOICES[choice],
+                         ids[left], int(left_shift) if left_shift else 0,
+                         ids[right], int(right_shift) if right_shift else 0, None))
             continue
-        payoffs: dict[str, Affine] = {}
+        payoff: list[int | None] = [None] * width
         for agent, minus, const, slope, tail_sign, tail in _FLAT_PAYOFF.findall(body):
-            if agent not in agents or agent in payoffs:
+            i = slot.get(agent)
+            if i is None or payoff[i] is not None:
                 return None
-            sign = -1 if minus else 1
             if const:
-                payoffs[agent] = Affine(0, sign * int(const))
+                payoff[i], payoff[i + 1] = 0, -int(const) if minus else int(const)
             else:
-                intercept = int(tail or 0)
-                payoffs[agent] = Affine(sign * int(slope or 1),
-                                        -intercept if tail_sign == "-" else intercept)
-        if len(payoffs) < len(agents):
+                k, b = int(slope) if slope else 1, int(tail) if tail else 0
+                payoff[i], payoff[i + 1] = -k if minus else k, -b if tail_sign == "-" else b
+        if None in payoff:
             return None
-        classes.append(Leaf(payoffs))
-    return CoSystem(kind, tuple(roster), tuple(classes), Ref(ids[root[1]], 0))
+        rows.append((None, None, 0, 0, 0, 0, tuple(payoff)))
+    return CoSystem._from_columns(kind, roster, Ref(ids[root[1]], 0), *zip(*rows))
 
 
 def parse(text: str) -> CoSystem:

@@ -28,7 +28,8 @@ Each class offers its least and greatest index along its edges out, and
 so does each SCC once settled.  The tree is the edge table's ``edges``
 column; an agent's deviation graph picks, per class, that entry or the
 ``chosen`` one, so a projection allocates one list and no edge.  Both
-checks read the system through its edge table, never its classes.  A
+checks read the system through its edge table and its columns (owner,
+choice, children, payoffs), never its classes.  A
 projection's SCCs refine the tree's: an acyclic tree SCC is one class,
 which just makes its offers, and inside a cyclic one ``sccs`` runs over
 the projection's edges there.  Each cyclic SCC of the projection finds
@@ -57,12 +58,12 @@ from .system import (
     Choice,
     CoSystem,
     Edge,
-    EdgeTable,
     KindMismatchError,
     Ref,
     STRATEGY,
     condensation,
     edge_table,
+    leaves,
     reachable,
     sccs,
 )
@@ -104,7 +105,7 @@ def _projection(s: CoSystem, agent: str | None) -> list[tuple[Edge, ...]]:
     if s.kind != STRATEGY:
         raise KindMismatchError("a deviation graph needs a strategy")
     return [both if owner == agent else one
-            for both, one, owner in zip(table.edges, table.chosen, table.owner)]
+            for both, one, owner in zip(table.edges, table.chosen, s.owner)]
 
 
 @dataclass
@@ -319,14 +320,14 @@ def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSe
 # deviation witness construction
 
 
-def _step(table: EdgeTable, cls_id: int, index: int, choice: Choice, agent: str) -> dict[str, Any]:
-    owner = table.owner[cls_id]
+def _step(s: CoSystem, cls_id: int, index: int, choice: Choice, agent: str) -> dict[str, Any]:
+    owner = s.owner[cls_id]
     return {
         "class": cls_id,
         "owner": owner,
         "index": index,
         "choice": choice.value,
-        "overridden": owner == agent and choice is not table.chosen[cls_id][0][2],
+        "overridden": owner == agent and choice is not s.choice[cls_id],
     }
 
 
@@ -387,21 +388,20 @@ def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
     ``cycle`` (written with its first-round indices) and then ``tail``
     (written with its indices after those rounds), so the witness stays
     the size of the class graph however many rounds the gap needs."""
-    table = edge_table(s)
     cert: dict[str, Any] = {
         "agent": agent,
         "on_path_value": base,
         "deviation_value": value,
         "leaf_class": leaf_cls,
         "leaf_index": leaf_index,
-        "path": [_step(table, c, w, label, agent) for c, w, label in steps],
+        "path": [_step(s, c, w, label, agent) for c, w, label in steps],
     }
     written = cert["path"]
     if pumped is not None:
         cycle, repeat, tail = pumped
-        cert["cycle"] = [_step(table, c, w, label, agent) for c, w, label in cycle]
+        cert["cycle"] = [_step(s, c, w, label, agent) for c, w, label in cycle]
         cert["repeat"] = repeat
-        cert["tail"] = [_step(table, c, w, label, agent) for c, w, label in tail]
+        cert["tail"] = [_step(s, c, w, label, agent) for c, w, label in tail]
         written = written + cert["cycle"] + cert["tail"]
     # one step may be written in more than one part of a lasso
     overrides, seen = [], set()
@@ -439,7 +439,6 @@ def nash_eq(s: CoSystem) -> Verdict:
         return Verdict(True, {"leads_to_leaf": leads_to_leaf(s).certificate},
                        "vacuous: strategy does not lead to a leaf")
 
-    leaves = [c for c, es in enumerate(edge_table(s).edges) if not es]
     agents_report = []
     for agent in s.roster:
         # at a leaf, the utility columns hold its own payoff
@@ -449,7 +448,7 @@ def nash_eq(s: CoSystem) -> Verdict:
         pump, most = info.pump, info.most
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
-        for cls_id in leaves:
+        for cls_id in leaves(s):
             least = info.least[cls_id]
             if least is None:
                 continue
@@ -520,18 +519,16 @@ def sgpe(s: CoSystem) -> Verdict:
                        "not always leading to a leaf: " + altl.note)
 
     info = _analyze(s)
-    table = edge_table(s)
     columns = {agent: utility_columns(s, agent) for agent in s.roster}
     pump, most = info.pump, info.most
     rows = []
-    for cls_id, (least, es, owner, chosen) in enumerate(
-            zip(info.least, table.edges, table.owner, table.chosen)):
-        if least is None or not es:
+    for cls_id, (least, owner, choice, lc, lk, rc, rk) in enumerate(
+            zip(info.least, s.owner, s.choice, s.left, s.left_shift, s.right, s.right_shift)):
+        if least is None or owner is None:
             continue
         slope, intercept = columns[owner]
         # never cycling: every class here leads to a leaf, by the scan above
-        [(c, k, choice)] = chosen
-        o, j, _ = es[1] if choice is Choice.L else es[0]
+        c, k, o, j = (lc, lk, rc, rk) if choice is Choice.L else (rc, rk, lc, lk)
         chosen_slope, other_slope = slope[c], slope[o]
         chosen_value = chosen_slope * k + intercept[c]
         other_value = other_slope * j + intercept[o]

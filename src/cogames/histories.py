@@ -16,8 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .semantics import leads_to_leaf
-from .system import (Choice, CoSystem, STRATEGY, KindMismatchError, condensation, edge_table,
-                     is_parametric)
+from .system import Choice, CoSystem, STRATEGY, KindMismatchError, condensation, is_parametric
 
 
 @dataclass(frozen=True)
@@ -88,29 +87,28 @@ def is_history_of(g: CoSystem, h: LassoHistory) -> bool:
     """Whether following ``h``'s choices through the class graph stays
     defined at every step.
 
-    The walk steps through the edge table's ``kids`` and ignores strategy
-    choices, so games and strategies are both accepted.  A finite history
-    may end at a leaf or an interior node; a leaf met before the history
-    ends refutes membership.  Infinite histories are decided by detecting
-    a repeated (class, cycle-position) state, which the walk must reach
-    within |classes| * |cycle| steps.
+    The walk steps through the system's child columns and ignores
+    strategy choices, so games and strategies are both accepted.  A
+    finite history may end at a leaf or an interior node; a leaf met
+    before the history ends refutes membership.  Infinite histories are
+    decided by detecting a repeated (class, cycle-position) state, which
+    the walk must reach within |classes| * |cycle| steps.
     """
-    kids = edge_table(g).kids
+    owner, left, right = g.owner, g.left, g.right
     cur = g.root.cls
-    # a node's kids are (left, right), so ``c is Choice.R`` indexes them
     for c in h.prefix:
-        if not kids[cur]:
+        if owner[cur] is None:
             return False
-        cur = kids[cur][c is Choice.R]
+        cur = right[cur] if c is Choice.R else left[cur]
     if h.finite:
         return True
     seen: set[tuple[int, int]] = set()
     pos = 0
     while (cur, pos) not in seen:
         seen.add((cur, pos))
-        if not kids[cur]:
+        if owner[cur] is None:
             return False
-        cur = kids[cur][h.cycle[pos] is Choice.R]
+        cur = right[cur] if h.cycle[pos] is Choice.R else left[cur]
         pos = (pos + 1) % len(h.cycle)
     return True
 

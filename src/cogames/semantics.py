@@ -26,10 +26,11 @@ them instead of building an object per class: ``alw_leads_to_leaf``,
 (whether the root's walk ends, and each agent's on-path value) and
 ``sgpe`` (both branch utilities at every reachable node class).
 
-Nothing here reads the system's classes: the walks follow the
-``chosen`` column of its edge table (``system.edge_table``),
-certificates name owners from its ``owner`` column, and the utility
-columns read leaf payoffs from its ``payoffs`` column.
+Nothing here reads the system's classes or its edge table: the
+walks follow the system's own ``choice`` column to the ``left`` or
+``right`` child, certificates name owners from its ``owner`` column, and
+the utility columns read leaf payoffs from its ``payoff`` column (see
+``system.CoSystem``).
 
 Only ``leads_to_leaf`` walks, since its certificate is the path itself.
 Its verdict is memoized too, one per start reference, so the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import Affine, CoSystem, KindMismatchError, Ref, STRATEGY, edge_table, memoized, reachable
+from .system import Affine, Choice, CoSystem, KindMismatchError, Ref, STRATEGY, memoized, reachable
 from .verdict import Verdict
 
 
@@ -67,15 +68,14 @@ def _chosen_walk(s: CoSystem, start: Ref) -> Verdict:
 
 def _walk(s: CoSystem, start: Ref) -> Verdict:
     """The chosen walk from ``start`` and its ``leads_to_leaf`` verdict,
-    along the edge table's ``chosen`` column."""
-    table = edge_table(s)
-    chosen, owner = table.chosen, table.owner
+    along the system's choice and child columns."""
+    owner, choice = s.owner, s.choice
     cur, shift = start.cls, start.shift
     first_visit: dict[int, int] = {}
     visited, shifts = [cur], [shift]
     choices: list[str] = []
     while True:
-        if not chosen[cur]:
+        if owner[cur] is None:
             return Verdict(
                 True,
                 {
@@ -98,7 +98,11 @@ def _walk(s: CoSystem, start: Ref) -> Verdict:
                 "chosen path revisits a class and can never terminate",
             )
         first_visit[cur] = len(visited) - 1
-        [(cur, k, label)] = chosen[cur]
+        label = choice[cur]
+        if label is Choice.L:
+            cur, k = s.left[cur], s.left_shift[cur]
+        else:
+            cur, k = s.right[cur], s.right_shift[cur]
         shift += k
         visited.append(cur)
         shifts.append(shift)
@@ -119,18 +123,22 @@ class PlayTable(NamedTuple):
 @memoized
 def play_table(s: CoSystem) -> PlayTable:
     """The system's :class:`PlayTable`.  Each class is walked once along
-    the edge table's chosen column: a walk stops at a leaf, at a class
+    its chosen children: a walk stops at a leaf, at a class
     already labelled, or at a class on the walk itself (a cycle), and
     the classes it passed are labelled on the way back.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("play_table expects a strategy")
-    chosen = edge_table(s).chosen
-    n = len(chosen)
+    L = Choice.L
+    # the chosen child of every class and the shift of its edge (either
+    # child's at a leaf, never read)
+    nxt = [lc if c is L else rc for c, lc, rc in zip(s.choice, s.left, s.right)]
+    step = [lk if c is L else rk for c, lk, rk in zip(s.choice, s.left_shift, s.right_shift)]
+    n = len(nxt)
     leaf, shift, steps = [-1] * n, [0] * n, [0] * n
     seen = [False] * n
-    for c, es in enumerate(chosen):
-        if not es:
+    for c, owner in enumerate(s.owner):
+        if owner is None:
             leaf[c], seen[c] = c, True
     for start in range(n):
         walk: list[int] = []
@@ -138,13 +146,13 @@ def play_table(s: CoSystem) -> PlayTable:
         while not seen[cur]:
             seen[cur] = True
             walk.append(cur)
-            cur = chosen[cur][0][0]
+            cur = nxt[cur]
         end = leaf[cur]  # -1 also while ``cur`` is on this walk: a cycle
         if end < 0:
             continue
         k, m = shift[cur], steps[cur]
         for c in reversed(walk):
-            k += chosen[c][0][1]
+            k += step[c]
             m += 1
             leaf[c], shift[c], steps[c] = end, k, m
     return PlayTable(leaf, shift, steps)
@@ -160,13 +168,12 @@ def utility_columns(s: CoSystem, agent: str) -> tuple[list[int], list[int]]:
     if agent not in s.roster:
         raise ValueError(f"agent {agent!r} not in roster {s.roster}")
     leaf, shift, _ = play_table(s)
-    payoffs = edge_table(s).payoffs
+    payoff, i = s.payoff, 2 * s.roster.index(agent)
     # per end leaf, and (0, 0) for -1
     slopes, intercepts = {-1: 0}, {-1: 0}
     for e in set(leaf):
         if e >= 0:
-            f = payoffs[e][agent]
-            slopes[e], intercepts[e] = f.slope, f.intercept
+            slopes[e], intercepts[e] = payoff[e][i], payoff[e][i + 1]
     return ([slopes[e] for e in leaf],
             [slopes[e] * k + intercepts[e] for e, k in zip(leaf, shift)])
 
@@ -188,7 +195,7 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     if bad is not None:
         return Verdict(
             False,
-            {"class": bad, "owner": edge_table(s).owner[bad],
+            {"class": bad, "owner": s.owner[bad],
              "cycle": leads_to_leaf(s, Ref(bad, 0)).certificate},
             f"class {bad} does not lead to a leaf",
         )

@@ -9,6 +9,13 @@ from its root reference yields the denoted tree; a class graph with cycles
 denotes an infinite tree, and offsets let payoffs grow along a backbone
 (the dollar-auction and centipede shapes).
 
+A system is stored as per-class columns of strings and ints (see
+:class:`CoSystem`), which every engine reads.  The class objects
+(:class:`Node`, :class:`Leaf`, :class:`Ref`, :class:`Affine`) are how a
+system is built by hand, and ``CoSystem.classes`` rebuilds them from the
+columns, on first read, for the printer, the oracle, the families and
+the tests.
+
 Two questions compare two systems: bisimilarity, and convertibility, the
 relation that the Nash quantifier in ``equilibria`` ranges over.  One
 product walk (:class:`ProductWalk`) decides both exactly, with no bound
@@ -27,10 +34,10 @@ docstring states the policy there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import wraps
-from itertools import chain, product
+from itertools import chain, product, repeat
 from sys import maxsize
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Union
 
@@ -124,7 +131,7 @@ class Node:
 NodeClass = Union[Leaf, Node]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoSystem:
     """A finite equation system denoting a (possibly infinite) tree.
 
@@ -132,24 +139,96 @@ class CoSystem:
     every node).  The roster is normalized to a sorted tuple, since it is
     a set.  The root is conventionally ``Ref(cls, 0)``.
 
+    The classes are stored as columns, tuples indexed by class id:
+    ``owner`` (None at a leaf, which is how a leaf is told from a node),
+    ``choice`` (the committed :class:`Choice` at a strategy's node, None
+    at a game's node and at a leaf), the children ``left`` and ``right``
+    with their shifts ``left_shift`` and ``right_shift`` (0 at a leaf),
+    and ``payoff``: at a leaf, the slope and the intercept of each roster
+    agent's payoff in roster order, ``(s0, b0, s1, b1, ...)``, and None
+    at a node.  Equality and ``repr`` are over the kind, the roster, the
+    root and the columns.
+
+    ``CoSystem(kind, roster, classes, root)`` is the one constructor
+    from class objects, valid or not: a leaf's entry holds None for the
+    slope and the intercept of a roster agent it pays nothing, and its
+    payoffs to agents outside the roster follow the roster's as
+    ``(agent, slope, intercept)`` triples in name order, so the columns
+    keep the classes exactly and :func:`validate` sees every violation.
+    ``dsl``'s flat reader fills the columns straight from the text
+    (:meth:`_from_columns`).  ``classes`` is a view: the class objects,
+    rebuilt from the columns on first read and kept in the memo.
+
     ``_memo`` holds the tables that :func:`memoized` builders derive
     from the fields, so every check on one system reads one copy; it
-    takes no part in equality or ``repr``.  The edge table is the only
-    form of the system that the checks in ``semantics``, ``equilibria``
-    and ``histories`` read; ``classes`` is read to build it, and by the
-    product walk (``_sensitive``, ``_flatten``), ``unfold``, the printer
-    in ``dsl`` and ``families``' truncation.
+    takes no part in equality or ``repr``.
     """
 
     kind: str
     roster: tuple[str, ...]
-    classes: tuple[NodeClass, ...]
-    root: Ref = Ref(0, 0)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    root: Ref
+    owner: tuple[str | None, ...]
+    choice: tuple[Choice | None, ...]
+    left: tuple[int, ...]
+    left_shift: tuple[int, ...]
+    right: tuple[int, ...]
+    right_shift: tuple[int, ...]
+    payoff: tuple[tuple | None, ...]
+    _memo: dict = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roster", tuple(sorted(set(self.roster))))
-        object.__setattr__(self, "classes", tuple(self.classes))
+    def __init__(self, kind: str, roster: Iterable[str], classes: Iterable[NodeClass],
+                 root: Ref = Ref(0, 0)) -> None:
+        roster = tuple(sorted(set(roster)))
+        rows = [(None, None, 0, 0, 0, 0, _payoff_entry(cls.payoffs, roster)) if isinstance(cls, Leaf)
+                else (cls.owner, cls.choice, cls.left.cls, cls.left.shift, cls.right.cls,
+                      cls.right.shift, None)
+                for cls in classes]
+        self._fill(kind, roster, root, *(zip(*rows) if rows else [()] * 7))
+
+    @classmethod
+    def _from_columns(cls, kind: str, roster: tuple[str, ...], root: Ref,
+                      *columns: tuple) -> CoSystem:
+        """A system with the given columns, in the field order, and a
+        roster that is already sorted and free of repeats."""
+        sys = object.__new__(cls)
+        sys._fill(kind, roster, root, *columns)
+        return sys
+
+    def _fill(self, kind, roster, root, owner, choice, left, left_shift, right, right_shift,
+              payoff) -> None:
+        self.__dict__.update(kind=kind, roster=roster, root=root, owner=owner, choice=choice,
+                             left=left, left_shift=left_shift, right=right,
+                             right_shift=right_shift, payoff=payoff, _memo={})
+
+    def _columns(self) -> tuple[tuple, ...]:
+        return (self.owner, self.choice, self.left, self.left_shift, self.right,
+                self.right_shift, self.payoff)
+
+    @property
+    def classes(self) -> tuple[NodeClass, ...]:
+        """The class objects, rebuilt from the columns on first read."""
+        return _class_view(self)
+
+
+def _payoff_entry(payoffs: Mapping[str, Affine], roster: tuple[str, ...]) -> tuple:
+    """A leaf's ``payoff`` column entry; see :class:`CoSystem`."""
+    entry: list = []
+    for agent in roster:
+        f = payoffs.get(agent)
+        entry += (None, None) if f is None else (f.slope, f.intercept)
+    for agent in sorted(set(payoffs).difference(roster)):
+        entry += (agent, payoffs[agent].slope, payoffs[agent].intercept)
+    return tuple(entry)
+
+
+def _payoff_map(entry: tuple, roster: tuple[str, ...], shift: int = 0) -> dict[str, Affine]:
+    """The payoff mapping of a leaf's column entry, observed ``shift``
+    levels deeper."""
+    out = {agent: Affine(entry[2 * i], entry[2 * i] * shift + entry[2 * i + 1])
+           for i, agent in enumerate(roster) if entry[2 * i] is not None}
+    for i in range(2 * len(roster), len(entry), 3):
+        out[entry[i]] = Affine(entry[i + 1], entry[i + 1] * shift + entry[i + 2])
+    return out
 
 
 def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
@@ -161,8 +240,8 @@ def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
     every later reader, which must not mutate it.  Two readers racing on
     a cold key build it twice at worst, and either copy serves.  A
     builder that raises stores nothing, so a kind or argument check
-    inside it raises on every call.  ``with_root`` (like
-    ``dataclasses.replace``) starts the new system with an empty memo."""
+    inside it raises on every call.  ``with_root`` starts the new system
+    with an empty memo."""
     @wraps(build)
     def table(sys: CoSystem, *args: Hashable) -> Any:
         key = (build, *args) if args else build
@@ -170,6 +249,14 @@ def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
             sys._memo[key] = build(sys, *args)
         return sys._memo[key]
     return table
+
+
+@memoized
+def _class_view(sys: CoSystem) -> tuple[NodeClass, ...]:
+    """The system's classes as :class:`Node` and :class:`Leaf` objects."""
+    roster = sys.roster
+    return tuple(Leaf(_payoff_map(p, roster)) if o is None else Node(o, c, Ref(l, lk), Ref(r, rk))
+                 for o, c, l, lk, r, rk, p in zip(*sys._columns()))
 
 
 def validate(sys: CoSystem) -> Verdict:
@@ -189,22 +276,25 @@ def validate(sys: CoSystem) -> Verdict:
         cert.update(extra)
         return Verdict(False, cert, why)
 
-    n = len(sys.classes)
+    n = len(sys.owner)
     roster = set(sys.roster)
-    for i, cls in enumerate(sys.classes):
-        if isinstance(cls, Leaf):
-            if set(cls.payoffs) != roster:
+    width = 2 * len(roster)
+    for i, (owner, choice, left, left_shift, right, right_shift, payoff) in enumerate(
+            zip(*sys._columns())):
+        if owner is None:
+            if len(payoff) != width or None in payoff:
                 return bad("PayoffDomain", i, "leaf payoffs must cover exactly the roster")
-        else:
-            if cls.owner not in roster:
-                return bad("UnknownOwner", i, f"owner {cls.owner!r} not in roster")
-            if sys.kind == STRATEGY and cls.choice is None:
-                return bad("MissingChoice", i, "strategy node lacks a choice")
-            if sys.kind == GAME and cls.choice is not None:
-                return bad("ExtraChoice", i, "game node carries a choice")
-            for ref in (cls.left, cls.right):
-                if not (0 <= ref.cls < n) or ref.shift < 0:
-                    return bad("InvalidRef", i, "child reference out of range", ref=ref.to_json())
+            continue
+        if owner not in roster:
+            return bad("UnknownOwner", i, f"owner {owner!r} not in roster")
+        if sys.kind == STRATEGY and choice is None:
+            return bad("MissingChoice", i, "strategy node lacks a choice")
+        if sys.kind == GAME and choice is not None:
+            return bad("ExtraChoice", i, "game node carries a choice")
+        for child, shift in ((left, left_shift), (right, right_shift)):
+            if not (0 <= child < n) or shift < 0:
+                return bad("InvalidRef", i, "child reference out of range",
+                           ref=Ref(child, shift).to_json())
     if not (0 <= sys.root.cls < n) or sys.root.shift < 0:
         return bad("InvalidRef", "root", "root reference out of range", ref=sys.root.to_json())
     return Verdict(True, {"classes": n, "roster": list(sys.roster)})
@@ -220,30 +310,28 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
     """
     if at is None:
         at = sys.root
-    cls = sys.classes[at.cls]
-    if isinstance(cls, Leaf):
-        return Leaf({a: f.shifted(at.shift) for a, f in cls.payoffs.items()})
-    return Node(
-        cls.owner,
-        cls.choice,
-        Ref(cls.left.cls, cls.left.shift + at.shift),
-        Ref(cls.right.cls, cls.right.shift + at.shift),
-    )
+    c, k = at.cls, at.shift
+    owner = sys.owner[c]
+    if owner is None:
+        return Leaf(_payoff_map(sys.payoff[c], sys.roster, k))
+    return Node(owner, sys.choice[c], Ref(sys.left[c], sys.left_shift[c] + k),
+                Ref(sys.right[c], sys.right_shift[c] + k))
 
 
 @memoized
 def reachable(sys: CoSystem) -> list[int]:
     """Class ids reachable from the root through both children, in BFS
-    order, read off the edge table's ``kids``."""
-    kids = edge_table(sys).kids
-    seen = [False] * len(kids)
+    order, read off the child columns."""
+    owner, left, right = sys.owner, sys.left, sys.right
+    seen = [False] * len(owner)
     order = [sys.root.cls]
     seen[sys.root.cls] = True
     for c in order:
-        for t in kids[c]:
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
+        if owner[c] is not None:
+            for t in (left[c], right[c]):
+                if not seen[t]:
+                    seen[t] = True
+                    order.append(t)
     return order
 
 
@@ -251,43 +339,43 @@ Edge = tuple[int, int, Choice]  # child class, shift, label
 
 
 class EdgeTable(NamedTuple):
-    """The class graph as flat per-class columns, indexed by class id: the
-    one form of a system that the checks in ``semantics``,
-    ``equilibria`` and ``histories`` read.
+    """The class graph's edges, in lists indexed by class id, for the
+    searches in ``equilibria`` and the condensation; the walks read the
+    system's own columns.
 
     At a node, ``kids`` holds the child class ids and ``edges`` the
-    ``(child, shift, label)`` triples, left before right; ``owner`` is
-    the owning agent, ``chosen`` holds the committed edge alone as a
-    one-element tuple (None in a game), and ``payoffs`` is None.  A leaf
-    has ``()`` in every tuple column, owner None, and its payoff mapping
-    in ``payoffs``.  A projection of the graph picks, class by class, the
-    full edges or the chosen one, and shares them with the table."""
+    ``(child, shift, label)`` triples, left before right, and ``chosen``
+    holds the committed edge alone as a one-element tuple (None in a
+    game).  A leaf has ``()`` in every column.  A projection of the graph
+    picks, class by class, the full edges or the chosen one, and shares
+    them with the table."""
 
     kids: list[tuple[int, ...]]
     edges: list[tuple[Edge, ...]]
-    owner: list[str | None]
     chosen: list[tuple[Edge, ...] | None]
-    payoffs: list[Mapping[str, Affine] | None]
 
 
 @memoized
 def edge_table(sys: CoSystem) -> EdgeTable:
-    """The system's :class:`EdgeTable`."""
-    # one row per class, then one column per field
-    rows = []
-    for cls in sys.classes:
-        if isinstance(cls, Leaf):
-            rows.append(((), (), None, (), cls.payoffs))
-            continue
-        lc, rc = cls.left.cls, cls.right.cls
-        left, right = (lc, cls.left.shift, Choice.L), (rc, cls.right.shift, Choice.R)
-        if cls.choice is None:
-            rows.append(((lc, rc), (left, right), cls.owner, None, None))
-        elif cls.choice is Choice.L:
-            rows.append(((lc, rc), (left, right), cls.owner, (left,), None))
-        else:
-            rows.append(((lc, rc), (left, right), cls.owner, (right,), None))
-    return EdgeTable(*map(list, zip(*rows)))
+    """The system's :class:`EdgeTable`, zipped from its child columns."""
+    lefts = list(zip(sys.left, sys.left_shift, repeat(Choice.L)))
+    rights = list(zip(sys.right, sys.right_shift, repeat(Choice.R)))
+    kids = list(zip(sys.left, sys.right))
+    edges = list(zip(lefts, rights))
+    if sys.kind == STRATEGY:
+        L = Choice.L
+        chosen = [(e,) if c is L else (f,) for c, e, f in zip(sys.choice, lefts, rights)]
+    else:
+        chosen = [None] * len(kids)
+    for c in leaves(sys):
+        kids[c] = edges[c] = chosen[c] = ()
+    return EdgeTable(kids, edges, chosen)
+
+
+@memoized
+def leaves(sys: CoSystem) -> list[int]:
+    """The ids of the system's leaf classes, in order."""
+    return [c for c, owner in enumerate(sys.owner) if owner is None]
 
 
 _DONE = maxsize  # the low link of a node whose component is emitted
@@ -381,14 +469,15 @@ def _sensitive(sys: CoSystem) -> list[bool]:
     nonzero payoff slope is reachable from it (the class itself
     included).  One reverse pass from the leaves with a nonzero slope
     over every class, reachable from the root or not."""
-    preds: list[list[int]] = [[] for _ in sys.classes]
-    sensitive = [False] * len(sys.classes)
-    for c, cls in enumerate(sys.classes):
-        if isinstance(cls, Leaf):
-            sensitive[c] = any(f.slope for f in cls.payoffs.values())
+    preds: list[list[int]] = [[] for _ in sys.owner]
+    sensitive = [False] * len(sys.owner)
+    for c, (owner, left, right, payoff) in enumerate(zip(sys.owner, sys.left, sys.right,
+                                                          sys.payoff)):
+        if owner is None:
+            sensitive[c] = any(payoff[::2])
         else:
-            preds[cls.left.cls].append(c)
-            preds[cls.right.cls].append(c)
+            preds[left].append(c)
+            preds[right].append(c)
     queue = [c for c in range(len(sensitive)) if sensitive[c]]
     for c in queue:
         for p in preds[c]:
@@ -408,8 +497,9 @@ def is_parametric(sys: CoSystem) -> bool:
 
 
 def with_root(sys: CoSystem, ref: Ref) -> CoSystem:
-    """The same system observed from ``ref`` instead of its root."""
-    return replace(sys, root=ref)
+    """The same system observed from ``ref`` instead of its root: the
+    same columns, and an empty memo."""
+    return CoSystem._from_columns(sys.kind, sys.roster, ref, *sys._columns())
 
 
 def _check_comparable(a: CoSystem, b: CoSystem) -> None:
@@ -422,23 +512,21 @@ def _check_comparable(a: CoSystem, b: CoSystem) -> None:
 def _flatten(sys: CoSystem, heads: dict[Hashable, int], scale: int, unit: int) -> tuple[list, ...]:
     """Per-class lists: head id, the left and the right child as
     ``class*scale + shift*unit``, and a mask of the children that
-    :func:`_sensitive` marks (1 left, 2 right).
+    :func:`_sensitive` marks (1 left, 2 right); the last three are not
+    read at a leaf.
 
     A head id is an int interned in ``heads`` from the one-step
     observation: negative for leaf payoffs, nonnegative for owner and
     choice.  Sharing ``heads`` between two systems makes equal ids mean
     equal observations."""
     sensitive = _sensitive(sys)
-    rows = []
-    for cls in sys.classes:
-        if isinstance(cls, Leaf):
-            rows.append((heads.setdefault(frozenset(cls.payoffs.items()), ~len(heads)), 0, 0, 0))
-        else:
-            rows.append((heads.setdefault((cls.owner, cls.choice), len(heads)),
-                         cls.left.cls * scale + cls.left.shift * unit,
-                         cls.right.cls * scale + cls.right.shift * unit,
-                         sensitive[cls.left.cls] | sensitive[cls.right.cls] << 1))
-    return tuple(map(list, zip(*rows)))
+    head = [heads.setdefault(payoff, ~len(heads)) if owner is None
+            else heads.setdefault((owner, choice), len(heads))
+            for owner, choice, payoff in zip(sys.owner, sys.choice, sys.payoff)]
+    return (head,
+            [c * scale + k * unit for c, k in zip(sys.left, sys.left_shift)],
+            [c * scale + k * unit for c, k in zip(sys.right, sys.right_shift)],
+            [sensitive[lc] | sensitive[rc] << 1 for lc, rc in zip(sys.left, sys.right)])
 
 
 class ProductWalk:
@@ -507,8 +595,8 @@ class ProductWalk:
 
     def __init__(self, a: CoSystem, b: CoSystem, agent: str | None = None) -> None:
         self.a, self.b, self.agent = a, b, agent
-        self.width = len(b.classes)
-        self.size = len(a.classes) * self.width
+        self.width = len(b.owner)
+        self.size = len(a.owner) * self.width
         heads: dict[Hashable, int] = {}
         self.flat_a = _flatten(a, heads, self.width, -self.size)
         self.flat_b = _flatten(b, heads, 1, self.size)
@@ -634,23 +722,23 @@ class ProductWalk:
         """The slow path: why classes ``i`` and ``j`` differ under
         ``delta``, or None if they agree (recording an agent-owned choice
         difference in ``diffs``)."""
-        ka, kb = self.a.classes[i], self.b.classes[j]
-        if isinstance(ka, Leaf) != isinstance(kb, Leaf):
+        a, b = self.a, self.b
+        if (a.owner[i] is None) != (b.owner[j] is None):
             return "head kind differs"
-        if isinstance(ka, Leaf):
-            assert isinstance(kb, Leaf)
-            for ag in self.a.roster:
-                fa, fb = ka.payoffs[ag], kb.payoffs[ag]
-                if fa.slope != fb.slope or fa.intercept != fb.intercept + fa.slope * delta:
+        if a.owner[i] is None:
+            pa, pb = a.payoff[i], b.payoff[j]
+            for k, ag in enumerate(a.roster):
+                slope = pa[2 * k]
+                if slope != pb[2 * k] or pa[2 * k + 1] != pb[2 * k + 1] + slope * delta:
                     return "leaf payoffs differ" if self.agent is None else f"leaf payoffs differ for {ag}"
             return None
-        assert isinstance(kb, Node)
-        if ka.owner != kb.owner:
+        owner = a.owner[i]
+        if owner != b.owner[j]:
             return "owner differs"
         if self.agent is None:
             return "choice differs"
-        if ka.owner != self.agent:
-            return f"choice differs at a node owned by {ka.owner}, not the deviator"
+        if owner != self.agent:
+            return f"choice differs at a node owned by {owner}, not the deviator"
         self.diffs.append(state)
         return None
 
@@ -700,7 +788,7 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     if walk.blocks is None:
         return Verdict(True, {"states": sorted(map(walk.decode, walk.order))},
                        "product walk closed at every index")
-    block, width = walk.blocks, len(a.classes)  # class j of b is element width + j
+    block, width = walk.blocks, len(a.owner)  # class j of b is element width + j
     partners: dict[int, list[int]] = {}
     for j in range(width, len(block)):
         partners.setdefault(block[j], []).append(j - width)
@@ -872,13 +960,8 @@ def strategy_to_game(s: CoSystem) -> CoSystem:
     """Erase all choices: the underlying game of a strategy."""
     if s.kind != STRATEGY:
         raise KindMismatchError("strategy_to_game expects a strategy")
-    classes: list[NodeClass] = []
-    for cls in s.classes:
-        if isinstance(cls, Node):
-            classes.append(Node(cls.owner, None, cls.left, cls.right))
-        else:
-            classes.append(cls)
-    return CoSystem(GAME, s.roster, tuple(classes), s.root)
+    owner, _, *rest = s._columns()
+    return CoSystem._from_columns(GAME, s.roster, s.root, owner, (None,) * len(owner), *rest)
 
 
 def annotate(game: CoSystem, choices: Mapping[int, Choice]) -> CoSystem:
@@ -886,10 +969,6 @@ def annotate(game: CoSystem, choices: Mapping[int, Choice]) -> CoSystem:
     class of a game.  ``choices`` must cover every node class id."""
     if game.kind != GAME:
         raise KindMismatchError("annotate expects a game")
-    classes: list[NodeClass] = []
-    for i, cls in enumerate(game.classes):
-        if isinstance(cls, Node):
-            classes.append(Node(cls.owner, choices[i], cls.left, cls.right))
-        else:
-            classes.append(cls)
-    return CoSystem(STRATEGY, game.roster, tuple(classes), game.root)
+    owner, _, *rest = game._columns()
+    choice = tuple(None if o is None else choices[c] for c, o in enumerate(owner))
+    return CoSystem._from_columns(STRATEGY, game.roster, game.root, owner, choice, *rest)

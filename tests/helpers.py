@@ -65,6 +65,15 @@ def random_affine(rng: random.Random, parametric: bool = True) -> Affine:
 def random_system(seed: int, kind: str | None = None, max_classes: int = 6,
                   parametric: bool = True, max_shift: int = 2, leaf_bias: float = 0.4) -> CoSystem:
     """Arbitrary valid system: cycles, forward refs, mixed leaves."""
+    out = CoSystem(*random_classes(seed, kind, max_classes, parametric, max_shift, leaf_bias))
+    assert validate(out).holds
+    return out
+
+
+def random_classes(seed: int, kind: str | None = None, max_classes: int = 6,
+                   parametric: bool = True, max_shift: int = 2,
+                   leaf_bias: float = 0.4) -> tuple[str, tuple[str, ...], tuple, Ref]:
+    """The kind, roster, class objects and root of ``random_system``."""
     rng = random.Random(seed)
     kind = kind or rng.choice((GAME, STRATEGY))
     roster = AGENTS[: rng.randint(1, 3)]
@@ -79,9 +88,7 @@ def random_system(seed: int, kind: str | None = None, max_classes: int = 6,
             classes.append(Node(rng.choice(roster), choice,
                                 Ref(rng.randrange(count), shift()),
                                 Ref(rng.randrange(count), shift())))
-    out = CoSystem(kind, roster, tuple(classes), Ref(rng.randrange(count), 0))
-    assert validate(out).holds
-    return out
+    return kind, roster, tuple(classes), Ref(rng.randrange(count), 0)
 
 
 def random_terminating_strategy(seed: int, max_classes: int = 7, parametric: bool = True,
@@ -127,6 +134,24 @@ def unrolled_variant(sys: CoSystem, seed: int) -> CoSystem:
         else:
             classes.append(cls)
     return CoSystem(sys.kind, sys.roster, tuple(classes), maybe(sys.root))
+
+
+def unrolled_dollar_auction(periods: int, seed: int, choice: str = "r") -> str:
+    """The dollar auction strategy ``agu`` (``choice`` r) or ``ngu`` (l)
+    unrolled ``periods`` times, in shuffled equation order: period ``i``
+    stands at ``periods*n + i`` and the last loops back to period 0 at
+    ``n+1``."""
+    k = periods
+    eqs = []
+    for i in range(k):
+        nxt = f"alice{i + 1}(n)" if i + 1 < k else "alice0(n+1)"
+        p = 2 * i
+        eqs += [f"alice{i}(n) = <Alice, {choice}, bob{i}(n), quit_a{i}(n)>",
+                f"bob{i}(n) = <Bob, {choice}, {nxt}, quit_b{i}(n)>",
+                f"quit_a{i}(n) = leaf[Alice: {-2 * k}*n{-p - 1:+d}, Bob: {-2 * k}*n{-p:+d}]",
+                f"quit_b{i}(n) = leaf[Alice: {-2 * k}*n{-p - 1:+d}, Bob: {-2 * k}*n{-p - 2:+d}]"]
+    random.Random(seed).shuffle(eqs)
+    return "strategy agents Alice Bob\n" + "\n".join(eqs) + "\nroot alice0\n"
 
 
 def first_reachable_leaf(sys: CoSystem) -> int | None:

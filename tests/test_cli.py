@@ -425,6 +425,38 @@ def dollar_unrolling_source(periods: int, choice: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+class TestHistoryFollowsTheColumns:
+    # the history of each shipped strategy's committed choices
+    SHIPPED = {"dollar_auction_agu": "r", "centipede_agu": "r", "dollar_auction_ngu": "(l)^w",
+               "centipede_ngu": "(l)^w", "paper_s0": "rl"}
+
+    def test_history_builds_no_edge_table(self, capsys, monkeypatch, tmp_path):
+        from cogames import equilibria, histories, semantics, system
+
+        paths = {str(GAMES / f"{stem}.cog"): value for stem, value in self.SHIPPED.items()}
+        for choice, value in (("r", "r"), ("l", "(l)^w")):
+            path = tmp_path / f"dollar_{choice}_530.cog"
+            path.write_text(helpers.unrolled_dollar_auction(530, 7, choice))
+            paths[str(path)] = value
+        expected = {}
+        for path in paths:
+            code, report = run_json(capsys, "history", path)
+            report.pop("timing_ms")
+            expected[path] = (code, report)
+
+        def refuse(sys_):
+            raise AssertionError("the edge table was built")
+
+        for module in (system, semantics, equilibria, histories):
+            if hasattr(module, "edge_table"):
+                monkeypatch.setattr(module, "edge_table", refuse)
+        for path, value in paths.items():
+            code, report = run_json(capsys, "history", path)
+            report.pop("timing_ms")
+            assert (code, report) == expected[path]
+            assert code == 0 and report["checks"][0]["value"] == value, path
+
+
 class TestLargeInputs:
     @pytest.mark.parametrize("source, verdicts, history", [
         (chain_source(5000), ["holds"] * 4, "l" * 5000),

@@ -1,4 +1,3 @@
-import random
 import sys
 from pathlib import Path
 
@@ -99,23 +98,6 @@ class TestParse:
             dsl._Parser(text).parse_file()
 
 
-def unrolled_dollar_auction(periods: int, seed: int) -> str:
-    """The dollar auction strategy ``agu`` unrolled ``periods`` times, in
-    shuffled equation order: period ``i`` stands at ``periods*n + i`` and
-    the last loops back to period 0 at ``n+1``."""
-    k = periods
-    eqs = []
-    for i in range(k):
-        nxt = f"alice{i + 1}(n)" if i + 1 < k else "alice0(n+1)"
-        p = 2 * i
-        eqs += [f"alice{i}(n) = <Alice, r, bob{i}(n), quit_a{i}(n)>",
-                f"bob{i}(n) = <Bob, r, {nxt}, quit_b{i}(n)>",
-                f"quit_a{i}(n) = leaf[Alice: {-2 * k}*n{-p - 1:+d}, Bob: {-2 * k}*n{-p:+d}]",
-                f"quit_b{i}(n) = leaf[Alice: {-2 * k}*n{-p - 1:+d}, Bob: {-2 * k}*n{-p - 2:+d}]"]
-    random.Random(seed).shuffle(eqs)
-    return "strategy agents Alice Bob\n" + "\n".join(eqs) + "\nroot alice0\n"
-
-
 def respaced(text: str) -> str:
     """``text`` with spaces and tabs between all of its tokens."""
     return " \t".join(dsl._TOKEN.findall(text)) + "\t\n"
@@ -131,7 +113,7 @@ class TestFlatReader:
         monkeypatch.setattr(dsl, "_Parser", refuse)
         sources = [p.read_text() for p in sorted(GAMES_DIR.glob("*.cog"))]
         sources += [render(helpers.random_system(seed)) for seed in range(100)]
-        sources += [unrolled_dollar_auction(periods, seed)
+        sources += [helpers.unrolled_dollar_auction(periods, seed)
                     for seed, periods in enumerate((1, 2, 7, 40))]
         assert "alice0(n+1)" in sources[-1] and "-80*n-1" in sources[-1]
         for text in sources + [respaced(text) for text in sources]:

@@ -1,4 +1,5 @@
 import gc
+import json
 import itertools
 import random
 from pathlib import Path
@@ -859,19 +860,23 @@ class TestSccs:
         assert len(comps) == 1 and len(comps[0]) == n
 
 
-class Unreadable(tuple):
-    """A class tuple that refuses every read."""
-
-    def refuse(self, *args):
+def refuse_classes(monkeypatch) -> None:
+    """Make every read of any system's classes view raise."""
+    def refuse(self):
         raise AssertionError("the system's classes were read")
 
-    __getitem__ = __iter__ = __len__ = __contains__ = __reversed__ = refuse
-    __eq__ = __ne__ = __hash__ = index = count = refuse
+    monkeypatch.setattr(CoSystem, "classes", property(refuse))
+
+
+def untimed(report: dict) -> dict:
+    report.pop("timing_ms")
+    return report
 
 
 class TestChecksReadTheEdgeTable:
-    """Once a strategy's edge table is built, the checks in ``semantics``,
-    ``equilibria`` and ``histories`` never read its classes."""
+    """The checks in ``semantics``, ``equilibria`` and ``histories``, and
+    every command on a file the flat reader reads, never read a system's
+    classes view."""
 
     CHECKS = {
         "leads_to_leaf": lambda s, lassos: leads_to_leaf(s),
@@ -885,20 +890,133 @@ class TestChecksReadTheEdgeTable:
         "is_history_of": lambda s, lassos: [is_history_of(s, h) for h in lassos],
     }
 
-    def test_checks_agree_without_the_classes(self):
+    def test_checks_agree_without_the_classes(self, monkeypatch):
+        pool = []
         for seed in range(600):
             s = helpers.random_system(seed, kind=STRATEGY, max_classes=6 + seed % 7,
                                       max_shift=seed % 3)
             untouched = CoSystem(s.kind, s.roster, s.classes, s.root)
             rng = random.Random(seed)
             lassos = [helpers.random_lasso(rng) for _ in range(4)]
-            system.edge_table(s)
-            object.__setattr__(s, "classes", Unreadable(s.classes))
+            pool.append((seed, s, lassos, {name: check(untouched, lassos)
+                                           for name, check in self.CHECKS.items()}))
+        refuse_classes(monkeypatch)
+        for seed, s, lassos, expected in pool:
             for name, check in self.CHECKS.items():
-                assert check(s, lassos) == check(untouched, lassos), (seed, name)
+                assert check(s, lassos) == expected[name], (seed, name)
 
-    def test_a_read_of_the_classes_is_caught(self):
+    def test_a_read_of_the_classes_is_caught(self, monkeypatch):
         s = helpers.random_system(0, kind=STRATEGY)
-        object.__setattr__(s, "classes", Unreadable(s.classes))
+        refuse_classes(monkeypatch)
         with pytest.raises(AssertionError, match="classes were read"):
+            dsl.render(s)
+
+    def test_commands_on_flat_files_never_read_the_classes(self, capsys, monkeypatch, tmp_path):
+        from cogames import cli
+
+        rng = random.Random(23)
+        texts = {path.stem: path.read_text() for path in sorted(GAMES.glob("*.cog"))}
+        for periods in (1, 7, rng.randint(100, 530)):
+            for choice in "rl":
+                texts[f"unrolled_{choice}_{periods}"] = helpers.unrolled_dollar_auction(
+                    periods, rng.randrange(1000), choice)
+        p, q = rng.sample([3, 5, 7, 11, 13], 2)
+        rings = {"ring_p": identical_ring(p), "ring_q": identical_ring(q),
+                 "ring_mutant": helpers.payoff_mutant(identical_ring(q), 1),
+                 "lring_p": ring_strategy(p), "lring_q": ring_strategy(q),
+                 "lring_flipped": helpers.flip_class_choice(ring_strategy(q), 0)}
+        texts.update((name, dsl.render(ring)) for name, ring in rings.items())
+        for name, text in texts.items():
+            (tmp_path / f"{name}.cog").write_text(text)
+            assert dsl._parse_flat(text) is not None, name
+        path = {name: str(tmp_path / f"{name}.cog") for name in texts}
+        strategies = [name for name, text in texts.items() if text.startswith("strategy")]
+        unrolled = f"unrolled_r_{periods}"
+        argvs = [["history", path[name], "--check", lasso] for name in texts for lasso in ("r", "(l)^w")]
+        for name in strategies:
+            argvs += [["check", path[name], "--ltl", "--altl", "--nash", "--sgpe"],
+                      ["eval", path[name], "--agent", "Alice", "--n", "3"], ["history", path[name]]]
+        for a, b in (("ring_p", "ring_q"), ("ring_p", "ring_mutant"), ("lring_p", "lring_q"),
+                     ("dollar_auction", "centipede"), ("dollar_auction_agu", unrolled)):
+            argvs.append(["bisim", path[a], path[b]])
+        for a, b, agent in (("lring_p", "lring_q", "Alice"), ("lring_p", "lring_flipped", "Alice"),
+                            ("dollar_auction_agu", unrolled, "Alice"),
+                            ("dollar_auction_agu", "dollar_auction_ngu", "Bob")):
+            argvs.append(["convert", path[a], path[b], "--agent", agent])
+
+        def run_all() -> list:
+            out = []
+            for argv in argvs:
+                code = cli.main(["--json", *argv])
+                captured = capsys.readouterr()
+                out.append((code, untimed(json.loads(captured.out)), captured.err))
+            return out
+
+        expected = run_all()
+        assert {"bisimilar", "bisimilar_bounded[24]"} <= {
+            report["checks"][0]["name"] for _, report, _ in expected}
+        assert {0, 1} == {code for code, _, _ in expected}
+        refuse_classes(monkeypatch)
+        assert run_all() == expected
+
+
+def class_unfold(classes: tuple, at: Ref):
+    """``unfold`` on class objects, as it read them before the columns."""
+    cls = classes[at.cls]
+    if isinstance(cls, Leaf):
+        return Leaf({a: f.shifted(at.shift) for a, f in cls.payoffs.items()})
+    return Node(cls.owner, cls.choice, Ref(cls.left.cls, cls.left.shift + at.shift),
+                Ref(cls.right.cls, cls.right.shift + at.shift))
+
+
+class TestColumns:
+    """``CoSystem(kind, roster, classes, root)`` fills the columns that
+    the flat reader fills from text, and the ``classes`` view rebuilds the
+    class objects from them."""
+
+    def test_constructor_reader_and_view_agree_on_random_systems(self):
+        for seed in range(3000):
+            kind, roster, classes, root = helpers.random_classes(seed)
+            s = CoSystem(kind, roster, classes, root)
+            parsed = dsl.parse(dsl.render(s))
+            assert s == parsed and repr(s) == repr(parsed), seed
+            assert s.classes == classes and parsed.classes == classes, seed
+            assert [type(c) for c in parsed.classes] == [type(c) for c in classes]
+            rng = random.Random(seed)
+            for _ in range(3):
+                at = Ref(rng.randrange(len(classes)), rng.randint(0, 5))
+                assert unfold(parsed, at) == class_unfold(classes, at), (seed, at)
             system.edge_table(s)
+            at = Ref(rng.randrange(len(classes)), rng.randint(0, 2))
+            moved = with_root(s, at)
+            assert moved.root == at and moved._memo == {} and s._memo
+            assert all(a is b for a, b in zip(moved._columns(), s._columns()))
+            assert moved.classes == classes
+
+    INVALID = [
+        (GAME, ("A",), (Node("A", Choice.L, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})), Ref(0)),
+        (STRATEGY, ("A",), (Node("A", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})), Ref(0)),
+        (GAME, ("A",), (Node("A", None, Ref(5), Ref(0, -2)),), Ref(0)),
+        (GAME, (), (Leaf({}),), Ref(0)),
+        (GAME, ("A", "B"), (Leaf({"A": Affine.const(0)}),), Ref(0)),
+        (GAME, ("A",), (Leaf({"A": Affine(1, 2), "Z": Affine(3, 4)}),), Ref(0)),
+        ("tree", ("A",), (Leaf({"A": Affine.const(0)}),), Ref(0)),
+        (GAME, ("A",), (Node("Z", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})), Ref(0)),
+        (GAME, ("A",), (Leaf({"A": Affine.const(0)}),), Ref(1)),
+        (GAME, ("A",), (), Ref(0)),
+    ]
+
+    @pytest.mark.parametrize("kind, roster, classes, root", INVALID)
+    def test_invalid_systems_keep_their_classes(self, kind, roster, classes, root):
+        s = CoSystem(kind, roster, classes, root)
+        assert s.classes == classes and not validate(s).holds
+        assert s == CoSystem(kind, roster, s.classes, root)
+
+    def test_payoffs_outside_the_roster_are_kept(self):
+        extra = CoSystem(GAME, ("A",), (Leaf({"A": Affine(1, 2), "Z": Affine(3, 4)}),))
+        plain = CoSystem(GAME, ("A",), (Leaf({"A": Affine(1, 2)}),))
+        assert extra != plain and validate(plain).holds
+        assert validate(extra).certificate == {"error": "PayoffDomain", "class": 0}
+        missing = CoSystem(GAME, ("A", "B"), (Leaf({"A": Affine(1, 2)}),))
+        assert missing.payoff == ((1, 2, None, None),)
+        assert validate(missing).certificate == {"error": "PayoffDomain", "class": 0}
