@@ -29,10 +29,10 @@ so does each SCC once settled.  The tree is the edge table's ``edges``
 column; an agent's deviation graph picks, per class, that entry or the
 ``chosen`` one, so a projection allocates one list and no edge.  Both
 checks read the system through its edge table and its columns (owner,
-choice, children, payoffs), never its classes.  A
-projection's SCCs refine the tree's: an acyclic tree SCC is one class,
-which just makes its offers, and inside a cyclic one ``sccs`` runs over
-the projection's edges there.  Each cyclic SCC of the projection finds
+choice, children), never its classes.  A projection's SCCs refine the
+tree's: an acyclic tree SCC is one class, which just makes its offers,
+and inside a cyclic one ``sccs`` runs over the projection's edges
+there.  Each cyclic SCC of the projection finds
 its least indices with one Dijkstra, run locally from the members offers
 reached; a bounded one (no internal edge of positive offset) spreads its
 greatest offer.  Results sit in lists indexed by class id, a parent as
