@@ -23,18 +23,19 @@ certificate reports is one at which its class occurs.
 
 All of these come from one pass per projection (``_analyze``) over the
 tree's condensation (``system.condensation``: one Tarjan search per
-system, memoized like the edge table), in topological order.
+system, memoized), in topological order.
 Each class offers its least and greatest index along its edges out, and
-so does each SCC once settled.  The tree is the edge table's ``edges``
-column; an agent's deviation graph picks, per class, that entry or the
-``chosen`` one, so a projection allocates one list and no edge.  Both
-checks read the system through its edge table and its columns (owner,
-choice, children), never its classes.  A projection's SCCs refine the
-tree's: an acyclic tree SCC is one class, which just makes its offers,
-and inside a cyclic one ``sccs`` runs over the projection's edges
-there.  Each cyclic SCC of the projection finds
-its least indices with one Dijkstra, run locally from the members offers
-reached; a bounded one (no internal edge of positive offset) spreads its
+so does each SCC once settled.  A projection (``_projection``) lists
+each class's ``(child, shift, label)`` edges, read off the system's
+columns: both children at a node of the tree, and in an agent's
+deviation graph both at the agent's nodes and the committed child
+elsewhere.  Both checks read the system through its columns (owner,
+choice, children and shifts), never its classes.  A projection's SCCs
+refine the tree's: an acyclic tree SCC is one class, which just makes
+its offers, and inside a cyclic one ``sccs`` runs over the projection's
+edges there.  Each cyclic SCC of the projection finds its least indices
+with one Dijkstra, run locally from the members offers reached; a
+bounded one (no internal edge of positive offset) spreads its
 greatest offer.  Results sit in lists indexed by class id, a parent as
 the id of the class the offer came from; ``_steps_to`` turns parents
 back into steps.  A deviation witness or lasso head follows the
@@ -57,13 +58,10 @@ from .semantics import alw_leads_to_leaf, leads_to_leaf, play_table, utility_col
 from .system import (
     Choice,
     CoSystem,
-    Edge,
     KindMismatchError,
     Ref,
     STRATEGY,
     condensation,
-    edge_table,
-    leaves,
     reachable,
     sccs,
 )
@@ -91,21 +89,27 @@ class ReachSet:
     maximum: int | None
 
 
+Edge = tuple[int, int, Choice]  # child class, shift, label
 Step = tuple[int, int, Choice]  # class left, its index there, choice taken
 
 
 def _projection(s: CoSystem, agent: str | None) -> list[tuple[Edge, ...]]:
-    """The edges per class of ``agent``'s deviation graph: both children
-    at the classes ``agent`` owns, the committed child elsewhere; both
-    children everywhere when ``agent`` is None (the tree).  Each entry is
-    one of the system's edge table, picked per class."""
-    table = edge_table(s)
-    if agent is None:
-        return table.edges
-    if s.kind != STRATEGY:
-        raise KindMismatchError("a deviation graph needs a strategy")
-    return [both if owner == agent else one
-            for both, one, owner in zip(table.edges, table.chosen, s.owner)]
+    """The edges per class of ``agent``'s deviation graph, read off the
+    system's columns: both children at the nodes ``agent`` owns, the
+    committed child at every other node; both children at every node
+    when ``agent`` is None (the tree).  A leaf has no edge, and L comes
+    before R.  A deviation graph needs a strategy and a roster agent."""
+    if agent is not None:
+        if s.kind != STRATEGY:
+            raise KindMismatchError("a deviation graph needs a strategy")
+        if agent not in s.roster:
+            raise ValueError(f"agent {agent!r} not in roster {s.roster}")
+    L, R = Choice.L, Choice.R
+    return [() if owner is None
+            else ((lc, lk, L), (rc, rk, R)) if agent is None or owner == agent
+            else ((lc, lk, L),) if choice is L else ((rc, rk, R),)
+            for owner, choice, lc, lk, rc, rk in zip(s.owner, s.choice, s.left, s.left_shift,
+                                                      s.right, s.right_shift)]
 
 
 @dataclass
@@ -188,10 +192,11 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
     index (the least offer wins unless a later one is strictly smaller,
     the greatest unless a later one is strictly larger), or, once a
     positive SCC feeds it, the lasso entry ``pump``.  An acyclic tree
-    SCC is one class, which just makes its offers; that is the whole of
-    a chain.  Inside a cyclic tree SCC, ``sccs`` finds the projection's
-    SCCs from the members offers reached, over the projection's edges
-    there, and ``_settle`` settles each in topological order.
+    SCC is one class, which just makes its offers, in one loop over its
+    edges; that is the whole of a chain.  Inside a cyclic tree SCC,
+    ``sccs`` finds the projection's SCCs from the members offers reached,
+    over the projection's edges there, and ``_settle`` settles each in
+    topological order.
     """
     edges = _projection(s, agent)
     comps, where, cyclic = condensation(s)
@@ -222,20 +227,15 @@ def _analyze(s: CoSystem, agent: str | None = None) -> _ReachInfo:
         w = least[c]
         if w is None:
             continue
-        fed = pump[c]
-        if fed is None:
-            top = most[c]
-            for t, k, _ in edges[c]:
-                if least[t] is None or w + k < least[t]:
-                    least[t], min_parent[t] = w + k, c
+        fed, top = pump[c], most[c]
+        for t, k, _ in edges[c]:
+            if least[t] is None or w + k < least[t]:
+                least[t], min_parent[t] = w + k, c
+            if fed is None:
                 if top + k > most[t]:
                     most[t], max_parent[t] = top + k, c
-        else:
-            for t, k, _ in edges[c]:
-                if least[t] is None or w + k < least[t]:
-                    least[t], min_parent[t] = w + k, c
-                if pump[t] is None or fed < pump[t]:
-                    pump[t] = fed
+            elif pump[t] is None or fed < pump[t]:
+                pump[t] = fed
     return _ReachInfo(edges, least, most, pump, loops, min_parent, max_parent)
 
 
@@ -256,7 +256,9 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
     offer.  Unless a positive SCC feeds it, the members share one
     greatest index too, the best offer (the first in the SCC's order on
     a tie), which spreads from that member along a tree of parents, the
-    members' greatest parents.
+    members' greatest parents.  One loop over the members makes the
+    offers out: in the order Dijkstra settled them when the SCC is fed,
+    and otherwise in the order the greatest index spreads to them.
     """
     # one read of the members: their set, the heads of their positive
     # edges, the offers made to them and the lasso entry fed to them
@@ -283,29 +285,22 @@ def _settle(comp: list[int], edges: list[tuple[Edge, ...]], least: list[int | No
             fed = own
     if fed is None:
         w, order, seen = most[top], [top], {top}
-        for c in order:
-            lc = least[c]
-            for t, k, _ in edges[c]:
-                if t in inside:
-                    if t not in seen:
-                        seen.add(t)
-                        most[t], max_parent[t] = w, c
-                        order.append(t)
-                    continue
-                if least[t] is None or lc + k < least[t]:
-                    least[t], min_parent[t] = lc + k, c
-                if w + k > most[t]:
-                    most[t], max_parent[t] = w + k, c
-        return
     for c in order:
-        pump[c] = fed
+        pump[c] = fed  # None over None when unfed
         lc = least[c]
         for t, k, _ in edges[c]:
             if t in inside:
+                if fed is None and t not in seen:
+                    seen.add(t)
+                    most[t], max_parent[t] = w, c
+                    order.append(t)
                 continue
             if least[t] is None or lc + k < least[t]:
                 least[t], min_parent[t] = lc + k, c
-            if pump[t] is None or fed < pump[t]:
+            if fed is None:
+                if w + k > most[t]:
+                    most[t], max_parent[t] = w + k, c
+            elif pump[t] is None or fed < pump[t]:
                 pump[t] = fed
 
 
@@ -439,6 +434,7 @@ def nash_eq(s: CoSystem) -> Verdict:
         return Verdict(True, {"leads_to_leaf": leads_to_leaf(s).certificate},
                        "vacuous: strategy does not lead to a leaf")
 
+    leaves = [c for c, owner in enumerate(s.owner) if owner is None]
     agents_report = []
     for agent in s.roster:
         # at a leaf, the utility columns hold its own payoff
@@ -448,7 +444,7 @@ def nash_eq(s: CoSystem) -> Verdict:
         pump, most = info.pump, info.most
         best: tuple[int, int, int] | None = None  # value, leaf class, index
         leaves_report = []
-        for cls_id in leaves(s):
+        for cls_id in leaves:
             least = info.least[cls_id]
             if least is None:
                 continue

@@ -26,7 +26,7 @@ them instead of building an object per class: ``alw_leads_to_leaf``,
 (whether the root's walk ends, and each agent's on-path value) and
 ``sgpe`` (both branch utilities at every reachable node class).
 
-Nothing here reads the system's classes or its edge table: the
+Nothing here reads the system's classes or builds a graph of it: the
 walks follow the system's own ``choice`` column to the ``left`` or
 ``right`` child, certificates name owners from its ``owner`` column, and
 the utility columns read leaf payoffs from its ``payoff`` column (see

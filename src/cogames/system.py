@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import wraps
-from itertools import chain, product, repeat
+from itertools import chain, product
 from sys import maxsize
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Union
 
@@ -88,9 +88,6 @@ class Affine:
         """The same payoff observed ``k`` levels deeper: value at ``n + k``
         expressed as a function of ``n``."""
         return Affine(self.slope, self.slope * k + self.intercept)
-
-    def __sub__(self, other: "Affine") -> "Affine":
-        return Affine(self.slope - other.slope, self.intercept - other.intercept)
 
     def to_json(self) -> dict[str, int]:
         return {"slope": self.slope, "intercept": self.intercept}
@@ -335,49 +332,6 @@ def reachable(sys: CoSystem) -> list[int]:
     return order
 
 
-Edge = tuple[int, int, Choice]  # child class, shift, label
-
-
-class EdgeTable(NamedTuple):
-    """The class graph's edges, in lists indexed by class id, for the
-    searches in ``equilibria`` and the condensation; the walks read the
-    system's own columns.
-
-    At a node, ``kids`` holds the child class ids and ``edges`` the
-    ``(child, shift, label)`` triples, left before right, and ``chosen``
-    holds the committed edge alone as a one-element tuple (None in a
-    game).  A leaf has ``()`` in every column.  A projection of the graph
-    picks, class by class, the full edges or the chosen one, and shares
-    them with the table."""
-
-    kids: list[tuple[int, ...]]
-    edges: list[tuple[Edge, ...]]
-    chosen: list[tuple[Edge, ...] | None]
-
-
-@memoized
-def edge_table(sys: CoSystem) -> EdgeTable:
-    """The system's :class:`EdgeTable`, zipped from its child columns."""
-    lefts = list(zip(sys.left, sys.left_shift, repeat(Choice.L)))
-    rights = list(zip(sys.right, sys.right_shift, repeat(Choice.R)))
-    kids = list(zip(sys.left, sys.right))
-    edges = list(zip(lefts, rights))
-    if sys.kind == STRATEGY:
-        L = Choice.L
-        chosen = [(e,) if c is L else (f,) for c, e, f in zip(sys.choice, lefts, rights)]
-    else:
-        chosen = [None] * len(kids)
-    for c in leaves(sys):
-        kids[c] = edges[c] = chosen[c] = ()
-    return EdgeTable(kids, edges, chosen)
-
-
-@memoized
-def leaves(sys: CoSystem) -> list[int]:
-    """The ids of the system's leaf classes, in order."""
-    return [c for c, owner in enumerate(sys.owner) if owner is None]
-
-
 _DONE = maxsize  # the low link of a node whose component is emitted
 
 
@@ -452,8 +406,10 @@ class Condensation(NamedTuple):
 @memoized
 def condensation(sys: CoSystem) -> Condensation:
     """The system's :class:`Condensation`: one Tarjan search from the
-    root over the edge table's ``kids``."""
-    kids = edge_table(sys).kids
+    root over the class graph, whose successor list is zipped from the
+    child columns (a node's left and right child, nothing at a leaf)."""
+    kids = [() if owner is None else pair
+            for owner, pair in zip(sys.owner, zip(sys.left, sys.right))]
     comps = sccs([sys.root.cls], kids.__getitem__)
     where = [-1] * len(kids)
     for i, comp in enumerate(comps):

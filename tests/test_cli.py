@@ -430,8 +430,8 @@ class TestHistoryFollowsTheColumns:
     SHIPPED = {"dollar_auction_agu": "r", "centipede_agu": "r", "dollar_auction_ngu": "(l)^w",
                "centipede_ngu": "(l)^w", "paper_s0": "rl"}
 
-    def test_history_builds_no_edge_table(self, capsys, monkeypatch, tmp_path):
-        from cogames import equilibria, histories, semantics, system
+    def test_history_builds_no_graph_table(self, capsys, monkeypatch, tmp_path):
+        from cogames import equilibria, histories, system
 
         paths = {str(GAMES / f"{stem}.cog"): value for stem, value in self.SHIPPED.items()}
         for choice, value in (("r", "r"), ("l", "(l)^w")):
@@ -444,17 +444,22 @@ class TestHistoryFollowsTheColumns:
             report.pop("timing_ms")
             expected[path] = (code, report)
 
-        def refuse(sys_):
-            raise AssertionError("the edge table was built")
+        def refuse(*args):
+            raise AssertionError("a graph table was built")
 
-        for module in (system, semantics, equilibria, histories):
-            if hasattr(module, "edge_table"):
-                monkeypatch.setattr(module, "edge_table", refuse)
+        # every name the condensation and the projections are read through
+        for module, name in ((system, "condensation"), (equilibria, "condensation"),
+                             (histories, "condensation"), (equilibria, "_projection")):
+            monkeypatch.setattr(module, name, refuse)
         for path, value in paths.items():
             code, report = run_json(capsys, "history", path)
             report.pop("timing_ms")
             assert (code, report) == expected[path]
             assert code == 0 and report["checks"][0]["value"] == value, path
+        # the refusal bites: a Nash check on the same file needs both tables
+        code = main(["check", str(tmp_path / "dollar_r_530.cog"), "--nash"])
+        assert code == 70
+        assert "internal error: AssertionError: a graph table was built" in capsys.readouterr().err
 
 
 class TestLargeInputs:

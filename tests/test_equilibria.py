@@ -967,6 +967,12 @@ class TestReachIndexSets:
         with pytest.raises(KindMismatchError):  # a game commits to no child
             reach_index_sets(strategy_to_game(dollar_auction_strategy("ngu")), agent="Alice")
 
+    def test_deviation_graph_of_an_agent_outside_the_roster_is_refused(self):
+        # an agent outside the roster owns no node, so its graph would
+        # silently be the committed walk
+        with pytest.raises(ValueError, match="agent 'Nobody' not in roster"):
+            reach_index_sets(dollar_auction_strategy("agu"), agent="Nobody")
+
     @pytest.mark.parametrize("choice", [Choice.L, Choice.R])
     def test_doubling_shift_chain_is_summarized_by_its_extremes(self, choice):
         # 2**40 (class, index) states: only the least and greatest index count

@@ -873,7 +873,7 @@ def untimed(report: dict) -> dict:
     return report
 
 
-class TestChecksReadTheEdgeTable:
+class TestChecksNeverReadTheClasses:
     """The checks in ``semantics``, ``equilibria`` and ``histories``, and
     every command on a file the flat reader reads, never read a system's
     classes view."""
@@ -986,7 +986,7 @@ class TestColumns:
             for _ in range(3):
                 at = Ref(rng.randrange(len(classes)), rng.randint(0, 5))
                 assert unfold(parsed, at) == class_unfold(classes, at), (seed, at)
-            system.edge_table(s)
+            system.condensation(s)
             at = Ref(rng.randrange(len(classes)), rng.randint(0, 2))
             moved = with_root(s, at)
             assert moved.root == at and moved._memo == {} and s._memo
