@@ -32,6 +32,7 @@ from .system import (
     Node,
     Ref,
     STRATEGY,
+    annotate,
     unfold,
 )
 
@@ -115,11 +116,7 @@ def finite_example_game() -> CoSystem:
 def finite_example_strategy() -> CoSystem:
     """The worked example with Alice committing right and Bob left, which
     gives Alice utility 2."""
-    g = finite_example_game()
-    classes = list(g.classes)
-    classes[0] = Node("Alice", Choice.R, Ref(1), Ref(2))
-    classes[2] = Node("Bob", Choice.L, Ref(3), Ref(4))
-    return CoSystem(STRATEGY, g.roster, tuple(classes), g.root)
+    return annotate(finite_example_game(), {0: Choice.R, 2: Choice.L})
 
 
 def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:

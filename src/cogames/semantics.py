@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .system import Affine, Choice, CoSystem, KindMismatchError, Ref, STRATEGY, memoized, reachable
+from .system import (Affine, Choice, CoSystem, KindMismatchError, Ref, STRATEGY, check_ref,
+                     memoized, reachable)
 from .verdict import Verdict
 
 
@@ -53,10 +54,13 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     Holds with the finite path (visited references and choices taken) if
     a leaf is reached; fails with the repeating class cycle and the
     choices taken otherwise.  Terminates within |classes| + 1 steps.
-    The verdict is memoized per start reference.
+    The verdict is memoized per start reference.  A start outside the
+    system raises ``ValueError``.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("leads_to_leaf expects a strategy")
+    if at is not None:
+        check_ref(s, at)
     return _chosen_walk(s, s.root if at is None else at)
 
 
@@ -220,7 +224,9 @@ def utility_from(s: CoSystem, ref: Ref, agent: str) -> Affine | None:
     """``s2u`` of the subtree at ``ref``, as an affine function of the
     *local* index of the class containing ``ref``, or None when the
     chosen walk from there cycles.  One lookup in the agent's utility
-    columns, shifted by ``ref.shift``."""
+    columns, shifted by ``ref.shift``.  A reference outside the system
+    raises ``ValueError``."""
+    check_ref(s, ref)
     slope, intercept = utility_columns(s, agent)
     if play_table(s).leaf[ref.cls] < 0:
         return None

@@ -12,9 +12,9 @@ denotes an infinite tree, and offsets let payoffs grow along a backbone
 A system is stored as per-class columns of strings and ints (see
 :class:`CoSystem`), which every engine reads.  The class objects
 (:class:`Node`, :class:`Leaf`, :class:`Ref`, :class:`Affine`) are how a
-system is built by hand, and ``CoSystem.classes`` rebuilds them from the
-columns, on first read, for the printer, the oracle, the families and
-the tests.
+system is built by hand.  :func:`unfold` is the one code that builds
+them from the columns, and ``CoSystem.classes`` calls it once per class,
+on first read, for the printer, the oracle, the families and the tests.
 
 Two questions compare two systems: bisimilarity, and convertibility, the
 relation that the Nash quantifier in ``equilibria`` ranges over.  One
@@ -154,7 +154,7 @@ class CoSystem:
     keep the classes exactly and :func:`validate` sees every violation.
     ``dsl``'s flat reader fills the columns straight from the text
     (:meth:`_from_columns`).  ``classes`` is a view: the class objects,
-    rebuilt from the columns on first read and kept in the memo.
+    built by :func:`unfold` on first read and kept in the memo.
 
     ``_memo`` holds the tables that :func:`memoized` builders derive
     from the fields, so every check on one system reads one copy; it
@@ -203,7 +203,7 @@ class CoSystem:
 
     @property
     def classes(self) -> tuple[NodeClass, ...]:
-        """The class objects, rebuilt from the columns on first read."""
+        """The class objects, built by :func:`unfold` on first read."""
         return _class_view(self)
 
 
@@ -216,16 +216,6 @@ def _payoff_entry(payoffs: Mapping[str, Affine], roster: tuple[str, ...]) -> tup
     for agent in sorted(set(payoffs).difference(roster)):
         entry += (agent, payoffs[agent].slope, payoffs[agent].intercept)
     return tuple(entry)
-
-
-def _payoff_map(entry: tuple, roster: tuple[str, ...], shift: int = 0) -> dict[str, Affine]:
-    """The payoff mapping of a leaf's column entry, observed ``shift``
-    levels deeper."""
-    out = {agent: Affine(entry[2 * i], entry[2 * i] * shift + entry[2 * i + 1])
-           for i, agent in enumerate(roster) if entry[2 * i] is not None}
-    for i in range(2 * len(roster), len(entry), 3):
-        out[entry[i]] = Affine(entry[i + 1], entry[i + 1] * shift + entry[i + 2])
-    return out
 
 
 def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
@@ -251,9 +241,7 @@ def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
 @memoized
 def _class_view(sys: CoSystem) -> tuple[NodeClass, ...]:
     """The system's classes as :class:`Node` and :class:`Leaf` objects."""
-    roster = sys.roster
-    return tuple(Leaf(_payoff_map(p, roster)) if o is None else Node(o, c, Ref(l, lk), Ref(r, rk))
-                 for o, c, l, lk, r, rk, p in zip(*sys._columns()))
+    return tuple(unfold(sys, Ref(c)) for c in range(len(sys.owner)))
 
 
 def validate(sys: CoSystem) -> Verdict:
@@ -297,22 +285,39 @@ def validate(sys: CoSystem) -> Verdict:
     return Verdict(True, {"classes": n, "roster": list(sys.roster)})
 
 
+def check_ref(sys: CoSystem, ref: Ref) -> None:
+    """Raise ``ValueError`` unless ``ref`` names a class of ``sys`` at a
+    shift >= 0, the condition :func:`validate` reports as ``InvalidRef``."""
+    if not (0 <= ref.cls < len(sys.owner)) or ref.shift < 0:
+        raise ValueError(f"reference {ref} lies outside the system's {len(sys.owner)} classes")
+
+
 def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
-    """One-step observation of the tree at ``at`` (default: root).
+    """One-step observation of the tree at ``at`` (default: root): the
+    one code that turns the columns into class objects.  The ``classes``
+    view is ``unfold`` at every class id, at shift 0.
 
     Leaf payoffs are folded exactly: a leaf ``(s, b)`` observed at shift
     ``k`` becomes ``(s, b + s*k)`` relative to the observation index.
     Node children carry the accumulated shift, so re-rooting the head
-    denotes the same subtree.
+    denotes the same subtree.  A leaf's payoff entry (see
+    :class:`CoSystem`) is read as ``(agent, slope, intercept)`` slots,
+    the roster's pairs and then the triples of agents outside it, and
+    yields one :class:`Affine` per agent it pays.  A reference outside
+    the system raises ``ValueError``.
     """
     if at is None:
         at = sys.root
+    check_ref(sys, at)
     c, k = at.cls, at.shift
     owner = sys.owner[c]
-    if owner is None:
-        return Leaf(_payoff_map(sys.payoff[c], sys.roster, k))
-    return Node(owner, sys.choice[c], Ref(sys.left[c], sys.left_shift[c] + k),
-                Ref(sys.right[c], sys.right_shift[c] + k))
+    if owner is not None:
+        return Node(owner, sys.choice[c], Ref(sys.left[c], sys.left_shift[c] + k),
+                    Ref(sys.right[c], sys.right_shift[c] + k))
+    entry, n = sys.payoff[c], 2 * len(sys.roster)
+    slots = chain(zip(sys.roster, entry[:n:2], entry[1:n:2]),
+                  zip(entry[n::3], entry[n + 1::3], entry[n + 2::3]))
+    return Leaf({agent: Affine(s, s * k + b) for agent, s, b in slots if s is not None})
 
 
 @memoized
@@ -454,7 +459,9 @@ def is_parametric(sys: CoSystem) -> bool:
 
 def with_root(sys: CoSystem, ref: Ref) -> CoSystem:
     """The same system observed from ``ref`` instead of its root: the
-    same columns, and an empty memo."""
+    same columns, and an empty memo.  A reference outside the system
+    raises ``ValueError``."""
+    check_ref(sys, ref)
     return CoSystem._from_columns(sys.kind, sys.roster, ref, *sys._columns())
 
 
@@ -861,6 +868,13 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
     Sound approximation of bisimilarity: exact bisimilarity implies this
     at every depth.
 
+    It reads both systems' columns at each key ``(i, si, j, sj)``: class
+    ``i`` of ``a`` at shift ``si`` and class ``j`` of ``b`` at shift
+    ``sj``.  The heads differ when exactly one class is a leaf; two
+    leaves differ when some roster agent's ``slope*shift + intercept``
+    differs, read in roster order; two nodes are compared by owner,
+    then by choice.  A child key adds each edge's shift to its side's.
+
     The search is breadth first, left before right, over keys (class
     and shift on each side), so the reported path is the first shortest
     failing one, as in :func:`bisimilar`, and any depth runs without
@@ -878,28 +892,27 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
     came: dict[Key, tuple[str, Key] | None] = {root: None}
     order = [(root, depth)]
     reason: str | None = None
+    width = 2 * len(a.roster)
     for key, d in order:
-        ca, sa, cb, sb = key
-        ha, hb = unfold(a, Ref(ca, sa)), unfold(b, Ref(cb, sb))
-        if isinstance(ha, Leaf) != isinstance(hb, Leaf):
+        i, si, j, sj = key
+        owner = a.owner[i]
+        if (owner is None) != (b.owner[j] is None):
             reason = "head kind differs"
-        elif isinstance(ha, Leaf):
-            assert isinstance(hb, Leaf)
-            va = {ag: f.at(0) for ag, f in ha.payoffs.items()}
-            vb = {ag: f.at(0) for ag, f in hb.payoffs.items()}
-            reason = None if va == vb else "leaf payoffs differ"
-        else:
-            assert isinstance(hb, Node)
-            if ha.owner != hb.owner:
-                reason = "owner differs"
-            elif ha.choice is not hb.choice:
-                reason = "choice differs"
-            elif d > 0:
-                for label, na, nb in (("l", ha.left, hb.left), ("r", ha.right, hb.right)):
-                    child = (na.cls, na.shift, nb.cls, nb.shift)
-                    if child not in came:
-                        came[child] = (label, key)
-                        order.append((child, d - 1))
+        elif owner is None:
+            pa, pb = a.payoff[i], b.payoff[j]
+            if any(pa[k] * si + pa[k + 1] != pb[k] * sj + pb[k + 1] for k in range(0, width, 2)):
+                reason = "leaf payoffs differ"
+        elif owner != b.owner[j]:
+            reason = "owner differs"
+        elif a.choice[i] is not b.choice[j]:
+            reason = "choice differs"
+        elif d > 0:
+            for label, child in (
+                    ("l", (a.left[i], a.left_shift[i] + si, b.left[j], b.left_shift[j] + sj)),
+                    ("r", (a.right[i], a.right_shift[i] + si, b.right[j], b.right_shift[j] + sj))):
+                if child not in came:
+                    came[child] = (label, key)
+                    order.append((child, d - 1))
         if reason is not None:
             break
     else:
@@ -922,9 +935,13 @@ def strategy_to_game(s: CoSystem) -> CoSystem:
 
 def annotate(game: CoSystem, choices: Mapping[int, Choice]) -> CoSystem:
     """Inverse of :func:`strategy_to_game`: attach a choice to every node
-    class of a game.  ``choices`` must cover every node class id."""
+    class of a game.  ``choices`` must cover every node class id: the
+    first node class without one raises ``ValueError``."""
     if game.kind != GAME:
         raise KindMismatchError("annotate expects a game")
     owner, _, *rest = game._columns()
-    choice = tuple(None if o is None else choices[c] for c, o in enumerate(owner))
+    try:
+        choice = tuple(None if o is None else choices[c] for c, o in enumerate(owner))
+    except KeyError as exc:
+        raise ValueError(f"no choice for node class {exc.args[0]}") from None
     return CoSystem._from_columns(STRATEGY, game.roster, game.root, owner, choice, *rest)

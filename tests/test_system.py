@@ -2,6 +2,7 @@ import gc
 import json
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from cogames import (
     strategy_history,
     strategy_to_game,
     unfold,
+    utility_from,
     validate,
     with_root,
 )
@@ -509,7 +511,9 @@ def _states_are_a_bisimulation(a: CoSystem, b: CoSystem, states: list[tuple[int,
     ``n`` like class ``j`` of ``b`` at ``n + delta``, and every row's
     child states are rows.  A pair from which no leaf with a nonzero
     slope is reachable denotes one tree at every index, so its state
-    carries drift 0."""
+    carries drift 0.  A row is read at ``n + k`` on both sides, with
+    ``k`` the least offset that keeps both shifts >= 0; a common offset
+    changes neither the drift nor whether the observations agree."""
     rows = set(states)
     sens_a = [_sloped_below(a, i) for i in range(len(a.classes))]
     sens_b = [_sloped_below(b, j) for j in range(len(b.classes))]
@@ -521,7 +525,7 @@ def _states_are_a_bisimulation(a: CoSystem, b: CoSystem, states: list[tuple[int,
     if state(a.root, b.root) not in rows:
         return False
     for i, j, delta in rows:
-        ra, rb = Ref(i), Ref(j, delta)
+        ra, rb = Ref(i, max(0, -delta)), Ref(j, max(0, delta))
         if _observation(a, ra) != _observation(b, rb):
             return False
         ha, hb = unfold(a, ra), unfold(b, rb)
@@ -822,6 +826,30 @@ class TestErasure:
         choices = {i: cls.choice for i, cls in enumerate(agu.classes) if isinstance(cls, Node)}
         assert annotate(game, choices) == agu
 
+    def test_an_incomplete_choice_map_names_the_first_node_class_without_one(self):
+        with pytest.raises(ValueError, match="no choice for node class 1"):
+            annotate(dollar_auction_game(), {0: Choice.L})
+
+
+class TestRefsOutsideTheSystem:
+    """A reference to a class outside the system, or at a negative shift,
+    is refused by name where it enters the library."""
+
+    CALLS = {
+        "with_root": lambda s, ref: [check(with_root(s, ref)) for check in (
+            nash_eq, sgpe, lambda t: bisimilar(t, t))],
+        "unfold": unfold,
+        "leads_to_leaf": leads_to_leaf,
+        "utility_from": lambda s, ref: utility_from(s, ref, "Alice"),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("ref", [Ref(4), Ref(4, 2), Ref(-1), Ref(0, -1)], ids=repr)
+    def test_is_refused_with_a_value_error(self, call, ref):
+        s = dollar_auction_strategy("agu")
+        with pytest.raises(ValueError, match=rf"reference {re.escape(str(ref))} lies outside"):
+            self.CALLS[call](s, ref)
+
 
 def closure(edges: dict, start) -> set:
     seen, todo = {start}, [start]
@@ -876,7 +904,8 @@ def untimed(report: dict) -> dict:
 class TestChecksNeverReadTheClasses:
     """The checks in ``semantics``, ``equilibria`` and ``histories``, and
     every command on a file the flat reader reads, never read a system's
-    classes view."""
+    classes view; the commands call no ``unfold`` either, so they build
+    no class object."""
 
     CHECKS = {
         "leads_to_leaf": lambda s, lassos: leads_to_leaf(s),
@@ -957,6 +986,11 @@ class TestChecksNeverReadTheClasses:
             report["checks"][0]["name"] for _, report, _ in expected}
         assert {0, 1} == {code for code, _, _ in expected}
         refuse_classes(monkeypatch)
+
+        def refuse_unfold(*args):
+            raise AssertionError("a class object was built")
+
+        monkeypatch.setattr(system, "unfold", refuse_unfold)
         assert run_all() == expected
 
 
