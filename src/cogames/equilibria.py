@@ -413,6 +413,13 @@ def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
 # Nash equilibrium
 
 
+def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
+    """``rows`` transposed into one list per name, in order; every list
+    is empty when there are no rows."""
+    cols = list(zip(*rows)) or [()] * len(names)
+    return {name: list(col) for name, col in zip(names, cols)}
+
+
 def nash_eq(s: CoSystem) -> Verdict:
     """Nash equilibrium check.
 
@@ -423,9 +430,13 @@ def nash_eq(s: CoSystem) -> Verdict:
     positive (without bound past a positive cycle) and at its least index
     otherwise.  A strict improvement yields a concrete finite deviation
     path as the counterexample (a lasso, when a positive cycle has to be
-    pumped past the on-path value), and the holds-certificate reports the
-    per-agent optima.  The on-path value is read from the agent's utility
-    columns.
+    pumped past the on-path value).  The holds-certificate lists, per
+    agent, the on-path value (read from the agent's utility columns), the
+    best deviation value, and the leaves its deviation graph reaches as
+    three columns of equal length: ``leaf_class`` in id order, and the
+    least and greatest index it occurs at, ``n_min`` and ``n_max`` (None
+    when unbounded).  A leaf's best value is its payoff at the end of
+    that interval where the payoff is greatest.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("nash_eq expects a strategy")
@@ -443,7 +454,7 @@ def nash_eq(s: CoSystem) -> Verdict:
         info = _analyze(s, agent)
         pump, most = info.pump, info.most
         best: tuple[int, int, int] | None = None  # value, leaf class, index
-        leaves_report = []
+        reached = []  # (leaf class, least index, greatest index) per reached leaf
         for cls_id in leaves:
             least = info.least[cls_id]
             if least is None:
@@ -464,8 +475,7 @@ def nash_eq(s: CoSystem) -> Verdict:
                                           (cycle, k, tail))
             at_index = top if a > 0 else least
             value = a * at_index + b
-            leaves_report.append({"leaf_class": cls_id, "reach": {"minimum": least, "maximum": top},
-                                  "max_value": value, "at_index": at_index})
+            reached.append((cls_id, least, top))
             if best is None or value > best[0]:
                 best = (value, cls_id, at_index)
         if best is not None and best[0] > base:
@@ -479,7 +489,7 @@ def nash_eq(s: CoSystem) -> Verdict:
             "agent": agent,
             "on_path_value": base,
             "best_deviation_value": best[0] if best else None,
-            "leaves": leaves_report,
+            **_columns(("leaf_class", "n_min", "n_max"), reached),
         })
     return Verdict(True, {"agents": agents_report},
                    "no agent has a profitable leaf-terminating deviation")
@@ -495,14 +505,20 @@ def sgpe(s: CoSystem) -> Verdict:
     Requires every reachable node to lead to a leaf, then checks, per
     reachable node class, that the owner's chosen branch weakly dominates
     the other at every index the class is reachable at.  Dominance is
-    weak (ties are subgame perfect).  The certificate tabulates both
-    branch utilities, read as ints from the owner's utility columns, and
-    the margin per class.  The margin is affine in the index, so it is
-    negative somewhere iff it is negative at the least or the greatest
-    index, or has a negative slope past a positive cycle.  A failure
-    names an index the class occurs at: that end, or in the last case
-    the first index on a lasso through the cycle at which the margin is
-    negative.
+    weak (ties are subgame perfect).  The holds-certificate is seven int
+    columns of equal length, one entry per reachable node class in id
+    order: ``class``, the least and greatest index it occurs at
+    (``n_min``, and ``n_max``, None when unbounded), and the slope and
+    the intercept at the class's local index 0 of the owner's utility
+    through the chosen and through the other child (``chosen_slope``,
+    ``chosen_intercept``, ``other_slope``, ``other_intercept``), read
+    from the owner's utility columns.  The owner and the choice are the
+    input's, and the margin is chosen minus other.  It is affine in the
+    index, so it is negative somewhere iff it is negative at the least or
+    the greatest index, or has a negative slope past a positive cycle.  A
+    failure names an index the class occurs at: that end, or in the last
+    case the first index on a lasso through the cycle at which the margin
+    is negative.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("sgpe expects a strategy")
@@ -540,27 +556,17 @@ def sgpe(s: CoSystem) -> Verdict:
             _, _, loop, _, reach = _lasso(info, cls_id)
             bad = reach + loop * _pumps(-margin_slope, -margin, reach, loop, 0)
 
-        letter = "l" if choice is Choice.L else "r"
         if bad is not None:
             return Verdict(False, {
                 "class": cls_id,
                 "owner": owner,
-                "choice": letter,
+                "choice": choice.value,
                 "index": bad,
                 "chosen_value": chosen_slope * bad + chosen_value,
                 "other_value": other_slope * bad + other_value,
             }, f"{owner} prefers the other branch of class {cls_id} at index {bad}")
 
-        rows.append({
-            "class": cls_id,
-            "owner": owner,
-            "choice": letter,
-            "n_min": least,
-            "indices": {"minimum": least, "maximum": top},
-            "chosen": {"slope": chosen_slope, "intercept": chosen_value},
-            "other": {"slope": other_slope, "intercept": other_value},
-            "margin": {"slope": margin_slope, "intercept": margin},
-            "margin_at_n_min": margin_slope * least + margin,
-        })
-    return Verdict(True, {"classes": rows},
+        rows.append((cls_id, least, top, chosen_slope, chosen_value, other_slope, other_value))
+    return Verdict(True, _columns(("class", "n_min", "n_max", "chosen_slope", "chosen_intercept",
+                                   "other_slope", "other_intercept"), rows),
                    "chosen branch weakly dominates at every reachable node class")

@@ -24,7 +24,10 @@ intercept at the class's local index 0.  All of these are
 them instead of building an object per class: ``alw_leads_to_leaf``,
 ``utility_from`` and so ``s2u``, and in ``equilibria`` ``nash_eq``
 (whether the root's walk ends, and each agent's on-path value) and
-``sgpe`` (both branch utilities at every reachable node class).
+``sgpe`` (both branch utilities at every reachable node class).  The
+holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and ``nash_eq``
+are columns too: one list per named field, with one entry per class or
+leaf, and no dict per entry.
 
 Nothing here reads the system's classes or builds a graph of it: the
 walks follow the system's own ``choice`` column to the ``left`` or
@@ -54,8 +57,10 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     Holds with the finite path (visited references and choices taken) if
     a leaf is reached; fails with the repeating class cycle and the
     choices taken otherwise.  Terminates within |classes| + 1 steps.
-    The verdict is memoized per start reference.  A start outside the
-    system raises ``ValueError``.
+    The verdict is memoized per start reference, and the one object is
+    returned to every caller and cited by other certificates, so callers
+    must not mutate it.  A start outside the system raises
+    ``ValueError``.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("leads_to_leaf expects a strategy")
@@ -185,11 +190,13 @@ def utility_columns(s: CoSystem, agent: str) -> tuple[list[int], list[int]]:
 def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     """``leads_to_leaf`` from every class reachable through both children.
 
-    The certificate lists, per reachable class, the leaf its chosen walk
-    ends at and the walk's length; the rows replay locally, since a
-    node's row is its chosen child's with one more step.  A failure
-    reports the first reachable class (BFS order) whose chosen walk
-    cycles, together with that cycle.
+    A holding certificate is three int columns of equal length, one
+    entry per reachable class in ``reachable``'s breadth-first order:
+    ``class``, the ``leaf`` its chosen walk ends at and the walk's
+    ``steps``.  They replay locally, since a node's entries are its
+    chosen child's with one more step.  A failure reports the first
+    reachable class (BFS order) whose chosen walk cycles, together with
+    that cycle.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("alw_leads_to_leaf expects a strategy")
@@ -203,8 +210,9 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
              "cycle": leads_to_leaf(s, Ref(bad, 0)).certificate},
             f"class {bad} does not lead to a leaf",
         )
-    rows = [{"class": c, "leaf": leaf[c], "steps": steps[c]} for c in order]
-    return Verdict(True, {"classes": rows}, "every reachable class leads to a leaf")
+    return Verdict(True, {"class": list(order), "leaf": [leaf[c] for c in order],
+                          "steps": [steps[c] for c in order]},
+                   "every reachable class leads to a leaf")
 
 
 def s2u(s: CoSystem, agent: str) -> Affine | None:

@@ -321,9 +321,10 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
 
 
 @memoized
-def reachable(sys: CoSystem) -> list[int]:
+def reachable(sys: CoSystem) -> tuple[int, ...]:
     """Class ids reachable from the root through both children, in BFS
-    order, read off the child columns."""
+    order, read off the child columns.  A tuple, since every caller
+    shares the memoized one."""
     owner, left, right = sys.owner, sys.left, sys.right
     seen = [False] * len(owner)
     order = [sys.root.cls]
@@ -334,7 +335,7 @@ def reachable(sys: CoSystem) -> list[int]:
                 if not seen[t]:
                     seen[t] = True
                     order.append(t)
-    return order
+    return tuple(order)
 
 
 _DONE = maxsize  # the low link of a node whose component is emitted

@@ -5,10 +5,13 @@ than a bare boolean, so a caller (or the CLI report) can inspect *why*
 something holds or fails.  Certificates are plain JSON-able structures:
 paths and cycles for the walk-based predicates, relations for the
 coinductive ones, deviation descriptions for the equilibrium checks.
-They hold dicts, lists, tuples, strings, ints, booleans and None, and
-nothing else; a tuple, such as a row ``(i, j)`` of a ``bisimilar``
-relation, is written by ``json`` as a list, so it reads back as
-``[i, j]``.
+The holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and
+``nash_eq`` are named columns: one list per field, all of one length,
+with one entry per class or leaf, rather than one dict per row; a
+failure is one row.  Certificates hold dicts, lists, tuples, strings,
+ints, booleans and None, and nothing else; a tuple, such as a row
+``(i, j)`` of a ``bisimilar`` relation, is written by ``json`` as a
+list, so it reads back as ``[i, j]``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class Verdict:
 
     ``certificate`` carries the supporting structure for either outcome:
     a witness path/cycle when the check fails, a closed relation or
-    per-item table when it holds.  ``note`` is a short human-readable
+    named columns when it holds.  ``note`` is a short human-readable
     reason string.
     """
 

@@ -63,10 +63,13 @@ def test_c02_centipede_verdicts_and_margins(capsys):
     assert got["agu.sgpe"] == "holds" and got["agu.nash"] == "holds"
     assert got["ngu.nash"] == "holds" and got["ngu.ltl"] == "fails"
     assert "vacuous" in demo["by_name"]["ngu.nash"]["certificate"]["note"]
-    margins = {row["class"]: row["margin"]
-               for row in demo["by_name"]["agu.sgpe"]["certificate"]["certificate"]["classes"]}
-    assert margins[0] == {"slope": 0, "intercept": 1}  # Alice class: 2n - (2n-1)
-    assert margins[1] == {"slope": 0, "intercept": 1}  # Bob class: (2n+3) - (2n+2)
+    cert = demo["by_name"]["agu.sgpe"]["certificate"]["certificate"]
+    # the margin is chosen minus other, per reachable node class
+    margins = {c: (cs - os_, ci - oi) for c, cs, ci, os_, oi in zip(
+        cert["class"], cert["chosen_slope"], cert["chosen_intercept"],
+        cert["other_slope"], cert["other_intercept"])}
+    assert margins[0] == (0, 1)  # Alice class: 2n - (2n-1)
+    assert margins[1] == (0, 1)  # Bob class: (2n+3) - (2n+2)
     print("\n[criterion 2] PASS - centipede: same verdict pattern, per-class margins d(n)=1")
 
 

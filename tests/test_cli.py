@@ -117,7 +117,7 @@ class TestCheck:
         monkeypatch.setattr(equilibria, "sccs", counted)
         code, report = run_json(capsys, "check", str(path), "--ltl", "--altl", "--nash", "--sgpe")
         assert code == 0
-        assert len(report["checks"][3]["certificate"]["classes"]) == 1000
+        assert len(report["checks"][3]["certificate"]["class"]) == 1000
         assert len(calls) == 1
 
     def test_sgpe_failure_names_an_index_the_class_occurs_at(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import re
@@ -49,6 +50,13 @@ def play_value(s: CoSystem, at: Ref, agent: str) -> int:
             return head.payoffs[agent].at(0)
         at = head.child(head.choice)
     raise AssertionError(f"the play from {at} reaches no leaf")
+
+
+def margins(cert: dict) -> list[tuple[int, int]]:
+    """A holding ``sgpe`` certificate's margin per class, chosen minus
+    other, as (slope, intercept at the class's local index 0)."""
+    return [(cs - os_, ci - oi) for cs, ci, os_, oi in zip(
+        cert["chosen_slope"], cert["chosen_intercept"], cert["other_slope"], cert["other_intercept"])]
 
 
 def replay_sgpe_failure(s: CoSystem, cert: dict) -> None:
@@ -122,6 +130,162 @@ def replay_deviation(s: CoSystem, cert: dict) -> None:
     overrides = [(o["class"], o["index"], o["choice"]) for o in cert["overrides"]]
     assert all(o["overridden"] for o in cert["overrides"])
     assert len(set(overrides)) == len(overrides) and set(overrides) <= taken
+
+
+def replay_altl_holds(s: CoSystem, cert: dict) -> None:
+    """Check a holding ``alw_leads_to_leaf`` certificate with ``unfold``
+    only: its ``class`` column is the breadth-first order of the classes
+    reachable through both children, and every ``leaf`` and ``steps``
+    entry follows the local rule (a leaf ends at itself in 0 steps, a
+    node where its chosen child ends, in one step more)."""
+    assert list(cert) == ["class", "leaf", "steps"]
+    classes, leaf, steps = cert["class"], cert["leaf"], cert["steps"]
+    assert len(classes) == len(leaf) == len(steps)
+    order, seen = [s.root.cls], {s.root.cls}
+    for c in order:
+        head = unfold(s, Ref(c))
+        if isinstance(head, Node):
+            for t in (head.left.cls, head.right.cls):
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    assert classes == order
+    row = {c: i for i, c in enumerate(classes)}
+    for c, end, k in zip(classes, leaf, steps):
+        head = unfold(s, Ref(c))
+        if isinstance(head, Leaf):
+            assert (end, k) == (c, 0)
+        else:
+            i = row[head.child(head.choice).cls]
+            assert (end, k) == (leaf[i], steps[i] + 1)
+
+
+SGPE_COLUMNS = ["class", "n_min", "n_max", "chosen_slope", "chosen_intercept", "other_slope",
+                "other_intercept"]
+
+
+def replay_sgpe_holds(s: CoSystem, cert: dict) -> None:
+    """Check a holding ``sgpe`` certificate with ``unfold``, ``play_value``
+    and ``helpers.reference_reach`` only: one entry per reachable node
+    class in id order, whose interval is the reference's; each branch
+    utility's intercept and slope are the owner's play values through
+    that child at the class's local indices 0 and 1 (the value at 0,
+    and the value at 1 less it); and the margin, chosen minus other, is
+    >= 0 at both ends of the interval, or at its least end with a slope
+    >= 0 when it has no greatest."""
+    assert list(cert) == SGPE_COLUMNS
+    columns = [cert[name] for name in SGPE_COLUMNS]
+    assert len({len(column) for column in columns}) == 1
+    least, greatest, _ = helpers.reference_reach(s)
+    assert cert["class"] == [c for c, lo in enumerate(least)
+                             if lo is not None and isinstance(unfold(s, Ref(c)), Node)]
+    for c, lo, hi, cs, ci, os_, oi in zip(*columns):
+        assert (lo, hi) == (least[c], greatest[c])
+        at0, at1 = unfold(s, Ref(c)), unfold(s, Ref(c, 1))
+        for choice, slope, intercept in ((at0.choice, cs, ci), (at0.choice.other, os_, oi)):
+            v0, v1 = (play_value(s, head.child(choice), head.owner) for head in (at0, at1))
+            assert (slope, intercept) == (v1 - v0, v0)
+        a, b = cs - os_, ci - oi
+        assert a * lo + b >= 0
+        assert a * hi + b >= 0 if hi is not None else a >= 0
+
+
+def replay_nash_holds(s: CoSystem, cert: dict) -> None:
+    """Check a holding, non-vacuous ``nash_eq`` certificate with
+    ``unfold``, ``play_value`` and ``helpers.reference_reach`` only: per
+    roster agent, the on-path value is the root's play value; the
+    leaves, in id order, and their intervals are those of the agent's
+    reference reach; the best deviation value is the greatest payoff at
+    an end of a leaf's interval; a leaf met at unboundedly large indices
+    pays with a slope <= 0; and no leaf's best end beats the on-path
+    value."""
+    assert list(cert) == ["agents"]
+    assert [report["agent"] for report in cert["agents"]] == list(s.roster)
+    for report in cert["agents"]:
+        assert list(report) == ["agent", "on_path_value", "best_deviation_value", "leaf_class",
+                                "n_min", "n_max"]
+        agent, base = report["agent"], report["on_path_value"]
+        assert base == play_value(s, s.root, agent)
+        least, greatest, _ = helpers.reference_reach(s, agent)
+        leaves = [c for c, lo in enumerate(least)
+                  if lo is not None and isinstance(unfold(s, Ref(c)), Leaf)]
+        assert report["leaf_class"] == leaves
+        assert report["n_min"] == [least[c] for c in leaves]
+        assert report["n_max"] == [greatest[c] for c in leaves]
+        ends = []
+        for c, lo, hi in zip(leaves, report["n_min"], report["n_max"]):
+            pay = unfold(s, Ref(c)).payoffs[agent]
+            ends.append(pay.at(lo))
+            if hi is None:
+                assert pay.slope <= 0
+            else:
+                ends.append(pay.at(hi))
+        assert report["best_deviation_value"] == max(ends) <= base
+
+
+def int_entries(node, path: tuple = ()):
+    """The path to every int in a certificate, through dicts and lists."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from int_entries(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from int_entries(value, path + (i,))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path
+
+
+class TestHoldingCertificatesReplay:
+    """The holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and
+    ``nash_eq`` replay against the system by code that shares nothing with
+    the engines, and the replay rejects any one entry moved by 1."""
+
+    CHECKS = ((alw_leads_to_leaf, replay_altl_holds), (sgpe, replay_sgpe_holds),
+              (nash_eq, replay_nash_holds))
+
+    @staticmethod
+    def pool(ring: int, chain: int) -> list[CoSystem]:
+        pool = [helpers.random_terminating_strategy(seed) for seed in range(60)]
+        return pool + [dollar_auction_strategy("agu"), centipede_strategy("agu"),
+                       shifted_ring(ring, -1), doubling_chain(chain, Choice.R)]
+
+    def holding(self, pool: list[CoSystem]):
+        held = 0
+        for s in pool:
+            for check, replay in self.CHECKS:
+                v = check(s)
+                if v.holds:
+                    held += 1
+                    yield s, v.certificate, replay
+        # every check holds on most of the pool
+        assert held > 2 * len(pool)
+
+    def test_every_holding_certificate_replays(self):
+        for s, cert, replay in self.holding(self.pool(TestShiftedRing.LENGTH, 40)):
+            replay(s, cert)
+
+    def test_every_entry_moved_by_one_is_rejected(self):
+        for s, cert, replay in self.holding(self.pool(12, 40)):
+            for path in int_entries(cert):
+                *inner, last = path
+                column = cert
+                for key in inner:
+                    column = column[key]
+                for delta in (1, -1):
+                    column[last] += delta
+                    with pytest.raises(AssertionError):
+                        replay(s, cert)
+                    column[last] -= delta
+            replay(s, cert)
+
+    def test_a_leaf_root_gives_empty_columns(self):
+        s = CoSystem(STRATEGY, ("A",), (Leaf({"A": Affine(1, 2)}),))
+        assert sgpe(s).certificate == dict.fromkeys(SGPE_COLUMNS, [])
+        assert alw_leads_to_leaf(s).certificate == {"class": [0], "leaf": [0], "steps": [0]}
+        [report] = nash_eq(s).certificate["agents"]
+        assert (report["leaf_class"], report["n_min"], report["n_max"]) == ([0], [0], [0])
+        for check, replay in self.CHECKS:
+            replay(s, check(s).certificate)
 
 
 # two positive cycles, c1's and c2's, both feed one class past them
@@ -625,15 +789,25 @@ class TestSgpe:
     def test_dollar_auction_margins_are_zero(self):
         v = sgpe(dollar_auction_strategy("agu"))
         assert v.holds
-        for row in v.certificate["classes"]:
-            assert row["margin"] == {"slope": 0, "intercept": 0}
+        assert margins(v.certificate) == [(0, 0)] * 2
 
     def test_centipede_margins_are_one(self):
         v = sgpe(centipede_strategy("agu"))
         assert v.holds
-        for row in v.certificate["classes"]:
-            assert row["margin"] == {"slope": 0, "intercept": 1}
-            assert row["margin_at_n_min"] == 1
+        assert margins(v.certificate) == [(0, 1)] * 2
+        # so the margin at each class's least index is 1 too
+        assert [b + a * n for (a, b), n in zip(margins(v.certificate), v.certificate["n_min"])] == [1, 1]
+
+    def test_mutating_the_reachable_classes_cannot_corrupt_later_verdicts(self):
+        # ``reachable`` is public and memoized: emptying what it returns
+        # must not make a strategy that escalates forever pass
+        s = dollar_auction_strategy("ngu")
+        order = reachable(s)
+        with contextlib.suppress(AttributeError):
+            order.clear()
+        assert list(reachable(s)) == [0, 1, 3, 2]
+        assert not alw_leads_to_leaf(s).holds
+        assert not sgpe(s).holds
 
     def test_escalation_fails_through_altl(self):
         v = sgpe(dollar_auction_strategy("ngu"))
@@ -786,10 +960,10 @@ class TestShiftedRing:
         assert (report["on_path_value"], report["best_deviation_value"]) == (-1, -1)
         perfect = sgpe(s)
         assert perfect.holds
-        rows = perfect.certificate["classes"]
-        assert [row["class"] for row in rows] == list(range(self.LENGTH))
-        assert all(row["margin"] == {"slope": 0, "intercept": 1} for row in rows)
-        assert all(row["indices"] == {"minimum": row["class"], "maximum": None} for row in rows)
+        cert = perfect.certificate
+        assert cert["class"] == cert["n_min"] == list(range(self.LENGTH))
+        assert margins(cert) == [(0, 1)] * self.LENGTH
+        assert cert["n_max"] == [None] * self.LENGTH
 
 
 def diamond_ladder(k: int) -> CoSystem:
@@ -982,8 +1156,10 @@ class TestReachIndexSets:
         nash, perfect = nash_eq(s), sgpe(s)
         if choice is Choice.R:  # every node takes the larger shift
             assert nash.holds and perfect.holds
-            [row] = nash.certificate["agents"][0]["leaves"]
-            assert (row["max_value"], row["at_index"]) == (top, top)
+            [report] = nash.certificate["agents"]
+            # the one leaf pays n, so its best end is its greatest index
+            assert (report["leaf_class"], report["n_min"], report["n_max"]) == ([40], [0], [top])
+            assert report["best_deviation_value"] == top
         else:
             assert not nash.holds
             assert (nash.certificate["leaf_index"], nash.certificate["deviation_value"]) == (top, top)
