@@ -19,13 +19,13 @@ default, a guard against quadratic conversion of untrusted input;
 ``main`` reads files that its user names, so it lifts that limit for its
 own duration (``unbounded_int_digits``) and restores it on return.
 
-The report is rendered with ``check_circular=False``.  It is acyclic,
-though one container may appear in it more than once (the memoized
-``leads_to_leaf`` certificate is cited by the ``ltl`` check, by an
-``altl`` failure and by a vacuous ``nash`` hold at once), so json's
-guard against reference cycles (an ``id`` inserted into and deleted from
-a dict for every list and dict it writes) can find nothing, and would be
-about half of the time spent rendering a large ``bisim`` relation.
+The report is rendered with ``check_circular=False``.  It is acyclic:
+each check builds its own certificate, and one that cites the chosen
+walk (an ``altl`` failure, a vacuous ``nash`` hold) holds its own copy
+of the ``leads_to_leaf`` certificate.  So json's guard against reference
+cycles (an ``id`` inserted into and deleted from a dict for every list
+and dict it writes) can find nothing, and would be about half of the
+time spent rendering a large ``bisim`` relation.
 
 ``main`` may be called many times in one process (batch drivers, the
 benchmark's loop, the tests).  The argument parser is built on the first

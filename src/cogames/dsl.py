@@ -50,19 +50,22 @@ payoff keys and normalized ``a*n+b`` affine spelling; parse/print
 round-trips are exact.
 
 Two readers share this grammar.  A flat reader takes the plain spelling
-that most files use (ASCII text, named refs only, one anchored regex
-match per equation) and gives up, without raising, on anything else.
-It writes the system's columns (``system.CoSystem``) straight from the
-match groups and builds no class object.  The token parser reads what
-the flat reader gives up on, into class objects that ``CoSystem`` turns
-into the same columns; it alone defines the grammar, and it raises
-every error, with its message, ``line:col`` and expected tokens.  So
-the flat reader also gives up on an invalid system and on an integer
-past the caller's limit.
+that most files use (ASCII text, named refs only) and gives up, without
+raising, on anything else.  It reads each equation, a leaf's payoffs
+included, in one anchored regex match, with one pattern per roster width
+(a leaf holds one payoff group per agent) compiled on first use.  The
+same loop appends the match groups to the system's columns
+(``system.CoSystem``); it keeps no match and builds no class object.
+The token parser reads what the flat reader gives up on, into class
+objects that ``CoSystem`` turns into the same columns; it alone defines
+the grammar, and it raises every error, with its message, ``line:col``
+and expected tokens.  So the flat reader also gives up on an invalid
+system and on an integer past the caller's limit.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 
@@ -416,30 +419,38 @@ class _Parser:
 # The flat reader's spelling: a header, equations whose refs are all named,
 # and a root, with payoffs ``-?k``, ``-?k*n`` or ``-?n``, the last two with
 # an optional tail ``+k`` or ``-k``.  ``\s+`` stands wherever two
-# identifiers meet, so that no match splits one.  ``_ITEM`` is ``_PAYOFF``
-# without its groups: the equation match only checks a leaf's body, and
-# ``_FLAT_PAYOFF`` reads it.  All are compiled with ``re.ASCII``, so no
-# character outside ASCII matches them.
+# identifiers meet, so that no match splits one.  A valid leaf pays each
+# roster agent once, so the equation pattern for a roster of ``w`` agents
+# reads a leaf as exactly ``w`` payoff groups, and one match reads the whole
+# equation, payoffs included; each width's pattern is compiled on first use.
+# All are compiled with ``re.ASCII``, so no character outside ASCII matches
+# them.
 _IDENT = r"[A-Za-z_]\w*"
 _REF = rf"({_IDENT})\s*\(\s*n\s*(?:\+\s*(\d+)\s*)?\)"
 _PAYOFF = rf"\s*({_IDENT})\s*:\s*(-?)\s*(?:(\d+)|(?:(\d+)\s*\*\s*)?n(?:\s*([+-])\s*(\d+))?)\s*"
-_ITEM = re.sub(r"\((?!\?)", "(?:", _PAYOFF)
 _FLAT_HEAD = re.compile(rf"\s*(strategy|game)\s+agents((?:\s+{_IDENT})+?)\s+(?={_IDENT}\s*\()",
                         re.ASCII)
-_FLAT_EQ = re.compile(rf"\s*({_IDENT})\s*\(\s*n\s*\)\s*=\s*(?:"
-                      rf"<\s*({_IDENT})\s*,(?:\s*([lr])\s*,)?\s*{_REF}\s*,\s*{_REF}\s*>"
-                      rf"|leaf\s*\[({_ITEM}(?:,{_ITEM})*)\])", re.ASCII)
-_FLAT_PAYOFF = re.compile(rf"{_PAYOFF}(?:,|\Z)", re.ASCII)
 _FLAT_ROOT = re.compile(rf"\s*root\s+({_IDENT})\s*\Z", re.ASCII)
+
+
+@functools.lru_cache(maxsize=16)
+def _flat_equation(width: int) -> re.Pattern[str]:
+    """The pattern of one equation of a file whose roster has ``width``
+    agents: groups name, owner, choice, left, left shift, right and right
+    shift, then a leaf's ``width`` payoffs, six groups each (agent, minus,
+    constant, slope, tail sign, tail)."""
+    return re.compile(rf"\s*({_IDENT})\s*\(\s*n\s*\)\s*=\s*(?:"
+                      rf"<\s*({_IDENT})\s*,(?:\s*([lr])\s*,)?\s*{_REF}\s*,\s*{_REF}\s*>"
+                      rf"|leaf\s*\[{','.join([_PAYOFF] * width)}\])", re.ASCII)
 
 
 def _parse_flat(text: str) -> CoSystem | None:
     """The system of a valid file in the flat spelling, or None for any
     other text.  Where it returns a system, the token parser returns an
-    equal one.  It fills the system's columns from the regex groups and
-    builds no class object.  Past the caller's int/str limit ``int``
-    raises ``ValueError``, and ``parse`` gives the text to the token
-    parser."""
+    equal one.  One match per equation, and the same loop appends the
+    match's groups to the system's columns; no class object is built.
+    Past the caller's int/str limit ``int`` raises ``ValueError``, and
+    ``parse`` gives the text to the token parser."""
     head = _FLAT_HEAD.match(text)
     if head is None:
         return None
@@ -449,45 +460,53 @@ def _parse_flat(text: str) -> CoSystem | None:
         return None
     # each agent's slope slot in a leaf's payoff entry; the intercept follows
     slot = {agent: 2 * i for i, agent in enumerate(roster)}
-    # the matches, not their groups: a tuple per equation, all held at
-    # once, would stay on the tuple free list after the parse
-    equations = []
+    strategy, width = kind == STRATEGY, 2 * len(roster)
+    ids: dict[str, int] = {}
+    # the columns, in ``CoSystem``'s field order; ``left`` and ``right``
+    # hold child names (None at a leaf) until every name is known
+    owner, choice, left, left_shift, right, right_shift, payoff = ([] for _ in range(7))
+    eq = _flat_equation(len(roster))
     pos = head.end()
-    while (m := _FLAT_EQ.match(text, pos)) is not None:
-        equations.append(m)
+    while (m := eq.match(text, pos)) is not None:
         pos = m.end()
-    root = _FLAT_ROOT.match(text, pos)
-    ids = {m[1]: i for i, m in enumerate(equations)}
-    if (root is None or root[1] not in ids or len(ids) < len(equations)
-            or not ids.keys().isdisjoint(RESERVED)):
-        return None
-    strategy = kind == STRATEGY
-    width = 2 * len(roster)
-    rows = []  # one row of column entries per class, in ``CoSystem``'s field order
-    for m in equations:
-        _, owner, choice, left, left_shift, right, right_shift, body = m.groups()
-        if body is None:
-            if (owner not in slot or (choice is None) == strategy
-                    or left not in ids or right not in ids):
+        # a leaf's owner, choice, children and shifts are unmatched: None
+        groups = m.groups()
+        name, who, c, lname, lk, rname, rk = groups[:7]
+        ids.setdefault(name, len(owner))
+        owner.append(who)
+        choice.append(c and _CHOICES[c])
+        left.append(lname)
+        left_shift.append(int(lk) if lk else 0)
+        right.append(rname)
+        right_shift.append(int(rk) if rk else 0)
+        if who is not None:
+            if who not in slot or (c is None) == strategy:
                 return None
-            rows.append((owner, choice and _CHOICES[choice],
-                         ids[left], int(left_shift) if left_shift else 0,
-                         ids[right], int(right_shift) if right_shift else 0, None))
+            payoff.append(None)
             continue
-        payoff: list[int | None] = [None] * width
-        for agent, minus, const, slope, tail_sign, tail in _FLAT_PAYOFF.findall(body):
+        entry: list[int | None] = [None] * width
+        for j in range(7, len(groups), 6):
+            agent, minus, const, slope, tail_sign, tail = groups[j:j + 6]
             i = slot.get(agent)
-            if i is None or payoff[i] is not None:
+            if i is None or entry[i] is not None:
                 return None
             if const:
-                payoff[i], payoff[i + 1] = 0, -int(const) if minus else int(const)
+                entry[i], entry[i + 1] = 0, -int(const) if minus else int(const)
             else:
                 k, b = int(slope) if slope else 1, int(tail) if tail else 0
-                payoff[i], payoff[i + 1] = -k if minus else k, -b if tail_sign == "-" else b
-        if None in payoff:
-            return None
-        rows.append((None, None, 0, 0, 0, 0, tuple(payoff)))
-    return CoSystem._from_columns(kind, roster, Ref(ids[root[1]], 0), *zip(*rows))
+                entry[i], entry[i + 1] = -k if minus else k, -b if tail_sign == "-" else b
+        payoff.append(tuple(entry))
+    root = _FLAT_ROOT.match(text, pos)
+    if (root is None or root[1] not in ids or len(ids) < len(owner)
+            or not ids.keys().isdisjoint(RESERVED)):
+        return None
+    known = {None: 0, **ids}
+    try:
+        left, right = tuple(map(known.__getitem__, left)), tuple(map(known.__getitem__, right))
+    except KeyError:  # a child that names no equation
+        return None
+    return CoSystem._from_columns(kind, roster, Ref(ids[root[1]], 0), tuple(owner), tuple(choice),
+                                  left, tuple(left_shift), right, tuple(right_shift), tuple(payoff))
 
 
 def parse(text: str) -> CoSystem:

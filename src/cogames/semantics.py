@@ -36,10 +36,11 @@ the utility columns read leaf payoffs from its ``payoff`` column (see
 ``system.CoSystem``).
 
 Only ``leads_to_leaf`` walks, since its certificate is the path itself.
-Its verdict is memoized too, one per start reference, so the
-certificates that cite one walk (``alw_leads_to_leaf``'s failure,
-``nash_eq``'s vacuous holds, ``sgpe``'s failing precondition) walk it
-once between them and share the certificate.
+The walk is memoized too, one per start reference, so the certificates
+that cite one walk (``alw_leads_to_leaf``'s failure, ``nash_eq``'s
+vacuous holds, ``sgpe``'s failing precondition) walk it once between
+them; each gets its own copy of the certificate through its own
+``leads_to_leaf`` call.
 """
 
 from __future__ import annotations
@@ -57,55 +58,59 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     Holds with the finite path (visited references and choices taken) if
     a leaf is reached; fails with the repeating class cycle and the
     choices taken otherwise.  Terminates within |classes| + 1 steps.
-    The verdict is memoized per start reference, and the one object is
-    returned to every caller and cited by other certificates, so callers
-    must not mutate it.  A start outside the system raises
+    The walk is memoized per start reference; each call builds its own
+    verdict from it, so a caller may keep or change its certificate
+    without touching any other's.  A start outside the system raises
     ``ValueError``.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("leads_to_leaf expects a strategy")
     if at is not None:
         check_ref(s, at)
-    return _chosen_walk(s, s.root if at is None else at)
+    visited, shifts, choices, entered = _chosen_walk(s, s.root if at is None else at)
+    if entered is None:
+        return Verdict(
+            True,
+            {
+                "path": [{"class": c, "shift": k} for c, k in zip(visited, shifts)],
+                "choices": list(choices),
+                "total_shift": shifts[-1],
+            },
+            f"leaf reached in {len(choices)} steps",
+        )
+    cycle = visited[entered:-1]
+    return Verdict(
+        False,
+        {
+            "cycle": cycle,
+            "owners": [s.owner[c] for c in cycle],
+            "entered_after": entered,
+            "choices": list(choices),
+        },
+        "chosen path revisits a class and can never terminate",
+    )
 
 
 @memoized
-def _chosen_walk(s: CoSystem, start: Ref) -> Verdict:
-    """:func:`_walk`, built once per start."""
+def _chosen_walk(s: CoSystem, start: Ref) -> tuple[list[int], list[int], list[str], int | None]:
+    """:func:`_walk`, built once per start; :func:`leads_to_leaf` copies it."""
     return _walk(s, start)
 
 
-def _walk(s: CoSystem, start: Ref) -> Verdict:
-    """The chosen walk from ``start`` and its ``leads_to_leaf`` verdict,
-    along the system's choice and child columns."""
+def _walk(s: CoSystem, start: Ref) -> tuple[list[int], list[int], list[str], int | None]:
+    """The chosen walk from ``start``, along the system's choice and child
+    columns: the classes visited, the shift at each, the choices taken,
+    and the index of the first visit of the class that repeats (None
+    when the walk ends at a leaf, which is then the last class
+    visited)."""
     owner, choice = s.owner, s.choice
     cur, shift = start.cls, start.shift
     first_visit: dict[int, int] = {}
     visited, shifts = [cur], [shift]
     choices: list[str] = []
-    while True:
-        if owner[cur] is None:
-            return Verdict(
-                True,
-                {
-                    "path": [{"class": c, "shift": k} for c, k in zip(visited, shifts)],
-                    "choices": choices,
-                    "total_shift": shift,
-                },
-                f"leaf reached in {len(choices)} steps",
-            )
+    while owner[cur] is not None:
         if cur in first_visit:
-            cycle = visited[first_visit[cur]:-1]
-            return Verdict(
-                False,
-                {
-                    "cycle": cycle,
-                    "owners": [owner[c] for c in cycle],
-                    "entered_after": first_visit[cur],
-                    "choices": choices,
-                },
-                "chosen path revisits a class and can never terminate",
-            )
+            return visited, shifts, choices, first_visit[cur]
         first_visit[cur] = len(visited) - 1
         label = choice[cur]
         if label is Choice.L:
@@ -116,6 +121,7 @@ def _walk(s: CoSystem, start: Ref) -> Verdict:
         visited.append(cur)
         shifts.append(shift)
         choices.append(label.value)
+    return visited, shifts, choices, None
 
 
 class PlayTable(NamedTuple):

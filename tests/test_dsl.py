@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -27,6 +28,32 @@ DOLLAR_AGU_ONE_LINER = (
 )
 
 
+# every payoff spelling that the flat reader takes, and its value
+AFFINE_SPELLINGS = {
+    "0": Affine(0, 0),
+    "-7": Affine(0, -7),
+    "n": Affine(1, 0),
+    "n+3": Affine(1, 3),
+    "n-3": Affine(1, -3),
+    "-n": Affine(-1, 0),
+    "2*n+1": Affine(2, 1),
+    "2*n-1": Affine(2, -1),
+    "-2*n-1": Affine(-2, -1),
+    "-2*n": Affine(-2, 0),
+    "2*n + 1": Affine(2, 1),
+    "2*n - 1": Affine(2, -1),
+    # a leading minus negates the leading term only
+    "-n+2": Affine(-1, 2),
+    "-n-2": Affine(-1, -2),
+    "- 2*n+1": Affine(-2, 1),
+    "- n + 2": Affine(-1, 2),
+    "- 7": Affine(0, -7),
+    # a minus glued to a zero tail, as "n - 0" and "n+0" are read
+    "n-0": Affine(1, 0),
+    "2*n-00": Affine(2, 0),
+}
+
+
 class TestParse:
     def test_inline_desugaring_matches_the_constructor(self):
         assert parse(DOLLAR_AGU_ONE_LINER) == families.dollar_auction_strategy("agu")
@@ -46,30 +73,7 @@ class TestParse:
         assert sys_.classes[1] == Leaf({"A": Affine(1, 1)})
 
     def test_affine_spellings(self):
-        cases = {
-            "0": Affine(0, 0),
-            "-7": Affine(0, -7),
-            "n": Affine(1, 0),
-            "n+3": Affine(1, 3),
-            "n-3": Affine(1, -3),
-            "-n": Affine(-1, 0),
-            "2*n+1": Affine(2, 1),
-            "2*n-1": Affine(2, -1),
-            "-2*n-1": Affine(-2, -1),
-            "-2*n": Affine(-2, 0),
-            "2*n + 1": Affine(2, 1),
-            "2*n - 1": Affine(2, -1),
-            # a leading minus negates the leading term only
-            "-n+2": Affine(-1, 2),
-            "-n-2": Affine(-1, -2),
-            "- 2*n+1": Affine(-2, 1),
-            "- n + 2": Affine(-1, 2),
-            "- 7": Affine(0, -7),
-            # a minus glued to a zero tail, as "n - 0" and "n+0" are read
-            "n-0": Affine(1, 0),
-            "2*n-00": Affine(2, 0),
-        }
-        for text, expected in cases.items():
+        for text, expected in AFFINE_SPELLINGS.items():
             source = f"game agents A g(n) = leaf[A: {text}] root g"
             sys_ = parse(source)
             assert sys_.classes[0].payoffs["A"] == expected, text
@@ -98,6 +102,38 @@ class TestParse:
             dsl._Parser(text).parse_file()
 
 
+def wide_file(width: int) -> tuple[str, dict[str, dict[str, Affine]]]:
+    """A game over ``width`` agents, declared in shuffled order, with a
+    node chain whose leaves pay every spelling of ``AFFINE_SPELLINGS``,
+    their items in roster, reversed and shuffled order; and each leaf's
+    expected payoffs by equation name."""
+    rng = random.Random(width)
+    agents = [f"P{i}" for i in range(width)]
+    spellings = list(AFFINE_SPELLINGS)
+    leaves = []
+    for order in (agents, agents[::-1], rng.sample(agents, width)):
+        for k in range(len(spellings)):
+            leaves.append([(a, spellings[(k + i) % len(spellings)]) for i, a in enumerate(order)])
+    equations = []
+    for i, items in enumerate(leaves):
+        body = ", ".join(f"{a}: {spelling}" for a, spelling in items)
+        equations.append(f"x{i}(n) = leaf[{body}]")
+        equations.append(f"h{i}(n) = <P{i % width}, x{i}(n), h{(i + 1) % len(leaves)}(n+{i % 3})>")
+    rng.shuffle(equations)
+    lines = [f"game agents {' '.join(rng.sample(agents, width))}", *equations, "root h0"]
+    expected = {f"x{i}": {a: AFFINE_SPELLINGS[spelling] for a, spelling in items}
+                for i, items in enumerate(leaves)}
+    return "\n".join(lines) + "\n", expected
+
+
+def wide_file_missing_an_agent() -> str:
+    """``wide_file(12)`` with one more leaf at the end that pays every
+    agent but ``P7``."""
+    text, _ = wide_file(12)
+    body = ", ".join(f"P{i}: {i}" for i in range(12) if i != 7)
+    return text.replace("root h0", f"last(n) = leaf[{body}]\nroot h0")
+
+
 def respaced(text: str) -> str:
     """``text`` with spaces and tabs between all of its tokens."""
     return " \t".join(dsl._TOKEN.findall(text)) + "\t\n"
@@ -121,6 +157,18 @@ class TestFlatReader:
             expected = token_parser(text).parse_file()
             assert sys_ == expected and repr(sys_) == repr(expected)
 
+    @pytest.mark.parametrize("width", [1, 3, 12])
+    def test_each_roster_width_reads_as_the_token_parser(self, width):
+        # the flat reader's leaf pattern holds one payoff group per agent
+        text, expected = wide_file(width)
+        for source in (text, respaced(text)):
+            sys_ = dsl._parse_flat(source)
+            tokens = dsl._Parser(source).parse_file()
+            assert sys_ is not None and sys_ == tokens and repr(sys_) == repr(tokens)
+        names = [line.split("(")[0] for line in text.splitlines()[1:-1]]
+        for name, payoffs in expected.items():
+            assert sys_.classes[names.index(name)].payoffs == payoffs, name
+
     # (source, why the flat reader gives it up); parse must then return the
     # token parser's system or raise its error
     GIVEN_UP = [
@@ -136,6 +184,10 @@ class TestFlatReader:
         ("game agents A g(n) = leaf[B: 0] root g", "unknown leaf agent"),
         ("game agents A B g(n) = leaf[A: 0, A: 1] root g", "duplicate leaf agent"),
         ("game agents A B g(n) = leaf[A: 0] root g", "leaf misses an agent"),
+        ("game agents A g(n) = leaf[A: 0, A: 1] root g", "leaf item past the roster"),
+        ("game agents A B C g(n) = leaf[A: 0, B: 1, A: 2] root g",
+         "full-width leaf repeats an agent and misses another"),
+        (wide_file_missing_an_agent(), "last leaf of a wide roster misses an agent"),
         ("game agents A g(n) = <A, l, g(n), g(n)> root g", "choice in a game"),
         ("strategy agents A g(n) = <A, g(n), g(n)> root g", "no choice in a strategy"),
         ("game agents A g(n) = leaf[A: --5] root g", "double minus"),

@@ -14,6 +14,7 @@ from cogames import (
     STRATEGY,
     alw_leads_to_leaf,
     leads_to_leaf,
+    nash_eq,
     s2u,
     utility_from,
     with_root,
@@ -60,6 +61,27 @@ class TestLeadsToLeaf:
                 assert len(v.certificate["choices"]) <= len(s.classes)
             else:
                 assert 1 <= len(v.certificate["cycle"]) <= len(s.classes)
+
+    def test_each_caller_owns_its_certificate(self):
+        # the walk is memoized, but a caller that changes its certificate
+        # changes no other caller's, nor a certificate that cites the walk
+        s = dollar_auction_strategy("ngu")
+        mine = leads_to_leaf(s).certificate
+        mine["cycle"].clear()
+        mine["owners"].append("Carol")
+        mine["choices"].clear()
+        fresh = leads_to_leaf(s).certificate
+        assert fresh == {"cycle": [0, 1], "owners": ["Alice", "Bob"], "entered_after": 0,
+                         "choices": ["l", "l"]}
+        assert nash_eq(s).certificate["leads_to_leaf"] == fresh
+        assert alw_leads_to_leaf(s).certificate["cycle"] == fresh
+        held = CoSystem(STRATEGY, ("A",), (Node("A", Choice.R, Ref(0), Ref(1, 2)),
+                                           Leaf({"A": Affine.const(3)})))
+        path = leads_to_leaf(held).certificate["path"]
+        path[0]["shift"] = 9
+        path.pop()
+        assert leads_to_leaf(held).certificate["path"] == [{"class": 0, "shift": 0},
+                                                          {"class": 1, "shift": 2}]
 
 
 def escalating_off_path() -> CoSystem:
