@@ -39,6 +39,7 @@ from .system import (
     ConvClass,
     Convertibility,
     CoSystem,
+    InvalidSystemError,
     KindMismatchError,
     Leaf,
     Node,
@@ -59,8 +60,8 @@ from .verdict import Verdict
 
 __all__ = [
     "Affine", "Choice", "CoSystem", "ConvClass", "Convertibility", "GAME",
-    "KindMismatchError", "LassoHistory", "Leaf", "Node", "ReachSet", "Ref",
-    "RosterMismatchError",
+    "InvalidSystemError", "KindMismatchError", "LassoHistory", "Leaf", "Node",
+    "ReachSet", "Ref", "RosterMismatchError",
     "STRATEGY", "Verdict", "alw_leads_to_leaf", "annotate", "bisimilar",
     "bisimilar_bounded", "canonicalize", "convertible", "format_lasso",
     "h_bisimilar", "in_h1", "in_h2", "is_finite", "is_history_of",

@@ -87,8 +87,9 @@ class InputError(Exception):
 
 def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
     """The system in the file at ``path`` and its input record.  The
-    readers in ``dsl`` reject every invalid system with a positioned
-    error, so nothing here validates it again."""
+    readers in ``dsl`` reject every invalid file with a positioned
+    error, and every ``CoSystem`` is valid by construction, so nothing
+    here validates it again."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:

@@ -26,8 +26,11 @@ Beyond the grammar, a file names each agent and each equation once,
 owns every node by an agent of the roster, gives every leaf exactly one
 payoff per agent of the roster, and puts a choice at every node of a
 strategy and at none of a game.  Refs name equations and shifts are
-natural numbers.  These are the invariants of ``system.validate``, so
-every system that ``parse`` returns passes it.
+natural numbers.  These are the invariants that ``system.CoSystem``'s
+constructor checks.  The token parser builds its system through that
+constructor, after it has reported any broken invariant at its
+position.  The flat reader gives up on any text that breaks one, so it
+fills the columns through the unchecked ``CoSystem._from_columns``.
 
 The grammar sets no bound on the length of an integer.  CPython refuses
 int/str conversions past 4 300 digits by default
@@ -450,7 +453,8 @@ def _parse_flat(text: str) -> CoSystem | None:
     equal one.  One match per equation, and the same loop appends the
     match's groups to the system's columns; no class object is built.
     Past the caller's int/str limit ``int`` raises ``ValueError``, and
-    ``parse`` gives the text to the token parser."""
+    ``parse`` gives the text to the token parser.  Its give-up rules are
+    ``CoSystem``'s invariants, so the columns it fills are valid."""
     head = _FLAT_HEAD.match(text)
     if head is None:
         return None
@@ -510,9 +514,9 @@ def _parse_flat(text: str) -> CoSystem | None:
 
 
 def parse(text: str) -> CoSystem:
-    """Parse source text into an equation system that passes
-    ``system.validate``, or raise a positioned ``ParseError``; nothing
-    else escapes, under any int/str conversion limit.
+    """Parse source text into an equation system, valid as every
+    ``CoSystem`` is, or raise a positioned ``ParseError``; nothing else
+    escapes, under any int/str conversion limit.
 
     The flat reader takes plain files; the token parser takes the rest
     (inline terms, rarer spellings) and raises every error.  Classes are

@@ -56,6 +56,17 @@ class RosterMismatchError(ValueError):
     """Two systems compared over different agent rosters."""
 
 
+class InvalidSystemError(ValueError):
+    """Classes that break an invariant of :class:`CoSystem`.
+    ``certificate`` names the violation, ``{"error": code, "class": i}``
+    with the reference under ``"ref"`` for ``InvalidRef`` (``EmptyRoster``
+    and ``BadKind`` name no class), and the message says why."""
+
+    def __init__(self, certificate: dict[str, Any], note: str) -> None:
+        super().__init__(note)
+        self.certificate = certificate
+
+
 class Choice(Enum):
     """Binary branch label.  L sorts before R in every canonical order."""
 
@@ -147,14 +158,16 @@ class CoSystem:
     root and the columns.
 
     ``CoSystem(kind, roster, classes, root)`` is the one constructor
-    from class objects, valid or not: a leaf's entry holds None for the
-    slope and the intercept of a roster agent it pays nothing, and its
-    payoffs to agents outside the roster follow the roster's as
-    ``(agent, slope, intercept)`` triples in name order, so the columns
-    keep the classes exactly and :func:`validate` sees every violation.
-    ``dsl``'s flat reader fills the columns straight from the text
-    (:meth:`_from_columns`).  ``classes`` is a view: the class objects,
-    built by :func:`unfold` on first read and kept in the memo.
+    from class objects and the one validity gate: it checks the classes
+    (:func:`_check_classes` lists the seven invariants) before it builds
+    the columns, and raises :class:`InvalidSystemError` at the first
+    violation.  So every system is valid, and no engine checks one
+    again.  :meth:`_from_columns` is the unchecked path, for the four
+    producers whose columns are valid by how they are made: ``dsl``'s
+    flat reader, which fills them straight from the text,
+    :func:`with_root`, :func:`strategy_to_game` and :func:`annotate`.
+    ``classes`` is a view: the class objects, built by :func:`unfold`
+    on first read and kept in the memo.
 
     ``_memo`` holds the tables that :func:`memoized` builders derive
     from the fields, so every check on one system reads one copy; it
@@ -175,7 +188,8 @@ class CoSystem:
 
     def __init__(self, kind: str, roster: Iterable[str], classes: Iterable[NodeClass],
                  root: Ref = Ref(0, 0)) -> None:
-        roster = tuple(sorted(set(roster)))
+        roster, classes = tuple(sorted(set(roster))), tuple(classes)
+        _check_classes(kind, roster, classes, root)
         rows = [(None, None, 0, 0, 0, 0, _payoff_entry(cls.payoffs, roster)) if isinstance(cls, Leaf)
                 else (cls.owner, cls.choice, cls.left.cls, cls.left.shift, cls.right.cls,
                       cls.right.shift, None)
@@ -186,7 +200,9 @@ class CoSystem:
     def _from_columns(cls, kind: str, roster: tuple[str, ...], root: Ref,
                       *columns: tuple) -> CoSystem:
         """A system with the given columns, in the field order, and a
-        roster that is already sorted and free of repeats."""
+        roster that is already sorted and free of repeats, unchecked.
+        The caller states why its columns are valid; a CI step refuses a
+        caller other than the four that :class:`CoSystem` names."""
         sys = object.__new__(cls)
         sys._fill(kind, roster, root, *columns)
         return sys
@@ -207,15 +223,47 @@ class CoSystem:
         return _class_view(self)
 
 
-def _payoff_entry(payoffs: Mapping[str, Affine], roster: tuple[str, ...]) -> tuple:
-    """A leaf's ``payoff`` column entry; see :class:`CoSystem`."""
-    entry: list = []
-    for agent in roster:
-        f = payoffs.get(agent)
-        entry += (None, None) if f is None else (f.slope, f.intercept)
-    for agent in sorted(set(payoffs).difference(roster)):
-        entry += (agent, payoffs[agent].slope, payoffs[agent].intercept)
-    return tuple(entry)
+def _check_classes(kind: str, roster: tuple[str, ...], classes: tuple[NodeClass, ...],
+                   root: Ref) -> None:
+    """Raise :class:`InvalidSystemError` at the first broken invariant,
+    checked in this order: ``EmptyRoster``, ``BadKind`` (the kind is
+    ``"game"`` or ``"strategy"``), then class by class ``PayoffDomain``
+    (a leaf pays exactly the roster), ``UnknownOwner``, ``MissingChoice``
+    (a strategy's node holds a :class:`Choice`), ``ExtraChoice`` (a
+    game's node holds None) and ``InvalidRef`` (each child names a class
+    at a shift >= 0), and last ``InvalidRef`` at the root."""
+    if not roster:
+        raise InvalidSystemError({"error": "EmptyRoster"}, "roster must be nonempty")
+    if kind not in KINDS:
+        raise InvalidSystemError({"error": "BadKind", "kind": kind},
+                                 "kind must be game or strategy")
+
+    def bad(code: str, where: int | str, why: str, **extra: Any) -> InvalidSystemError:
+        return InvalidSystemError({"error": code, "class": where, **extra}, why)
+
+    n, agents = len(classes), set(roster)
+    for i, cls in enumerate(classes):
+        if isinstance(cls, Leaf):
+            if cls.payoffs.keys() != agents:
+                raise bad("PayoffDomain", i, "leaf payoffs must cover exactly the roster")
+            continue
+        if cls.owner not in agents:
+            raise bad("UnknownOwner", i, f"owner {cls.owner!r} not in roster")
+        if kind == STRATEGY and not isinstance(cls.choice, Choice):
+            raise bad("MissingChoice", i, "strategy node lacks a choice")
+        if kind == GAME and cls.choice is not None:
+            raise bad("ExtraChoice", i, "game node carries a choice")
+        for ref in (cls.left, cls.right):
+            if not (0 <= ref.cls < n) or ref.shift < 0:
+                raise bad("InvalidRef", i, "child reference out of range", ref=ref.to_json())
+    if not (0 <= root.cls < n) or root.shift < 0:
+        raise bad("InvalidRef", "root", "root reference out of range", ref=root.to_json())
+
+
+def _payoff_entry(payoffs: Mapping[str, Affine], roster: tuple[str, ...]) -> tuple[int, ...]:
+    """A leaf's ``payoff`` column entry: the slope and the intercept of
+    each roster agent's payoff, in roster order."""
+    return tuple(chain.from_iterable((payoffs[a].slope, payoffs[a].intercept) for a in roster))
 
 
 def memoized(build: Callable[..., Any]) -> Callable[..., Any]:
@@ -245,49 +293,17 @@ def _class_view(sys: CoSystem) -> tuple[NodeClass, ...]:
 
 
 def validate(sys: CoSystem) -> Verdict:
-    """Check every representation invariant; reject at the first violation.
-
-    Failure certificates carry an error code and the offending location:
-    ``EmptyRoster``, ``BadKind``, ``InvalidRef``, ``MissingChoice``,
-    ``ExtraChoice``, ``UnknownOwner``, ``PayoffDomain``.
-    """
-    if not sys.roster:
-        return Verdict(False, {"error": "EmptyRoster"}, "roster must be nonempty")
-    if sys.kind not in KINDS:
-        return Verdict(False, {"error": "BadKind", "kind": sys.kind}, "kind must be game or strategy")
-
-    def bad(code: str, where: int | str, why: str, **extra) -> Verdict:
-        cert = {"error": code, "class": where}
-        cert.update(extra)
-        return Verdict(False, cert, why)
-
-    n = len(sys.owner)
-    roster = set(sys.roster)
-    width = 2 * len(roster)
-    for i, (owner, choice, left, left_shift, right, right_shift, payoff) in enumerate(
-            zip(*sys._columns())):
-        if owner is None:
-            if len(payoff) != width or None in payoff:
-                return bad("PayoffDomain", i, "leaf payoffs must cover exactly the roster")
-            continue
-        if owner not in roster:
-            return bad("UnknownOwner", i, f"owner {owner!r} not in roster")
-        if sys.kind == STRATEGY and choice is None:
-            return bad("MissingChoice", i, "strategy node lacks a choice")
-        if sys.kind == GAME and choice is not None:
-            return bad("ExtraChoice", i, "game node carries a choice")
-        for child, shift in ((left, left_shift), (right, right_shift)):
-            if not (0 <= child < n) or shift < 0:
-                return bad("InvalidRef", i, "child reference out of range",
-                           ref=Ref(child, shift).to_json())
-    if not (0 <= sys.root.cls < n) or sys.root.shift < 0:
-        return bad("InvalidRef", "root", "root reference out of range", ref=sys.root.to_json())
-    return Verdict(True, {"classes": n, "roster": list(sys.roster)})
+    """The holding verdict ``{"classes": n, "roster": [...]}``, on any
+    system: :class:`CoSystem`'s constructor refuses an invalid one with
+    :class:`InvalidSystemError`, whose certificate names the violation.
+    It stays public for callers that want a :class:`Verdict`."""
+    return Verdict(True, {"classes": len(sys.owner), "roster": list(sys.roster)})
 
 
 def check_ref(sys: CoSystem, ref: Ref) -> None:
     """Raise ``ValueError`` unless ``ref`` names a class of ``sys`` at a
-    shift >= 0, the condition :func:`validate` reports as ``InvalidRef``."""
+    shift >= 0, the condition that the constructor refuses as
+    ``InvalidRef``."""
     if not (0 <= ref.cls < len(sys.owner)) or ref.shift < 0:
         raise ValueError(f"reference {ref} lies outside the system's {len(sys.owner)} classes")
 
@@ -301,10 +317,9 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
     ``k`` becomes ``(s, b + s*k)`` relative to the observation index.
     Node children carry the accumulated shift, so re-rooting the head
     denotes the same subtree.  A leaf's payoff entry (see
-    :class:`CoSystem`) is read as ``(agent, slope, intercept)`` slots,
-    the roster's pairs and then the triples of agents outside it, and
-    yields one :class:`Affine` per agent it pays.  A reference outside
-    the system raises ``ValueError``.
+    :class:`CoSystem`) holds a slope and an intercept per roster agent,
+    in roster order, and yields one :class:`Affine` per agent.  A
+    reference outside the system raises ``ValueError``.
     """
     if at is None:
         at = sys.root
@@ -314,10 +329,9 @@ def unfold(sys: CoSystem, at: Ref | None = None) -> NodeClass:
     if owner is not None:
         return Node(owner, sys.choice[c], Ref(sys.left[c], sys.left_shift[c] + k),
                     Ref(sys.right[c], sys.right_shift[c] + k))
-    entry, n = sys.payoff[c], 2 * len(sys.roster)
-    slots = chain(zip(sys.roster, entry[:n:2], entry[1:n:2]),
-                  zip(entry[n::3], entry[n + 1::3], entry[n + 2::3]))
-    return Leaf({agent: Affine(s, s * k + b) for agent, s, b in slots if s is not None})
+    entry = sys.payoff[c]
+    return Leaf({agent: Affine(s, s * k + b)
+                 for agent, s, b in zip(sys.roster, entry[::2], entry[1::2])})
 
 
 @memoized
@@ -461,7 +475,8 @@ def is_parametric(sys: CoSystem) -> bool:
 def with_root(sys: CoSystem, ref: Ref) -> CoSystem:
     """The same system observed from ``ref`` instead of its root: the
     same columns, and an empty memo.  A reference outside the system
-    raises ``ValueError``."""
+    raises ``ValueError``, so :func:`check_ref` keeps the new root valid
+    and the columns need no check."""
     check_ref(sys, ref)
     return CoSystem._from_columns(sys.kind, sys.roster, ref, *sys._columns())
 
@@ -927,7 +942,9 @@ def bisimilar_bounded(a: CoSystem, b: CoSystem, depth: int) -> Verdict:
 
 
 def strategy_to_game(s: CoSystem) -> CoSystem:
-    """Erase all choices: the underlying game of a strategy."""
+    """Erase all choices: the underlying game of a strategy.  A valid
+    strategy's columns with None at every choice are a valid game's, so
+    they need no check."""
     if s.kind != STRATEGY:
         raise KindMismatchError("strategy_to_game expects a strategy")
     owner, _, *rest = s._columns()
@@ -936,13 +953,15 @@ def strategy_to_game(s: CoSystem) -> CoSystem:
 
 def annotate(game: CoSystem, choices: Mapping[int, Choice]) -> CoSystem:
     """Inverse of :func:`strategy_to_game`: attach a choice to every node
-    class of a game.  ``choices`` must cover every node class id: the
-    first node class without one raises ``ValueError``."""
+    class of a game.  ``choices`` must map every node class id to a
+    :class:`Choice`: the first node class without one raises
+    ``ValueError``, so a valid game's columns with these choices are a
+    valid strategy's and need no check."""
     if game.kind != GAME:
         raise KindMismatchError("annotate expects a game")
     owner, _, *rest = game._columns()
-    try:
-        choice = tuple(None if o is None else choices[c] for c, o in enumerate(owner))
-    except KeyError as exc:
-        raise ValueError(f"no choice for node class {exc.args[0]}") from None
+    choice = tuple(None if o is None else choices.get(c) for c, o in enumerate(owner))
+    for c, (o, pick) in enumerate(zip(owner, choice)):
+        if o is not None and not isinstance(pick, Choice):
+            raise ValueError(f"no choice for node class {c}: {pick!r} is not a Choice")
     return CoSystem._from_columns(STRATEGY, game.roster, game.root, owner, choice, *rest)

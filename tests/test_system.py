@@ -12,6 +12,7 @@ from cogames import (
     Choice,
     CoSystem,
     GAME,
+    InvalidSystemError,
     KindMismatchError,
     Leaf,
     Node,
@@ -50,7 +51,17 @@ def leaf_system(value=1, slope=0, kind=STRATEGY):
     return CoSystem(kind, ("A",), (Leaf({"A": Affine(slope, value)}),))
 
 
+def refused(kind, roster, classes, root=Ref(0, 0)) -> InvalidSystemError:
+    """The error that the constructor raises on these classes."""
+    with pytest.raises(InvalidSystemError) as info:
+        CoSystem(kind, roster, classes, root)
+    return info.value
+
+
 class TestValidate:
+    """The constructor is the validity gate: it refuses every invalid
+    system, so ``validate`` holds on every system that exists."""
+
     def test_smallest_wellformed_system(self):
         assert validate(leaf_system()).holds
 
@@ -60,48 +71,51 @@ class TestValidate:
         assert validate(dollar_auction_game()).holds
 
     def test_game_node_with_choice_rejected(self):
-        bad = CoSystem(GAME, ("A",), (
+        err = refused(GAME, ("A",), (
             Node("A", Choice.L, Ref(1), Ref(1)),
             Leaf({"A": Affine.const(0)}),
         ))
-        v = validate(bad)
-        assert not v.holds and v.certificate["error"] == "ExtraChoice"
-        assert v.certificate["class"] == 0
+        assert err.certificate == {"error": "ExtraChoice", "class": 0}
+        assert str(err) == "game node carries a choice"
 
     def test_strategy_node_without_choice_rejected(self):
-        bad = CoSystem(STRATEGY, ("A",), (
+        err = refused(STRATEGY, ("A",), (
             Node("A", None, Ref(1), Ref(1)),
             Leaf({"A": Affine.const(0)}),
         ))
-        assert validate(bad).certificate["error"] == "MissingChoice"
+        assert err.certificate == {"error": "MissingChoice", "class": 0}
+        assert str(err) == "strategy node lacks a choice"
 
     def test_dangling_reference_rejected(self):
-        bad = CoSystem(GAME, ("A",), (Node("A", None, Ref(5), Ref(0)),))
-        assert validate(bad).certificate["error"] == "InvalidRef"
+        err = refused(GAME, ("A",), (Node("A", None, Ref(5), Ref(0)),))
+        assert err.certificate == {"error": "InvalidRef", "class": 0,
+                                   "ref": {"class": 5, "shift": 0}}
+        assert str(err) == "child reference out of range"
 
     def test_empty_roster_rejected(self):
-        bad = CoSystem(GAME, (), (Leaf({}),))
-        assert validate(bad).certificate["error"] == "EmptyRoster"
+        err = refused(GAME, (), (Leaf({}),))
+        assert (err.certificate, str(err)) == ({"error": "EmptyRoster"}, "roster must be nonempty")
 
     def test_payoff_domain_must_match_roster(self):
-        bad = CoSystem(GAME, ("A", "B"), (Leaf({"A": Affine.const(0)}),))
-        assert validate(bad).certificate["error"] == "PayoffDomain"
+        err = refused(GAME, ("A", "B"), (Leaf({"A": Affine.const(0)}),))
+        assert err.certificate == {"error": "PayoffDomain", "class": 0}
+        assert str(err) == "leaf payoffs must cover exactly the roster"
 
     def test_unknown_kind_rejected(self):
-        v = validate(CoSystem("tree", ("A",), (Leaf({"A": Affine.const(0)}),)))
-        assert (v.holds, v.certificate) == (False, {"error": "BadKind", "kind": "tree"})
+        err = refused("tree", ("A",), (Leaf({"A": Affine.const(0)}),))
+        assert err.certificate == {"error": "BadKind", "kind": "tree"}
+        assert str(err) == "kind must be game or strategy"
 
     def test_owner_outside_the_roster_rejected(self):
-        bad = CoSystem(GAME, ("A",), (Node("Z", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})))
-        v = validate(bad)
-        assert (v.holds, v.certificate) == (False, {"error": "UnknownOwner", "class": 0})
-        assert v.note == "owner 'Z' not in roster"
+        err = refused(GAME, ("A",), (Node("Z", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})))
+        assert err.certificate == {"error": "UnknownOwner", "class": 0}
+        assert str(err) == "owner 'Z' not in roster"
 
     @pytest.mark.parametrize("root", [Ref(1), Ref(0, -1)])
     def test_root_out_of_range_rejected(self, root):
-        v = validate(CoSystem(GAME, ("A",), (Leaf({"A": Affine.const(0)}),), root))
-        assert (v.holds, v.certificate) == (
-            False, {"error": "InvalidRef", "class": "root", "ref": root.to_json()})
+        err = refused(GAME, ("A",), (Leaf({"A": Affine.const(0)}),), root)
+        assert err.certificate == {"error": "InvalidRef", "class": "root", "ref": root.to_json()}
+        assert str(err) == "root reference out of range"
 
     def test_random_generated_systems_validate(self):
         for seed in range(100):
@@ -830,6 +844,12 @@ class TestErasure:
         with pytest.raises(ValueError, match="no choice for node class 1"):
             annotate(dollar_auction_game(), {0: Choice.L})
 
+    @pytest.mark.parametrize("choices, where", [
+        ({0: "l", 1: None}, 0), ({0: Choice.L, 1: None}, 1), ({0: Choice.R, 1: "r"}, 1)])
+    def test_a_choice_that_is_not_a_choice_names_its_node_class(self, choices, where):
+        with pytest.raises(ValueError, match=f"no choice for node class {where}: "):
+            annotate(dollar_auction_game(), choices)
+
 
 class TestRefsOutsideTheSystem:
     """A reference to a class outside the system, or at a negative shift,
@@ -1027,30 +1047,45 @@ class TestColumns:
             assert all(a is b for a, b in zip(moved._columns(), s._columns()))
             assert moved.classes == classes
 
+    ZERO = Leaf({"A": Affine.const(0)})
+    PAYS_A_ONLY = Leaf({"A": Affine(1, 0)})
+    # kind, roster, classes, root, and the certificate of the first violation;
+    # the last four put a node over a leaf, and on them the engines once
+    # raised IndexError, TypeError, KeyError and AttributeError
     INVALID = [
-        (GAME, ("A",), (Node("A", Choice.L, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})), Ref(0)),
-        (STRATEGY, ("A",), (Node("A", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})), Ref(0)),
-        (GAME, ("A",), (Node("A", None, Ref(5), Ref(0, -2)),), Ref(0)),
-        (GAME, (), (Leaf({}),), Ref(0)),
-        (GAME, ("A", "B"), (Leaf({"A": Affine.const(0)}),), Ref(0)),
-        (GAME, ("A",), (Leaf({"A": Affine(1, 2), "Z": Affine(3, 4)}),), Ref(0)),
-        ("tree", ("A",), (Leaf({"A": Affine.const(0)}),), Ref(0)),
-        (GAME, ("A",), (Node("Z", None, Ref(1), Ref(1)), Leaf({"A": Affine.const(0)})), Ref(0)),
-        (GAME, ("A",), (Leaf({"A": Affine.const(0)}),), Ref(1)),
-        (GAME, ("A",), (), Ref(0)),
+        (GAME, ("A",), (Node("A", Choice.L, Ref(1), Ref(1)), ZERO), Ref(0),
+         {"error": "ExtraChoice", "class": 0}),
+        (STRATEGY, ("A",), (Node("A", None, Ref(1), Ref(1)), ZERO), Ref(0),
+         {"error": "MissingChoice", "class": 0}),
+        (GAME, ("A",), (Node("A", None, Ref(5), Ref(0, -2)),), Ref(0),
+         {"error": "InvalidRef", "class": 0, "ref": {"class": 5, "shift": 0}}),
+        (GAME, (), (Leaf({}),), Ref(0), {"error": "EmptyRoster"}),
+        (GAME, ("A", "B"), (ZERO,), Ref(0), {"error": "PayoffDomain", "class": 0}),
+        (GAME, ("A",), (Leaf({"A": Affine(1, 2), "Z": Affine(3, 4)}),), Ref(0),
+         {"error": "PayoffDomain", "class": 0}),
+        ("tree", ("A",), (ZERO,), Ref(0), {"error": "BadKind", "kind": "tree"}),
+        (GAME, ("A",), (Node("Z", None, Ref(1), Ref(1)), ZERO), Ref(0),
+         {"error": "UnknownOwner", "class": 0}),
+        (GAME, ("A",), (ZERO,), Ref(1), {"error": "InvalidRef", "class": "root",
+                                         "ref": {"class": 1, "shift": 0}}),
+        (GAME, ("A",), (), Ref(0), {"error": "InvalidRef", "class": "root",
+                                    "ref": {"class": 0, "shift": 0}}),
+        (STRATEGY, ("A", "B"), (Node("A", Choice.L, Ref(2), Ref(1)), PAYS_A_ONLY), Ref(0),
+         {"error": "InvalidRef", "class": 0, "ref": {"class": 2, "shift": 0}}),
+        (STRATEGY, ("A", "B"), (Node("A", Choice.L, Ref(1), Ref(1)), PAYS_A_ONLY), Ref(0),
+         {"error": "PayoffDomain", "class": 1}),
+        (STRATEGY, ("A",), (Node("B", Choice.L, Ref(1), Ref(1)), PAYS_A_ONLY), Ref(0),
+         {"error": "UnknownOwner", "class": 0}),
+        (STRATEGY, ("A",), (Node("A", "l", Ref(1), Ref(1)), PAYS_A_ONLY), Ref(0),
+         {"error": "MissingChoice", "class": 0}),
     ]
 
-    @pytest.mark.parametrize("kind, roster, classes, root", INVALID)
-    def test_invalid_systems_keep_their_classes(self, kind, roster, classes, root):
-        s = CoSystem(kind, roster, classes, root)
-        assert s.classes == classes and not validate(s).holds
-        assert s == CoSystem(kind, roster, s.classes, root)
+    @pytest.mark.parametrize("kind, roster, classes, root, certificate", INVALID)
+    def test_invalid_systems_are_refused_at_construction(self, kind, roster, classes, root,
+                                                         certificate):
+        assert refused(kind, roster, classes, root).certificate == certificate
 
-    def test_payoffs_outside_the_roster_are_kept(self):
-        extra = CoSystem(GAME, ("A",), (Leaf({"A": Affine(1, 2), "Z": Affine(3, 4)}),))
-        plain = CoSystem(GAME, ("A",), (Leaf({"A": Affine(1, 2)}),))
-        assert extra != plain and validate(plain).holds
-        assert validate(extra).certificate == {"error": "PayoffDomain", "class": 0}
-        missing = CoSystem(GAME, ("A", "B"), (Leaf({"A": Affine(1, 2)}),))
-        assert missing.payoff == ((1, 2, None, None),)
-        assert validate(missing).certificate == {"error": "PayoffDomain", "class": 0}
+    def test_a_leaf_entry_is_the_roster_pairs(self):
+        plain = CoSystem(GAME, ("A", "B"), (Leaf({"B": Affine(3, 4), "A": Affine(1, 2)}),))
+        assert plain.payoff == ((1, 2, 3, 4),) and validate(plain).holds
+        assert plain.classes == (Leaf({"A": Affine(1, 2), "B": Affine(3, 4)}),)
