@@ -227,11 +227,14 @@ def _check_classes(kind: str, roster: tuple[str, ...], classes: tuple[NodeClass,
                    root: Ref) -> None:
     """Raise :class:`InvalidSystemError` at the first broken invariant,
     checked in this order: ``EmptyRoster``, ``BadKind`` (the kind is
-    ``"game"`` or ``"strategy"``), then class by class ``PayoffDomain``
-    (a leaf pays exactly the roster), ``UnknownOwner``, ``MissingChoice``
-    (a strategy's node holds a :class:`Choice`), ``ExtraChoice`` (a
-    game's node holds None) and ``InvalidRef`` (each child names a class
-    at a shift >= 0), and last ``InvalidRef`` at the root."""
+    ``"game"`` or ``"strategy"``), then class by class ``NotAClass`` (a
+    class is a :class:`Leaf` or a :class:`Node`), ``PayoffDomain`` (a
+    leaf pays exactly the roster, each agent an :class:`Affine` of two
+    ints), ``UnknownOwner``, ``MissingChoice`` (a strategy's node holds a
+    :class:`Choice`), ``ExtraChoice`` (a game's node holds None) and
+    ``InvalidRef`` (each child is a :class:`Ref` of two ints that names a
+    class at a shift >= 0), and last ``InvalidRef`` at the root.  An
+    ``InvalidRef`` names a mistyped reference by its ``repr``."""
     if not roster:
         raise InvalidSystemError({"error": "EmptyRoster"}, "roster must be nonempty")
     if kind not in KINDS:
@@ -241,23 +244,36 @@ def _check_classes(kind: str, roster: tuple[str, ...], classes: tuple[NodeClass,
     def bad(code: str, where: int | str, why: str, **extra: Any) -> InvalidSystemError:
         return InvalidSystemError({"error": code, "class": where, **extra}, why)
 
+    def check(where: int | str, ref: Any, what: str) -> None:
+        if not (isinstance(ref, Ref) and _ints(ref.cls, ref.shift)):
+            raise bad("InvalidRef", where, f"{what} is not a Ref of two ints", ref=repr(ref))
+        if not (0 <= ref.cls < n) or ref.shift < 0:
+            raise bad("InvalidRef", where, f"{what} reference out of range", ref=ref.to_json())
+
     n, agents = len(classes), set(roster)
     for i, cls in enumerate(classes):
         if isinstance(cls, Leaf):
-            if cls.payoffs.keys() != agents:
+            if not isinstance(cls.payoffs, Mapping) or cls.payoffs.keys() != agents:
                 raise bad("PayoffDomain", i, "leaf payoffs must cover exactly the roster")
+            if not all(isinstance(pay, Affine) and _ints(pay.slope, pay.intercept)
+                       for pay in cls.payoffs.values()):
+                raise bad("PayoffDomain", i, "each leaf payoff must be an Affine of two ints")
             continue
-        if cls.owner not in agents:
+        if not isinstance(cls, Node):
+            raise bad("NotAClass", i, "a class must be a Leaf or a Node")
+        if cls.owner not in roster:
             raise bad("UnknownOwner", i, f"owner {cls.owner!r} not in roster")
         if kind == STRATEGY and not isinstance(cls.choice, Choice):
             raise bad("MissingChoice", i, "strategy node lacks a choice")
         if kind == GAME and cls.choice is not None:
             raise bad("ExtraChoice", i, "game node carries a choice")
-        for ref in (cls.left, cls.right):
-            if not (0 <= ref.cls < n) or ref.shift < 0:
-                raise bad("InvalidRef", i, "child reference out of range", ref=ref.to_json())
-    if not (0 <= root.cls < n) or root.shift < 0:
-        raise bad("InvalidRef", "root", "root reference out of range", ref=root.to_json())
+        check(i, cls.left, "child")
+        check(i, cls.right, "child")
+    check("root", root, "root")
+
+
+def _ints(a: Any, b: Any) -> bool:
+    return isinstance(a, int) and isinstance(b, int)
 
 
 def _payoff_entry(payoffs: Mapping[str, Affine], roster: tuple[str, ...]) -> tuple[int, ...]:
@@ -744,7 +760,9 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     relates the roots and contains every pair the product walk visits,
     and may contain more: two classes of ``a`` that each meet one class
     of ``b`` put all their partners in one block.  The rows are tuples
-    of two ints, which ``json`` writes as ``[i, j]``.
+    of two ints, which ``json`` writes as ``[i, j]``; ``cogames --json
+    bisim`` writes the same text with ``cli.relation_pieces``, which
+    converts each class id to text once, not once per row.
     ``itertools.product`` makes them, one class of ``a`` at a time, so a
     row costs C time, and the cyclic collector stops tracking each one
     at its first pass; two-int lists would stay tracked and be scanned

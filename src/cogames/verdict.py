@@ -9,9 +9,11 @@ The holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and
 ``nash_eq`` are named columns: one list per field, all of one length,
 with one entry per class or leaf, rather than one dict per row; a
 failure is one row.  Certificates hold dicts, lists, tuples, strings,
-ints, booleans and None, and nothing else; a tuple, such as a row
-``(i, j)`` of a ``bisimilar`` relation, is written by ``json`` as a
-list, so it reads back as ``[i, j]``.
+ints, booleans and None, and nothing else; a tuple is written as a
+list, so it reads back as a list.  A row ``(i, j)`` of a ``bisimilar``
+relation reads back as ``[i, j]``: ``json`` writes it so, and the CLI's
+report writes the rows of a relation with ``cli.relation_pieces``, which
+gives the same text.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cogames.cli import CHECKS, InputError, build_parser, main, unbounded_int_digits
+from cogames.cli import (CHECKS, InputError, build_parser, main, relation_pieces,
+                         unbounded_int_digits)
 from cogames.semantics import leads_to_leaf
 
 import helpers
@@ -245,15 +246,53 @@ class TestBisim:
         assert code == 1
         assert (witness["path"], witness["reason"]) == (["l"] * 30, "leaf payoffs differ for A")
 
-    def test_coprime_rings_print_every_row(self, capsys, tmp_path):
-        p, q = 5, 7
+    # 5/7 is small, 53/59 has class ids past 100, and 353/354 prints 249 924 rows
+    @pytest.mark.parametrize("p, q", [(5, 7), (53, 59), (353, 354)])
+    def test_coprime_rings_print_every_row(self, capsys, tmp_path, p, q):
+        from cogames import bisimilar, dsl
+
         for length in (p, q):
             (tmp_path / f"{length}.cog").write_text(ring_source(length))
-        code, out = run(capsys, "--json", "bisim", str(tmp_path / "5.cog"), str(tmp_path / "7.cog"))
+        a, b = str(tmp_path / f"{p}.cog"), str(tmp_path / f"{q}.cog")
+        code, out = run(capsys, "--json", "bisim", a, b)
         expected = sorted([i, j] for i in range(2 * p) for j in range(2 * q) if i % 2 == j % 2)
         assert code == 0 and len(expected) == 2 * p * q
+        # the report's bytes are json's own, and its rows are bisimilar's
+        assert out == json.dumps(json.loads(out)) + "\n"
+        rows = bisimilar(dsl.parse(ring_source(p)), dsl.parse(ring_source(q))).certificate["relation"]
         assert json.loads(out)["checks"][0]["certificate"] == {"relation": expected}
+        assert expected == [list(row) for row in rows]
         assert f'"relation": {json.dumps(expected)}' in out
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(4, 2)],
+        [(3, 1), (0, 2), (3, 0), (1, 1)],  # unsorted
+        [(0, 0), (0, 2), (2, 1)],  # left class 1 has no partner
+        [(0, 1), (1, 0), (0, 2), (0, 3)],  # left class 0 in two separate runs
+        [[7, 120], [7, 7], [120, 7]],  # lists, and ids of one and of three digits
+        [(-1, 10 ** 30), (10 ** 30, -1)],
+    ])
+    def test_relation_pieces_are_the_text_json_writes(self, rows):
+        assert "".join(relation_pieces(rows)) == json.dumps(rows)
+
+    def test_paths_cannot_pose_as_the_relation(self, capsys, tmp_path, monkeypatch):
+        # one path is a byte that is not UTF-8 alone, decoded to a lone
+        # surrogate as the interpreter decodes argv; the other also has a
+        # quote, a backslash, a non-ASCII letter and the text of the
+        # placeholder's escape, in its directory and in its file name
+        monkeypatch.chdir(tmp_path)
+        byte = os.fsdecode(b"\xff")
+        odd = 'q"b\\ä' + byte + "\\ud800"
+        Path(odd).mkdir()
+        paths = [byte, os.path.join(odd, odd)]
+        for path, length in zip(paths, (5, 7)):
+            Path(path).write_text(ring_source(length))
+        code, out = run(capsys, "--json", "bisim", *paths)
+        report = json.loads(out)
+        assert code == 0 and out == json.dumps(report) + "\n"
+        assert [item["path"] for item in report["inputs"]] == paths
+        assert len(report["checks"][0]["certificate"]["relation"]) == 2 * 5 * 7
 
     def test_negative_depth_is_a_usage_error(self, capsys):
         # bisim has no --depth: parametric inputs are always compared to depth 24
@@ -485,14 +524,23 @@ class TestLargeInputs:
         v = bisimilar_bounded(chain, chain, 3000)
         assert (v.holds, v.certificate) == (True, {"depth": 3000})
 
-    def test_reader_closing_the_pipe_early_gets_no_traceback(self, tmp_path):
-        path = tmp_path / "chain.cog"
-        path.write_text(chain_source(5000))
+    # a check report, and a holding bisim relation, which is written in pieces
+    @pytest.mark.parametrize("command", ["check", "bisim"])
+    def test_reader_closing_the_pipe_early_gets_no_traceback(self, tmp_path, command):
+        if command == "check":
+            path = tmp_path / "chain.cog"
+            path.write_text(chain_source(5000))
+            argv = ["check", str(path), "--ltl", "--altl"]
+        else:
+            argv = ["bisim"]
+            for length in (101, 103):
+                path = tmp_path / f"{length}.cog"
+                path.write_text(ring_source(length))
+                argv.append(str(path))
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.Popen([sys.executable, "-m", "cogames", "--json", "check", str(path),
-                                 "--ltl", "--altl"],
+        proc = subprocess.Popen([sys.executable, "-m", "cogames", "--json", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         try:
             assert len(proc.stdout.read(20)) == 20  # the report is far longer than a pipe holds

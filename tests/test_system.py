@@ -1078,6 +1078,14 @@ class TestColumns:
          {"error": "UnknownOwner", "class": 0}),
         (STRATEGY, ("A",), (Node("A", "l", Ref(1), Ref(1)), PAYS_A_ONLY), Ref(0),
          {"error": "MissingChoice", "class": 0}),
+        # mistyped: these once raised AttributeError or TypeError
+        (GAME, ("A",), ("x",), Ref(0), {"error": "NotAClass", "class": 0}),
+        (GAME, ("A",), (Leaf({"A": 1}),), Ref(0), {"error": "PayoffDomain", "class": 0}),
+        (GAME, ("A",), (Node("A", None, Ref("0"), Ref(0)),), Ref(0),
+         {"error": "InvalidRef", "class": 0, "ref": "Ref(cls='0', shift=0)"}),
+        (GAME, ("A",), (ZERO,), (0, 0), {"error": "InvalidRef", "class": "root", "ref": "(0, 0)"}),
+        (GAME, ("A",), (Node(["A"], None, Ref(0), Ref(0)),), Ref(0),
+         {"error": "UnknownOwner", "class": 0}),
     ]
 
     @pytest.mark.parametrize("kind, roster, classes, root, certificate", INVALID)

@@ -32,16 +32,21 @@ import helpers
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-CODES = ("EmptyRoster", "BadKind", "PayoffDomain", "UnknownOwner", "MissingChoice",
+CODES = ("EmptyRoster", "BadKind", "NotAClass", "PayoffDomain", "UnknownOwner", "MissingChoice",
          "ExtraChoice", "InvalidRef")
 OUTSIDER = "Zed"  # an agent name that helpers.AGENTS never holds
 
 
-def bad_ref(rng: random.Random, n: int) -> Ref:
-    """A reference that names no class of ``n``, or sits at a negative shift."""
-    return rng.choice([Ref(n + rng.randint(0, 3), rng.randint(0, 2)),
-                       Ref(-rng.randint(1, 3), 0),
-                       Ref(rng.randrange(n), -rng.randint(1, 3))])
+def bad_ref(rng: random.Random, n: int) -> tuple[object, object]:
+    """A reference that names no class of ``n``, sits at a negative
+    shift or is not a ``Ref`` of two ints, and how a certificate names it."""
+    k = rng.randrange(n)
+    if rng.random() < 0.6:
+        ref = rng.choice([Ref(n + rng.randint(0, 3), rng.randint(0, 2)),
+                          Ref(-rng.randint(1, 3), 0), Ref(k, -rng.randint(1, 3))])
+        return ref, ref.to_json()
+    ref = rng.choice([Ref(str(k)), Ref(k, 0.5), (k, 0), k])
+    return ref, repr(ref)
 
 
 def mutate(seed: int, code: str) -> tuple[tuple, dict]:
@@ -56,19 +61,25 @@ def mutate(seed: int, code: str) -> tuple[tuple, dict]:
         return ("tree", roster, classes, root), {"error": code, "kind": "tree"}
     n = len(classes)
     if code == "InvalidRef" and rng.random() < 0.3:
-        ref = bad_ref(rng, n)
-        return (kind, roster, classes, ref), {"error": code, "class": "root", "ref": ref.to_json()}
+        ref, named = bad_ref(rng, n)
+        return (kind, roster, classes, ref), {"error": code, "class": "root", "ref": named}
     i = rng.randrange(n)
     owner, left, right = rng.choice(roster), Ref(rng.randrange(n)), Ref(rng.randrange(n))
     choice = rng.choice(helpers.CHOICES) if kind == STRATEGY else None
     cert = {"error": code, "class": i}
     if code == "PayoffDomain":
         agents = list(roster)
-        if rng.random() < 0.5:
-            agents.remove(rng.choice(agents))
+        pays = {a: Affine(rng.randint(-3, 3), rng.randint(-9, 9)) for a in agents}
+        way = rng.randrange(3)
+        if way == 0:
+            del pays[rng.choice(agents)]
+        elif way == 1:
+            pays[OUTSIDER] = Affine(0, 0)
         else:
-            agents.append(OUTSIDER)
-        broken = Leaf({a: Affine(rng.randint(-3, 3), rng.randint(-9, 9)) for a in agents})
+            pays[rng.choice(agents)] = rng.choice([1, (0, 1), Affine(0, "1"), Affine(0.5, 0)])
+        broken = Leaf(pays)
+    elif code == "NotAClass":
+        broken = rng.choice(["x", None, Ref(0), (owner, choice, left, right)])
     elif code == "UnknownOwner":
         broken = Node(OUTSIDER, choice, left, right)
     elif code == "MissingChoice":
@@ -76,10 +87,9 @@ def mutate(seed: int, code: str) -> tuple[tuple, dict]:
     elif code == "ExtraChoice":
         broken = Node(owner, rng.choice([*helpers.CHOICES, "l"]), left, right)
     else:
-        ref = bad_ref(rng, n)
+        ref, cert["ref"] = bad_ref(rng, n)
         left, right = (ref, right) if rng.random() < 0.5 else (left, ref)
         broken = Node(owner, choice, left, right)
-        cert["ref"] = ref.to_json()
     return (kind, roster, classes[:i] + (broken,) + classes[i + 1:], root), cert
 
 
