@@ -24,10 +24,12 @@ each check builds its own certificate, and one that cites the chosen
 walk (an ``altl`` failure, a vacuous ``nash`` hold) holds its own copy
 of the ``leads_to_leaf`` certificate.  So json's guard against reference
 cycles (an ``id`` inserted into and deleted from a dict for every list
-and dict it writes) can find nothing, and is skipped.  The rows of a
-holding ``bisim`` relation are not written by ``json`` at all:
-:func:`relation_pieces` writes the same text with each class id
-converted once, in a third of the time ``json.dumps`` takes on them.
+and dict it writes) can find nothing, and is skipped.  A holding
+``bisim`` relation is not written by ``json`` at all, and its rows are
+never built: ``_cmd_bisim`` keeps the union-find's blocks
+(``system.bisimilar_blocks``), and :func:`block_pieces` writes the text
+``json.dumps`` gives for the rows, one piece per class of the first
+system, from one template per block.
 
 ``main`` may be called many times in one process (batch drivers, the
 benchmark's loop, the tests).  The argument parser is built on the first
@@ -45,11 +47,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from . import __version__
 from . import dsl, families, oracle
@@ -57,7 +56,7 @@ from .equilibria import nash_eq, sgpe
 from .histories import format_lasso, is_history_of, parse_lasso, strategy_history
 from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
 from .system import CoSystem, Convertibility, STRATEGY, KindMismatchError, RosterMismatchError
-from .system import bisimilar, bisimilar_bounded, convertible, is_parametric
+from .system import Blocks, bisimilar_blocks, bisimilar_bounded, convertible, is_parametric
 from .verdict import Verdict
 
 # the depth to which `bisim` compares parametric inputs
@@ -105,6 +104,10 @@ def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        # a path the file system cannot hold: a NUL, or a lone surrogate
+        # that does not encode (UnicodeEncodeError); its repr is printable
+        raise InputError(f"{path!r}: {exc}") from exc
     digest = hashlib.sha256(data).hexdigest()
     try:
         # a byte-order mark is not part of the text; the digest covers the raw bytes
@@ -114,34 +117,21 @@ def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
     return system, {"path": path, "sha256": digest}
 
 
-@dataclass(frozen=True)
-class _Relation:
-    """The rows of a holding ``bisim`` relation in a report, which
-    ``_emit`` writes with :func:`relation_pieces`."""
-
-    rows: list[tuple[int, int]]
-
-
-class _Texts(dict):
-    """The decimal text of each int key, made on its first lookup."""
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = str(key)
-        return text
-
-
-def relation_pieces(rows: Iterable[tuple[int, int]]) -> Iterator[str]:
-    """The text of ``json.dumps(rows)`` for int pairs ``rows``, in
-    pieces: one per run of rows with the same left class, joined by one
-    ``str.join`` over the right classes' texts.  Each int is converted
-    to text once, where ``json`` converts every occurrence."""
-    texts, right = _Texts(), itemgetter(1)
+def block_pieces(relation: Blocks) -> Iterator[str]:
+    """The text of ``json.dumps(relation.rows())``, in pieces: one per
+    class ``i`` of the first system with a partner, its rows' text.  Each
+    block's rows are written once, as a template with a NUL where ``i``
+    goes (``"[\\0, 4], [\\0, 9]"``), and a piece is its block's template
+    with ``str(i)`` in place of each NUL, so no row is built and each
+    class id is converted to text once.  No int's text holds a NUL."""
+    templates = {k: ", ".join([f"[\0, {j}]" for j in js]) for k, js in relation.partners.items()}
     yield "["
     sep = ""
-    for i, run in groupby(rows, itemgetter(0)):
-        left = texts[i]
-        yield f"{sep}[{left}, " + f"], [{left}, ".join(map(texts.__getitem__, map(right, run))) + "]"
-        sep = ", "
+    for i, k in enumerate(relation.block):
+        template = templates.get(k)
+        if template:
+            yield sep + template.replace("\0", str(i))
+            sep = ", "
     yield "]"
 
 
@@ -200,14 +190,11 @@ def _cmd_bisim(args) -> tuple[list[dict], list[dict]]:
                               + verdict.note)
             name = f"bisimilar_bounded[{DEFAULT_BISIM_DEPTH}]"
         else:
-            verdict = bisimilar(sys_a, sys_b)
+            verdict = bisimilar_blocks(sys_a, sys_b)
             name = "bisimilar"
     except (KindMismatchError, RosterMismatchError) as exc:
         raise InputError(f"{args.a} and {args.b}: {exc}") from exc
-    item = _check(name, verdict)
-    if "relation" in verdict.certificate:
-        item["certificate"] = {"relation": _Relation(verdict.certificate["relation"])}
-    return [item], [meta_a, meta_b]
+    return [_check(name, verdict)], [meta_a, meta_b]
 
 
 def _cmd_convert(args) -> tuple[list[dict], list[dict]]:
@@ -400,9 +387,10 @@ def _emit(args, checks: list[dict], inputs: list[dict], exit_code: int, started:
     closed the pipe gets nothing more.
 
     ``json.dumps`` writes the report with ``_SPLICE`` in place of each
-    holding ``bisim`` relation, and :func:`relation_pieces` writes the
-    relation's rows where the placeholder stood, piece by piece, so the
-    rows' text is never held twice."""
+    holding ``bisim`` relation, which is :class:`Blocks`, and
+    :func:`block_pieces` writes the relation's rows where the
+    placeholder stood, piece by piece, so the rows' text is never held
+    whole."""
     try:
         if args.json:
             report = {
@@ -416,16 +404,16 @@ def _emit(args, checks: list[dict], inputs: list[dict], exit_code: int, started:
             }
             relations = []
 
-            def splice(relation: _Relation) -> str:
-                relations.append(relation.rows)
+            def splice(relation: Blocks) -> str:
+                relations.append(relation)
                 return _SPLICE
 
             # acyclic: json's per-container id bookkeeping buys nothing
             text = json.dumps(report, check_circular=False, default=splice)
-            for rows in relations:
+            for relation in relations:
                 head, _, text = text.partition(json.dumps(_SPLICE))
                 sys.stdout.write(head)
-                sys.stdout.writelines(relation_pieces(rows))
+                sys.stdout.writelines(block_pieces(relation))
             print(text)
         else:
             _print_human(args.command, checks)

@@ -524,6 +524,30 @@ def _flatten(sys: CoSystem, heads: dict[Hashable, int], scale: int, unit: int) -
             [sensitive[lc] | sensitive[rc] << 1 for lc, rc in zip(sys.left, sys.right)])
 
 
+@dataclass(frozen=True)
+class Blocks:
+    """A holding bisimulation in block form, as :class:`ProductWalk`'s
+    union-find leaves it: ``block[i]`` is the block of class ``i`` of
+    ``a``, and ``partners`` maps a block to the classes of ``b`` in it,
+    in increasing order.  A block that holds no class of ``b`` need not
+    be a key.  The relation is every pair ``(i, j)`` with ``j`` in
+    ``partners[block[i]]``; :meth:`rows` lists them.  Its size is
+    linear in the two class counts, where the rows can be quadratic."""
+
+    block: list[int]
+    partners: dict[int, list[int]]
+
+    def rows(self) -> list[tuple[int, int]]:
+        """Every pair of the relation, sorted: one class of ``a`` at a
+        time, by ``itertools.product``, so a row costs C time, and the
+        cyclic collector stops tracking each tuple at its first pass;
+        two-int lists would stay tracked and be scanned again by every
+        older-generation pass."""
+        partners = self.partners
+        return list(chain.from_iterable(product((i,), partners.get(k, ()))
+                                        for i, k in enumerate(self.block)))
+
+
 class ProductWalk:
     """The product of two class graphs: one set of flat tables for both
     questions that compare two systems, :func:`bisimilar` and
@@ -551,9 +575,9 @@ class ProductWalk:
 
     Below two insensitive roots :meth:`_union_find` runs first.  If it
     shows that the systems denote the same tree, ``blocks`` holds its
-    partition and the walk never runs: every pair the walk would visit
-    has equal heads, so it would find neither a mismatch nor a choice
-    difference.  Otherwise, or with a sensitive root, ``blocks`` is None
+    partition, as :class:`Blocks`, and the walk never runs: every pair
+    the walk would visit has equal heads, so it would find neither a
+    mismatch nor a choice difference.  Otherwise, or with a sensitive root, ``blocks`` is None
     and the walk runs as below, on the same tables.
 
     The walk: ``parent`` maps each state seen to ``2*parent + label_bit``
@@ -635,13 +659,13 @@ class ProductWalk:
         return [la[i] + lb[j] + drift if m & 1 else (la[i] + lb[j]) % size,
                 ra[i] + rb[j] + drift if m & 2 else (ra[i] + rb[j]) % size]
 
-    def _union_find(self) -> list[int] | None:
-        """The block of every class if the two systems denote one tree
-        (class ``j`` of ``b`` is element ``|S| + j``), else None.  Called
-        only below two insensitive roots.
+    def _union_find(self) -> Blocks | None:
+        """The partition into blocks if the two systems denote one tree,
+        else None.  Called only below two insensitive roots.
 
         A Hopcroft-Karp union-find over the disjoint union of the two
-        class lists (Hopcroft & Karp, "A linear algorithm for testing
+        class lists, in which class ``j`` of ``b`` is element ``|S| + j``
+        (Hopcroft & Karp, "A linear algorithm for testing
         equivalence of finite automata", 1971; Bonchi & Pous, "Checking
         NFA equivalence with bisimulations up to congruence", 2013).
         Starting from the pair of roots, a pair whose classes already
@@ -682,7 +706,10 @@ class ProductWalk:
             members[ri] += members[rj]
             if head_a[i] >= 0:
                 todo += [(la[i] + lb[j]) % size, (ra[i] + rb[j]) % size]
-        return [find(x) for x in range(len(parent))]
+        partners: dict[int, list[int]] = {}
+        for j in range(width):
+            partners.setdefault(find(offset + j), []).append(j)
+        return Blocks([find(i) for i in range(offset)], partners)
 
     def _walk(self) -> None:
         head_a, la, ra, ma = self.flat_a
@@ -738,6 +765,23 @@ class ProductWalk:
         return None
 
 
+def bisimilar_blocks(a: CoSystem, b: CoSystem) -> Verdict:
+    """:func:`bisimilar`, with a relation that the union-find decides
+    left in block form: the certificate is ``{"relation": Blocks}``,
+    which is not JSON until :meth:`Blocks.rows` expands it.  Every other
+    verdict is :func:`bisimilar`'s own.  ``cogames --json bisim`` writes
+    the rows' text from the blocks, and never builds the rows."""
+    _check_comparable(a, b)
+    walk = ProductWalk(a, b)
+    if walk.failure is not None:
+        path, _, reason = walk.failure
+        return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
+    if walk.blocks is None:
+        return Verdict(True, {"states": sorted(map(walk.decode, walk.order))},
+                       "product walk closed at every index")
+    return Verdict(True, {"relation": walk.blocks}, "bisimulation relation closed")
+
+
 def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     """Decide whether two systems denote the same tree at every root
     index ``n``: equal observations on every path, leaf payoffs equal as
@@ -760,13 +804,9 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     relates the roots and contains every pair the product walk visits,
     and may contain more: two classes of ``a`` that each meet one class
     of ``b`` put all their partners in one block.  The rows are tuples
-    of two ints, which ``json`` writes as ``[i, j]``; ``cogames --json
-    bisim`` writes the same text with ``cli.relation_pieces``, which
-    converts each class id to text once, not once per row.
-    ``itertools.product`` makes them, one class of ``a`` at a time, so a
-    row costs C time, and the cyclic collector stops tracking each one
-    at its first pass; two-int lists would stay tracked and be scanned
-    again by every older-generation pass.
+    of two ints, which ``json`` writes as ``[i, j]``, expanded by
+    :meth:`Blocks.rows` from :func:`bisimilar_blocks`' blocks; ``cogames
+    --json bisim`` writes the same text from the blocks themselves.
 
     If the walk decides that it holds, the certificate is the walk's
     visited states, sorted ``(i, j, delta)`` int tuples: class ``i`` of
@@ -777,21 +817,11 @@ def bisimilar(a: CoSystem, b: CoSystem) -> Verdict:
     on a pair from which no leaf with a nonzero slope is reachable,
     where it changes no observation.
     """
-    _check_comparable(a, b)
-    walk = ProductWalk(a, b)
-    if walk.failure is not None:
-        path, _, reason = walk.failure
-        return Verdict(False, {"path": path, "reason": reason}, f"distinguished: {reason}")
-    if walk.blocks is None:
-        return Verdict(True, {"states": sorted(map(walk.decode, walk.order))},
-                       "product walk closed at every index")
-    block, width = walk.blocks, len(a.owner)  # class j of b is element width + j
-    partners: dict[int, list[int]] = {}
-    for j in range(width, len(block)):
-        partners.setdefault(block[j], []).append(j - width)
-    relation = list(chain.from_iterable(product((i,), partners.get(block[i], ()))
-                                        for i in range(width)))
-    return Verdict(True, {"relation": relation}, "bisimulation relation closed")
+    verdict = bisimilar_blocks(a, b)
+    blocks = verdict.certificate.get("relation")
+    if blocks is None:
+        return verdict
+    return Verdict(True, {"relation": blocks.rows()}, verdict.note)
 
 
 class Convertibility(Enum):

@@ -12,8 +12,10 @@ failure is one row.  Certificates hold dicts, lists, tuples, strings,
 ints, booleans and None, and nothing else; a tuple is written as a
 list, so it reads back as a list.  A row ``(i, j)`` of a ``bisimilar``
 relation reads back as ``[i, j]``: ``json`` writes it so, and the CLI's
-report writes the rows of a relation with ``cli.relation_pieces``, which
-gives the same text.
+report writes the same text with ``cli.block_pieces``.  The one
+exception is ``system.bisimilar_blocks``, whose holding relation may be
+a ``system.Blocks``, the block form that ``bisimilar`` expands to rows
+and the CLI writes as rows without building them.
 """
 
 from __future__ import annotations

@@ -4,16 +4,18 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from cogames.cli import (CHECKS, InputError, build_parser, main, relation_pieces,
-                         unbounded_int_digits)
+from cogames.cli import CHECKS, InputError, block_pieces, build_parser, main, unbounded_int_digits
 from cogames.semantics import leads_to_leaf
+from cogames.system import Blocks
 
 import helpers
 
@@ -264,17 +266,48 @@ class TestBisim:
         assert expected == [list(row) for row in rows]
         assert f'"relation": {json.dumps(expected)}' in out
 
-    @pytest.mark.parametrize("rows", [
-        [],
-        [(4, 2)],
-        [(3, 1), (0, 2), (3, 0), (1, 1)],  # unsorted
-        [(0, 0), (0, 2), (2, 1)],  # left class 1 has no partner
-        [(0, 1), (1, 0), (0, 2), (0, 3)],  # left class 0 in two separate runs
-        [[7, 120], [7, 7], [120, 7]],  # lists, and ids of one and of three digits
-        [(-1, 10 ** 30), (10 ** 30, -1)],
+    @pytest.mark.parametrize("relation", [
+        Blocks([], {}),
+        Blocks([4], {4: [2]}),  # one row
+        Blocks([0, 1, 0], {0: [0, 2], 1: []}),  # class 1's block has no partner
+        Blocks([0, 1, 0], {0: [1, 2]}),  # class 1's block is not a key
+        Blocks([3, 9, 3, 9], {9: [7], 3: [0, 5]}),  # classes of one block apart
+        Blocks([1] * 8 + [2] * 113, {1: [7, 120], 2: [99]}),  # ids of one to three digits
+        Blocks([0], {0: [10 ** 30]}),
     ])
-    def test_relation_pieces_are_the_text_json_writes(self, rows):
-        assert "".join(relation_pieces(rows)) == json.dumps(rows)
+    def test_block_pieces_are_the_text_json_writes(self, relation):
+        assert "".join(block_pieces(relation)) == json.dumps(relation.rows())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_pieces_of_random_partitions_are_the_text_json_writes(self, seed):
+        # up to 250 classes a side, so ids of one to three digits; a block
+        # may hold classes of one side only, and the last one has no
+        # class of b, so some class of a has no partner
+        rng = random.Random(seed)
+        blocks = rng.randint(1, 12)
+        block = [rng.randrange(blocks + 1) for _ in range(rng.randint(0, 250))]
+        partners: dict[int, list[int]] = {}
+        for j in range(rng.randint(0, 250)):
+            partners.setdefault(rng.randrange(blocks), []).append(j)
+        relation = Blocks(block, partners)
+        rows = relation.rows()
+        assert rows == sorted((i, j) for i, k in enumerate(block) for j in partners.get(k, ()))
+        assert "".join(block_pieces(relation)) == json.dumps(rows)
+
+    def test_ring_pair_report_holds_no_row(self, tmp_path):
+        # 353/354 prints 249 924 rows: built as tuples they take about
+        # 16 MB, and their text is 2.9 MB
+        for length in (353, 354):
+            (tmp_path / f"{length}.cog").write_text(ring_source(length))
+        argv = ["--json", "bisim", str(tmp_path / "353.cog"), str(tmp_path / "354.cog")]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 2_000_000
 
     def test_paths_cannot_pose_as_the_relation(self, capsys, tmp_path, monkeypatch):
         # one path is a byte that is not UTF-8 alone, decoded to a lone
@@ -608,6 +641,13 @@ class TestLongIntegers:
 class TestErrorsAndStability:
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.cog", "--ltl"]) == 2
+
+    # a NUL, and a lone surrogate that no file system encoding takes
+    @pytest.mark.parametrize("path", ["a\x00b", "a\ud800b"])
+    def test_path_the_file_system_cannot_hold_is_an_input_error(self, capsys, path):
+        assert main(["check", path, "--ltl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path!r}: ") and "internal error" not in err
 
     def test_parse_error_is_positioned(self, capsys, tmp_path):
         bad = tmp_path / "bad.cog"
