@@ -8,10 +8,17 @@ against ``schemas/report-v1.json``, printed as one line of compact JSON
 or input error (an invalid system is a parse error), and 70
 (``EX_SOFTWARE``) an internal error: any other exception from a
 subcommand is printed as one ``internal error:`` line on stderr, without
-a traceback, so exit 1 always means a failing check.  Reports are
+a traceback, so exit 1 always means a failing check.  ``error:`` and
+``internal error:`` lines write what stderr's encoding cannot hold (a
+path's undecodable byte) as a backslash escape.  Reports are
 deterministic for identical inputs apart from the ``timing_ms`` field.
 A reader that closes the pipe early gets no traceback; the exit code is
 still the checks'.
+
+``truncate`` unrolls a file to a finite tree, which is itself a system
+(``families.truncate``).  ``--solve`` runs backward induction on it, and
+then the ``nash`` and ``sgpe`` checks that ``check`` runs, so one engine
+decides the finite games and the infinite ones, and no check is skipped.
 
 Integers have no bound on their length, in input files, arguments and
 reports alike.  CPython refuses int/str conversions past 4 300 digits by
@@ -51,7 +58,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from . import __version__
-from . import dsl, families, oracle
+from . import dsl, families
 from .equilibria import nash_eq, sgpe
 from .histories import format_lasso, is_history_of, parse_lasso, strategy_history
 from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
@@ -236,21 +243,17 @@ def _cmd_truncate(args) -> tuple[list[dict], list[dict]]:
         tree = families.truncate(system, args.depth)
     except (families.NoLeafAtHorizonError, families.TreeTooLargeError) as exc:
         raise InputError(f"{args.file}: {exc}") from exc
-    embedded = oracle.embed(tree)
-    checks = [_info("truncate", f"depth {args.depth}, {len(embedded.classes)} tree nodes",
-                    dsl.render(embedded))]
+    checks = [_info("truncate", f"depth {args.depth}, {len(tree.owner)} tree nodes",
+                    dsl.render(tree))]
     if args.solve:
-        game = oracle.erase_choices(tree) if system.kind == STRATEGY else tree
-        solved = oracle.backward_induction(game, args.tiebreak)
-        utilities = {a: oracle.finite_utility(solved, a) for a in system.roster}
-        root_choice = solved.choice.value if isinstance(solved, oracle.StrategyNode) else None
+        solved = families.backward_induction(tree, args.tiebreak)
+        utilities = {a: s2u(solved, a).at(0) for a in system.roster}
+        choice = solved.choice[solved.root.cls]
+        root_choice = choice.value if choice else None
         checks.append(_info("backward_induction",
                             f"root choice {root_choice}, outcome {utilities}",
                             {"root_choice": root_choice, "utilities": utilities}))
-        try:
-            checks.append(_check("exhaustive_nash", oracle.exhaustive_nash(solved)))
-        except oracle.TooLargeError as exc:
-            checks.append(_info("exhaustive_nash", f"skipped: {exc}"))
+        checks += [_check("nash", nash_eq(solved)), _check("sgpe", sgpe(solved))]
     return checks, [meta]
 
 
@@ -341,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--depth", type=natural, required=True)
     p.add_argument("--solve", action="store_true",
-                   help="run backward induction and the exhaustive Nash check on the result")
-    p.add_argument("--tiebreak", choices=(oracle.PREFER_LEFT, oracle.PREFER_RIGHT),
-                   default=oracle.PREFER_LEFT)
+                   help="backward induction, then the Nash and SGPE checks on the result")
+    p.add_argument("--tiebreak", choices=(families.PREFER_LEFT, families.PREFER_RIGHT),
+                   default=families.PREFER_LEFT)
     p.set_defaults(run=_cmd_truncate)
 
     p = sub.add_parser("demo", help="build a family and run the full verdict table")
@@ -425,6 +428,14 @@ def _emit(args, checks: list[dict], inputs: list[dict], exit_code: int, started:
         os.close(devnull)
 
 
+def _print_err(line: str) -> None:
+    """Print ``line`` on stderr, with each character that stderr's
+    encoding cannot hold (the lone surrogate that stands for an
+    undecodable byte of a path) written as a backslash escape."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     with unbounded_int_digits():
         parser = build_parser()
@@ -438,10 +449,10 @@ def main(argv: list[str] | None = None) -> int:
             exit_code = 1 if any(c["outcome"] == "fails" for c in checks) else 0
             _emit(args, checks, inputs, exit_code, started)
         except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _print_err(f"error: {exc}")
             return 2
         except Exception as exc:
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            _print_err(f"internal error: {type(exc).__name__}: {exc}")
             return EXIT_INTERNAL
         return exit_code
 

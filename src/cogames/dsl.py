@@ -54,11 +54,13 @@ round-trips are exact.
 
 Two readers share this grammar.  A flat reader takes the plain spelling
 that most files use (ASCII text, named refs only) and gives up, without
-raising, on anything else.  It reads each equation, a leaf's payoffs
-included, in one anchored regex match, with one pattern per roster width
-(a leaf holds one payoff group per agent) compiled on first use.  The
-same loop appends the match groups to the system's columns
-(``system.CoSystem``); it keeps no match and builds no class object.
+raising, on anything else.  It reads a node equation in one anchored
+regex match, and a leaf equation in one match up to its ``[`` and then
+one match per payoff item.  The two patterns are compiled once and serve
+every roster width, so a file costs time linear in its length however
+many agents its roster holds.  The same loop appends the match groups
+to the system's columns (``system.CoSystem``), each payoff at its
+agent's roster index; it keeps no match and builds no class object.
 The token parser reads what the flat reader gives up on, into class
 objects that ``CoSystem`` turns into the same columns; it alone defines
 the grammar, and it raises every error, with its message, ``line:col``
@@ -68,7 +70,6 @@ system and on an integer past the caller's limit.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 
@@ -422,38 +423,36 @@ class _Parser:
 # The flat reader's spelling: a header, equations whose refs are all named,
 # and a root, with payoffs ``-?k``, ``-?k*n`` or ``-?n``, the last two with
 # an optional tail ``+k`` or ``-k``.  ``\s+`` stands wherever two
-# identifiers meet, so that no match splits one.  A valid leaf pays each
-# roster agent once, so the equation pattern for a roster of ``w`` agents
-# reads a leaf as exactly ``w`` payoff groups, and one match reads the whole
-# equation, payoffs included; each width's pattern is compiled on first use.
+# identifiers meet, so that no match splits one.  One match reads a node
+# equation whole, and a leaf equation up to its ``[``; then each payoff
+# item is one match of ``_FLAT_PAYOFF``, which ends at the ``,`` or the
+# ``]`` after the item.  Neither pattern depends on the roster's width.
 # All are compiled with ``re.ASCII``, so no character outside ASCII matches
 # them.
 _IDENT = r"[A-Za-z_]\w*"
 _REF = rf"({_IDENT})\s*\(\s*n\s*(?:\+\s*(\d+)\s*)?\)"
-_PAYOFF = rf"\s*({_IDENT})\s*:\s*(-?)\s*(?:(\d+)|(?:(\d+)\s*\*\s*)?n(?:\s*([+-])\s*(\d+))?)\s*"
 _FLAT_HEAD = re.compile(rf"\s*(strategy|game)\s+agents((?:\s+{_IDENT})+?)\s+(?={_IDENT}\s*\()",
                         re.ASCII)
+# groups: name, then owner, choice, left, left shift, right and right
+# shift, all None at a leaf
+_FLAT_EQUATION = re.compile(rf"\s*({_IDENT})\s*\(\s*n\s*\)\s*=\s*(?:"
+                            rf"<\s*({_IDENT})\s*,(?:\s*([lr])\s*,)?\s*{_REF}\s*,\s*{_REF}\s*>"
+                            rf"|leaf\s*\[)", re.ASCII)
+# groups: agent, minus, constant, slope, tail sign, tail, and the ``,`` or
+# ``]`` that ends the item
+_FLAT_PAYOFF = re.compile(rf"\s*({_IDENT})\s*:\s*(-?)\s*(?:(\d+)|(?:(\d+)\s*\*\s*)?n"
+                          rf"(?:\s*([+-])\s*(\d+))?)\s*([,\]])", re.ASCII)
 _FLAT_ROOT = re.compile(rf"\s*root\s+({_IDENT})\s*\Z", re.ASCII)
-
-
-@functools.lru_cache(maxsize=16)
-def _flat_equation(width: int) -> re.Pattern[str]:
-    """The pattern of one equation of a file whose roster has ``width``
-    agents: groups name, owner, choice, left, left shift, right and right
-    shift, then a leaf's ``width`` payoffs, six groups each (agent, minus,
-    constant, slope, tail sign, tail)."""
-    return re.compile(rf"\s*({_IDENT})\s*\(\s*n\s*\)\s*=\s*(?:"
-                      rf"<\s*({_IDENT})\s*,(?:\s*([lr])\s*,)?\s*{_REF}\s*,\s*{_REF}\s*>"
-                      rf"|leaf\s*\[{','.join([_PAYOFF] * width)}\])", re.ASCII)
 
 
 def _parse_flat(text: str) -> CoSystem | None:
     """The system of a valid file in the flat spelling, or None for any
     other text.  Where it returns a system, the token parser returns an
-    equal one.  One match per equation, and the same loop appends the
-    match's groups to the system's columns; no class object is built.
-    Past the caller's int/str limit ``int`` raises ``ValueError``, and
-    ``parse`` gives the text to the token parser.  Its give-up rules are
+    equal one.  One match per node equation, and one per leaf equation
+    plus one per payoff item; the same loop appends the matches' groups
+    to the system's columns, and no class object is built.  Past the
+    caller's int/str limit ``int`` raises ``ValueError``, and ``parse``
+    gives the text to the token parser.  Its give-up rules are
     ``CoSystem``'s invariants, so the columns it fills are valid."""
     head = _FLAT_HEAD.match(text)
     if head is None:
@@ -469,13 +468,11 @@ def _parse_flat(text: str) -> CoSystem | None:
     # the columns, in ``CoSystem``'s field order; ``left`` and ``right``
     # hold child names (None at a leaf) until every name is known
     owner, choice, left, left_shift, right, right_shift, payoff = ([] for _ in range(7))
-    eq = _flat_equation(len(roster))
     pos = head.end()
-    while (m := eq.match(text, pos)) is not None:
+    while (m := _FLAT_EQUATION.match(text, pos)) is not None:
         pos = m.end()
         # a leaf's owner, choice, children and shifts are unmatched: None
-        groups = m.groups()
-        name, who, c, lname, lk, rname, rk = groups[:7]
+        name, who, c, lname, lk, rname, rk = m.groups()
         ids.setdefault(name, len(owner))
         owner.append(who)
         choice.append(c and _CHOICES[c])
@@ -488,17 +485,21 @@ def _parse_flat(text: str) -> CoSystem | None:
                 return None
             payoff.append(None)
             continue
-        entry: list[int | None] = [None] * width
-        for j in range(7, len(groups), 6):
-            agent, minus, const, slope, tail_sign, tail = groups[j:j + 6]
-            i = slot.get(agent)
+        entry, end = [None] * width, ","
+        while end == ",":
+            p = _FLAT_PAYOFF.match(text, pos)
+            i = slot.get(p[1]) if p else None
             if i is None or entry[i] is not None:
                 return None
+            pos = p.end()
+            _, minus, const, slope, tail_sign, tail, end = p.groups()
             if const:
                 entry[i], entry[i + 1] = 0, -int(const) if minus else int(const)
             else:
                 k, b = int(slope) if slope else 1, int(tail) if tail else 0
                 entry[i], entry[i + 1] = -k if minus else k, -b if tail_sign == "-" else b
+        if None in entry:  # an agent without a payoff
+            return None
         payoff.append(tuple(entry))
     root = _FLAT_ROOT.match(text, pos)
     if (root is None or root[1] not in ids or len(ids) < len(owner)

@@ -1,6 +1,12 @@
 """Built-in game families: dollar auction, centipede, and a small finite
 worked example; plus truncation of the infinite families to explicit
-finite trees.
+finite trees, and backward induction on those trees.
+
+A truncation is itself a :class:`CoSystem`: one class per tree node, in
+preorder, with constant payoffs and every ref at shift 0.  So
+``dsl.render`` prints it, and the engines that decide the infinite games
+(``nash_eq``, ``sgpe``, ``s2u``) decide the finite ones too; there is no
+second representation of a finite tree on the command line's path.
 
 Both infinite families share one shape: an Alice/Bob backbone on the
 left and a give-up leaf on the right of every node, with payoffs affine
@@ -21,8 +27,6 @@ continues left along the backbone, which never reaches a leaf).
 
 from __future__ import annotations
 
-from .oracle import FiniteGame, FiniteStrategy, GameNode, StrategyNode
-from .oracle import Leaf as FinLeaf
 from .system import (
     Affine,
     Choice,
@@ -33,12 +37,18 @@ from .system import (
     Ref,
     STRATEGY,
     annotate,
+    strategy_to_game,
     unfold,
 )
 
 AGU = "agu"
 NGU = "ngu"
 _KINDS = (AGU, NGU)
+
+# the two tiebreaks of ``backward_induction``: the child that a node's
+# owner picks when both pay it the same
+PREFER_LEFT = "prefer_left"
+PREFER_RIGHT = "prefer_right"
 
 
 # explicit trees past this many nodes are refused: a truncation can
@@ -119,60 +129,84 @@ def finite_example_strategy() -> CoSystem:
     return annotate(finite_example_game(), {0: Choice.R, 2: Choice.L})
 
 
-def truncate(sys: CoSystem, depth: int) -> FiniteGame | FiniteStrategy:
-    """Unroll to an explicit finite tree with nodes on levels 0..depth.
+def truncate(sys: CoSystem, depth: int) -> CoSystem:
+    """Unroll to an explicit finite tree with nodes on levels 0..depth,
+    as a system of the input's kind and roster: one class per tree node,
+    numbered in preorder (left before right), with every ref at shift 0.
 
     At the horizon level, each non-leaf child of a node is replaced by
     that node's own leaf child (same payoffs), which is the minimal
     closure keeping the family's own numbers.  Nodes at the horizon with
-    no leaf child cannot be closed this way.  Payoffs come out as fully
-    evaluated integers; choices are preserved for strategy systems.  A
-    tree of more than ``MAX_TREE_NODES`` nodes, leaves included, raises
+    no leaf child cannot be closed this way.  Payoffs come out as
+    constants; choices are preserved for strategy systems.  A tree of
+    more than ``MAX_TREE_NODES`` nodes, leaves included, raises
     :class:`TreeTooLargeError` as soon as the count passes the bound.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
 
-    def as_leaf(ref: Ref) -> FinLeaf | None:
+    def as_leaf(ref: Ref) -> Leaf | None:
         head = unfold(sys, ref)
         if isinstance(head, Leaf):
-            return FinLeaf({a: f.at(0) for a, f in head.payoffs.items()})
+            return Leaf({a: Affine.const(f.at(0)) for a, f in head.payoffs.items()})
         return None
 
-    def node(head: Node, left, right) -> FiniteGame | FiniteStrategy:
-        if sys.kind == STRATEGY:
-            assert head.choice is not None
-            return StrategyNode(head.owner, head.choice, left, right)
-        return GameNode(head.owner, left, right)
-
-    # an explicit stack, left subtree first: a (ref, level) to unroll, or
-    # a node whose two subtrees lie on top of ``built``, right above left
-    todo: list[tuple[Ref, int] | Node] = [(sys.root, 0)]
-    built: list[FiniteGame | FiniteStrategy] = []
-    count = 0  # nodes built or on their way
+    # the classes in preorder; a node holds its children's class ids, in
+    # ``kids``, until the tree is whole
+    classes: list[Leaf | Node] = []
+    kids: dict[int, list[int]] = {}
+    # an explicit stack, left child on top: a ref to unroll, its level, and
+    # the class id of its parent with the side it hangs on (-1 at the root)
+    todo: list[tuple[Ref, int, int, int]] = [(sys.root, 0, -1, 0)]
     while todo:
-        task = todo.pop()
-        if isinstance(task, Node):
-            right = built.pop()
-            built.append(node(task, built.pop(), right))
-            continue
-        ref, level = task
+        ref, level, parent, side = todo.pop()
+        if parent >= 0:
+            kids[parent][side] = len(classes)
         head = unfold(sys, ref)
         if isinstance(head, Leaf):
-            built.append(FinLeaf({a: f.at(0) for a, f in head.payoffs.items()}))
-            count += 1
+            classes.append(as_leaf(ref))
         elif level == depth:
-            own_leaf = as_leaf(head.left) or as_leaf(head.right)
-            if own_leaf is None:
+            left, right = as_leaf(head.left), as_leaf(head.right)
+            if left is None and right is None:
                 raise NoLeafAtHorizonError(
                     f"class {ref.cls} at the horizon has no leaf child to close with")
-            built.append(node(head, as_leaf(head.left) or own_leaf,
-                              as_leaf(head.right) or own_leaf))
-            count += 3
+            kids[len(classes)] = [len(classes) + 1, len(classes) + 2]
+            classes += [head, left or right, right or left]
         else:
-            todo += [head, (head.right, level + 1), (head.left, level + 1)]
-            count += 1
-        if count > MAX_TREE_NODES:
+            kids[len(classes)] = [0, 0]
+            todo += [(head.right, level + 1, len(classes), 1), (head.left, level + 1, len(classes), 0)]
+            classes.append(head)
+        if len(classes) > MAX_TREE_NODES:
             raise TreeTooLargeError(
                 f"the truncation to depth {depth} has more than {MAX_TREE_NODES} nodes")
-    return built[0]
+    for c, (left_id, right_id) in kids.items():
+        classes[c] = Node(classes[c].owner, classes[c].choice, Ref(left_id), Ref(right_id))
+    return CoSystem(sys.kind, sys.roster, classes, Ref(0))
+
+
+def backward_induction(tree: CoSystem, tiebreak: str = PREFER_LEFT) -> CoSystem:
+    """The strategy that backward induction picks on a finite tree that
+    ``truncate`` built, a game or a strategy (whose choices it ignores):
+    at each node, the child whose outcome pays the owner more, and on a
+    tie the child that ``tiebreak`` prefers.  Every subtree of the result
+    is solved so.  One reverse pass over the class ids, since each child
+    comes after its parent in preorder."""
+    if tiebreak not in (PREFER_LEFT, PREFER_RIGHT):
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
+    game = strategy_to_game(tree) if tree.kind == STRATEGY else tree
+    # the outcome of each class's subtree: its leaf's payoff entry, where
+    # agent i's constant payoff is item 2*i + 1
+    slot = {agent: 2 * i + 1 for i, agent in enumerate(game.roster)}
+    outcome: list[tuple | None] = list(game.payoff)
+    choices: dict[int, Choice] = {}
+    for c in range(len(outcome) - 1, -1, -1):
+        owner = game.owner[c]
+        if owner is None:
+            continue
+        left, right = outcome[game.left[c]], outcome[game.right[c]]
+        mine_l, mine_r = left[slot[owner]], right[slot[owner]]
+        if mine_l > mine_r or (mine_l == mine_r and tiebreak == PREFER_LEFT):
+            choices[c], outcome[c] = Choice.L, left
+        else:
+            choices[c], outcome[c] = Choice.R, right
+    return annotate(game, choices)

@@ -5,10 +5,15 @@ profiles, one rebuilt tree per profile, bottom-up optimal choice.  The
 engine modules are validated against these independent computations on
 small instances, so nothing in this module may share code with them.
 Payoffs are plain integers (finite trees need no index parameter); the
-profile count is capped on purpose.  A truncation is as deep as its
-horizon, so what ``truncate --solve`` runs walks a tree's positions in
-preorder with an explicit stack; only the test helpers ``finite_sgpe``
-and ``size`` recurse.
+profile count is capped on purpose.
+
+The command line does not use this module: ``truncate --solve`` decides
+a truncation, itself a ``CoSystem``, with ``families.backward_induction``,
+``nash_eq`` and ``sgpe``.  This is the independent finite reference that
+the tests and the benchmark's own tests check those engines against.  A
+truncation is as deep as its horizon, so the functions they call walk a
+tree's positions in preorder with an explicit stack; only the helpers
+``finite_sgpe`` and ``size`` recurse.
 """
 
 from __future__ import annotations

@@ -309,6 +309,47 @@ def random_strategy(seed: int, max_depth: int = 3, payoff_range: tuple[int, int]
     return gen(0)
 
 
+def finite_tree(sys: CoSystem) -> oracle.FiniteGame | oracle.FiniteStrategy:
+    """The inverse of ``oracle.embed``: the explicit tree that ``sys``
+    denotes, with payoffs at n = 0, for a system whose refs are all at
+    shift 0 and whose children each come after their parent, as in a
+    ``families.truncate`` or an ``embed`` result.  Built bottom up, one
+    pass over the class ids from the last."""
+    trees: list = [None] * len(sys.owner)
+    for c in range(len(sys.owner) - 1, -1, -1):
+        cls = sys.classes[c]
+        if isinstance(cls, Leaf):
+            trees[c] = oracle.Leaf({a: f.at(0) for a, f in cls.payoffs.items()})
+            continue
+        assert cls.left.cls > c and cls.right.cls > c and not (cls.left.shift or cls.right.shift)
+        left, right = trees[cls.left.cls], trees[cls.right.cls]
+        trees[c] = (oracle.GameNode(cls.owner, left, right) if sys.kind == GAME
+                    else oracle.StrategyNode(cls.owner, cls.choice, left, right))
+    assert sys.root == Ref(0)
+    return trees[0]
+
+
+def backbone_source(width: int) -> str:
+    """An always-give-up strategy on a backbone of ``width`` agents, in
+    the flat spelling: node ``b{i}``, owned by agent ``P{i}``, continues
+    to ``b{i+1}`` (the last one to ``b0`` one period on) and gives up to
+    the leaf ``g{i}``, which pays every agent a payoff affine in ``n``.
+    The agents are declared in a shuffled order, and each leaf lists its
+    payoffs in the order of the roster, reversed, or shuffled."""
+    rng = random.Random(width)
+    agents = [f"P{i}" for i in range(width)]
+    roster = sorted(agents)
+    lines = [f"strategy agents {' '.join(rng.sample(agents, width))}"]
+    for i in range(width):
+        nxt = f"b{i + 1}(n)" if i + 1 < width else "b0(n+1)"
+        lines.append(f"b{i}(n) = <P{i}, r, {nxt}, g{i}(n)>")
+        order = (roster, roster[::-1], rng.sample(roster, width))[i % 3]
+        items = ", ".join(f"{a}: {i - j}*n+{j}" for j, a in enumerate(order))
+        lines.append(f"g{i}(n) = leaf[{items}]")
+    lines.append("root b0")
+    return "\n".join(lines) + "\n"
+
+
 class NotApplicableError(ValueError):
     """Preservation check invoked on a pair that is not inductively convertible."""
 

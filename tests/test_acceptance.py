@@ -141,15 +141,21 @@ def test_c07_engine_oracle_equivalence():
 def test_c08_finiteness_threshold():
     game = families.dollar_auction_game()
     ngu = families.dollar_auction_strategy("ngu")
-    for depth in (2, 4, 6, 8, 10):
-        finite_game = families.truncate(game, depth)
-        for tiebreak in (oracle.PREFER_LEFT, oracle.PREFER_RIGHT):
-            solved = oracle.backward_induction(finite_game, tiebreak)
-            assert solved.choice is R  # give up at the root
-            assert oracle.finite_utility(solved, "Alice") == -1
-            assert oracle.finite_utility(solved, "Bob") == 0
+    for depth in range(2, 13):
+        # at an odd depth the horizon node is Bob's, and both its children are
+        # his give-up leaf: prefer_left continues there, which leaves Alice
+        # tied at the root, so only prefer_right gives up at once
+        for tiebreak in (families.PREFER_LEFT, families.PREFER_RIGHT)[depth % 2:]:
+            solved = families.backward_induction(families.truncate(game, depth), tiebreak)
+            assert solved.choice[0] is R  # give up at the root
+            assert s2u(solved, "Alice").at(0) == -1
+            assert s2u(solved, "Bob").at(0) == 0
+            assert nash_eq(solved).holds and sgpe(solved).holds
         all_continue = families.truncate(ngu, depth)
-        assert not oracle.exhaustive_nash(all_continue).holds
+        assert not nash_eq(all_continue).holds
+        if depth <= 10:
+            # the oracle's enumeration agrees, on the same tree
+            assert not oracle.exhaustive_nash(helpers.finite_tree(all_continue)).holds
     infinite_verdict = nash_eq(ngu)
     assert infinite_verdict.holds and "vacuous" in infinite_verdict.note
     print("\n[criterion 8] PASS - every finite truncation rejects escalation, the "

@@ -402,7 +402,7 @@ class TestTruncate:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["backward_induction"]["value"]["root_choice"] == "r"
         assert by_name["backward_induction"]["value"]["utilities"] == {"Alice": -1, "Bob": 0}
-        assert by_name["exhaustive_nash"]["outcome"] == "holds"
+        assert by_name["nash"]["outcome"] == by_name["sgpe"]["outcome"] == "holds"
 
 
     def test_negative_depth_is_a_usage_error(self, capsys):
@@ -415,17 +415,20 @@ class TestTruncate:
         assert main(["truncate", str(path), "--depth", "2500"]) == 0
         assert capsys.readouterr().out.startswith("truncate: info - depth 2500, 5003 tree nodes")
 
-    def test_solve_skips_the_exhaustive_check_past_its_bound(self, capsys, tmp_path):
-        # A owns the 21 nodes above the horizon: 2^21 profiles
+    def test_solve_decides_nash_and_sgpe_where_enumeration_cannot(self, capsys, tmp_path):
+        # A owns the 21 nodes above the horizon: 2^21 profiles to enumerate
         path = tmp_path / "chain.cog"
         path.write_text(chain_source(30))
         code, report = run_json(capsys, "truncate", str(path), "--depth", "20", "--solve")
         assert code == 0
         by_name = {c["name"]: c for c in report["checks"]}
-        assert by_name["backward_induction"]["value"]["root_choice"] == "l"
-        skipped = by_name["exhaustive_nash"]
-        assert skipped["outcome"] == "info" and skipped["note"].startswith("skipped: ")
-        assert skipped["note"] == "skipped: A owns 21 nodes: 2^21 profiles exceed the bound of 16384"
+        assert by_name["backward_induction"]["value"] == {"root_choice": "l", "utilities": {"A": 20}}
+        assert by_name["nash"]["outcome"] == by_name["sgpe"]["outcome"] == "holds"
+        # no leaf pays A more than the one it reaches, and the chosen branch
+        # is the better one at each of A's 21 nodes, classes 0..20 in preorder
+        [alice] = by_name["nash"]["certificate"]["agents"]
+        assert alice["on_path_value"] == alice["best_deviation_value"] == 20
+        assert by_name["sgpe"]["certificate"]["class"] == list(range(21))
 
     def test_deep_solve_runs_without_recursion(self, capsys, tmp_path):
         path = tmp_path / "chain.cog"
@@ -435,9 +438,8 @@ class TestTruncate:
         by_name = {c["name"]: c for c in report["checks"]}
         # node 1200 sits on the horizon and closes with its own stop leaf
         assert by_name["backward_induction"]["value"] == {"root_choice": "l", "utilities": {"A": 1200}}
-        assert by_name["exhaustive_nash"] == {
-            "name": "exhaustive_nash", "outcome": "info", "value": None,
-            "note": "skipped: A owns 1201 nodes: 2^1201 profiles exceed the bound of 16384"}
+        assert by_name["nash"]["outcome"] == by_name["sgpe"]["outcome"] == "holds"
+        assert len(by_name["sgpe"]["certificate"]["class"]) == 1201
 
     def test_tree_past_the_node_bound_is_an_input_error(self, capsys, tmp_path):
         # the tree doubles every two levels: about 2^30 nodes at depth 61
@@ -648,6 +650,27 @@ class TestErrorsAndStability:
         assert main(["check", path, "--ltl"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path!r}: ") and "internal error" not in err
+
+    def test_error_line_escapes_what_a_strict_stderr_cannot_encode(self, monkeypatch, tmp_path):
+        # a missing file named by a byte that is not UTF-8 alone, decoded to
+        # a lone surrogate as argv is; a strict UTF-8 stderr refuses that
+        monkeypatch.chdir(tmp_path)
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["check", os.fsdecode(b"\xff"), "--ltl"]) == 2
+        err.flush()
+        assert err.buffer.getvalue().startswith(b"error: \\udcff: ")
+
+    def test_internal_error_line_escapes_what_a_strict_stderr_cannot_encode(self, monkeypatch):
+        def ltl(system):
+            raise RuntimeError(os.fsdecode(b"\xff"))
+
+        monkeypatch.setitem(CHECKS, "ltl", ltl)
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["check", str(GAMES / "paper_s0.cog"), "--ltl"]) == 70
+        err.flush()
+        assert err.buffer.getvalue() == b"internal error: RuntimeError: \\udcff\n"
 
     def test_parse_error_is_positioned(self, capsys, tmp_path):
         bad = tmp_path / "bad.cog"

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -157,9 +158,10 @@ class TestFlatReader:
             expected = token_parser(text).parse_file()
             assert sys_ == expected and repr(sys_) == repr(expected)
 
-    @pytest.mark.parametrize("width", [1, 3, 12])
+    @pytest.mark.parametrize("width", [1, 3, 12, 64, 200])
     def test_each_roster_width_reads_as_the_token_parser(self, width):
-        # the flat reader's leaf pattern holds one payoff group per agent
+        # each payoff item fills its agent's slot, in whatever order the
+        # leaf lists them
         text, expected = wide_file(width)
         for source in (text, respaced(text)):
             sys_ = dsl._parse_flat(source)
@@ -168,6 +170,31 @@ class TestFlatReader:
         names = [line.split("(")[0] for line in text.splitlines()[1:-1]]
         for name, payoffs in expected.items():
             assert sys_.classes[names.index(name)].payoffs == payoffs, name
+
+    @pytest.mark.parametrize("width", [64, 200])
+    def test_wide_leaf_with_a_missing_or_repeated_agent_is_given_up(self, width):
+        text = helpers.backbone_source(width)
+        last = text.splitlines()[-2]
+        head, body = last[:-1].split("[")
+        items = body.split(", ")
+        # the last agent missing; then the first one repeated in its place
+        for broken in (items[:-1], items[:-1] + items[:1]):
+            mutant = text.replace(last, f"{head}[{', '.join(broken)}]")
+            assert dsl._parse_flat(mutant) is None
+            with pytest.raises(ParseError):
+                parse(mutant)
+
+    def test_one_compiled_equation_pattern_serves_every_width(self, monkeypatch):
+        patterns = {name: value for name, value in vars(dsl).items() if isinstance(value, re.Pattern)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pattern was compiled while reading")
+
+        monkeypatch.setattr(re, "compile", refuse)
+        for width in (1, 2, 3, 64, 200):
+            assert dsl._parse_flat(helpers.backbone_source(width)) is not None
+        assert {name: value for name, value in vars(dsl).items()
+                if isinstance(value, re.Pattern)} == patterns
 
     # (source, why the flat reader gives it up); parse must then return the
     # token parser's system or raise its error

@@ -9,20 +9,28 @@ from cogames import (
     Leaf,
     Node,
     Ref,
+    STRATEGY,
     alw_leads_to_leaf,
     bisimilar_bounded,
     h_bisimilar,
     is_parametric,
     leads_to_leaf,
+    nash_eq,
+    s2u,
+    sgpe,
     strategy_history,
     strategy_to_game,
     unfold,
     validate,
 )
 from cogames import families, oracle
+from cogames.dsl import render
 from cogames.families import (
+    PREFER_LEFT,
+    PREFER_RIGHT,
     NoLeafAtHorizonError,
     TreeTooLargeError,
+    backward_induction,
     centipede_game,
     centipede_strategy,
     dollar_auction_game,
@@ -30,6 +38,8 @@ from cogames.families import (
     finite_example_game,
     truncate,
 )
+
+import helpers
 
 
 class TestConstructors:
@@ -91,41 +101,58 @@ class TestConstructors:
 class TestTruncate:
     def test_depth_zero_degenerate_horizon(self):
         t = truncate(dollar_auction_game(), 0)
-        assert isinstance(t, oracle.GameNode) and t.owner == "Alice"
-        assert t.left == oracle.Leaf({"Alice": -1, "Bob": 0})
-        assert t.right == oracle.Leaf({"Alice": -1, "Bob": 0})
+        give_up = Leaf({"Alice": Affine.const(-1), "Bob": Affine.const(0)})
+        assert t == CoSystem(GAME, ("Alice", "Bob"),
+                             (Node("Alice", None, Ref(1), Ref(2)), give_up, give_up))
 
     def test_depth_six_backward_induction_gives_up_at_once(self):
         t = truncate(dollar_auction_game(), 6)
-        for tiebreak in (oracle.PREFER_LEFT, oracle.PREFER_RIGHT):
-            solved = oracle.backward_induction(t, tiebreak)
-            assert solved.choice is Choice.R
-            assert oracle.finite_utility(solved, "Alice") == -1
-            assert oracle.finite_utility(solved, "Bob") == 0
+        for tiebreak in (PREFER_LEFT, PREFER_RIGHT):
+            solved = backward_induction(t, tiebreak)
+            assert solved.kind == STRATEGY and solved.choice[0] is Choice.R
+            assert s2u(solved, "Alice").at(0) == -1
+            assert s2u(solved, "Bob").at(0) == 0
+            # the oracle's tree, solved by the oracle
+            reference = oracle.backward_induction(helpers.finite_tree(t), tiebreak)
+            assert helpers.finite_tree(solved) == reference
 
     def test_centipede_all_continue_is_not_nash(self):
         t = truncate(centipede_strategy("ngu"), 10)
-        v = oracle.exhaustive_nash(t)
+        v = nash_eq(t)
         assert not v.holds
-        # the profitable stop is the last mover's
+        # the profitable stop is the last mover's, as the oracle finds by enumeration
+        exhaustive = oracle.exhaustive_nash(helpers.finite_tree(t))
+        assert not exhaustive.holds
+        for key in ("agent", "on_path_value", "deviation_value"):
+            assert v.certificate[key] == exhaustive.certificate[key]
         assert v.certificate["deviation_value"] > v.certificate["on_path_value"]
 
     def test_strategy_truncation_preserves_choices(self):
         t = truncate(dollar_auction_strategy("agu"), 3)
-        assert isinstance(t, oracle.StrategyNode) and t.choice is Choice.R
+        assert t.kind == STRATEGY
+        assert all(c is Choice.R for c, o in zip(t.choice, t.owner) if o is not None)
 
-    def test_payoffs_are_plain_integers(self):
+    def test_kind_and_roster_follow_the_input(self):
+        root_leaf = CoSystem(GAME, ("B", "A"), (Leaf({"A": Affine(1, 2), "B": Affine(0, 3)}),))
+        for sys_ in (root_leaf, dollar_auction_game(), centipede_strategy("ngu")):
+            for d in (0, 3):
+                t = truncate(sys_, d)
+                assert (t.kind, t.roster, t.root) == (sys_.kind, sys_.roster, Ref(0))
+        assert render(truncate(root_leaf, 0)) == "game agents A B\nc0(n) = leaf[A: 2, B: 3]\nroot c0\n"
+
+    def test_payoffs_are_constants_and_refs_unshifted(self):
         t = truncate(centipede_game(), 4)
+        for entry in t.payoff:
+            if entry is not None:
+                assert all(isinstance(v, int) for v in entry) and not any(entry[::2])
+        assert not any(t.left_shift) and not any(t.right_shift)
 
-        def leaves(node):
-            if isinstance(node, oracle.Leaf):
-                yield node
-            else:
-                yield from leaves(node.left)
-                yield from leaves(node.right)
-
-        for leaf in leaves(t):
-            assert all(isinstance(v, int) for v in leaf.payoffs.values())
+    def test_classes_are_numbered_as_the_oracle_embeds_the_tree(self):
+        for sys_ in (dollar_auction_game(), centipede_game(), centipede_strategy("agu"),
+                     finite_example_game()):
+            for d in range(0, 7):
+                t = truncate(sys_, d)
+                assert oracle.embed(helpers.finite_tree(t)) == t
 
     def test_adjacent_depths_agree_on_the_shared_prefix(self):
         def prune(node, levels):
@@ -138,7 +165,8 @@ class TestTruncate:
 
         for sys_ in (dollar_auction_game(), centipede_game(), centipede_strategy("agu")):
             for d in range(0, 6):
-                assert prune(truncate(sys_, d), d) == prune(truncate(sys_, d + 1), d)
+                shallow, deep = (helpers.finite_tree(truncate(sys_, k)) for k in (d, d + 1))
+                assert prune(shallow, d) == prune(deep, d)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth must be >= 0"):
@@ -154,9 +182,10 @@ class TestTruncate:
     def test_node_bound_counts_every_node(self, monkeypatch):
         for sys_ in (dollar_auction_game(), centipede_strategy("ngu"), finite_example_game()):
             for d in (0, 1, 7):
-                nodes = oracle.size(truncate(sys_, d))
+                nodes = len(truncate(sys_, d).owner)
+                assert nodes == oracle.size(helpers.finite_tree(truncate(sys_, d)))
                 monkeypatch.setattr(families, "MAX_TREE_NODES", nodes)
-                assert oracle.size(truncate(sys_, d)) == nodes
+                assert len(truncate(sys_, d).owner) == nodes
                 monkeypatch.setattr(families, "MAX_TREE_NODES", nodes - 1)
                 with pytest.raises(TreeTooLargeError, match=f"more than {nodes - 1} nodes"):
                     truncate(sys_, d)
@@ -171,3 +200,49 @@ class TestTruncate:
         ))
         with pytest.raises(TreeTooLargeError, match=f"more than {families.MAX_TREE_NODES} nodes"):
             truncate(doubling, 61)
+
+
+class TestBackwardInduction:
+    def test_matches_the_oracle_on_random_trees(self):
+        # both tiebreaks; a strategy's own choices are ignored
+        games = [helpers.random_game(seed, max_depth=4, payoff_range=(-2, 2)) for seed in range(150)]
+        strategies = [helpers.random_strategy(seed, max_depth=4, payoff_range=(-2, 2),
+                                              roster=helpers.AGENTS) for seed in range(150)]
+        for tree in games + strategies:
+            game = oracle.erase_choices(tree)
+            for tiebreak in (PREFER_LEFT, PREFER_RIGHT):
+                solved = backward_induction(oracle.embed(tree), tiebreak)
+                reference = oracle.backward_induction(game, tiebreak)
+                assert helpers.finite_tree(solved) == reference
+                for agent in oracle.owners(game) | set(solved.roster):
+                    assert s2u(solved, agent).at(0) == oracle.finite_utility(reference, agent)
+
+    def test_solution_is_subgame_perfect(self):
+        for seed in range(100):
+            tree = oracle.embed(helpers.random_game(seed, max_depth=5, payoff_range=(-2, 2)))
+            for tiebreak in (PREFER_LEFT, PREFER_RIGHT):
+                solved = backward_induction(tree, tiebreak)
+                assert nash_eq(solved).holds and sgpe(solved).holds
+
+    def test_unknown_tiebreak_rejected(self):
+        with pytest.raises(ValueError, match="unknown tiebreak"):
+            backward_induction(truncate(dollar_auction_game(), 1), "prefer_middle")
+
+    def test_nash_eq_agrees_with_exhaustive_nash_on_random_truncations(self):
+        decided = 0
+        for seed in range(120):
+            sys_ = helpers.random_system(seed, STRATEGY)
+            for depth in (0, 2, 4):
+                try:
+                    t = truncate(sys_, depth)
+                except NoLeafAtHorizonError:
+                    continue
+                tree = helpers.finite_tree(t)
+                try:
+                    exhaustive = oracle.exhaustive_nash(tree)
+                except oracle.TooLargeError:
+                    continue
+                assert nash_eq(t).holds == exhaustive.holds, (seed, depth)
+                assert sgpe(t).holds == oracle.finite_sgpe(tree), (seed, depth)
+                decided += 1
+        assert decided > 200

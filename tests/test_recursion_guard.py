@@ -6,9 +6,8 @@ a call cycle (one that calls itself, or calls a function that calls back)
 would hit Python's recursion limit on large inputs.  Calls are resolved by
 name: ``f(...)`` and ``self.f(...)`` are edges to every function or method
 of the module named ``f``.  In ``oracle`` only the helpers that tests use
-on small explicit trees (``finite_sgpe`` and ``size``) may recurse:
-``truncate --solve`` runs the rest on trees as deep as the truncation
-horizon.
+on small explicit trees (``finite_sgpe`` and ``size``) may recurse: the
+tests run the rest on truncations, trees as deep as their horizon.
 """
 
 import ast
