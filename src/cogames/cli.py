@@ -9,8 +9,9 @@ or input error (an invalid system is a parse error), and 70
 (``EX_SOFTWARE``) an internal error: any other exception from a
 subcommand is printed as one ``internal error:`` line on stderr, without
 a traceback, so exit 1 always means a failing check.  ``error:`` and
-``internal error:`` lines write what stderr's encoding cannot hold (a
-path's undecodable byte) as a backslash escape.  Reports are
+``internal error:`` lines, and the usage errors of the argument parser,
+write what stderr's encoding cannot hold (a path's or an argument's
+undecodable byte) as a backslash escape.  Reports are
 deterministic for identical inputs apart from the ``timing_ms`` field.
 A reader that closes the pipe early gets no traceback; the exit code is
 still the checks'.
@@ -50,6 +51,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -439,9 +441,14 @@ def _print_err(line: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     with unbounded_int_digits():
         parser = build_parser()
+        usage = io.StringIO()
         try:
-            args = parser.parse_args(argv)
+            with contextlib.redirect_stderr(usage):
+                args = parser.parse_args(argv)
         except SystemExit as exc:
+            # argparse prints its usage errors itself: pass them on escaped
+            if usage.getvalue():
+                _print_err(usage.getvalue().removesuffix("\n"))
             return int(exc.code or 0)
         started = time.perf_counter()
         try:

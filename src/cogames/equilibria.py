@@ -315,17 +315,6 @@ def reach_index_sets(s: CoSystem, agent: str | None = None) -> dict[int, ReachSe
 # deviation witness construction
 
 
-def _step(s: CoSystem, cls_id: int, index: int, choice: Choice, agent: str) -> dict[str, Any]:
-    owner = s.owner[cls_id]
-    return {
-        "class": cls_id,
-        "owner": owner,
-        "index": index,
-        "choice": choice.value,
-        "overridden": owner == agent and choice is not s.choice[cls_id],
-    }
-
-
 def _steps_to(edges: list[tuple[Edge, ...]], parent: list[int | None], index: list[int | None],
               target: int) -> list[Step]:
     """The steps from the source of a search to ``target`` along its
@@ -382,31 +371,36 @@ def _deviation_verdict(s: CoSystem, agent: str, base: int, steps: list[Step],
     when ``pumped`` is ``(cycle, repeat, tail)``, ``repeat`` >= 1 rounds of
     ``cycle`` (written with its first-round indices) and then ``tail``
     (written with its indices after those rounds), so the witness stays
-    the size of the class graph however many rounds the gap needs."""
+    the size of the class graph however many rounds the gap needs.  Each
+    list of steps is written as three columns, ``class``, ``index`` and
+    ``choice``; the owner of a step and whether it overrides are the
+    system's to tell."""
     cert: dict[str, Any] = {
         "agent": agent,
         "on_path_value": base,
         "deviation_value": value,
         "leaf_class": leaf_cls,
         "leaf_index": leaf_index,
-        "path": [_step(s, c, w, label, agent) for c, w, label in steps],
+        "path": _step_columns(steps),
     }
-    written = cert["path"]
     if pumped is not None:
         cycle, repeat, tail = pumped
-        cert["cycle"] = [_step(s, c, w, label, agent) for c, w, label in cycle]
+        cert["cycle"] = _step_columns(cycle)
         cert["repeat"] = repeat
-        cert["tail"] = [_step(s, c, w, label, agent) for c, w, label in tail]
-        written = written + cert["cycle"] + cert["tail"]
-    # one step may be written in more than one part of a lasso
-    overrides, seen = [], set()
-    for p in written:
-        if p["overridden"] and (p["class"], p["index"]) not in seen:
-            seen.add((p["class"], p["index"]))
-            overrides.append(p)
-    cert["overrides"] = overrides
+        cert["tail"] = _step_columns(tail)
+        steps = steps + cycle + tail
+    # a deviation graph keeps only the committed child at a node the agent
+    # does not own, so a step off the committed choice is an override of
+    # the agent's; one step may be written in more than one part of a lasso
+    choice = s.choice
+    overrides = {(c, w) for c, w, label in steps if label is not choice[c]}
     return Verdict(False, cert, f"{agent} improves {base} -> {value} by overriding "
                                 f"{len(overrides)} choice(s)")
+
+
+def _step_columns(steps: list[Step]) -> dict[str, list]:
+    """``steps`` as the columns ``class``, ``index`` and ``choice``."""
+    return _columns(("class", "index", "choice"), [(c, w, label.value) for c, w, label in steps])
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +424,20 @@ def nash_eq(s: CoSystem) -> Verdict:
     positive (without bound past a positive cycle) and at its least index
     otherwise.  A strict improvement yields a concrete finite deviation
     path as the counterexample (a lasso, when a positive cycle has to be
-    pumped past the on-path value).  The holds-certificate lists, per
-    agent, the on-path value (read from the agent's utility columns), the
-    best deviation value, and the leaves its deviation graph reaches as
-    three columns of equal length: ``leaf_class`` in id order, and the
-    least and greatest index it occurs at, ``n_min`` and ``n_max`` (None
-    when unbounded).  A leaf's best value is its payoff at the end of
-    that interval where the payoff is greatest.
+    pumped past the on-path value).  The failing certificate holds the
+    ``agent``, its ``on_path_value`` and ``deviation_value``, the
+    ``leaf_class`` and ``leaf_index`` the deviation ends at, and its
+    steps as columns ``class``, ``index`` and ``choice``: ``path``, and
+    on a lasso also ``cycle``, ``repeat`` and ``tail``.  Which steps
+    override a choice is read off the system; the note counts them.  A
+    vacuous hold cites the failing ``leads_to_leaf`` certificate.  The
+    holds-certificate lists, per agent, the on-path value (read from the
+    agent's utility columns), the best deviation value, and the leaves
+    its deviation graph reaches as three columns of equal length:
+    ``leaf_class`` in id order, and the least and greatest index it
+    occurs at, ``n_min`` and ``n_max`` (None when unbounded).  A leaf's
+    best value is its payoff at the end of that interval where the
+    payoff is greatest.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("nash_eq expects a strategy")
@@ -518,7 +519,11 @@ def sgpe(s: CoSystem) -> Verdict:
     the greatest index, or has a negative slope past a positive cycle.  A
     failure names an index the class occurs at: that end, or in the last
     case the first index on a lasso through the cycle at which the margin
-    is negative.
+    is negative.  The failing certificate is that ``class`` and
+    ``index`` and the owner's two values there, ``chosen_value`` and
+    ``other_value``; the owner and the choice are the system's, and the
+    note names the owner.  A failed precondition cites the failing
+    ``alw_leads_to_leaf`` certificate.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("sgpe expects a strategy")
@@ -559,8 +564,6 @@ def sgpe(s: CoSystem) -> Verdict:
         if bad is not None:
             return Verdict(False, {
                 "class": cls_id,
-                "owner": owner,
-                "choice": choice.value,
                 "index": bad,
                 "chosen_value": chosen_slope * bad + chosen_value,
                 "other_value": other_slope * bad + other_value,

@@ -29,11 +29,26 @@ holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and ``nash_eq``
 are columns too: one list per named field, with one entry per class or
 leaf, and no dict per entry.
 
+A certificate carries only what its replay needs.  It names classes,
+and holds no owner (a lookup of the system's ``owner`` column at a
+class it names) and nothing that is a function of its other fields.  A
+walk's ``choices`` stays, since ``histories.strategy_history`` reads it.
+The walk certificates, in full:
+
+- ``leads_to_leaf`` holds with ``{"class", "shift", "choices"}``: the
+  classes visited and the shift at each (both one entry longer than the
+  choices, the last entry being the leaf), and the choices taken.
+- ``leads_to_leaf`` fails with ``{"cycle", "entered_after",
+  "choices"}``: the classes of the cycle, the number of steps before
+  the walk enters it, and the choices taken up to the first repeat.
+- ``alw_leads_to_leaf`` fails with ``{"class", "cycle"}``: the first
+  reachable class whose walk cycles, and that walk's failing
+  ``leads_to_leaf`` certificate from local index 0.
+
 Nothing here reads the system's classes or builds a graph of it: the
 walks follow the system's own ``choice`` column to the ``left`` or
-``right`` child, certificates name owners from its ``owner`` column, and
-the utility columns read leaf payoffs from its ``payoff`` column (see
-``system.CoSystem``).
+``right`` child, and the utility columns read leaf payoffs from its
+``payoff`` column (see ``system.CoSystem``).
 
 Only ``leads_to_leaf`` walks, since its certificate is the path itself.
 The walk is memoized too, one per start reference, so the certificates
@@ -55,9 +70,10 @@ from .verdict import Verdict
 def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
     """Follow the chosen child from ``at`` (default root).
 
-    Holds with the finite path (visited references and choices taken) if
-    a leaf is reached; fails with the repeating class cycle and the
-    choices taken otherwise.  Terminates within |classes| + 1 steps.
+    Holds with the finite path (visited classes and shifts as two
+    columns, and the choices taken) if a leaf is reached; fails with the
+    repeating class cycle and the choices taken otherwise (see the
+    module docstring).  Terminates within |classes| + 1 steps.
     The walk is memoized per start reference; each call builds its own
     verdict from it, so a caller may keep or change its certificate
     without touching any other's.  A start outside the system raises
@@ -69,26 +85,11 @@ def leads_to_leaf(s: CoSystem, at: Ref | None = None) -> Verdict:
         check_ref(s, at)
     visited, shifts, choices, entered = _chosen_walk(s, s.root if at is None else at)
     if entered is None:
-        return Verdict(
-            True,
-            {
-                "path": [{"class": c, "shift": k} for c, k in zip(visited, shifts)],
-                "choices": list(choices),
-                "total_shift": shifts[-1],
-            },
-            f"leaf reached in {len(choices)} steps",
-        )
-    cycle = visited[entered:-1]
-    return Verdict(
-        False,
-        {
-            "cycle": cycle,
-            "owners": [s.owner[c] for c in cycle],
-            "entered_after": entered,
-            "choices": list(choices),
-        },
-        "chosen path revisits a class and can never terminate",
-    )
+        return Verdict(True, {"class": list(visited), "shift": list(shifts), "choices": list(choices)},
+                       f"leaf reached in {len(choices)} steps")
+    return Verdict(False, {"cycle": visited[entered:-1], "entered_after": entered,
+                           "choices": list(choices)},
+                   "chosen path revisits a class and can never terminate")
 
 
 @memoized
@@ -202,7 +203,7 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     ``steps``.  They replay locally, since a node's entries are its
     chosen child's with one more step.  A failure reports the first
     reachable class (BFS order) whose chosen walk cycles, together with
-    that cycle.
+    that walk's failing ``leads_to_leaf`` certificate.
     """
     if s.kind != STRATEGY:
         raise KindMismatchError("alw_leads_to_leaf expects a strategy")
@@ -212,8 +213,7 @@ def alw_leads_to_leaf(s: CoSystem) -> Verdict:
     if bad is not None:
         return Verdict(
             False,
-            {"class": bad, "owner": s.owner[bad],
-             "cycle": leads_to_leaf(s, Ref(bad, 0)).certificate},
+            {"class": bad, "cycle": leads_to_leaf(s, Ref(bad, 0)).certificate},
             f"class {bad} does not lead to a leaf",
         )
     return Verdict(True, {"class": list(order), "leaf": [leaf[c] for c in order],

@@ -7,8 +7,10 @@ paths and cycles for the walk-based predicates, relations for the
 coinductive ones, deviation descriptions for the equilibrium checks.
 The holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and
 ``nash_eq`` are named columns: one list per field, all of one length,
-with one entry per class or leaf, rather than one dict per row; a
-failure is one row.  Certificates hold dicts, lists, tuples, strings,
+with one entry per class or leaf, rather than one dict per row.  A
+failure is one row.  A list of steps (a chosen walk, a deviation) is
+columns too, in a holding certificate and a failing one alike.  No
+certificate copies an owner out of the system's columns.  Certificates hold dicts, lists, tuples, strings,
 ints, booleans and None, and nothing else; a tuple is written as a
 list, so it reads back as a list.  A row ``(i, j)`` of a ``bisimilar``
 relation reads back as ``[i, j]``: ``json`` writes it so, and the CLI's

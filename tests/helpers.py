@@ -22,6 +22,7 @@ from cogames import (
     alw_leads_to_leaf,
     convertible,
     oracle,
+    unfold,
     validate,
 )
 from cogames.system import sccs
@@ -434,3 +435,73 @@ def reference_reach(s: CoSystem, agent: str | None = None) -> tuple[list, list, 
         else:
             pump[v] = entry[i][1]
     return least, greatest, pump
+
+
+# ---------------------------------------------------------------------------
+# replays of the walk certificates, with ``unfold`` only: the owners and the
+# committed choices are the system's, never the certificate's
+
+
+def reachable_classes(s: CoSystem) -> list[int]:
+    """The classes reachable from the root through both children, in
+    breadth-first order (L before R)."""
+    order, seen = [s.root.cls], {s.root.cls}
+    for c in order:
+        head = unfold(s, Ref(c))
+        if isinstance(head, Node):
+            for t in (head.left.cls, head.right.cls):
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    return order
+
+
+def ends_at_leaf(s: CoSystem, at: Ref) -> bool:
+    """Whether the committed choices from ``at`` reach a leaf; a walk that
+    does visits each class at most once."""
+    for _ in range(len(s.owner)):
+        head = unfold(s, at)
+        if isinstance(head, Leaf):
+            return True
+        at = head.child(head.choice)
+    return False
+
+
+def replay_walk(s: CoSystem, cert: dict, start: Ref | None = None) -> None:
+    """Check a ``leads_to_leaf`` certificate from ``start`` (default the
+    root): every choice is the system's own at the class it leaves.  A
+    holding one lists the classes visited and their shifts, one entry
+    more than the choices, and its last class is a leaf.  A failing one
+    visits no class twice before its last step, which returns to the
+    class it visited after ``entered_after`` steps; ``cycle`` is the
+    classes from there on, so the walk repeats them forever."""
+    at = s.root if start is None else start
+    visited = [at]
+    for label in cert["choices"]:
+        head = unfold(s, at)
+        assert isinstance(head, Node) and head.choice.value == label
+        at = head.child(head.choice)
+        visited.append(at)
+    classes = [ref.cls for ref in visited]
+    if "cycle" not in cert:
+        assert list(cert) == ["class", "shift", "choices"]
+        assert cert["class"] == classes and cert["shift"] == [ref.shift for ref in visited]
+        assert isinstance(unfold(s, at), Leaf)
+        return
+    assert list(cert) == ["cycle", "entered_after", "choices"]
+    k = cert["entered_after"]
+    assert 0 <= k < len(cert["choices"])
+    assert len(set(classes[:-1])) == len(classes) - 1 and classes[-1] == classes[k]
+    assert cert["cycle"] == classes[k:-1]
+
+
+def replay_altl_failure(s: CoSystem, cert: dict) -> None:
+    """Check a failing ``alw_leads_to_leaf`` certificate: ``class`` is the
+    first class in breadth-first order whose chosen walk cycles, and
+    ``cycle`` is that walk's failing certificate from its local index 0."""
+    assert list(cert) == ["class", "cycle"]
+    order = reachable_classes(s)
+    bad = cert["class"]
+    assert bad in order
+    assert all(ends_at_leaf(s, Ref(c)) for c in order[:order.index(bad)])
+    replay_walk(s, cert["cycle"], Ref(bad))

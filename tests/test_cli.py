@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -13,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from cogames import STRATEGY, dsl
 from cogames.cli import CHECKS, InputError, block_pieces, build_parser, main, unbounded_int_digits
 from cogames.semantics import leads_to_leaf
 from cogames.system import Blocks
@@ -63,8 +65,10 @@ class TestCheck:
         code, report = run_json(capsys, "check", str(GAMES / "dollar_auction_ngu.cog"), "--ltl")
         assert code == 1
         cert = report["checks"][0]["certificate"]
-        assert cert["cycle"] == [0, 1]
-        assert cert["owners"] == ["Alice", "Bob"]
+        assert cert == {"cycle": [0, 1], "entered_after": 0, "choices": ["l", "l"]}
+        # the owners are the system's, read at the classes the cycle names
+        s = dsl.parse((GAMES / "dollar_auction_ngu.cog").read_text())
+        assert [s.owner[c] for c in cert["cycle"]] == ["Alice", "Bob"]
 
     def test_multiple_checks(self, capsys):
         code, report = run_json(capsys, "check", str(GAMES / "dollar_auction_agu.cog"),
@@ -133,12 +137,42 @@ class TestCheck:
                         "root top\n")
         code, report = run_json(capsys, "check", str(path), "--sgpe")
         assert code == 1
-        assert report["checks"][0]["certificate"] == {
-            "class": 1, "owner": "A", "choice": "l", "index": 4,
-            "chosen_value": 0, "other_value": 2}
+        [check] = report["checks"]
+        assert check["certificate"] == {"class": 1, "index": 4, "chosen_value": 0, "other_value": 2}
+        assert check["note"] == "A prefers the other branch of class 1 at index 4"
+        s = dsl.parse(path.read_text())
+        assert (s.owner[1], s.choice[1].value) == ("A", "l")
 
     def test_no_flags_is_a_usage_error(self, capsys):
         assert main(["check", str(GAMES / "dollar_auction_agu.cog")]) == 2
+
+    def test_no_certificate_copies_what_the_system_holds(self, capsys, tmp_path):
+        # every check on the shipped strategies and on random cyclic ones,
+        # parametric or not: no key at any depth of a report names an
+        # owner, an override or a sum that the certificate already gives
+        paths = [p for p in sorted(GAMES.glob("*.cog")) if p.read_text().startswith("strategy")]
+        for parametric in (True, False):
+            for seed in range(300):
+                path = tmp_path / f"s{seed}_{parametric}.cog"
+                s = helpers.random_system(seed, kind=STRATEGY, max_classes=8, parametric=parametric)
+                path.write_text(dsl.render(s))
+                paths.append(path)
+        failures = collections.Counter()
+        for path in paths:
+            _, report = run_json(capsys, "check", str(path), "--ltl", "--altl", "--nash", "--sgpe")
+            stack, keys = [report], set()
+            while stack:
+                node = stack.pop()
+                if isinstance(node, dict):
+                    keys.update(node)
+                    stack.extend(node.values())
+                elif isinstance(node, list):
+                    stack.extend(node)
+            assert not keys & {"owner", "owners", "overridden", "overrides", "total_shift"}, path
+            failures.update(c["name"] for c in report["checks"] if c["outcome"] == "fails")
+            failures.update("lasso" for c in report["checks"]
+                            if c["name"] == "nash" and "cycle" in c["certificate"])
+        assert min(failures[name] for name in (*CHECKS, "lasso")) > 0, failures
 
 
 class TestEval:
@@ -671,6 +705,22 @@ class TestErrorsAndStability:
         assert main(["check", str(GAMES / "paper_s0.cog"), "--ltl"]) == 70
         err.flush()
         assert err.buffer.getvalue() == b"internal error: RuntimeError: \\udcff\n"
+
+    def test_usage_error_escapes_what_a_strict_stderr_cannot_encode(self, monkeypatch, capsys):
+        # argparse's own message names the unrecognized argument, a byte
+        # that is not UTF-8 alone, decoded to a lone surrogate as argv is
+        argv = ["check", "x.cog", "--ltl", os.fsdecode(b"\xff")]
+        assert main(argv) == 2
+        plain = capsys.readouterr().err
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(argv) == 2
+        err.flush()
+        text = err.buffer.getvalue()
+        assert text.startswith(b"usage: cogames ")
+        assert text.endswith(b"cogames: error: unrecognized arguments: \\udcff\n")
+        # what a lenient stderr gets is argparse's own text, unchanged
+        assert text == plain.encode("utf-8", "backslashreplace")
 
     def test_parse_error_is_positioned(self, capsys, tmp_path):
         bad = tmp_path / "bad.cog"

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import json
 import random
@@ -59,11 +60,14 @@ def margins(cert: dict) -> list[tuple[int, int]]:
         cert["chosen_slope"], cert["chosen_intercept"], cert["other_slope"], cert["other_intercept"])]
 
 
-def replay_sgpe_failure(s: CoSystem, cert: dict) -> None:
+def replay_sgpe_failure(s: CoSystem, cert: dict, note: str) -> None:
     """Check an SGPE failure against the system with ``unfold`` only: a
     breadth-first search over (class, index) states, bounded by the
     reported index, reaches the class at that index, and there the
-    owner's play through the other child pays more than the chosen one."""
+    owner's play through the other child pays more than the chosen one.
+    The owner and the choice are the system's, and the note names the
+    owner."""
+    assert list(cert) == ["class", "index", "chosen_value", "other_value"]
     target = Ref(cert["class"], cert["index"])
     seen, queue = {s.root}, deque([s.root])
     while queue and target not in seen:
@@ -75,10 +79,11 @@ def replay_sgpe_failure(s: CoSystem, cert: dict) -> None:
                     queue.append(ref)
     assert target in seen
     head = unfold(s, target)
-    assert (head.owner, head.choice.value) == (cert["owner"], cert["choice"])
+    assert isinstance(head, Node)
     chosen, other = (play_value(s, head.child(c), head.owner) for c in (head.choice, head.choice.other))
     assert (chosen, other) == (cert["chosen_value"], cert["other_value"])
     assert chosen < other
+    assert note == f"{head.owner} prefers the other branch of class {target.cls} at index {target.shift}"
 
 
 def doubling_chain(length: int, choice: Choice) -> CoSystem:
@@ -88,48 +93,57 @@ def doubling_chain(length: int, choice: Choice) -> CoSystem:
     return CoSystem(STRATEGY, ("A",), (*classes, Leaf({"A": Affine(1, 0)})), Ref(0))
 
 
-def replay_deviation(s: CoSystem, cert: dict) -> None:
+NASH_FAILURE = ["agent", "on_path_value", "deviation_value", "leaf_class", "leaf_index", "path"]
+STEP_COLUMNS = ["class", "index", "choice"]
+
+
+def replay_deviation(s: CoSystem, cert: dict, note: str) -> None:
     """Check a Nash failure witness against the system with ``unfold``
     only: the on-path value, then the deviation path, which may override
-    choices at the deviating agent's nodes only.  A lasso witness is
-    expanded here: ``repeat`` rounds of ``cycle``, whose indices hold for
-    the first round and grow by the same amount each round, then
-    ``tail``.  Every listed override is a step the deviation takes."""
+    choices at the deviating agent's nodes only.  Each list of steps is
+    the columns ``class``, ``index`` and ``choice``; the owners and the
+    committed choices are the system's.  A lasso witness is expanded
+    here: ``repeat`` rounds of ``cycle``, whose indices hold for the
+    first round and grow by the same amount each round, then ``tail``.
+    The note counts the overrides among the steps as written, once per
+    (class, index)."""
+    assert list(cert) in (NASH_FAILURE, NASH_FAILURE + ["cycle", "repeat", "tail"])
     agent = cert["agent"]
     assert play_value(s, s.root, agent) == cert["on_path_value"]
-    at, taken = s.root, set()
+    at, overrides = s.root, set()
 
-    def follow(step: dict, shift: int = 0) -> None:
+    def follow(steps: dict, shift: int = 0) -> None:
         nonlocal at
-        head = unfold(s, at)
-        assert isinstance(head, Node)
-        assert (step["class"], step["index"] + shift) == (at.cls, at.shift)
-        choice = Choice(step["choice"])
-        assert choice is head.choice or head.owner == agent
-        if choice is not head.choice:
-            taken.add((at.cls, at.shift, choice.value))
-        at = head.child(choice)
+        assert list(steps) == STEP_COLUMNS
+        assert len(steps["class"]) == len(steps["index"]) == len(steps["choice"])
+        for c, index, label in zip(steps["class"], steps["index"], steps["choice"]):
+            head = unfold(s, at)
+            assert isinstance(head, Node)
+            assert (c, index + shift) == (at.cls, at.shift)
+            choice = Choice(label)
+            if choice is not head.choice:
+                assert head.owner == agent
+                if not shift:
+                    overrides.add((c, index))
+            at = head.child(choice)
 
-    for step in cert["path"]:
-        follow(step)
+    follow(cert["path"])
     if "cycle" in cert:
         cycle = cert["cycle"]
+        assert cert["repeat"] >= 1
         loop = 0
         for round_ in range(cert["repeat"]):
-            for step in cycle:
-                follow(step, round_ * loop)
+            follow(cycle, round_ * loop)
             if round_ == 0:
-                loop = at.shift - cycle[0]["index"]
-                assert at.cls == cycle[0]["class"] and loop > 0
-        for step in cert["tail"]:
-            follow(step)
+                loop = at.shift - cycle["index"][0]
+                assert at.cls == cycle["class"][0] and loop > 0
+        follow(cert["tail"])
     head = unfold(s, at)
     assert isinstance(head, Leaf)
     assert (cert["leaf_class"], cert["leaf_index"]) == (at.cls, at.shift)
     assert head.payoffs[agent].at(0) == cert["deviation_value"] > cert["on_path_value"]
-    overrides = [(o["class"], o["index"], o["choice"]) for o in cert["overrides"]]
-    assert all(o["overridden"] for o in cert["overrides"])
-    assert len(set(overrides)) == len(overrides) and set(overrides) <= taken
+    assert note == (f"{agent} improves {cert['on_path_value']} -> {cert['deviation_value']} "
+                    f"by overriding {len(overrides)} choice(s)")
 
 
 def replay_altl_holds(s: CoSystem, cert: dict) -> None:
@@ -141,15 +155,7 @@ def replay_altl_holds(s: CoSystem, cert: dict) -> None:
     assert list(cert) == ["class", "leaf", "steps"]
     classes, leaf, steps = cert["class"], cert["leaf"], cert["steps"]
     assert len(classes) == len(leaf) == len(steps)
-    order, seen = [s.root.cls], {s.root.cls}
-    for c in order:
-        head = unfold(s, Ref(c))
-        if isinstance(head, Node):
-            for t in (head.left.cls, head.right.cls):
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-    assert classes == order
+    assert classes == helpers.reachable_classes(s)
     row = {c: i for i, c in enumerate(classes)}
     for c, end, k in zip(classes, leaf, steps):
         head = unfold(s, Ref(c))
@@ -236,12 +242,13 @@ def int_entries(node, path: tuple = ()):
 
 
 class TestHoldingCertificatesReplay:
-    """The holding certificates of ``alw_leads_to_leaf``, ``sgpe`` and
-    ``nash_eq`` replay against the system by code that shares nothing with
-    the engines, and the replay rejects any one entry moved by 1."""
+    """The holding certificates of ``leads_to_leaf``, ``alw_leads_to_leaf``,
+    ``sgpe`` and ``nash_eq`` replay against the system by code that shares
+    nothing with the engines, and the replay rejects any one entry moved
+    by 1."""
 
-    CHECKS = ((alw_leads_to_leaf, replay_altl_holds), (sgpe, replay_sgpe_holds),
-              (nash_eq, replay_nash_holds))
+    CHECKS = ((leads_to_leaf, helpers.replay_walk), (alw_leads_to_leaf, replay_altl_holds),
+              (sgpe, replay_sgpe_holds), (nash_eq, replay_nash_holds))
 
     @staticmethod
     def pool(ring: int, chain: int) -> list[CoSystem]:
@@ -288,6 +295,79 @@ class TestHoldingCertificatesReplay:
             replay(s, check(s).certificate)
 
 
+FAILING_CHECKS = {"ltl": leads_to_leaf, "altl": alw_leads_to_leaf, "nash": nash_eq, "sgpe": sgpe}
+
+
+def replay_failing(s: CoSystem, name: str, v) -> str:
+    """Replay a failing certificate of check ``name``, or the walk that a
+    vacuous ``nash`` hold cites, with the owners and the choices read
+    from ``s``; returns which kind of certificate it was."""
+    cert = v.certificate
+    if name == "ltl":
+        helpers.replay_walk(s, cert)
+        return "ltl"
+    if name == "altl":
+        helpers.replay_altl_failure(s, cert)
+        return "altl"
+    if name == "nash" and v.holds:
+        assert list(cert) == ["leads_to_leaf"] and not leads_to_leaf(s).holds
+        helpers.replay_walk(s, cert["leads_to_leaf"])
+        return "nash vacuous"
+    if name == "nash":
+        replay_deviation(s, cert, v.note)
+        return "nash lasso" if "cycle" in cert else "nash path"
+    if "alw_leads_to_leaf" in cert:
+        assert list(cert) == ["alw_leads_to_leaf"]
+        helpers.replay_altl_failure(s, cert["alw_leads_to_leaf"])
+        return "sgpe precondition"
+    replay_sgpe_failure(s, cert, v.note)
+    return "sgpe"
+
+
+class TestFailingCertificatesReplay:
+    """Every failing certificate of ``leads_to_leaf``, ``alw_leads_to_leaf``,
+    ``nash_eq`` and ``sgpe``, and the walk that a vacuous Nash hold or a
+    failed SGPE precondition cites, replays against the system, which
+    alone names owners and committed choices; the replay rejects any
+    one int entry moved by 1."""
+
+    @staticmethod
+    def failing(seeds: range):
+        for parametric in (True, False):
+            for seed in seeds:
+                s = helpers.random_system(seed, kind=STRATEGY, max_classes=8, parametric=parametric)
+                for name, check in FAILING_CHECKS.items():
+                    v = check(s)
+                    if not v.holds or "leads_to_leaf" in v.certificate:
+                        yield s, name, v
+
+    def test_every_failing_certificate_replays_on_random_cyclic_strategies(self):
+        kinds = collections.Counter(replay_failing(s, name, v)
+                                    for s, name, v in self.failing(range(1500)))
+        assert set(kinds) == {"ltl", "altl", "nash vacuous", "nash path", "nash lasso",
+                              "sgpe precondition", "sgpe"}, kinds
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_every_entry_moved_by_one_is_rejected(self):
+        moved = 0
+        for s, name, v in self.failing(range(150)):
+            cert = v.certificate
+            for path in int_entries(cert):
+                *inner, last = path
+                column = cert
+                for key in inner:
+                    column = column[key]
+                for delta in (1, -1):
+                    column[last] += delta
+                    # a class moved off the system is refused by unfold
+                    with pytest.raises((AssertionError, ValueError)):
+                        replay_failing(s, name, v)
+                    column[last] -= delta
+                    moved += 1
+            replay_failing(s, name, v)
+        assert moved > 1000
+
+
 # two positive cycles, c1's and c2's, both feed one class past them
 TWO_CYCLES_NASH = """strategy agents A
 c0(n) = <A, r, c1(n), stop(n)>
@@ -296,6 +376,17 @@ c2(n) = <A, r, c2(n+1), win(n)>
 win(n) = leaf[A: n]
 stop(n) = leaf[A: 100]
 root c0
+"""
+
+# a lasso whose path and cycle both take c4's r at index 0
+STEP_TWICE_NASH = """strategy agents Ann
+c0(n) = <Ann, r, c4(n), c4(n)>
+c1(n) = <Ann, r, c1(n), c2(n)>
+c2(n) = leaf[Ann: 1*n-8]
+c3(n) = <Ann, r, c0(n+2), c0(n+1)>
+c4(n) = <Ann, l, c1(n+1), c5(n)>
+c5(n) = <Ann, l, c4(n+2), c0(n)>
+root c4
 """
 
 # c2's cycle lies below c1's, but the root reaches c2 directly at index 0
@@ -684,8 +775,9 @@ class TestNashEq:
         v = nash_eq(s)
         assert not v.holds
         assert v.certificate["deviation_value"] == 1
-        assert [p["class"] for p in v.certificate["path"]] == [0]
-        assert v.certificate["overrides"][0]["choice"] == "r"
+        assert v.certificate["path"] == {"class": [0], "index": [0], "choice": ["r"]}
+        assert v.note == "A improves 0 -> 1 by overriding 1 choice(s)"
+        replay_deviation(s, v.certificate, v.note)
 
     def test_unbounded_growth_found_by_pumping(self):
         # stop now for 0, or keep playing and stop later for n
@@ -696,9 +788,12 @@ class TestNashEq:
         v = nash_eq(s)
         assert not v.holds
         assert v.certificate["deviation_value"] > 0
-        assert [p["class"] for p in v.certificate["cycle"]] == [0]
-        assert v.certificate["repeat"] == 1 and v.certificate["overrides"]
-        replay_deviation(s, v.certificate)
+        assert v.certificate["cycle"] == {"class": [0], "index": [0], "choice": ["l"]}
+        assert v.certificate["repeat"] == 1
+        assert v.certificate["tail"] == {"class": [0], "index": [1], "choice": ["r"]}
+        # the cycle's l overrides the committed r; the tail's r does not
+        assert v.note == "A improves 0 -> 1 by overriding 1 choice(s)"
+        replay_deviation(s, v.certificate, v.note)
 
     def test_pumped_witness_keeps_its_size_as_the_gap_grows(self, capsys, tmp_path):
         # stopping at once pays the gap; the deviation must go round the
@@ -716,10 +811,11 @@ class TestNashEq:
             assert main(["--json", "check", str(path), "--nash"]) == 1
             out = capsys.readouterr().out
             assert len(out) < 4096
-            cert = json.loads(out)["checks"][0]["certificate"]
+            [check] = json.loads(out)["checks"]
+            cert = check["certificate"]
             assert (cert["repeat"], cert["leaf_index"]) == (gap + 1, gap + 1)
             if gap < 10 ** 6:  # unfolding a million rounds one by one takes seconds
-                replay_deviation(dsl.parse(source.format(gap=gap)), cert)
+                replay_deviation(dsl.parse(source.format(gap=gap)), cert, check["note"])
             shapes.add(re.sub(r"\d+", "0", json.dumps(cert)))
         assert len(shapes) == 1  # equal apart from the digits of the numbers
 
@@ -735,7 +831,7 @@ class TestNashEq:
         v = nash_eq(s)
         assert not v.holds
         assert (v.certificate["leaf_class"], v.certificate["leaf_index"]) == (3, 1)
-        replay_deviation(s, v.certificate)
+        replay_deviation(s, v.certificate, v.note)
 
     def test_lasso_pumps_the_positive_cycle_nearest_the_root(self):
         # both c1 (first met at index 0) and c2 (at 5) sit on a positive
@@ -745,22 +841,36 @@ class TestNashEq:
         v = nash_eq(s)
         assert not v.holds
         cert = v.certificate
-        assert [p["class"] for p in cert["path"]] == [0]
-        assert [p["class"] for p in cert["cycle"]] == [1]
+        assert cert["path"]["class"] == [0]
+        assert cert["cycle"]["class"] == [1]
         assert cert["repeat"] == 96
-        assert [p["class"] for p in cert["tail"]] == [1, 2]
+        assert cert["tail"]["class"] == [1, 2]
         assert cert["leaf_index"] == 101
-        replay_deviation(s, cert)
+        replay_deviation(s, cert, v.note)
 
     def test_lasso_pumps_the_cycle_met_at_the_least_index_below_another(self):
         s = dsl.parse(SHORTCUT_CYCLES_NASH)
         v = nash_eq(s)
         assert not v.holds
         cert = v.certificate
-        assert [(p["class"], p["choice"]) for p in cert["path"]] == [(0, "r")]
-        assert [p["class"] for p in cert["cycle"]] == [2]
+        assert (cert["path"]["class"], cert["path"]["choice"]) == ([0], ["r"])
+        assert cert["cycle"]["class"] == [2]
         assert (cert["on_path_value"], cert["repeat"], cert["leaf_index"]) == (5, 6, 6)
-        replay_deviation(s, cert)
+        replay_deviation(s, cert, v.note)
+
+    def test_an_override_written_in_two_parts_of_a_lasso_counts_once(self):
+        # the path to c0 overrides c4's l at index 0, and the cycle's first
+        # round takes that same step again; a note counting steps, not
+        # (class, index) pairs, would say 7
+        s = dsl.parse(STEP_TWICE_NASH)
+        v = nash_eq(s)
+        assert not v.holds
+        cert = v.certificate
+        assert cert["path"] == {"class": [4, 5], "index": [0, 0], "choice": ["r", "r"]}
+        assert cert["cycle"] == {"class": [0, 4, 5, 4, 5], "index": [0, 0, 0, 2, 2],
+                                 "choice": ["l", "r", "l", "r", "r"]}
+        assert v.note == "Ann improves -7 -> -5 by overriding 6 choice(s)"
+        replay_deviation(s, cert, v.note)
 
     def test_failure_witnesses_replay_on_random_strategies(self):
         failures = 0
@@ -769,7 +879,7 @@ class TestNashEq:
             v = nash_eq(s)
             if not v.holds:
                 failures += 1
-                replay_deviation(s, v.certificate)
+                replay_deviation(s, v.certificate, v.note)
         assert failures > 400
 
     def test_vacuity_property(self):
@@ -859,7 +969,7 @@ class TestSgpe:
         v = sgpe(s)
         assert not v.holds
         assert (v.certificate["class"], v.certificate["index"]) == (3, 21)
-        replay_sgpe_failure(s, v.certificate)
+        replay_sgpe_failure(s, v.certificate, v.note)
 
     def test_failing_indices_are_reachable_on_random_strategies(self):
         failures = 0
@@ -869,7 +979,7 @@ class TestSgpe:
                 v = sgpe(s)
                 if not v.holds and "index" in v.certificate:
                     failures += 1
-                    replay_sgpe_failure(s, v.certificate)
+                    replay_sgpe_failure(s, v.certificate, v.note)
         assert failures > 300
 
     def test_sgpe_implies_nash_on_finite_corpus(self):
@@ -945,12 +1055,13 @@ class TestShiftedRing:
         assert not nash.holds
         assert (nash.certificate["on_path_value"], nash.certificate["repeat"]) == (1, 1)
         assert nash.certificate["deviation_value"] == self.LENGTH + 1
-        replay_deviation(s, nash.certificate)
+        replay_deviation(s, nash.certificate, nash.note)
         perfect = sgpe(s)
         assert not perfect.holds
-        assert perfect.certificate == {"class": 0, "owner": "A", "choice": "r", "index": 0,
-                                       "chosen_value": 1, "other_value": 2}
-        replay_sgpe_failure(s, perfect.certificate)
+        assert perfect.certificate == {"class": 0, "index": 0, "chosen_value": 1, "other_value": 2}
+        assert (s.owner[0], s.choice[0]) == ("A", Choice.R)
+        assert perfect.note == "A prefers the other branch of class 0 at index 0"
+        replay_sgpe_failure(s, perfect.certificate, perfect.note)
 
     def test_shrinking_leaf_keeps_both_equilibria(self):
         s = shifted_ring(self.LENGTH, -1)
@@ -1004,13 +1115,16 @@ class TestDiamondLadder:
         assert not nash.holds
         cert = nash.certificate
         assert (cert["agent"], cert["on_path_value"], cert["deviation_value"]) == ("Alice", 0, self.K)
-        assert len(cert["overrides"]) == self.K
-        replay_deviation(s, cert)
+        # every a_i overrides l with r, and each is counted once
+        assert cert["path"]["choice"].count("r") == self.K
+        assert nash.note == f"Alice improves 0 -> {self.K} by overriding {self.K} choice(s)"
+        replay_deviation(s, cert, nash.note)
         perfect = sgpe(s)
         assert not perfect.holds
-        assert perfect.certificate == {"class": 0, "owner": "Alice", "choice": "l", "index": 0,
-                                       "chosen_value": 0, "other_value": 1}
-        replay_sgpe_failure(s, perfect.certificate)
+        assert perfect.certificate == {"class": 0, "index": 0, "chosen_value": 0, "other_value": 1}
+        assert (s.owner[0], s.choice[0]) == ("Alice", Choice.L)
+        assert perfect.note == "Alice prefers the other branch of class 0 at index 0"
+        replay_sgpe_failure(s, perfect.certificate, perfect.note)
 
 
 def replay_steps(s: CoSystem, steps: list, target: Ref, agent: str | None) -> None:
@@ -1080,10 +1194,10 @@ class TestReachPass:
             nash, perfect = nash_eq(s), sgpe(s)
             if not nash.holds:
                 nash_failures += 1
-                replay_deviation(s, nash.certificate)
+                replay_deviation(s, nash.certificate, nash.note)
             if not perfect.holds and "index" in perfect.certificate:
                 sgpe_failures += 1
-                replay_sgpe_failure(s, perfect.certificate)
+                replay_sgpe_failure(s, perfect.certificate, perfect.note)
         assert nash_failures > 200 and sgpe_failures > 200
 
 
@@ -1163,7 +1277,7 @@ class TestReachIndexSets:
         else:
             assert not nash.holds
             assert (nash.certificate["leaf_index"], nash.certificate["deviation_value"]) == (top, top)
-            replay_deviation(s, nash.certificate)
+            replay_deviation(s, nash.certificate, nash.note)
             assert not perfect.holds
             assert (perfect.certificate["class"], perfect.certificate["index"]) == (0, 0)
-            replay_sgpe_failure(s, perfect.certificate)
+            replay_sgpe_failure(s, perfect.certificate, perfect.note)

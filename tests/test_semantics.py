@@ -33,21 +33,25 @@ import helpers
 
 class TestLeadsToLeaf:
     def test_escalation_cycles_through_both_owners(self):
-        v = leads_to_leaf(dollar_auction_strategy("ngu"))
+        s = dollar_auction_strategy("ngu")
+        v = leads_to_leaf(s)
         assert not v.holds
-        assert v.certificate["cycle"] == [0, 1]
-        assert v.certificate["owners"] == ["Alice", "Bob"]
+        assert v.certificate == {"cycle": [0, 1], "entered_after": 0, "choices": ["l", "l"]}
+        # the owners are the system's, read at the classes the cycle names
+        assert [s.owner[c] for c in v.certificate["cycle"]] == ["Alice", "Bob"]
+        helpers.replay_walk(s, v.certificate)
 
     def test_give_up_reaches_a_leaf_in_one_step(self):
-        v = leads_to_leaf(dollar_auction_strategy("agu"))
+        s = dollar_auction_strategy("agu")
+        v = leads_to_leaf(s)
         assert v.holds
-        assert v.certificate["choices"] == ["r"]
-        assert len(v.certificate["path"]) == 2
+        assert v.certificate == {"class": [0, 3], "shift": [0, 0], "choices": ["r"]}
+        helpers.replay_walk(s, v.certificate)
 
     def test_leaf_holds_with_empty_path(self):
         s = CoSystem(STRATEGY, ("A",), (Leaf({"A": Affine.const(3)}),))
         v = leads_to_leaf(s)
-        assert v.holds and v.certificate["choices"] == []
+        assert v.holds and v.certificate == {"class": [0], "shift": [0], "choices": []}
 
     def test_rejects_games(self):
         with pytest.raises(KindMismatchError):
@@ -68,20 +72,19 @@ class TestLeadsToLeaf:
         s = dollar_auction_strategy("ngu")
         mine = leads_to_leaf(s).certificate
         mine["cycle"].clear()
-        mine["owners"].append("Carol")
         mine["choices"].clear()
         fresh = leads_to_leaf(s).certificate
-        assert fresh == {"cycle": [0, 1], "owners": ["Alice", "Bob"], "entered_after": 0,
-                         "choices": ["l", "l"]}
+        assert fresh == {"cycle": [0, 1], "entered_after": 0, "choices": ["l", "l"]}
         assert nash_eq(s).certificate["leads_to_leaf"] == fresh
         assert alw_leads_to_leaf(s).certificate["cycle"] == fresh
         held = CoSystem(STRATEGY, ("A",), (Node("A", Choice.R, Ref(0), Ref(1, 2)),
                                            Leaf({"A": Affine.const(3)})))
-        path = leads_to_leaf(held).certificate["path"]
-        path[0]["shift"] = 9
-        path.pop()
-        assert leads_to_leaf(held).certificate["path"] == [{"class": 0, "shift": 0},
-                                                          {"class": 1, "shift": 2}]
+        walk = leads_to_leaf(held).certificate
+        walk["shift"][0] = 9
+        walk["class"].pop()
+        walk["choices"].clear()
+        assert leads_to_leaf(held).certificate == {"class": [0, 1], "shift": [0, 2],
+                                                   "choices": ["r"]}
 
 
 def escalating_off_path() -> CoSystem:
@@ -100,15 +103,18 @@ class TestAlwLeadsToLeaf:
         assert set(v.certificate["class"]) == {0, 1, 2, 3}
 
     def test_escalation_fails_at_the_root_class(self):
-        v = alw_leads_to_leaf(dollar_auction_strategy("ngu"))
+        s = dollar_auction_strategy("ngu")
+        v = alw_leads_to_leaf(s)
         assert not v.holds
-        assert v.certificate["class"] == 0
+        assert v.certificate == {"class": 0, "cycle": leads_to_leaf(s).certificate}
+        helpers.replay_altl_failure(s, v.certificate)
 
     def test_off_path_escalation_separates_the_predicates(self):
         s = escalating_off_path()
         assert leads_to_leaf(s).holds
         v = alw_leads_to_leaf(s)
         assert not v.holds and v.certificate["class"] == 1
+        helpers.replay_altl_failure(s, v.certificate)
 
     def test_implies_ltl_at_root_and_is_suffix_closed(self):
         pool = [dollar_auction_strategy("agu")]
@@ -151,9 +157,9 @@ class TestPlayTable:
                 if not walk.holds:
                     assert (leaf[cls_id], shift[cls_id], steps[cls_id]) == (-1, 0, 0)
                     continue
-                last = walk.certificate["path"][-1]
+                cert = walk.certificate
                 assert (leaf[cls_id], shift[cls_id], steps[cls_id]) == (
-                    last["class"], last["shift"], len(walk.certificate["choices"]))
+                    cert["class"][-1], cert["shift"][-1], len(cert["choices"]))
 
     def test_rejects_games(self):
         with pytest.raises(KindMismatchError):
