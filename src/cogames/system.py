@@ -201,8 +201,9 @@ class CoSystem:
                       *columns: tuple) -> CoSystem:
         """A system with the given columns, in the field order, and a
         roster that is already sorted and free of repeats, unchecked.
-        The caller states why its columns are valid; a CI step refuses a
-        caller other than the four that :class:`CoSystem` names."""
+        The caller states why its columns are valid; a tier-1 test,
+        ``tests/test_gates.py``, refuses a caller other than the four that
+        :class:`CoSystem` names."""
         sys = object.__new__(cls)
         sys._fill(kind, roster, root, *columns)
         return sys

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 from cogames import (
     Affine,
@@ -44,6 +47,15 @@ PAST_THE_DIGIT_LIMIT = [
     f"strategy agents A\nc0(n) = <A, l, c1(n+{'9' * 5000}), leaf[A: 0]>\nc1(n) = leaf[A: 0]\n"
     "root c0\n",
 ]
+
+
+def cli_process(argv, **kwargs) -> subprocess.Popen:
+    """``python -m cogames *argv`` started as a process that imports this
+    checkout's ``src/`` first; ``kwargs`` go to ``Popen``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, "-m", "cogames", *argv], env=env, **kwargs)
 
 
 @contextlib.contextmanager

@@ -606,11 +606,8 @@ class TestLargeInputs:
                 path = tmp_path / f"{length}.cog"
                 path.write_text(ring_source(length))
                 argv.append(str(path))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.Popen([sys.executable, "-m", "cogames", "--json", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc = helpers.cli_process(["--json", *argv], stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE)
         try:
             assert len(proc.stdout.read(20)) == 20  # the report is far longer than a pipe holds
             proc.stdout.close()
