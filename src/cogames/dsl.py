@@ -20,7 +20,10 @@ where a token starts.  A token is only its text, and its kind follows
 from its first character.  The parser keeps no positions: when it raises
 an error it knows the failing token's index, one more scan of the text
 finds that token's offset, and the error's ``line:col`` is worked out
-from the offset.
+from the offset.  An error that names the token where the parser stopped
+names it by its text's repr, and the end of the input as ``'end of
+input'``; it names an expected keyword bare and expected punctuation by
+its repr.
 
 Beyond the grammar, a file names each agent and each equation once,
 owns every node by an agent of the roster, gives every leaf exactly one
@@ -158,7 +161,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    """Parser over token texts."""
+    """Parser over token texts, with one cursor ``pos``."""
 
     def __init__(self, text: str):
         self.text = text
@@ -170,90 +173,97 @@ class _Parser:
         self.classes: dict[int, NodeClass] = {}
         self.next_fresh = 0
 
-    def error(self, index: int, message: str, expected: tuple[str, ...] = (),
-              cls: type[ParseError] = ParseError) -> ParseError:
-        """The error for token ``index``, positioned by one scan of the text."""
+    def error(self, message: str, expected: tuple[str, ...] = (),
+              cls: type[ParseError] = ParseError, at: int | None = None) -> ParseError:
+        """The error at token ``at``, the cursor's by default, positioned
+        by one scan of the text."""
+        index = self.pos if at is None else at
         return cls(message, *_position(self.text, _offset(self.text, index)), expected)
 
-    def fail(self, message: str, expected: tuple[str, ...] = (),
-             cls: type[ParseError] = ParseError) -> ParseError:
-        return self.error(self.pos, message, expected, cls)
+    def found(self, *expected: str, what: str = "found") -> ParseError:
+        """The error that names the token at the cursor after ``what``;
+        past the last token, that is ``'end of input'``."""
+        return self.error(f"{what} {self.tokens[self.pos] or 'end of input'!r}", expected)
 
-    def expect_punct(self, ch: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok != ch:
-            raise self.fail(f"found {tok or 'end of input'!r}", (repr(ch),))
+    def expect(self, token: str) -> None:
+        """Step over ``token``: a keyword, which an error names bare, or a
+        punctuation character, which it names by its repr."""
+        if self.tokens[self.pos] != token:
+            raise self.found(token if _is_ident(token) else repr(token))
         self.pos += 1
 
     def expect_ident(self, what: str) -> str:
         tok = self.tokens[self.pos]
         if not _is_ident(tok):
-            raise self.fail(f"found {tok or 'end of input'!r}", (what,))
+            raise self.found(what)
         self.pos += 1
         return tok
-
-    def expect_name(self, what: str) -> str:
-        tok = self.expect_ident(what)
-        if tok in RESERVED:
-            raise self.error(self.pos - 1, f"{tok!r} is reserved and cannot name {what}")
-        return tok
-
-    def expect_n(self) -> None:
-        tok = self.expect_ident("'n'")
-        if tok != "n":
-            raise self.error(self.pos - 1, f"found {tok!r}", ("n",))
-
-    def int_at(self, index: int) -> int:
-        """The value of integer token ``index``, which ``int`` refuses only
-        past the caller's int/str conversion limit."""
-        try:
-            return int(self.tokens[index])
-        except ValueError:
-            raise self.error(index, f"integer past the int/str limit of {sys.get_int_max_str_digits()} "
-                             "digits (sys.set_int_max_str_digits)") from None
 
     def expect_agent(self) -> str:
         tok = self.expect_ident("an agent name")
         if tok not in self.roster:
-            raise self.error(self.pos - 1, f"unknown agent {tok!r}", cls=UnknownAgentError)
+            raise self.error(f"unknown agent {tok!r}", cls=UnknownAgentError, at=self.pos - 1)
         return tok
+
+    def expect_equation(self, what: str) -> int:
+        """Step over a name of an equation and return its class id."""
+        name = self.expect_ident(what)
+        if name not in self.eq_ids:
+            raise self.error(f"unknown equation {name!r}", cls=UnknownEquationError, at=self.pos - 1)
+        return self.eq_ids[name]
+
+    def take_int(self, *expected: str, natural: bool = False) -> int:
+        """Step over the integer at the cursor, a natural number if
+        ``natural``, and return its value; any other token is an error that
+        names ``expected``.  ``int`` refuses an integer token only past the
+        caller's int/str conversion limit."""
+        tok = self.tokens[self.pos]
+        if not _is_int(tok):
+            raise self.found(*expected)
+        try:
+            value = int(tok)
+        except ValueError:
+            raise self.error(f"integer past the int/str limit of {sys.get_int_max_str_digits()} "
+                             "digits (sys.set_int_max_str_digits)") from None
+        if natural and value < 0:
+            raise self.found(*expected)
+        self.pos += 1
+        return value
 
     # ---- file structure
 
     def parse_file(self) -> CoSystem:
         toks = self.tokens
-        head = self.expect_ident("'strategy' or 'game'")
-        if head not in (STRATEGY, GAME):
-            raise self.error(self.pos - 1, "file must start with 'strategy' or 'game'",
-                             ("strategy", "game"))
-        self.kind = head
-        if self.expect_ident("'agents'") != "agents":
-            raise self.error(self.pos - 1, f"found {toks[self.pos - 1]!r}", ("agents",))
+        self.kind = self.expect_ident("'strategy' or 'game'")
+        if self.kind not in (STRATEGY, GAME):
+            raise self.error("file must start with 'strategy' or 'game'", ("strategy", "game"), at=0)
+        self.expect("agents")
         while (_is_ident(toks[self.pos]) and toks[self.pos] != "root"
                and toks[self.pos + 1] != "("):
-            agent = self.expect_name("an agent")
+            agent = toks[self.pos]
+            if agent in RESERVED:
+                raise self.error(f"{agent!r} is reserved and cannot name an agent")
             if agent in self.roster:
-                raise self.error(self.pos - 1, f"duplicate agent {agent!r}")
+                raise self.error(f"duplicate agent {agent!r}")
             self.roster.append(agent)
+            self.pos += 1
         if not self.roster:
-            raise self.fail("at least one agent is required", ("agent name",))
+            raise self.error("at least one agent is required", ("agent name",))
 
         self._prescan_equations()
         self.next_fresh = len(self.eq_ids)
         if not self.eq_ids:
-            raise self.fail("at least one equation is required", ("equation",))
+            raise self.error("at least one equation is required", ("equation",))
 
         while toks[self.pos] != "root":
             self._parse_equation()
         self.pos += 1  # root
-        name = self.expect_ident("an equation name")
-        if name not in self.eq_ids:
-            raise self.error(self.pos - 1, f"unknown equation {name!r}", cls=UnknownEquationError)
+        root = self.expect_equation("an equation name")
         if toks[self.pos]:
-            raise self.fail(f"trailing input {toks[self.pos]!r}", ("end of file",))
+            raise self.found("end of file", what="trailing input")
 
         ordered = tuple(self.classes[i] for i in range(len(self.classes)))
-        return CoSystem(self.kind, tuple(self.roster), ordered, Ref(self.eq_ids[name], 0))
+        return CoSystem(self.kind, tuple(self.roster), ordered, Ref(root, 0))
 
     def _prescan_equations(self) -> None:
         """Equation headers (ident "(n)" "=") are syntactically unambiguous,
@@ -269,19 +279,19 @@ class _Parser:
                     and _is_ident(toks[i - 4])):
                 name = toks[i - 4]
                 if name in RESERVED:
-                    raise self.error(i - 4, f"{name!r} is reserved and cannot name an equation")
+                    raise self.error(f"{name!r} is reserved and cannot name an equation", at=i - 4)
                 if name in self.eq_ids:
-                    raise self.error(i - 4, f"duplicate equation {name!r}")
+                    raise self.error(f"duplicate equation {name!r}", at=i - 4)
                 self.eq_ids[name] = len(self.eq_ids)
 
     def _parse_equation(self) -> None:
-        name = self.expect_ident("an equation header")
+        name = self.tokens[self.pos]
         if name not in self.eq_ids:
-            raise self.error(self.pos - 1, f"found {name!r}", ("equation header", "root"))
-        self.expect_punct("(")
-        self.expect_n()
-        self.expect_punct(")")
-        self.expect_punct("=")
+            raise (self.found("equation header", "root") if _is_ident(name)
+                   else self.found("an equation header"))
+        self.pos += 1
+        for token in ("(", "n", ")", "="):
+            self.expect(token)
         self._parse_term(self.eq_ids[name])
 
     # ---- terms
@@ -298,7 +308,7 @@ class _Parser:
             elif tok == "<":
                 open_nodes.append(self._parse_node_head(cid))
             else:
-                raise self.fail(f"found {tok or 'end of input'!r}", ("leaf", "'<'"))
+                raise self.found("leaf", "'<'")
             cid = self._close_nodes(open_nodes)
             if cid is None:
                 return
@@ -310,12 +320,12 @@ class _Parser:
         while open_nodes:
             cid, owner, choice, refs = open_nodes[-1]
             if len(refs) == 2:
-                self.expect_punct(">")
+                self.expect(">")
                 open_nodes.pop()
                 self.classes[cid] = Node(owner, choice, refs[0], refs[1])
                 continue
             if refs:
-                self.expect_punct(",")
+                self.expect(",")
             tok = self.tokens[self.pos]
             if tok == "<" or tok == "leaf":
                 fresh = self.next_fresh
@@ -327,96 +337,73 @@ class _Parser:
 
     def _parse_leaf(self) -> Leaf:
         self.pos += 1  # leaf
-        self.expect_punct("[")
+        self.expect("[")
         payoffs: dict[str, Affine] = {}
         while True:
             agent = self.expect_agent()
             if agent in payoffs:
-                raise self.error(self.pos - 1, f"duplicate agent {agent!r} in leaf")
-            self.expect_punct(":")
+                raise self.error(f"duplicate agent {agent!r} in leaf", at=self.pos - 1)
+            self.expect(":")
             payoffs[agent] = self._parse_affine()
             if self.tokens[self.pos] != ",":
                 break
             self.pos += 1
-        self.expect_punct("]")
+        self.expect("]")
         if len(payoffs) < len(self.roster):
             missing = next(agent for agent in self.roster if agent not in payoffs)
-            raise self.error(self.pos - 1, f"leaf gives no payoff to {missing!r}")
+            raise self.error(f"leaf gives no payoff to {missing!r}", at=self.pos - 1)
         return Leaf(payoffs)
 
     def _parse_node_head(self, cid: int) -> _OpenNode:
         """``"<" owner ("," choice)? ","``: an open node for class ``cid``."""
         self.pos += 1  # <
         owner = self.expect_agent()
-        self.expect_punct(",")
-        toks, pos = self.tokens, self.pos
-        tok = toks[pos]
-        choice = _CHOICES.get(tok)
-        if choice is not None and toks[pos + 1] == ",":
+        self.expect(",")
+        choice = _CHOICES.get(self.tokens[self.pos])
+        if choice is not None and self.tokens[self.pos + 1] == ",":
             if self.kind == GAME:
-                raise self.error(pos, "choice annotation in a game-kind file",
-                                 cls=ChoiceInGameKindError)
-            self.pos = pos + 2
+                raise self.error("choice annotation in a game-kind file", cls=ChoiceInGameKindError)
+            self.pos += 2
         elif self.kind == STRATEGY:
-            raise self.error(pos, f"strategy node needs a choice, found {tok!r}", ("l", "r"))
+            raise self.found("l", "r", what="strategy node needs a choice, found")
         else:
             choice = None
         return cid, owner, choice, []
 
     def _parse_named_ref(self) -> Ref:
-        name = self.expect_ident("an equation name or inline term")
-        if name not in self.eq_ids:
-            raise self.error(self.pos - 1, f"unknown equation {name!r}", cls=UnknownEquationError)
-        self.expect_punct("(")
-        self.expect_n()
+        cid = self.expect_equation("an equation name or inline term")
+        self.expect("(")
+        self.expect("n")
         shift = 0
         if self.tokens[self.pos] == "+":
             self.pos += 1
-            k = self.tokens[self.pos]
-            shift = self.int_at(self.pos) if _is_int(k) else -1
-            if shift < 0:
-                raise self.fail(f"found {k!r}", ("a natural offset",))
-            self.pos += 1
-        self.expect_punct(")")
-        return Ref(self.eq_ids[name], shift)
+            shift = self.take_int("a natural offset", natural=True)
+        self.expect(")")
+        return Ref(cid, shift)
 
     # ---- affine payoffs
 
     def _parse_affine(self) -> Affine:
         """``"-"? (int | int "*n" tail? | "n" tail?)``, where a tail is
         ``"+" int``, ``"-" int`` or an integer glued to its minus sign."""
-        toks, pos = self.tokens, self.pos
-        tok = toks[pos]
-        sign = 1
-        if tok == "-":
-            pos += 1
-            tok, sign = toks[pos], -1
-        if tok == "n":
-            slope = sign
-        elif _is_int(tok):
-            if toks[pos + 1] != "*":
-                self.pos = pos + 1
-                return Affine(0, sign * self.int_at(pos))
-            slope = sign * self.int_at(pos)
-            pos += 2
-            if toks[pos] != "n":
-                self.pos = pos
-                self.expect_n()
-        else:
-            self.pos = pos
-            raise self.fail(f"found {tok or 'end of input'!r}", ("an integer", "n", "'-'"))
-        tail = toks[pos + 1]  # pos is at the "n"
+        toks = self.tokens
+        slope = 1
+        if toks[self.pos] == "-":
+            self.pos += 1
+            slope = -1
+        if toks[self.pos] != "n":
+            slope *= self.take_int("an integer", "n", "'-'")
+            if toks[self.pos] != "*":
+                return Affine(0, slope)
+            self.pos += 1  # *
+        self.expect("n")
+        tail = toks[self.pos]
         if tail == "+" or tail == "-":
-            val = toks[pos + 2]
-            if not _is_int(val):
-                self.pos = pos + 2
-                raise self.fail(f"found {val!r}", ("an integer",))
-            self.pos = pos + 3
-            return Affine(slope, self.int_at(pos + 2) if tail == "+" else -self.int_at(pos + 2))
+            self.pos += 1
+            value = self.take_int("an integer")
+            return Affine(slope, value if tail == "+" else -value)
         if tail[:1] == "-":  # an integer glued to its minus sign, "-0" too
-            self.pos = pos + 2
-            return Affine(slope, self.int_at(pos + 1))
-        self.pos = pos + 1
+            return Affine(slope, self.take_int("an integer"))
         return Affine(slope, 0)
 
 

@@ -14,7 +14,9 @@ A system is stored as per-class columns of strings and ints (see
 (:class:`Node`, :class:`Leaf`, :class:`Ref`, :class:`Affine`) are how a
 system is built by hand.  :func:`unfold` is the one code that builds
 them from the columns, and ``CoSystem.classes`` calls it once per class,
-on first read, for the printer, the oracle, the families and the tests.
+on first read.  The printer (``dsl.render``), the tests and the benchmark
+read that view; ``oracle.embed`` and ``families`` build through the
+constructor and ``unfold``.
 
 Two questions compare two systems: bisimilarity, and convertibility, the
 relation that the Nash quantifier in ``equilibria`` ranges over.  One

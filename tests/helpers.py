@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import heapq
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,7 @@ from cogames import (
     unfold,
     validate,
 )
+from cogames.dsl import ParseError
 from cogames.system import sccs
 
 AGENTS = ("Ann", "Ben", "Cyd")
@@ -68,6 +71,26 @@ def default_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+# the token text that a parse error names, as the repr in its message
+_NAMED_TOKEN = re.compile(r"(?:found|trailing input) ('[^']*')")
+
+
+def check_error_names_its_token(text: str, err: ParseError) -> None:
+    """A ``found 'X'`` or ``trailing input 'X'`` error sits where ``text``
+    starts with ``X``, a ``found 'end of input'`` error at the end of
+    ``text``; and no error names an empty token."""
+    message = str(err)
+    assert "found ''" not in message, message
+    named = _NAMED_TOKEN.search(message)
+    if named:
+        token = ast.literal_eval(named[1])
+        offset = sum(len(line) + 1 for line in text.split("\n")[:err.line - 1]) + err.col - 1
+        if token == "end of input":
+            assert offset == len(text), message
+        else:
+            assert text.startswith(token, offset), message
 
 
 def random_affine(rng: random.Random, parametric: bool = True) -> Affine:

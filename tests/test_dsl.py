@@ -247,61 +247,6 @@ class TestFlatReader:
             assert parse(source) == expected
 
 
-class TestParseErrors:
-    def test_syntax_error_is_positioned(self):
-        with pytest.raises(ParseError) as err:
-            parse("strategy agents A\nx(n) = <A, l, x(n), >\nroot x")
-        assert err.value.line == 2
-        assert err.value.expected
-
-    def test_unknown_agent_in_leaf(self):
-        with pytest.raises(UnknownAgentError):
-            parse("game agents A g(n) = leaf[B: 0] root g")
-
-    def test_unknown_owner(self):
-        with pytest.raises(UnknownAgentError):
-            parse("game agents A g(n) = <B, g(n), g(n)> root g")
-
-    def test_unknown_equation_in_ref(self):
-        with pytest.raises(UnknownEquationError):
-            parse("game agents A g(n) = <A, h(n), g(n)> root g")
-
-    def test_unknown_root(self):
-        with pytest.raises(UnknownEquationError):
-            parse("game agents A g(n) = leaf[A: 0] root h")
-
-    def test_choice_in_game_kind(self):
-        with pytest.raises(ChoiceInGameKindError):
-            parse("game agents A g(n) = <A, l, g(n), g(n)> root g")
-
-    def test_missing_choice_in_strategy_kind(self):
-        with pytest.raises(ParseError) as err:
-            parse("strategy agents A g(n) = <A, g(n), g(n)> root g")
-        assert set(err.value.expected) == {"l", "r"}
-
-    def test_duplicate_equation(self):
-        with pytest.raises(ParseError):
-            parse("game agents A g(n) = leaf[A: 0] g(n) = leaf[A: 1] root g")
-
-    def test_duplicate_leaf_agent(self):
-        with pytest.raises(ParseError):
-            parse("game agents A B g(n) = leaf[A: 0, A: 1] root g")
-
-    def test_reserved_names_rejected(self):
-        with pytest.raises(ParseError):
-            parse("game agents leaf g(n) = leaf[leaf: 0] root g")
-        with pytest.raises(ParseError):
-            parse("game agents A n(n) = leaf[A: 0] root n")
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ParseError):
-            parse("game agents A g(n) = <A, g(n+-1), g(n)> root g")
-
-    def test_trailing_input_rejected(self):
-        with pytest.raises(ParseError):
-            parse("game agents A g(n) = leaf[A: 0] root g leftovers")
-
-
 #: (source, error class, str(error), line, col, expected) for malformed inputs.
 ERROR_TABLE = [
     ("strategy agents A\nx(n) = <A, l, x(n), >\nroot x",
@@ -389,6 +334,43 @@ ERROR_TABLE = [
     (helpers.INCOMPLETE_LEAF, ParseError, "2:18: leaf gives no payoff to 'B'", 2, 18, ()),
     ("game agents B A\ng(n) = <A, leaf[A: 0], g(n)>\nroot g",
      ParseError, "2:21: leaf gives no payoff to 'B'", 2, 21, ()),
+    # an error at the end of the input names it 'end of input', and an
+    # expected keyword is named bare, whatever token stands in its place
+    ("game agents A\nc0(n) = <A, c0(n+",
+     ParseError, "2:18: found 'end of input' (expected a natural offset)", 2, 18,
+     ("a natural offset",)),
+    ("game agents A\nc0(n) = leaf[A: n -",
+     ParseError, "2:20: found 'end of input' (expected an integer)", 2, 20, ("an integer",)),
+    ("strategy agents A\nc0(n) = <A, ",
+     ParseError, "2:13: strategy node needs a choice, found 'end of input' (expected l, r)", 2, 13,
+     ("l", "r")),
+    ("game agents A\nc0(n) = leaf[A: 2*]\nroot c0",
+     ParseError, "2:19: found ']' (expected n)", 2, 19, ("n",)),
+    ("game agents A g(n) = <A, g(), g(n)> root g",
+     ParseError, "1:28: found ')' (expected n)", 1, 28, ("n",)),
+    ("game 5 A\nc0(n) = leaf[A: 0]\nroot c0",
+     ParseError, "1:6: found '5' (expected agents)", 1, 6, ("agents",)),
+    ("game foo A\nc0(n) = leaf[A: 0]\nroot c0",
+     ParseError, "1:6: found 'foo' (expected agents)", 1, 6, ("agents",)),
+    # one line each
+    ("game agents A g(n) = leaf[B: 0] root g",
+     UnknownAgentError, "1:27: unknown agent 'B'", 1, 27, ()),
+    ("game agents A g(n) = <B, g(n), g(n)> root g",
+     UnknownAgentError, "1:23: unknown agent 'B'", 1, 23, ()),
+    ("game agents A g(n) = <A, h(n), g(n)> root g",
+     UnknownEquationError, "1:26: unknown equation 'h'", 1, 26, ()),
+    ("game agents A g(n) = leaf[A: 0] root h",
+     UnknownEquationError, "1:38: unknown equation 'h'", 1, 38, ()),
+    ("game agents A g(n) = leaf[A: 0] g(n) = leaf[A: 1] root g",
+     ParseError, "1:33: duplicate equation 'g'", 1, 33, ()),
+    ("game agents A B g(n) = leaf[A: 0, A: 1] root g",
+     ParseError, "1:35: duplicate agent 'A' in leaf", 1, 35, ()),
+    ("game agents leaf g(n) = leaf[leaf: 0] root g",
+     ParseError, "1:13: 'leaf' is reserved and cannot name an agent", 1, 13, ()),
+    ("game agents A n(n) = leaf[A: 0] root n",
+     ParseError, "1:15: 'n' is reserved and cannot name an equation", 1, 15, ()),
+    ("game agents A g(n) = leaf[A: 0] root g leftovers",
+     ParseError, "1:40: trailing input 'leftovers' (expected end of file)", 1, 40, ("end of file",)),
 ]
 
 
@@ -399,6 +381,7 @@ def test_error_messages_and_positions(source, cls, message, line, col, expected)
     assert type(err.value) is cls
     assert (str(err.value), err.value.line, err.value.col, err.value.expected) == \
         (message, line, col, expected)
+    helpers.check_error_names_its_token(source, err.value)
 
 
 class TestHostileInputs:

@@ -1,6 +1,7 @@
 """Property tests on mutated sources: every one parses to a valid system or
-raises a positioned ParseError, and the flat reader either gives it up or
-reads the system the token parser reads.
+raises a positioned ParseError (at the token that it names, if it names
+one), and the flat reader either gives it up or reads the system the token
+parser reads.
 
 Sources are the shipped games and rendered seeded systems, mutated by
 inserting, deleting or truncating characters drawn from the grammar's
@@ -69,7 +70,7 @@ def mutated_sources(draw) -> str:
 
 def check_parse(text: str) -> None:
     """``parse`` returns a valid system that round-trips, or raises a
-    ParseError positioned inside the text."""
+    ParseError positioned inside the text, at the token that it names."""
     try:
         sys_ = parse(text)
     except ParseError as err:
@@ -77,6 +78,7 @@ def check_parse(text: str) -> None:
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.col <= len(lines[err.line - 1]) + 1
         assert str(err).startswith(f"{err.line}:{err.col}: ")
+        helpers.check_error_names_its_token(text, err)
     else:
         assert isinstance(sys_, CoSystem)
         assert validate(sys_).holds
