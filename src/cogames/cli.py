@@ -88,10 +88,7 @@ _SPLICE = "\ud800"
 def unbounded_int_digits():
     """Lift CPython's limit on int/str conversions for the block and
     restore it after.  The limit is process-wide, so this holds for every
-    thread.  Interpreters without the limit (before 3.10.7) skip this."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    thread."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -66,9 +66,9 @@ to the system's columns (``system.CoSystem``), each payoff at its
 agent's roster index; it keeps no match and builds no class object.
 The token parser reads what the flat reader gives up on, into class
 objects that ``CoSystem`` turns into the same columns; it alone defines
-the grammar, and it raises every error, with its message, ``line:col``
-and expected tokens.  So the flat reader also gives up on an invalid
-system and on an integer past the caller's limit.
+the grammar, and it raises every error, each a ``ParseError`` with its
+message, ``line:col`` and expected tokens.  So the flat reader also
+gives up on an invalid system and on an integer past the caller's limit.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .system import Affine, Choice, CoSystem, GAME, Leaf, Node, NodeClass, Ref, STRATEGY
+from .system import Affine, CHOICES, Choice, CoSystem, GAME, Leaf, Node, NodeClass, Ref, STRATEGY
 
 RESERVED = {"strategy", "game", "agents", "root", "leaf", "l", "r", "n"}
 
@@ -88,8 +88,6 @@ RESERVED = {"strategy", "game", "agents", "root", "leaf", "l", "r", "n"}
 # whitespace and the characters ``_BAD`` finds, which no token can hold.
 _TOKEN = re.compile(r"[^\W\d]\w*|-?\d+|[()\[\]<>,:=+*-]")
 _BAD = re.compile(r"[^\w\s()\[\]<>,:=+*-]")
-
-_CHOICES = {"l": Choice.L, "r": Choice.R}
 
 _OpenNode = tuple[int, str, Choice | None, list[Ref]]  # class id, owner, choice, refs so far
 
@@ -103,18 +101,6 @@ class ParseError(ValueError):
         self.expected = expected
         suffix = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{line}:{col}: {message}{suffix}")
-
-
-class UnknownAgentError(ParseError):
-    pass
-
-
-class UnknownEquationError(ParseError):
-    pass
-
-
-class ChoiceInGameKindError(ParseError):
-    pass
 
 
 def _is_ident(token: str) -> bool:
@@ -173,12 +159,11 @@ class _Parser:
         self.classes: dict[int, NodeClass] = {}
         self.next_fresh = 0
 
-    def error(self, message: str, expected: tuple[str, ...] = (),
-              cls: type[ParseError] = ParseError, at: int | None = None) -> ParseError:
+    def error(self, message: str, expected: tuple[str, ...] = (), at: int | None = None) -> ParseError:
         """The error at token ``at``, the cursor's by default, positioned
         by one scan of the text."""
         index = self.pos if at is None else at
-        return cls(message, *_position(self.text, _offset(self.text, index)), expected)
+        return ParseError(message, *_position(self.text, _offset(self.text, index)), expected)
 
     def found(self, *expected: str, what: str = "found") -> ParseError:
         """The error that names the token at the cursor after ``what``;
@@ -202,14 +187,14 @@ class _Parser:
     def expect_agent(self) -> str:
         tok = self.expect_ident("an agent name")
         if tok not in self.roster:
-            raise self.error(f"unknown agent {tok!r}", cls=UnknownAgentError, at=self.pos - 1)
+            raise self.error(f"unknown agent {tok!r}", at=self.pos - 1)
         return tok
 
     def expect_equation(self, what: str) -> int:
         """Step over a name of an equation and return its class id."""
         name = self.expect_ident(what)
         if name not in self.eq_ids:
-            raise self.error(f"unknown equation {name!r}", cls=UnknownEquationError, at=self.pos - 1)
+            raise self.error(f"unknown equation {name!r}", at=self.pos - 1)
         return self.eq_ids[name]
 
     def take_int(self, *expected: str, natural: bool = False) -> int:
@@ -359,10 +344,10 @@ class _Parser:
         self.pos += 1  # <
         owner = self.expect_agent()
         self.expect(",")
-        choice = _CHOICES.get(self.tokens[self.pos])
+        choice = CHOICES.get(self.tokens[self.pos])
         if choice is not None and self.tokens[self.pos + 1] == ",":
             if self.kind == GAME:
-                raise self.error("choice annotation in a game-kind file", cls=ChoiceInGameKindError)
+                raise self.error("choice annotation in a game-kind file")
             self.pos += 2
         elif self.kind == STRATEGY:
             raise self.found("l", "r", what="strategy node needs a choice, found")
@@ -462,7 +447,7 @@ def _parse_flat(text: str) -> CoSystem | None:
         name, who, c, lname, lk, rname, rk = m.groups()
         ids.setdefault(name, len(owner))
         owner.append(who)
-        choice.append(c and _CHOICES[c])
+        choice.append(c and CHOICES[c])
         left.append(lname)
         left_shift.append(int(lk) if lk else 0)
         right.append(rname)

@@ -145,8 +145,9 @@ def _shortest(edges: list[tuple[Edge, ...]], dist: list[int | None], parent: lis
     already hold each source's index and parent.  A class's
     entry improves only on a strictly smaller index.  The search stops
     once ``target`` is settled; ``within`` restricts the classes it
-    passes through (to stay inside an SCC), ``target`` apart.  Returns
-    the classes it settled, in the order it settled them."""
+    passes through (to stay inside an SCC), and holds ``target`` when
+    both are given.  Returns the classes it settled, in the order it
+    settled them."""
     heap = list(sources)
     heapq.heapify(heap)
     order = []
@@ -158,7 +159,7 @@ def _shortest(edges: list[tuple[Edge, ...]], dist: list[int | None], parent: lis
         if c == target:
             break
         for t, k, _ in edges[c]:
-            if within is not None and t not in within and t != target:
+            if within is not None and t not in within:
                 continue
             nd, dt = d + k, dist[t]
             if dt is None or nd < dt:

@@ -1,6 +1,6 @@
 """Built-in game families: dollar auction, centipede, and a small finite
 worked example; plus truncation of the infinite families to explicit
-finite trees, and backward induction on those trees.
+finite trees, and backward induction on finite trees.
 
 A truncation is itself a :class:`CoSystem`: one class per tree node, in
 preorder, with constant payoffs and every ref at shift 0.  So
@@ -27,6 +27,7 @@ continues left along the backbone, which never reaches a leaf).
 
 from __future__ import annotations
 
+from .histories import is_finite
 from .system import (
     Affine,
     Choice,
@@ -37,6 +38,7 @@ from .system import (
     Ref,
     STRATEGY,
     annotate,
+    condensation,
     strategy_to_game,
     unfold,
 )
@@ -185,21 +187,26 @@ def truncate(sys: CoSystem, depth: int) -> CoSystem:
 
 
 def backward_induction(tree: CoSystem, tiebreak: str = PREFER_LEFT) -> CoSystem:
-    """The strategy that backward induction picks on a finite tree that
-    ``truncate`` built, a game or a strategy (whose choices it ignores):
-    at each node, the child whose outcome pays the owner more, and on a
-    tie the child that ``tiebreak`` prefers.  Every subtree of the result
-    is solved so.  One reverse pass over the class ids, since each child
-    comes after its parent in preorder."""
+    """The strategy that backward induction picks on a finite tree, such
+    as ``truncate`` builds, a game or a strategy (whose choices it
+    ignores): at each node, the child whose outcome pays the owner more,
+    and on a tie the child that ``tiebreak`` prefers.  Every subtree of
+    the result is solved so, and a node class the root does not reach
+    picks L.  One pass over the condensation's classes, which puts each
+    child before its parent.  A tree that ``histories.is_finite`` refuses
+    (a cycle, or a payoff that depends on the index) raises
+    ``ValueError``."""
     if tiebreak not in (PREFER_LEFT, PREFER_RIGHT):
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
     game = strategy_to_game(tree) if tree.kind == STRATEGY else tree
+    if not is_finite(game):
+        raise ValueError("backward induction needs a finite tree with constant payoffs")
     # the outcome of each class's subtree: its leaf's payoff entry, where
     # agent i's constant payoff is item 2*i + 1
     slot = {agent: 2 * i + 1 for i, agent in enumerate(game.roster)}
     outcome: list[tuple | None] = list(game.payoff)
-    choices: dict[int, Choice] = {}
-    for c in range(len(outcome) - 1, -1, -1):
+    choices = dict.fromkeys(range(len(outcome)), Choice.L)
+    for (c,) in condensation(game).comps:
         owner = game.owner[c]
         if owner is None:
             continue

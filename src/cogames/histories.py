@@ -16,11 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .semantics import leads_to_leaf
-from .system import Choice, CoSystem, STRATEGY, KindMismatchError, condensation, is_parametric
-
-# each choice by its letter: a dict lookup, where ``Choice(letter)`` is
-# an Enum call per letter
-_CHOICES = {c.value: c for c in Choice}
+from .system import CHOICES, Choice, CoSystem, STRATEGY, KindMismatchError, condensation, is_parametric
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,7 @@ def strategy_history(s: CoSystem) -> LassoHistory:
     if s.kind != STRATEGY:
         raise KindMismatchError("strategy_history expects a strategy")
     walk = leads_to_leaf(s).certificate
-    taken = tuple(map(_CHOICES.__getitem__, walk["choices"]))
+    taken = tuple(map(CHOICES.__getitem__, walk["choices"]))
     split = walk.get("entered_after", len(taken))
     return canonicalize(LassoHistory(taken[:split], taken[split:]))
 
@@ -156,6 +152,6 @@ def parse_lasso(text: str) -> LassoHistory:
     m = _LASSO_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a lasso: {text!r} (expected e.g. 'lr', 'l(lr)^w')")
-    prefix = tuple(map(_CHOICES.__getitem__, m.group("prefix")))
-    cycle = tuple(map(_CHOICES.__getitem__, m.group("cycle") or ""))
+    prefix = tuple(map(CHOICES.__getitem__, m.group("prefix")))
+    cycle = tuple(map(CHOICES.__getitem__, m.group("cycle") or ""))
     return LassoHistory(prefix, cycle)

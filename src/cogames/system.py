@@ -83,6 +83,11 @@ class Choice(Enum):
         return self.value
 
 
+# each choice by its letter, as the readers meet it: a dict lookup, where
+# ``Choice(letter)`` is an Enum call per letter
+CHOICES = {c.value: c for c in Choice}
+
+
 @dataclass(frozen=True)
 class Affine:
     """Exact integer payoff ``slope * n + intercept`` of the index ``n``."""

@@ -50,6 +50,14 @@ class TestDemo:
             "ngu.ltl": "fails", "ngu.altl": "fails", "ngu.nash": "holds", "ngu.sgpe": "fails",
         }
 
+    def test_a_verdict_off_the_expected_pattern_is_a_mismatch(self, capsys, monkeypatch):
+        from cogames import cli
+
+        monkeypatch.setitem(cli._DEMO_EXPECTED["agu"], "nash", False)
+        code, out = run(capsys, "demo", "dollar")
+        assert code == 1
+        assert out.splitlines()[-1] == "MISMATCH with the expected pattern: agu.nash"
+
     def test_human_table(self, capsys):
         code, out = run(capsys, "demo", "centipede")
         assert code == 0
@@ -619,10 +627,6 @@ class TestLargeInputs:
         assert b"Traceback" not in err
 
 
-NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                                    reason="this interpreter has no int/str conversion limit")
-
-
 class TestLongIntegers:
     """Integers past CPython's default int/str conversion limit (4 300
     digits) pass through ``main``, which lifts the limit while it runs."""
@@ -648,7 +652,6 @@ class TestLongIntegers:
         with unbounded_int_digits():
             assert json.loads(out)["checks"][0]["value"] == int(nines) ** 2
 
-    @NEEDS_DIGIT_LIMIT
     @pytest.mark.parametrize("outcome, code", [(None, 0), (InputError("bad"), 2),
                                                (KeyError("boom"), 70)])
     def test_main_lifts_the_limit_and_restores_it(self, capsys, monkeypatch, outcome, code):

@@ -12,7 +12,6 @@ runs a second time under the default limit.  Any exception other than
 ``ParseError`` fails the test.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +73,7 @@ def check_parse(text: str) -> None:
     try:
         sys_ = parse(text)
     except ParseError as err:
+        assert type(err) is ParseError
         lines = text.split("\n")
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.col <= len(lines[err.line - 1]) + 1
@@ -92,7 +92,6 @@ def test_parse_returns_a_system_or_a_positioned_error(text):
     check_parse(text)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(mutated_sources())
 @example(helpers.PAST_THE_DIGIT_LIMIT[0])

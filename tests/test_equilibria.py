@@ -26,6 +26,7 @@ from cogames import (
     reach_index_sets,
     reachable,
     sgpe,
+    strategy_history,
     strategy_to_game,
     unfold,
 )
@@ -746,7 +747,8 @@ class TestPreservation:
             assert helpers.check_altl_preservation(s, t, agent).holds
 
 
-@pytest.mark.parametrize("check", [nash_eq, sgpe])
+@pytest.mark.parametrize("check", [nash_eq, sgpe, leads_to_leaf, alw_leads_to_leaf,
+                                   strategy_history, strategy_to_game])
 def test_equilibrium_checks_reject_a_game(check):
     with pytest.raises(KindMismatchError, match=f"{check.__name__} expects a strategy"):
         check(strategy_to_game(dollar_auction_strategy("agu")))

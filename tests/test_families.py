@@ -13,6 +13,7 @@ from cogames import (
     alw_leads_to_leaf,
     bisimilar_bounded,
     h_bisimilar,
+    is_finite,
     is_parametric,
     leads_to_leaf,
     nash_eq,
@@ -24,7 +25,7 @@ from cogames import (
     validate,
 )
 from cogames import families, oracle
-from cogames.dsl import render
+from cogames.dsl import parse, render
 from cogames.families import (
     PREFER_LEFT,
     PREFER_RIGHT,
@@ -223,6 +224,38 @@ class TestBackwardInduction:
             for tiebreak in (PREFER_LEFT, PREFER_RIGHT):
                 solved = backward_induction(tree, tiebreak)
                 assert nash_eq(solved).holds and sgpe(solved).holds
+
+    @pytest.mark.parametrize("tree", [
+        dollar_auction_game(),
+        # acyclic, but the left leaf pays A the index: 3 at the root's left child
+        parse("game agents A\nc0(n) = <A, c1(n+3), c2(n)>\nc1(n) = leaf[A: n]\n"
+              "c2(n) = leaf[A: 1]\nroot c0\n"),
+    ])
+    def test_refuses_a_tree_that_is_not_finite(self, tree):
+        with pytest.raises(ValueError, match="needs a finite tree with constant payoffs"):
+            backward_induction(tree)
+
+    def test_solves_children_before_parents_whatever_their_ids(self):
+        # class 0 hangs below class 1, and the root does not reach class 4
+        tree = parse("game agents A\nc0(n) = <A, c2(n), c3(n)>\nc1(n) = <A, c0(n), c2(n)>\n"
+                     "c2(n) = leaf[A: 1]\nc3(n) = leaf[A: 5]\nc4(n) = <A, c4(n), c4(n)>\n"
+                     "root c1\n")
+        solved = backward_induction(tree, PREFER_RIGHT)
+        assert solved.choice == (Choice.R, Choice.L, None, None, Choice.L)
+        assert sgpe(solved).holds
+
+    def test_refuses_exactly_the_random_systems_that_are_not_finite(self):
+        solved = 0
+        for seed in range(3000):
+            sys_ = helpers.random_system(seed)
+            if not is_finite(sys_):
+                with pytest.raises(ValueError, match="needs a finite tree"):
+                    backward_induction(sys_)
+                continue
+            for tiebreak in (PREFER_LEFT, PREFER_RIGHT):
+                assert sgpe(backward_induction(sys_, tiebreak)).holds, (seed, tiebreak)
+            solved += 1
+        assert solved == 62
 
     def test_unknown_tiebreak_rejected(self):
         with pytest.raises(ValueError, match="unknown tiebreak"):

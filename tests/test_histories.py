@@ -63,6 +63,13 @@ def words_equal_by_expansion(a: LassoHistory, b: LassoHistory) -> bool:
     return a.expand(n) == b.expand(n)
 
 
+def test_expand_stops_at_the_end_of_a_finite_history():
+    h = LassoHistory((L, R, R))
+    assert h.expand(2) == (L, R)
+    assert h.expand(5) == (L, R, R)
+    assert LassoHistory((L,), (R,)).expand(4) == (L, R, R, R)
+
+
 class TestHBisimilar:
     def test_alternating_presentations(self):
         # one-step vs two-step presentations of the same alternating word

@@ -840,6 +840,10 @@ class TestErasure:
         choices = {i: cls.choice for i, cls in enumerate(agu.classes) if isinstance(cls, Node)}
         assert annotate(game, choices) == agu
 
+    def test_annotate_rejects_a_strategy(self):
+        with pytest.raises(KindMismatchError, match="annotate expects a game"):
+            annotate(dollar_auction_strategy("agu"), {0: Choice.L, 1: Choice.L})
+
     def test_an_incomplete_choice_map_names_the_first_node_class_without_one(self):
         with pytest.raises(ValueError, match="no choice for node class 1"):
             annotate(dollar_auction_game(), {0: Choice.L})
