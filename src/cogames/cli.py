@@ -27,6 +27,14 @@ default, a guard against quadratic conversion of untrusted input;
 ``main`` reads files that its user names, so it lifts that limit for its
 own duration (``unbounded_int_digits``) and restores it on return.
 
+Each report's ``inputs`` records every file it read: its path and the
+SHA-256 of its raw bytes, a byte-order mark included.  The digest comes
+from CPython's built-in SHA-256 module (``_sha2``, ``_sha256`` before
+3.12), as ``random`` takes its ``sha512``: ``hashlib`` maps OpenSSL's
+libcrypto, about 3.5 MB resident for the one hash a run makes, and the
+built-in module gives the same digest.  ``hashlib.sha256`` is used only
+on an interpreter built without that module.
+
 The report is rendered with ``check_circular=False``.  It is acyclic:
 each check builds its own certificate, and one that cites the chosen
 walk (an ``altl`` failure, a vacuous ``nash`` hold) holds its own copy
@@ -50,7 +58,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import os
@@ -67,6 +74,15 @@ from .semantics import alw_leads_to_leaf, leads_to_leaf, s2u
 from .system import CoSystem, Convertibility, STRATEGY, KindMismatchError, RosterMismatchError
 from .system import Blocks, bisimilar_blocks, bisimilar_bounded, convertible, is_parametric
 from .verdict import Verdict
+
+# lean first: hashlib loads OpenSSL (see the module docstring)
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # the depth to which `bisim` compares parametric inputs
 DEFAULT_BISIM_DEPTH = 24
@@ -102,10 +118,11 @@ class InputError(Exception):
 
 
 def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
-    """The system in the file at ``path`` and its input record.  The
-    readers in ``dsl`` reject every invalid file with a positioned
-    error, and every ``CoSystem`` is valid by construction, so nothing
-    here validates it again."""
+    """The system in the file at ``path`` and its input record, whose
+    ``sha256`` digests the raw bytes with the ``sha256`` bound at import
+    (see the module docstring).  The readers in ``dsl`` reject every
+    invalid file with a positioned error, and every ``CoSystem`` is
+    valid by construction, so nothing here validates it again."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -114,7 +131,7 @@ def _load(path: str) -> tuple[CoSystem, dict[str, str]]:
         # a path the file system cannot hold: a NUL, or a lone surrogate
         # that does not encode (UnicodeEncodeError); its repr is printable
         raise InputError(f"{path!r}: {exc}") from exc
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     try:
         # a byte-order mark is not part of the text; the digest covers the raw bytes
         system = dsl.parse(data.decode("utf-8-sig"))

@@ -468,14 +468,14 @@ def _sensitive(sys: CoSystem) -> list[bool]:
     """Per class id, whether the class is *sensitive*: a leaf with a
     nonzero payoff slope is reachable from it (the class itself
     included).  One reverse pass from the leaves with a nonzero slope
-    over every class, reachable from the root or not."""
+    over every class, reachable from the root or not; without such a
+    leaf no class is sensitive, and no predecessor list is built."""
+    sensitive = [payoff is not None and any(payoff[::2]) for payoff in sys.payoff]
+    if not any(sensitive):
+        return sensitive
     preds: list[list[int]] = [[] for _ in sys.owner]
-    sensitive = [False] * len(sys.owner)
-    for c, (owner, left, right, payoff) in enumerate(zip(sys.owner, sys.left, sys.right,
-                                                          sys.payoff)):
-        if owner is None:
-            sensitive[c] = any(payoff[::2])
-        else:
+    for c, (owner, left, right) in enumerate(zip(sys.owner, sys.left, sys.right)):
+        if owner is not None:
             preds[left].append(c)
             preds[right].append(c)
     queue = [c for c in range(len(sensitive)) if sensitive[c]]

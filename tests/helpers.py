@@ -52,13 +52,18 @@ PAST_THE_DIGIT_LIMIT = [
 ]
 
 
-def cli_process(argv, **kwargs) -> subprocess.Popen:
-    """``python -m cogames *argv`` started as a process that imports this
-    checkout's ``src/`` first; ``kwargs`` go to ``Popen``."""
+def python_process(args, **kwargs) -> subprocess.Popen:
+    """``python *args`` started as a process that imports this checkout's
+    ``src/`` first; ``kwargs`` go to ``Popen``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.Popen([sys.executable, "-m", "cogames", *argv], env=env, **kwargs)
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def cli_process(argv, **kwargs) -> subprocess.Popen:
+    """``python -m cogames *argv``, started as :func:`python_process` starts it."""
+    return python_process(["-m", "cogames", *argv], **kwargs)
 
 
 @contextlib.contextmanager

@@ -839,6 +839,74 @@ class TestErrorsAndStability:
         assert snap() == snap()
 
 
+def digest_argvs(crlf: Path) -> list[list[str]]:
+    """Commands whose reports record their inputs: ``check`` on each
+    shipped strategy, ``history`` on each shipped file, ``bisim`` and
+    ``convert`` on two different files each, and ``paper_s0`` beside
+    ``crlf``, a copy of it with CRLF line ends, which this writes."""
+    paths = sorted(str(p) for p in GAMES.glob("*.cog"))
+    strategies = [p for p in paths if dsl.parse(Path(p).read_text()).kind == STRATEGY]
+    plain = str(GAMES / "paper_s0.cog")
+    crlf.write_bytes(Path(plain).read_bytes().replace(b"\n", b"\r\n"))
+    return [*[["check", p, "--ltl"] for p in strategies],
+            *[["history", p, "--check", "r"] for p in paths],
+            ["bisim", str(GAMES / "dollar_auction.cog"), str(GAMES / "centipede.cog")],
+            ["convert", str(GAMES / "dollar_auction_agu.cog"), str(GAMES / "centipede_agu.cog"),
+             "--agent", "Alice"],
+            ["check", str(crlf), "--ltl"], ["history", str(crlf)],
+            ["bisim", plain, str(crlf)], ["convert", str(crlf), plain, "--agent", "Alice"]]
+
+
+def hashlib_inputs(argv: list[str]) -> list[dict[str, str]]:
+    """The ``inputs`` record of ``argv``'s report, digested by ``hashlib``."""
+    return [{"path": a, "sha256": hashlib.sha256(Path(a).read_bytes()).hexdigest()}
+            for a in argv if a.endswith(".cog")]
+
+
+# runs main on each argv of the JSON list in argv[1] in a fresh interpreter,
+# with the modules named by the later arguments blocked, and prints each
+# report's inputs and which sha256 the cli bound
+FRESH_DIGESTS = """
+import contextlib, io, json, sys
+for name in sys.argv[2:]:
+    sys.modules[name] = None
+from cogames import cli
+inputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["--json", *argv])
+    inputs.append(json.loads(out.getvalue())["inputs"])
+hashlib = sys.modules.get("hashlib")
+print(json.dumps({"inputs": inputs, "openssl": "_hashlib" in sys.modules,
+                  "fallback": hashlib is not None and cli.sha256 is hashlib.sha256}))
+"""
+
+
+class TestInputDigest:
+    def test_each_input_is_digested_as_hashlib_digests_its_raw_bytes(self, capsys, tmp_path):
+        argvs = digest_argvs(tmp_path / "paper_s0_crlf.cog")
+        for argv in argvs:
+            _, report = run_json(capsys, *argv)
+            assert report["inputs"] == hashlib_inputs(argv)
+        # the line ends are part of the digest
+        [plain, crlf] = hashlib_inputs(argvs[-2])
+        assert plain["sha256"] != crlf["sha256"]
+
+    # a fresh interpreter maps OpenSSL only through the hashlib fallback,
+    # which an interpreter without CPython's own SHA-256 module takes
+    @pytest.mark.parametrize("blocked, openssl", [((), False), (("_sha2", "_sha256"), True)],
+                             ids=["built-in", "hashlib fallback"])
+    def test_a_fresh_process_digests_alike_without_openssl(self, tmp_path, blocked, openssl):
+        argvs = digest_argvs(tmp_path / "paper_s0_crlf.cog")
+        proc = helpers.python_process(["-c", FRESH_DIGESTS, json.dumps(argvs), *blocked],
+                                      stdout=subprocess.PIPE, text=True)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert json.loads(out) == {"inputs": [hashlib_inputs(argv) for argv in argvs],
+                                   "openssl": openssl, "fallback": openssl}
+
+
 # argv covering every subcommand: one valid line and one usage error each,
 # plus the top level's own errors and help
 PARSER_ARGVS = [

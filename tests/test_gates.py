@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from cogames import bisimilar, dsl
+from cogames import bisimilar, dsl, system
 from cogames.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +46,43 @@ def test_flat_reader_reads_every_input_into_the_token_parsers_system(pools, grou
         elif flat != tokens or repr(flat) != repr(tokens):
             differ.append(name)
     assert (given_up, differ) == ([], [])
+
+
+def sloped_leaf_reachable(s, c: int) -> bool:
+    """Whether a leaf with a nonzero payoff slope is reachable from class
+    ``c`` (``c`` included): a forward search from ``c`` alone over the
+    child columns."""
+    seen, todo = {c}, [c]
+    while todo:
+        v = todo.pop()
+        if s.owner[v] is None:
+            if any(s.payoff[v][0::2]):
+                return True
+            continue
+        for w in (s.left[v], s.right[v]):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return False
+
+
+# the sensitivity table skips its reverse pass when no leaf is sloped, as
+# on every ring, flip and same-tree system of product-pairs; each entry must
+# still be what a search from that class alone finds (test_system checks
+# the same on random systems)
+@pytest.mark.parametrize("group", ["games", "product-pairs"])
+def test_sensitivity_table_is_per_class_reachability(pools, group):
+    if group == "games":
+        systems = [dsl.parse(p.read_text()) for p in sorted((ROOT / "games").glob("*.cog"))]
+    else:
+        systems = [dsl.parse(text) for text in pools[group].files.values()]
+    sloped = flat = 0
+    for s in systems:
+        table = system._sensitive(s)
+        assert table == [sloped_leaf_reachable(s, c) for c in range(len(s.owner))]
+        sloped += any(table)
+        flat += not any(table)
+    assert sloped and flat
 
 
 # the report writes a holding relation from the union-find's blocks and
